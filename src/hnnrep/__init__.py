@@ -3,6 +3,7 @@ two-generator Artin groups, and semidirect products of matrix groups."""
 
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import (
+    BlockMonomial,
     RingMatrix,
     block_companion,
     block_diag,

@@ -116,6 +116,123 @@ class RingMatrix:
         ) + f"\n]) over {self.ring!r}"
 
 
+def _block_mul(a, b, zero):
+    """Product of two square blocks given as tuples of row tuples."""
+    if len(a) == 2:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return (
+            (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+        )
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum([x * y for x, y in zip(row, col)], zero) for col in cols)
+        for row in a
+    )
+
+
+class BlockMonomial:
+    """Matrix in GL_m(R) wr S_k: k x k blocks of degree m with exactly one
+    nonzero block in each block row and block column.
+
+    Block row i holds blocks[i] in block column perm[i].  Products compose
+    the permutations and multiply k pairs of blocks, O(k m^3) ring
+    operations instead of O((k m)^3) for the dense product.  Blocks are
+    tuples of row tuples of ring scalars; the generic kernel starts each
+    dot product from ring.zero, so plain ints work with INT.  Dense
+    matrices enter through the checked from_matrix.
+    """
+
+    __slots__ = ("ring", "perm", "blocks")
+
+    def __init__(self, ring, perm, blocks):
+        # Not checked: instances come from from_matrix or identity, and
+        # products of those keep the shape.
+        self.ring = ring
+        self.perm = perm
+        self.blocks = blocks
+
+    @classmethod
+    def from_matrix(cls, mat: RingMatrix, k: int) -> "BlockMonomial":
+        """Read mat as a k x k grid of blocks; raise ValueError unless every
+        block row and every block column has exactly one nonzero block."""
+        if k < 1 or mat.degree % k:
+            raise ValueError(f"degree {mat.degree} is not a multiple of {k}")
+        m = mat.degree // k
+        perm = []
+        blocks = []
+        col_hits = [0] * k
+        for bi in range(k):
+            rows = mat.rows[bi * m:(bi + 1) * m]
+            nonzero = [
+                bj for bj in range(k)
+                if any(x for r in rows for x in r[bj * m:(bj + 1) * m])
+            ]
+            if len(nonzero) != 1:
+                raise ValueError(
+                    f"block row {bi} has {len(nonzero)} nonzero blocks, not 1"
+                )
+            (bj,) = nonzero
+            col_hits[bj] += 1
+            perm.append(bj)
+            blocks.append(tuple(r[bj * m:(bj + 1) * m] for r in rows))
+        if col_hits != [1] * k:
+            raise ValueError("a block column has no nonzero block or several")
+        return cls(mat.ring, tuple(perm), tuple(blocks))
+
+    @classmethod
+    def identity(cls, ring, m: int, k: int) -> "BlockMonomial":
+        one, zero = ring.one, ring.zero
+        blk = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
+        return cls(ring, tuple(range(k)), (blk,) * k)
+
+    @property
+    def block_degree(self) -> int:
+        return len(self.blocks[0])
+
+    def map_entries(self, ring, fn) -> "BlockMonomial":
+        """Same shape with fn applied to every block entry, over ring."""
+        return BlockMonomial(ring, self.perm, tuple(
+            tuple(tuple(fn(x) for x in r) for r in blk) for blk in self.blocks
+        ))
+
+    def __mul__(self, other: "BlockMonomial") -> "BlockMonomial":
+        # Block row i of self meets block row perm[i] of other.
+        zero = self.ring.zero
+        bp = other.perm
+        bb = other.blocks
+        return BlockMonomial(
+            self.ring,
+            tuple([bp[j] for j in self.perm]),
+            tuple([
+                _block_mul(blk, bb[j], zero)
+                for blk, j in zip(self.blocks, self.perm)
+            ]),
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, BlockMonomial)
+            and self.ring == other.ring
+            and self.perm == other.perm
+            and self.blocks == other.blocks
+        )
+
+    def is_scalar(self, c) -> bool:
+        """Exact test for c * identity: identity permutation and every
+        block equal to c * I."""
+        if self.perm != tuple(range(len(self.perm))):
+            return False
+        zero = self.ring.zero
+        for blk in self.blocks:
+            for i, row in enumerate(blk):
+                for j, x in enumerate(row):
+                    if x != (c if i == j else zero):
+                        return False
+        return True
+
+
 def block_grid(ring, bdeg: int, k: int, blocks) -> "RingMatrix":
     """Assemble a k*k grid of bdeg-degree blocks; missing entries are zero.
 

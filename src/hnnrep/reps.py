@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import VerificationError
 from .matrix import (
+    BlockMonomial,
     RingMatrix,
     block_companion,
     block_diag,
@@ -28,7 +29,15 @@ from .matrix import (
     get_block,
 )
 from .ring import INT, LAURENT, LaurentPoly, QpRing
-from .words import HnnSpec, MixedWord, T_GEN, Word, parse_word
+from .words import (
+    HnnSpec,
+    MixedWord,
+    T_GEN,
+    Word,
+    artin_even_spec,
+    artin_odd_spec,
+    parse_word,
+)
 
 
 class Representation:
@@ -381,7 +390,7 @@ def artin_even(n: int, sigma: Representation = None, s=None) -> Representation:
     Built by conjugating the induced representation by
     diag(E2, A, .., A^(n-1)) and checked against those shapes.
     """
-    spec = artin_even_spec_cached(n)
+    spec = artin_even_spec(n)
     if sigma is None:
         sigma = sigma_symbolic(n)
     if s is None:
@@ -426,7 +435,7 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     The y image is checked against the displayed shape: superdiagonal blocks
     sigma(psi^-j(x0)) and corner s * sigma(Sigma^-1 psi(x0)).
     """
-    spec = artin_odd_spec_cached(n)
+    spec = artin_odd_spec(n)
     if sigma is None:
         sigma = sigma_symbolic(2 * n, basis="rank2-mixed" if n == 1 else "conjugated")
     if s is None:
@@ -470,27 +479,6 @@ def _verify_artin_relation(rep: Representation, m: int):
         raise VerificationError(f"canonical relation fails for A({m})")
 
 
-_SPEC_CACHE = {}
-
-
-def artin_even_spec_cached(n: int) -> HnnSpec:
-    key = ("even", n)
-    if key not in _SPEC_CACHE:
-        from .words import artin_even_spec
-
-        _SPEC_CACHE[key] = artin_even_spec(n)
-    return _SPEC_CACHE[key]
-
-
-def artin_odd_spec_cached(n: int) -> HnnSpec:
-    key = ("odd", n)
-    if key not in _SPEC_CACHE:
-        from .words import artin_odd_spec
-
-        _SPEC_CACHE[key] = artin_odd_spec(n)
-    return _SPEC_CACHE[key]
-
-
 # --- the braid-group pair and its golden closed forms -------------------------
 
 
@@ -531,7 +519,7 @@ GOLDEN_PSI_X0 = {
 
 def golden_table():
     """Symbolically computed braid-case blocks keyed like the closed forms."""
-    spec = artin_odd_spec_cached(1)
+    spec = artin_odd_spec(1)
     sigma = sigma_symbolic(2, basis="rank2-mixed")
     out = {"sigma_inv": sigma.eval(spec.w0.inverse())}
     for k in range(1, 5):
@@ -556,7 +544,7 @@ def b3_explicit(sigma: Representation = None, s=None):
     Sigma^-1 blocks for X; x0, x1*Sigma^-1 and psi-power blocks for Y) and
     the braid relation X Y X = Y X Y.
     """
-    spec = artin_odd_spec_cached(1)
+    spec = artin_odd_spec(1)
     symbolic = sigma is None
     if sigma is None:
         sigma = sigma_symbolic(2, basis="rank2-mixed")
@@ -618,9 +606,14 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
 
     Non-reduced words evaluate and normalize identically to their reductions,
     so enumerating reduced words in length-lexicographic order covers all
-    products.  Over Q_p the generator images are scaled to integer matrices
-    with a tracked power of p, which keeps the inner loop in plain integer
-    arithmetic.
+    products.  The walk multiplies block-monomial images (a coset
+    permutation and one m x m block per coset, see BlockMonomial): k =
+    spec.n blocks when every generator image has that shape, as the induced
+    construction guarantees, and otherwise k = 1, a single dense block.
+    Over Q_p the blocks are scaled to integers with a tracked power of p, so
+    the inner loop stays in plain integer arithmetic; on other rings the
+    exponent stays 0.  A word evaluates to the identity exactly when its
+    permutation is the identity and every block equals p^e * I.
     """
     spec = rep.spec
     if spec is None:
@@ -634,57 +627,48 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
     letters.append((T_GEN, 1))
     letters.append((T_GEN, -1))
 
+    images = {
+        sym: rep.images["t" if sym[0] == T_GEN else f"x{sym[0]}"][sym[1] != 1]
+        for sym in letters
+    }
+    try:
+        blocks = {sym: BlockMonomial.from_matrix(img, spec.n)
+                  for sym, img in images.items()}
+    except ValueError:
+        blocks = {sym: BlockMonomial.from_matrix(img, 1)
+                  for sym, img in images.items()}
+    # (letter, integer-scaled image, p-exponent, base word or None for t)
+    steps = [
+        (sym, *_integer_scaled(bm), None if sym[0] == T_GEN else Word.gen(*sym))
+        for sym, bm in blocks.items()
+    ]
+    first = steps[0][1]
+    ident = BlockMonomial.identity(first.ring, first.block_degree, len(first.perm))
+    top = max_len * max(e for _, _, e, _ in steps)
     if rep.ring.kind == "qp":
-        mats, scales = _qp_scaled_images(rep, letters)
-        p = rep.ring.p
+        units = [rep.ring.p**e for e in range(top + 1)]
     else:
-        mats = {
-            (g, s): rep.images["t" if g == T_GEN else f"x{g}"][s != 1]
-            for g, s in letters
-        }
-        scales = {sym: 0 for sym in letters}
-        p = None
+        units = [first.ring.one] * (top + 1)
+    phi, phi_inv = spec.phi, spec.phi_inv
 
     report = ProbeReport(max_len=max_len)
-    d = rep.degree
-    if p is not None:
-        ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    else:
-        ident = RingMatrix.identity(rep.ring, d)
-
-    def is_scaled_identity(mat, k):
-        if p is None:
-            return mat == ident
-        scale = p**k
-        for i in range(d):
-            row = mat[i]
-            for j in range(d):
-                if row[j] != (scale if i == j else 0):
-                    return False
-        return True
-
-    def child_matrix(mat, sym):
-        if p is None:
-            return mat * mats[sym]
-        return _imatmul(mat, mats[sym])
-
     path = []
 
-    def walk(depth, mat, k, l, f):
-        for sym in letters:
-            if path and sym == (path[-1][0], -path[-1][1]):
+    def walk(depth, mat, e, l, f):
+        last_inv = (path[-1][0], -path[-1][1]) if path else None
+        for sym, gen_mat, gen_e, base in steps:
+            if sym == last_inv:
                 continue
-            g, s = sym
-            if g == T_GEN:
-                nl = l + s
-                nf = spec.phi.apply(f) if s == 1 else spec.phi_inv.apply(f)
+            if base is None:
+                nl = l + sym[1]
+                nf = phi.apply(f) if sym[1] == 1 else phi_inv.apply(f)
             else:
                 nl = l
-                nf = f * Word.gen(g, s)
-            nmat = child_matrix(mat, sym)
-            nk = k + scales[sym]
+                nf = f * base
+            nmat = mat * gen_mat
+            ne = e + gen_e
             trivial_nf = nl == 0 and not nf.syms
-            is_id = is_scaled_identity(nmat, nk)
+            is_id = nmat.is_scalar(units[ne])
             report.words_checked += 1
             if is_id:
                 report.identity_count += 1
@@ -692,29 +676,18 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
             if trivial_nf != is_id:
                 report.counterexamples.append(str(MixedWord(tuple(path))))
             if depth + 1 < max_len:
-                walk(depth + 1, nmat, nk, nl, nf)
+                walk(depth + 1, nmat, ne, nl, nf)
             path.pop()
 
     walk(0, ident, 0, 0, Word())
     return report
 
 
-def _qp_scaled_images(rep: Representation, letters):
-    """Integer matrices and p-exponents with image = matrix / p^scale."""
-    p = rep.ring.p
-    mats = {}
-    scales = {}
-    for sym in letters:
-        name = "t" if sym[0] == T_GEN else f"x{sym[0]}"
-        img = rep.images[name][sym[1] != 1]
-        k = max(x.k for row in img.rows for x in row)
-        mats[sym] = [
-            [x.num * p ** (k - x.k) for x in row] for row in img.rows
-        ]
-        scales[sym] = k
-    return mats, scales
-
-
-def _imatmul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _integer_scaled(bm: BlockMonomial):
+    """(integer blocks, e) with image = blocks / p^e over Q_p; other rings
+    keep their blocks with e = 0."""
+    if bm.ring.kind != "qp":
+        return bm, 0
+    p = bm.ring.p
+    e = max(x.k for blk in bm.blocks for r in blk for x in r)
+    return bm.map_entries(INT, lambda x: x.num * p ** (e - x.k)), e

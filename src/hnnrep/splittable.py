@@ -86,11 +86,21 @@ class MatrixGroupGens:
 
     @classmethod
     def from_json(cls, doc) -> "MatrixGroupGens":
-        pairs = tuple(
-            (_rows_from_json(g["matrix"]), _rows_from_json(g["inverse"]))
-            for g in doc["generators"]
-        )
-        return cls(doc["degree"], pairs)
+        """Read {"degree": int, "generators": [{"matrix": rows, "inverse":
+        rows}, ..]}; a document of another shape raises ValueError."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
+            raise ValueError('document must be an object with a "generators" list')
+        degree = doc.get("degree")
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+            raise ValueError('"degree" must be a non-negative integer')
+        pairs = []
+        for g in doc["generators"]:
+            if not isinstance(g, dict):
+                raise ValueError("each generator must be an object")
+            pairs.append(
+                (_rows_from_json(g.get("matrix")), _rows_from_json(g.get("inverse")))
+            )
+        return cls(degree, tuple(pairs))
 
 
 def _rows_to_json(m: RingMatrix):
@@ -98,9 +108,20 @@ def _rows_to_json(m: RingMatrix):
 
 
 def _rows_from_json(rows) -> RingMatrix:
-    return RingMatrix(QQ, tuple(
-        tuple(Fraction(str(x)) for x in row) for row in rows
-    ))
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(x, (int, float, str)) and not isinstance(x, bool)
+                for x in row)
+        for row in rows
+    ):
+        raise ValueError(
+            '"matrix" and "inverse" must be lists of rows of numbers or strings'
+        )
+    try:
+        entries = tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
+    except ZeroDivisionError:
+        raise ValueError("matrix entry with a zero denominator") from None
+    return RingMatrix(QQ, entries)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ stored as written and only reduced through the normal form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from .errors import VerificationError
 
@@ -63,18 +63,36 @@ class Word:
             raise ValueError("word is not freely reduced; use Word.make")
 
     @staticmethod
+    def _reduced(syms: tuple) -> "Word":
+        """Trusted constructor for symbols reduced by construction: skips
+        the checks of Word(...)."""
+        w = object.__new__(Word)
+        object.__setattr__(w, "syms", syms)
+        return w
+
+    @staticmethod
     def make(syms) -> "Word":
-        return Word(_reduce(tuple(syms)))
+        syms = _reduce(tuple(syms))
+        _check_syms(syms, allow_t=False)
+        return Word._reduced(syms)
 
     @staticmethod
     def gen(i: int, sign: int = 1) -> "Word":
         return Word(((i, sign),))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(_reduce(self.syms + other.syms))
+        # Both operands are reduced, so cancellation happens only at the
+        # junction.
+        a, b = self.syms, other.syms
+        i, n = len(a), min(len(a), len(b))
+        j = 0
+        while j < n and a[i - 1][0] == b[j][0] and a[i - 1][1] == -b[j][1]:
+            i -= 1
+            j += 1
+        return Word._reduced(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.syms)))
+        return Word._reduced(tuple((g, -s) for g, s in reversed(self.syms)))
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:
@@ -128,9 +146,6 @@ class MixedWord:
             return self.inverse() ** (-k)
         return MixedWord(self.syms * k)
 
-    def free_reduce(self) -> "MixedWord":
-        return MixedWord(_reduce(self.syms))
-
     def __len__(self):
         return len(self.syms)
 
@@ -173,17 +188,28 @@ def parse_base_word(text: str) -> Word:
     return Word.make(w.syms)
 
 
-def _substitute(images, w: Word) -> Word:
-    """Apply the generator-image table to w, reducing as we go."""
+def _image_table(images):
+    """Per-symbol images: (i, 1) -> images[i].syms, (i, -1) -> its inverse."""
+    table = {}
+    for i, w in enumerate(images):
+        table[(i, 1)] = w.syms
+        table[(i, -1)] = w.inverse().syms
+    return table
+
+
+def _substitute(table, w: Word) -> Word:
+    """Apply a per-symbol image table to w, reducing as we go."""
     out = []
-    for g, s in w.syms:
-        img = images[g].syms if s == 1 else images[g].inverse().syms
-        for sym in img:
-            if out and out[-1][0] == sym[0] and out[-1][1] == -sym[1]:
-                out.pop()
-            else:
-                out.append(sym)
-    return Word(tuple(out))
+    try:
+        for sym in w.syms:
+            for g, s in table[sym]:
+                if out and out[-1][0] == g and out[-1][1] == -s:
+                    out.pop()
+                else:
+                    out.append((g, s))
+    except KeyError:
+        raise ValueError("word rank exceeds endomorphism rank") from None
+    return Word._reduced(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -198,6 +224,7 @@ class Endomorphism:
     rank: int
     images: tuple
     inverse_images: tuple = None
+    table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -207,12 +234,14 @@ class Endomorphism:
         for w in self.images:
             if w.min_rank > self.rank:
                 raise ValueError("image uses a generator outside the rank")
+        object.__setattr__(self, "table", _image_table(self.images))
         if self.inverse_images is not None:
             if len(self.inverse_images) != self.rank:
                 raise ValueError("one inverse image per generator required")
+            inverse_table = _image_table(self.inverse_images)
             for i in range(self.rank):
-                back = _substitute(self.inverse_images, self.images[i])
-                forth = _substitute(self.images, self.inverse_images[i])
+                back = _substitute(inverse_table, self.images[i])
+                forth = _substitute(self.table, self.inverse_images[i])
                 if back != Word.gen(i) or forth != Word.gen(i):
                     raise ValueError(
                         f"inverse images do not invert the map on x{i}"
@@ -228,9 +257,7 @@ class Endomorphism:
         return self.inverse_images is not None
 
     def apply(self, w: Word) -> Word:
-        if w.min_rank > self.rank:
-            raise ValueError("word rank exceeds endomorphism rank")
-        return _substitute(self.images, w)
+        return _substitute(self.table, w)
 
     def inverse(self) -> "Endomorphism":
         if self.inverse_images is None:
@@ -390,6 +417,7 @@ def center_generator(spec: HnnSpec) -> MixedWord:
     return z
 
 
+@cache
 def artin_even_spec(n: int) -> HnnSpec:
     """HNN data of the Artin group on two generators with even index 2n.
 
@@ -406,6 +434,7 @@ def artin_even_spec(n: int) -> HnnSpec:
     return HnnSpec(rank=n, phi=phi, n=n, w0=delta)
 
 
+@cache
 def artin_odd_spec(n: int) -> HnnSpec:
     """HNN data of the Artin group on two generators with odd index 2n+1.
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
@@ -212,3 +214,20 @@ class TestSplittableCommand:
         code, _ = run(capsys, "splittable", "--g", str(gens),
                       "--out", str(tmp_path / "rep.json"))
         assert code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"degree": 2, "generators": [{"matrix": 5, "inverse": [[1, 0], [0, 1]]}]},
+    {"degree": 2, "generators": 5},
+    [GENS_RANK2],
+    {"degree": 2, "generators": [{"matrix": [["1/0", 0], [0, 1]],
+                                  "inverse": [[1, 0], [0, 1]]}]},
+    {"degree": -1, "generators": []},
+], ids=["matrix-not-rows", "generators-not-list", "top-level-list",
+        "zero-denominator", "negative-degree"])
+def test_malformed_g_document_exits_2(capsys, tmp_path, doc):
+    gens = tmp_path / "g.json"
+    gens.write_text(json.dumps(doc))
+    code = main(["splittable", "--g", str(gens), "--out", str(tmp_path / "rep.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")

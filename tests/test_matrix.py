@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hnnrep.matrix import (
+    BlockMonomial,
     RingMatrix,
     block_companion,
     block_diag,
@@ -213,3 +214,57 @@ class TestMatrixJson:
         doc["degree"] = 3
         with pytest.raises(ValueError):
             RingMatrix.from_json(doc)
+
+
+class TestBlockMonomial:
+    def _monomial(self, rng, ring, m, k):
+        perm = list(range(k))
+        rng.shuffle(perm)
+        grid = {(i, j): random_int_matrix(rng, ring, m) for i, j in enumerate(perm)}
+        return block_grid(ring, m, k, grid)
+
+    @pytest.mark.parametrize("ring", [INT, LAURENT, QpRing(5)])
+    @pytest.mark.parametrize("m,k", [(2, 3), (3, 2), (4, 1)])
+    def test_product_matches_dense(self, ring, m, k):
+        rng = random.Random(m * 10 + k)
+        for _ in range(5):
+            a = self._monomial(rng, ring, m, k)
+            b = self._monomial(rng, ring, m, k)
+            product = BlockMonomial.from_matrix(a, k) * BlockMonomial.from_matrix(b, k)
+            assert product == BlockMonomial.from_matrix(a * b, k)
+
+    def test_companion_shape(self):
+        t = block_companion([None, X1], X0)
+        bm = BlockMonomial.from_matrix(t, 3)
+        assert bm.perm == (1, 2, 0)
+        assert bm.blocks[2] == X0.rows
+
+    def test_rejects_two_blocks_in_a_row(self):
+        m = block_grid(LAURENT, 2, 2, {(0, 0): X0, (0, 1): X1, (1, 1): X0})
+        with pytest.raises(ValueError):
+            BlockMonomial.from_matrix(m, 2)
+
+    def test_rejects_empty_block_row(self):
+        m = block_grid(INT, 1, 2, {(0, 0): None})
+        with pytest.raises(ValueError):
+            BlockMonomial.from_matrix(m, 2)
+
+    def test_rejects_repeated_block_column(self):
+        m = block_grid(INT, 1, 2, {(0, 0): None, (1, 0): None})
+        with pytest.raises(ValueError):
+            BlockMonomial.from_matrix(m, 2)
+
+    def test_rejects_indivisible_degree(self):
+        with pytest.raises(ValueError):
+            BlockMonomial.from_matrix(RingMatrix.identity(INT, 3), 2)
+
+    def test_is_scalar_is_exact(self):
+        two = RingMatrix.identity(INT, 4).scalar_mul(2)
+        bm = BlockMonomial.from_matrix(two, 2)
+        assert bm.is_scalar(2)
+        assert not bm.is_scalar(1)
+        swap = block_grid(INT, 2, 2, {(0, 1): None, (1, 0): None})
+        assert not BlockMonomial.from_matrix(swap, 2).is_scalar(1)
+        assert BlockMonomial.identity(LAURENT, 2, 3).is_scalar(ONE)
+        off = BlockMonomial.from_matrix(block_diag([X0, X0]), 2)
+        assert not off.is_scalar(ONE)

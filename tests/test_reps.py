@@ -3,7 +3,15 @@
 import pytest
 
 from hnnrep.errors import VerificationError
-from hnnrep.matrix import RingMatrix, block_diag, det2, det_bareiss, get_block
+from hnnrep.matrix import (
+    BlockMonomial,
+    RingMatrix,
+    block_diag,
+    conjugate,
+    det2,
+    det_bareiss,
+    get_block,
+)
 from hnnrep.reps import (
     GOLDEN_PSI_X0,
     GOLDEN_SIGMA_INV,
@@ -27,6 +35,7 @@ from hnnrep.ring import INT, LAURENT, QpRing
 from hnnrep.words import (
     HnnSpec,
     MixedWord,
+    T_GEN,
     Word,
     artin_even_spec,
     artin_odd_spec,
@@ -369,7 +378,7 @@ class TestSingleCosetSpec:
         ).ok
 
     def test_symbolic_probe_path(self):
-        # exercises the generic-ring branch of the probe
+        # the probe over the Laurent ring, where the p-exponent stays 0
         rep = hnn_induced_rep(self._spec(), sigma_symbolic(2), S)
         report = probe_faithfulness(rep, 3)
         assert report.ok and report.words_checked == 6 + 30 + 150
@@ -439,3 +448,89 @@ class TestRepresentationJson:
         wrong = RingMatrix.from_ints(INT, ((1, 1), (0, 1)))
         with pytest.raises(VerificationError):
             Representation(INT, [("a", ident, wrong)])
+
+
+def _brute_force_counts(rep, max_len):
+    """(words checked, identity evaluations, disagreements) over every
+    reduced mixed word of length 1..max_len, evaluated as dense matrices."""
+    spec = rep.spec
+    letters = [(g, s) for g in list(range(spec.rank)) + [T_GEN] for s in (1, -1)]
+    words = checked = identities = disagreements = 0
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [
+            w + (sym,) for w in frontier for sym in letters
+            if not w or sym != (w[-1][0], -w[-1][1])
+        ]
+        for syms in frontier:
+            word = MixedWord(syms)
+            is_id = rep.eval(word).is_identity()
+            checked += 1
+            identities += is_id
+            disagreements += is_id != normal_form(spec, word).trivial
+    return checked, identities, disagreements
+
+
+def _q5_hnn(spec, basis="conjugated"):
+    qp = QpRing(5)
+    return hnn_induced_rep(spec, sigma_qp(spec.rank, 2, 2, 5, basis=basis),
+                           qp.from_int(5))
+
+
+def _conjugated_off_blocks(rep):
+    """rep conjugated by the unipotent elementary matrix I + e_(0, d-1),
+    which mixes the first and last cosets."""
+    d = rep.degree
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows[0][d - 1] = 1
+    u = RingMatrix.from_ints(rep.ring, rows)
+    rows[0][d - 1] = -1
+    u_inv = RingMatrix.from_ints(rep.ring, rows)
+    gens = [
+        (name, conjugate(rep.image(name), u, u_inv),
+         conjugate(rep.inverse_image(name), u, u_inv))
+        for name in rep.gen_names
+    ]
+    return Representation(rep.ring, gens, spec=rep.spec, group=rep.group)
+
+
+class TestProbeDifferential:
+    """The block-monomial probe against a dense brute-force loop."""
+
+    def _assert_agrees(self, rep, max_len):
+        report = probe_faithfulness(rep, max_len)
+        checked, identities, disagreements = _brute_force_counts(rep, max_len)
+        assert (report.words_checked, report.identity_count) == (checked, identities)
+        assert len(report.counterexamples) == disagreements == 0
+
+    def test_a3_q5(self):
+        self._assert_agrees(_q5_hnn(artin_odd_spec(1), "rank2-mixed"), 4)
+
+    def test_a4_q5(self):
+        self._assert_agrees(_q5_hnn(artin_even_spec(2)), 4)
+
+    def test_a3_integer_variant(self):
+        spec = artin_odd_spec(1)
+        rep = integer_hnn(spec, sigma_int(2, 2, 2, basis="rank2-mixed"), 1)
+        assert rep.degree == 4 * spec.n  # 4 x 4 blocks, one per coset
+        self._assert_agrees(rep, 4)
+
+    def test_single_coset_symbolic(self):
+        spec = HnnSpec(
+            rank=2, phi=inner_endomorphism(2, Word.gen(0)), n=1, w0=Word.gen(0)
+        )
+        self._assert_agrees(hnn_induced_rep(spec, sigma_symbolic(2), S), 4)
+
+    def test_dense_fallback_same_counts(self):
+        rep = _q5_hnn(artin_even_spec(2))
+        off = _conjugated_off_blocks(rep)
+        for name in off.gen_names:
+            BlockMonomial.from_matrix(rep.image(name), 2)
+            with pytest.raises(ValueError):
+                BlockMonomial.from_matrix(off.image(name), 2)
+        expected = probe_faithfulness(rep, 5)
+        report = probe_faithfulness(off, 5)
+        assert (report.words_checked, report.identity_count) == (
+            expected.words_checked, expected.identity_count)
+        assert report.ok
+        self._assert_agrees(off, 4)

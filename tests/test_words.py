@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnnrep.words import (
     Endomorphism,
@@ -354,3 +356,43 @@ class TestHolomorphIdentity:
             )
             check = holomorph_conjugation_check(phi, g)
             assert check and check.convention == "ltr"
+
+
+def reduced_words(rank, max_size=12):
+    syms = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    return st.lists(syms, max_size=max_size).map(Word.make)
+
+
+def substitute_by_letter(endo, w):
+    """Reference: concatenate each letter's image, inverting per letter,
+    and reduce once at the end."""
+    out = []
+    for g, s in w.syms:
+        image = endo.images[g] if s == 1 else endo.images[g].inverse()
+        out.extend(image.syms)
+    return Word.make(out)
+
+
+class TestWordFastPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_words(3), reduced_words(3))
+    def test_junction_product_matches_full_reduction(self, a, b):
+        assert a * b == Word.make(a.syms + b.syms)
+        assert (a * b).syms == Word.make(a.syms + b.syms).syms
+
+    @pytest.mark.parametrize("spec_name", ["even2", "odd1"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_table_apply_matches_letter_substitution(self, spec_name, data):
+        spec = artin_even_spec(2) if spec_name == "even2" else artin_odd_spec(1)
+        w = data.draw(reduced_words(spec.rank))
+        for endo in (spec.phi, spec.phi_inv):
+            assert endo.apply(w) == substitute_by_letter(endo, w)
+
+    @pytest.mark.parametrize("spec", [artin_even_spec(2), artin_odd_spec(1)])
+    def test_out_of_rank_apply_rejected(self, spec):
+        for endo in (spec.phi, spec.phi_inv):
+            with pytest.raises(ValueError):
+                endo.apply(Word.gen(spec.rank))
+            with pytest.raises(ValueError):
+                endo.apply(x0 * Word.gen(spec.rank, -1))
