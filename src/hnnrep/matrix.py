@@ -1,5 +1,5 @@
-"""Dense square matrices over an exact scalar ring, block assembly, and
-fraction-free determinants.
+"""Dense square matrices over an exact scalar ring, block-monomial matrices,
+block assembly, and fraction-free determinants.
 
 There is deliberately no general matrix inversion: every matrix that needs
 an inverse in this package is a representation image, and its inverse is the
@@ -102,13 +102,22 @@ class RingMatrix:
 
     @classmethod
     def from_json(cls, doc) -> "RingMatrix":
-        ring = ring_from_descriptor(doc["ring"])
-        dec = ring.scalar_from_json
-        rows = tuple(tuple(dec(x) for x in row) for row in doc["rows"])
-        m = cls(ring, rows)
-        if m.degree != doc["degree"]:
+        """Read a document written by to_json.  Every malformed document
+        (wrong types, ragged or non-square rows, a degree that does not
+        match, an unknown ring, a bad scalar) raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("matrix document must be an object")
+        ring = ring_from_descriptor(doc.get("ring"))
+        rows = doc.get("rows")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("matrix rows must be a list of lists")
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix must be square")
+        degree = doc.get("degree")
+        if type(degree) is not int or degree != len(rows):
             raise ValueError("degree field does not match row count")
-        return m
+        dec = ring.scalar_from_json
+        return cls(ring, tuple(tuple(dec(x) for x in row) for row in rows))
 
     def __repr__(self):
         return "RingMatrix([\n" + "\n".join(
@@ -125,11 +134,19 @@ def _block_mul(a, b, zero):
             (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
             (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
         )
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum([x * y for x, y in zip(row, col)], zero) for col in cols)
-        for row in a
-    )
+    # Zero entries are skipped, as in RingMatrix.__mul__: the integer
+    # variant's 4 x 4 blocks are diag(2 x 2, 2 x 2).
+    out = []
+    for row in a:
+        acc = [zero] * len(b)
+        for x, brow in zip(row, b):
+            if not x:
+                continue
+            for j, y in enumerate(brow):
+                if y:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 class BlockMonomial:
@@ -141,13 +158,15 @@ class BlockMonomial:
     operations instead of O((k m)^3) for the dense product.  Blocks are
     tuples of row tuples of ring scalars; the generic kernel starts each
     dot product from ring.zero, so plain ints work with INT.  Dense
-    matrices enter through the checked from_matrix.
+    matrices enter through the checked from_matrix and leave through
+    to_matrix; a degree-m matrix is the one-block case k = 1.  Both factors
+    of a product must have the same k and m.
     """
 
     __slots__ = ("ring", "perm", "blocks")
 
     def __init__(self, ring, perm, blocks):
-        # Not checked: instances come from from_matrix or identity, and
+        # Not checked: instances come from the checked constructors, and
         # products of those keep the shape.
         self.ring = ring
         self.perm = perm
@@ -182,6 +201,37 @@ class BlockMonomial:
         return cls(mat.ring, tuple(perm), tuple(blocks))
 
     @classmethod
+    def from_blocks(cls, perm, blocks) -> "BlockMonomial":
+        """Block row i holds the one-block matrix blocks[i] in block column
+        perm[i]; raise ValueError unless perm is a permutation and the
+        blocks share one ring and one degree."""
+        if not blocks:
+            raise ValueError("empty block list")
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(blocks))):
+            raise ValueError("block columns must be a permutation")
+        ring = blocks[0].ring
+        m = blocks[0].block_degree
+        for b in blocks:
+            if len(b.perm) != 1:
+                raise ValueError("expected one-block matrices")
+            if b.ring != ring or b.block_degree != m:
+                raise ValueError("blocks of mixed ring or degree")
+        return cls(ring, perm, tuple(b.blocks[0] for b in blocks))
+
+    @classmethod
+    def diag(cls, blocks) -> "BlockMonomial":
+        """Block diagonal of one-block matrices."""
+        return cls.from_blocks(range(len(blocks)), blocks)
+
+    @classmethod
+    def companion(cls, superdiag, corner) -> "BlockMonomial":
+        """Blocks (i, i+1) from superdiag and corner at (k-1, 0): the
+        stable-letter shape."""
+        k = len(superdiag) + 1
+        return cls.from_blocks((*range(1, k), 0), [*superdiag, corner])
+
+    @classmethod
     def identity(cls, ring, m: int, k: int) -> "BlockMonomial":
         one, zero = ring.one, ring.zero
         blk = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
@@ -191,11 +241,28 @@ class BlockMonomial:
     def block_degree(self) -> int:
         return len(self.blocks[0])
 
+    @property
+    def degree(self) -> int:
+        return len(self.perm) * len(self.blocks[0])
+
+    def to_matrix(self) -> RingMatrix:
+        """The dense matrix."""
+        m, k = self.block_degree, len(self.perm)
+        zero = self.ring.zero
+        rows = []
+        for j, blk in zip(self.perm, self.blocks):
+            left, right = (zero,) * (j * m), (zero,) * ((k - 1 - j) * m)
+            rows += [left + r + right for r in blk]
+        return RingMatrix(self.ring, rows)
+
     def map_entries(self, ring, fn) -> "BlockMonomial":
         """Same shape with fn applied to every block entry, over ring."""
         return BlockMonomial(ring, self.perm, tuple(
             tuple(tuple(fn(x) for x in r) for r in blk) for blk in self.blocks
         ))
+
+    def scalar_mul(self, c) -> "BlockMonomial":
+        return self.map_entries(self.ring, lambda x: c * x)
 
     def __mul__(self, other: "BlockMonomial") -> "BlockMonomial":
         # Block row i of self meets block row perm[i] of other.
@@ -210,6 +277,14 @@ class BlockMonomial:
                 for blk, j in zip(self.blocks, self.perm)
             ]),
         )
+
+    def __pow__(self, k: int) -> "BlockMonomial":
+        if k < 0:
+            raise ValueError("no generic inversion; use the inverse image")
+        out = BlockMonomial.identity(self.ring, self.block_degree, len(self.perm))
+        for _ in range(k):
+            out = out * self
+        return out
 
     def __eq__(self, other):
         return (
@@ -231,6 +306,9 @@ class BlockMonomial:
                     if x != (c if i == j else zero):
                         return False
         return True
+
+    def is_identity(self) -> bool:
+        return self.is_scalar(self.ring.one)
 
 
 def block_grid(ring, bdeg: int, k: int, blocks) -> "RingMatrix":
@@ -286,11 +364,16 @@ def get_block(m: RingMatrix, i: int, j: int, bdeg: int) -> RingMatrix:
     return RingMatrix(m.ring, rows)
 
 
-def conjugate(m: RingMatrix, u: RingMatrix, u_inv: RingMatrix) -> RingMatrix:
-    """Return u_inv * m * u, after checking u_inv is a two-sided inverse."""
-    ident = RingMatrix.identity(u.ring, u.degree)
-    if u * u_inv != ident or u_inv * u != ident:
-        raise ValueError("u_inv is not a two-sided inverse of u")
+def conjugate(m, u, u_inv):
+    """Return u_inv * m * u for RingMatrix or BlockMonomial arguments, after
+    checking u * u_inv = I.
+
+    One product suffices: over a commutative ring, u * u_inv = I gives
+    det(u) det(u_inv) = 1, so u is invertible and u_inv is its two-sided
+    inverse.
+    """
+    if not (u * u_inv).is_identity():
+        raise ValueError("u_inv is not an inverse of u")
     return u_inv * m * u
 
 

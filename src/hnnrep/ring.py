@@ -118,7 +118,18 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, doc) -> "LaurentPoly":
-        return cls({(a, b, c): int(k) for a, b, c, k in doc})
+        """Read [[a, b, c, "coeff"], ...]; ValueError on anything else."""
+        if not isinstance(doc, list):
+            raise ValueError("Laurent polynomial must be a list of terms")
+        terms = {}
+        for term in doc:
+            if not isinstance(term, list) or len(term) != 4:
+                raise ValueError("Laurent term must be [a, b, c, coeff]")
+            mono = tuple(_json_int(e, "exponent", text=False) for e in term[:3])
+            if mono in terms:
+                raise ValueError(f"repeated monomial {mono}")
+            terms[mono] = _json_int(term[3], "coefficient")
+        return cls(terms)
 
     def __repr__(self):
         if not self.terms:
@@ -219,6 +230,16 @@ class QpScalar:
         return str(self.num) if self.k == 0 else f"{self.num}/{self.p}^{self.k}"
 
 
+def _json_int(x, what, text=True):
+    """An int from a JSON integer, or from a decimal string when text is
+    set; ValueError for anything else (bools and floats included)."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if text and isinstance(x, str):
+        return int(x)
+    raise ValueError(f"{what} must be an integer, not {x!r}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -295,8 +316,10 @@ class QpRing:
         return x.to_json()
 
     def scalar_from_json(self, doc):
+        if not isinstance(doc, list) or len(doc) != 2:
+            raise ValueError("Q_p scalar must be [numerator, k]")
         num, k = doc
-        return QpScalar(int(num), k, self.p)
+        return QpScalar(_json_int(num, "numerator"), _json_int(k, "k", text=False), self.p)
 
     def __eq__(self, other):
         return isinstance(other, QpRing) and self.p == other.p
@@ -320,7 +343,7 @@ class IntRing:
         return str(x)
 
     def scalar_from_json(self, doc):
-        return int(doc)
+        return _json_int(doc, "integer entry")
 
     def __eq__(self, other):
         return isinstance(other, IntRing)
@@ -344,7 +367,12 @@ class FractionRing:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     def scalar_from_json(self, doc):
-        return Fraction(doc)
+        if not isinstance(doc, str):
+            return Fraction(_json_int(doc, "rational entry"))
+        try:
+            return Fraction(doc)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {doc!r}") from None
 
     def __eq__(self, other):
         return isinstance(other, FractionRing)
@@ -359,11 +387,15 @@ QQ = FractionRing()
 
 
 def ring_from_descriptor(doc):
-    kind = doc["kind"]
+    """The ring a descriptor names; ValueError for an unknown kind or a qp
+    descriptor without a prime."""
+    if not isinstance(doc, dict):
+        raise ValueError("ring descriptor must be an object")
+    kind = doc.get("kind")
     if kind == "laurent":
         return LAURENT
     if kind == "qp":
-        return QpRing(doc["prime"])
+        return QpRing(_json_int(doc.get("prime"), "prime", text=False))
     if kind == "integer":
         return INT
     if kind == "rational":

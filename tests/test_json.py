@@ -1,0 +1,258 @@
+"""JSON readers: bit-exact round trips of `build` output, and ValueError
+(never KeyError or TypeError) on malformed matrix and representation
+documents."""
+
+import contextlib
+import copy
+import functools
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hnnrep.cli import main
+from hnnrep.errors import VerificationError
+from hnnrep.matrix import RingMatrix
+from hnnrep.reps import Representation
+
+MODE_FLAGS = {
+    "symbolic": [],
+    "numeric": ["--lambda", "2", "--mu", "3", "--s", "5"],
+    "integer": ["--integer", "--lambda", "2", "--mu", "3", "--s", "5"],
+}
+INDICES = range(3, 7)
+
+
+@functools.cache
+def build_text(m, mode):
+    """The text `build --m m` writes in the given mode, without its final
+    newline."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"]) == 0
+    text, _, _ = buf.getvalue().rpartition("\nwrote ")
+    return text
+
+
+def build_doc(m, mode):
+    return json.loads(build_text(m, mode))
+
+
+def dump(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+@pytest.mark.parametrize("m", INDICES)
+def test_build_output_round_trips_bit_exact(m, mode):
+    text = build_text(m, mode)
+    assert dump(Representation.from_json(json.loads(text)).to_json()) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from(INDICES), mode=st.sampled_from(sorted(MODE_FLAGS)),
+       data=st.data())
+def test_generator_subsets_round_trip_bit_exact(m, mode, data):
+    doc = build_doc(m, mode)
+    gens = doc["generators"]
+    order = data.draw(st.permutations(range(len(gens))))
+    keep = data.draw(st.integers(1, len(gens)))
+    doc["generators"] = [gens[i] for i in order[:keep]]
+    assert Representation.from_json(copy.deepcopy(doc)).to_json() == doc
+
+
+# Values that no scalar encoding, row list or descriptor accepts.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _matrix(doc, data):
+    """A generator's image or inverse document, drawn from doc."""
+    gen = data.draw(st.sampled_from(doc["generators"]))
+    return gen, data.draw(st.sampled_from(["image", "imageInverse"]))
+
+
+def corrupt_rows_not_list(doc, data, source):
+    gen, key = _matrix(doc, data)
+    gen[key]["rows"] = data.draw(st.one_of(JUNK, st.text(max_size=4)))
+
+
+def corrupt_row_not_list(doc, data, source):
+    gen, key = _matrix(doc, data)
+    rows = gen[key]["rows"]
+    rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(JUNK)
+
+
+def corrupt_ragged(doc, data, source):
+    gen, key = _matrix(doc, data)
+    rows = gen[key]["rows"]
+    rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+
+
+def corrupt_non_square(doc, data, source):
+    gen, key = _matrix(doc, data)
+    mat = gen[key]
+    mat["rows"].pop(data.draw(st.integers(0, len(mat["rows"]) - 1)))
+    mat["degree"] = len(mat["rows"])
+
+
+def corrupt_matrix_degree(doc, data, source):
+    gen, key = _matrix(doc, data)
+    degree = gen[key]["degree"]
+    gen[key]["degree"] = data.draw(st.one_of(
+        JUNK, st.integers().filter(lambda d: d != degree), st.just(str(degree))
+    ))
+
+
+def corrupt_doc_degree(doc, data, source):
+    degree = doc["degree"]
+    doc["degree"] = data.draw(st.one_of(
+        JUNK, st.integers().filter(lambda d: d != degree), st.just(str(degree))
+    ))
+
+
+def corrupt_unknown_ring(doc, data, source):
+    gen, key = _matrix(doc, data)
+    kind = data.draw(st.one_of(
+        JUNK, st.text(max_size=8).filter(
+            lambda k: k not in ("laurent", "qp", "integer", "rational"))
+    ))
+    gen[key]["ring"] = data.draw(st.sampled_from([{"kind": kind}, kind]))
+
+
+def corrupt_nonprime_ring(doc, data, source):
+    prime = data.draw(st.one_of(
+        JUNK, st.sampled_from([-7, -1, 0, 1, 4, 9, 15, 1001, "5"])
+    ))
+    ring = data.draw(st.sampled_from([{"kind": "qp", "prime": prime}, {"kind": "qp"}]))
+    if data.draw(st.booleans()):
+        doc["ring"] = ring
+    else:
+        gen, key = _matrix(doc, data)
+        gen[key]["ring"] = ring
+
+
+def corrupt_bad_scalar(doc, data, source):
+    gen, key = _matrix(doc, data)
+    rows = gen[key]["rows"]
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(JUNK)
+
+
+def corrupt_mixed_degree(doc, data, source):
+    m, mode = source
+    other = build_doc(m + 1 if m < 6 else m - 1, mode)
+    i = data.draw(st.integers(0, len(doc["generators"]) - 1))
+    donor = data.draw(st.sampled_from(other["generators"]))
+    doc["generators"][i] = dict(donor, name=doc["generators"][i]["name"])
+
+
+def corrupt_mixed_ring(doc, data, source):
+    m, mode = source
+    if mode == "integer":
+        doc["generators"][0]["image"]["ring"] = {"kind": "rational"}
+        return
+    other = build_doc(m, "numeric" if mode == "symbolic" else "symbolic")
+    i = data.draw(st.integers(0, len(doc["generators"]) - 1))
+    doc["generators"][i] = other["generators"][i]
+
+
+def corrupt_missing_image(doc, data, source):
+    gen, key = _matrix(doc, data)
+    del gen[key]
+
+
+def corrupt_structure(doc, data, source):
+    choice = data.draw(st.integers(0, 4))
+    if choice == 0:
+        doc["generators"] = data.draw(JUNK)
+    elif choice == 1:
+        doc["generators"] = []
+    elif choice == 2:
+        doc["generators"][0] = data.draw(JUNK)
+    elif choice == 3:
+        doc["generators"][0]["name"] = data.draw(JUNK)
+    else:
+        doc["generators"].append(doc["generators"][0])  # repeated name
+
+
+CORRUPTIONS = [
+    corrupt_rows_not_list, corrupt_row_not_list, corrupt_ragged,
+    corrupt_non_square, corrupt_matrix_degree, corrupt_doc_degree,
+    corrupt_unknown_ring, corrupt_nonprime_ring, corrupt_bad_scalar,
+    corrupt_mixed_degree, corrupt_mixed_ring, corrupt_missing_image,
+    corrupt_structure,
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__[8:])
+@settings(max_examples=25, deadline=None)
+@given(m=st.sampled_from(INDICES), mode=st.sampled_from(sorted(MODE_FLAGS)),
+       data=st.data())
+def test_malformed_document_raises_value_error(corrupt, m, mode, data):
+    doc = build_doc(m, mode)
+    corrupt(doc, data, (m, mode))
+    with pytest.raises(ValueError):
+        Representation.from_json(doc)
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) position in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+# Integers stay small: a p-adic exponent or a prime of a thousand digits is
+# well-formed, only slow to compute with.
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
+              st.floats(allow_nan=False), st.text(max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(sorted(MODE_FLAGS)), data=st.data())
+def test_any_replaced_node_gives_value_or_verification_error(mode, data):
+    doc = build_doc(3, mode)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        Representation.from_json(doc)
+    except (ValueError, VerificationError):
+        pass
+
+
+@pytest.mark.parametrize("doc", [
+    None,
+    [],
+    {"degree": 2, "ring": {"kind": "integer"}},
+    {"degree": 2, "ring": {"kind": "integer"}, "rows": [["1", "0"], ["0"]]},
+    {"degree": 2, "ring": {"kind": "integer"}, "rows": [["1", "0"]]},
+    {"degree": 3, "ring": {"kind": "integer"}, "rows": [["1", "0"], ["0", "1"]]},
+    {"degree": True, "ring": {"kind": "integer"}, "rows": [["1"]]},
+    {"degree": 1, "ring": {"kind": "octonion"}, "rows": [["1"]]},
+    {"degree": 1, "ring": {"kind": "qp", "prime": 6}, "rows": [[["1", 0]]]},
+    {"degree": 1, "ring": {"kind": "qp", "prime": "5"}, "rows": [[["1", 0]]]},
+    {"degree": 1, "ring": "integer", "rows": [["1"]]},
+    {"degree": 1, "ring": {"kind": "integer"}, "rows": [[1.5]]},
+    {"degree": 1, "ring": {"kind": "qp", "prime": 5}, "rows": [[["1", -1]]]},
+    {"degree": 1, "ring": {"kind": "laurent"}, "rows": [[[[0, 0, 0]]]]},
+    {"degree": 1, "ring": {"kind": "laurent"}, "rows": [[[[0, 0, 0, "1"], [0, 0, 0, "2"]]]]},
+    {"degree": 1, "ring": {"kind": "rational"}, "rows": [["1/0"]]},
+])
+def test_malformed_matrix_raises_value_error(doc):
+    with pytest.raises(ValueError):
+        RingMatrix.from_json(doc)

@@ -1,7 +1,11 @@
 """Representation builders: block shapes, relations, golden forms, probe."""
 
+import functools
+import random
+
 import pytest
 
+from hnnrep import cli, reps
 from hnnrep.errors import VerificationError
 from hnnrep.matrix import (
     BlockMonomial,
@@ -24,7 +28,6 @@ from hnnrep.reps import (
     golden_check,
     hnn_induced_rep,
     integer_hnn,
-    parse_letters,
     probe_faithfulness,
     sigma_int,
     sigma_qp,
@@ -222,7 +225,7 @@ class TestArtinOdd:
     def test_odd_center_is_scalar(self):
         rep = artin_odd(1)
         # ((x y)^1 x)^2 is central with image s * identity
-        word = parse_letters("x y x x y x")
+        word = [("x", 1), ("y", 1), ("x", 1), ("x", 1), ("y", 1), ("x", 1)]
         assert rep.eval(word) == RingMatrix.identity(LAURENT, 12).scalar_mul(S)
 
 
@@ -321,7 +324,7 @@ class TestVerifyDefiningRelations:
     def test_false_relation_reports_entry(self):
         rep = artin_even(2)
         report = verify_defining_relations(
-            rep, [(parse_letters("x y"), parse_letters("y x"))]
+            rep, [([("x", 1), ("y", 1)], [("y", 1), ("x", 1)])]
         )
         assert not report.ok
         failure = report.failures()[0]
@@ -329,7 +332,7 @@ class TestVerifyDefiningRelations:
 
     def test_trivial_relation(self):
         rep = artin_even(2)
-        w = parse_letters("x y^-1 x")
+        w = [("x", 1), ("y", -1), ("x", 1)]
         assert verify_defining_relations(rep, [(w, w)]).ok
 
 
@@ -400,8 +403,6 @@ class TestLongWordCrossCheck:
     def test_equality_oracle_agrees_with_matrices(self):
         # Random mixed words well beyond the exhaustive probe length: the
         # word-problem answer and the matrix evaluation must agree.
-        import random
-
         rng = random.Random(97)
         qp = QpRing(5)
         for spec, basis in (
@@ -534,3 +535,180 @@ class TestProbeDifferential:
             expected.words_checked, expected.identity_count)
         assert report.ok
         self._assert_agrees(off, 4)
+
+
+MODE_FLAGS = {
+    "symbolic": [],
+    "numeric": ["--lambda", "2", "--mu", "3", "--s", "5"],
+    "integer": ["--integer", "--lambda", "2", "--mu", "3", "--s", "5"],
+}
+
+
+@functools.cache
+def _built(m, mode):
+    """The representation `build --m m` writes in the given mode."""
+    args = cli.build_parser().parse_args(
+        ["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"]
+    )
+    return cli._build_artin(m, args)
+
+
+def _dense_product(rep, letters):
+    """Product of dense generator images, left to right."""
+    out = RingMatrix.identity(rep.ring, rep.degree)
+    for name, sign in letters:
+        out = out * (rep.image(name) if sign == 1 else rep.inverse_image(name))
+    return out
+
+
+def _random_letters(rng, names, length):
+    return [(rng.choice(names), rng.choice((1, -1))) for _ in range(length)]
+
+
+def _first_dense_mismatch(left, right):
+    for i in range(left.degree):
+        for j in range(left.degree):
+            if left.rows[i][j] != right.rows[i][j]:
+                return (i, j, repr(left.rows[i][j]), repr(right.rows[i][j]))
+    return None
+
+
+class TestBlockPathDifferential:
+    """Block-monomial evaluation against dense products of image()s."""
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_eval_matches_dense_product(self, m, mode):
+        rep = _built(m, mode)
+        k = len(rep.images[rep.gen_names[0]][0].perm)
+        assert k == rep.spec.n  # stored as one block per coset
+        rng = random.Random(f"{m}:{mode}")
+        words = [_random_letters(rng, rep.gen_names, rng.randint(0, 7))
+                 for _ in range(6)]
+        for w in words:
+            assert rep.eval(w) == _dense_product(rep, w)
+        # the batch shares prefixes; each result is still its own product
+        batch = rep.block_eval_many(words + [w[:3] for w in words])
+        for w, img in zip(words + [w[:3] for w in words], batch):
+            assert img.to_matrix() == _dense_product(rep, w)
+
+    def test_single_block_fallback(self):
+        off = _conjugated_off_blocks(_q5_hnn(artin_even_spec(2)))
+        assert all(len(img.perm) == 1 for pair in off.images.values() for img in pair)
+        rng = random.Random(5)
+        for _ in range(10):
+            w = _random_letters(rng, off.gen_names, rng.randint(0, 8))
+            assert off.eval(w) == _dense_product(off, w)
+
+    def test_json_input_is_read_as_one_block(self):
+        rep = _built(5, "numeric")
+        again = Representation.from_json(rep.to_json())
+        assert all(len(img.perm) == 1 for pair in again.images.values() for img in pair)
+        for name in rep.gen_names:
+            assert again.image(name) == rep.image(name)
+
+
+class TestWitnesses:
+    @staticmethod
+    def _nudge(bm, block, i, j):
+        """bm with entry (i, j) of one block increased by one."""
+        rows = [list(r) for r in bm.blocks[block]]
+        rows[i][j] = rows[i][j] + bm.ring.one
+        blocks = list(bm.blocks)
+        blocks[block] = tuple(tuple(r) for r in rows)
+        return BlockMonomial(bm.ring, bm.perm, tuple(blocks))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_one_entry_off_names_the_generator(self, side):
+        rep = hnn_induced_rep(artin_even_spec(2), sigma_symbolic(2), S)
+        for name in rep.gen_names:
+            pair = rep.images[name]
+            for block in range(len(pair[side].perm)):
+                for i in range(2):
+                    for j in range(2):
+                        bad = list(pair)
+                        bad[side] = self._nudge(pair[side], block, i, j)
+                        gens = [(g, *(bad if g == name else rep.images[g]))
+                                for g in rep.gen_names]
+                        with pytest.raises(VerificationError,
+                                           match=f"inverse image of {name} is"):
+                            Representation(rep.ring, gens, spec=rep.spec)
+
+    def test_dense_inverse_off_is_rejected(self):
+        rep = _built(4, "integer")
+        image = rep.image("t")
+        inv_rows = [list(r) for r in rep.inverse_image("t").rows]
+        inv_rows[-1][0] += 1
+        with pytest.raises(VerificationError, match="inverse image of t is"):
+            Representation(INT, [("t", image, RingMatrix(INT, inv_rows))])
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_corrupted_generator_mismatch_in_dense_coordinates(self, mode):
+        spec = artin_odd_spec(1)
+        if mode == "symbolic":
+            sigma = sigma_symbolic(2, basis="rank2-mixed")
+            rep = hnn_induced_rep(spec, sigma, S)
+        else:
+            rep = _q5_hnn(spec, "rank2-mixed")
+        x0, x0_inv = rep.images["x0"]
+        x1, x1_inv = rep.images["x1"]
+        # x0 -> x0 x1 keeps the block shape and a correct inverse
+        gens = [("x0", x0 * x1, x1_inv * x0_inv), ("x1", x1, x1_inv),
+                ("t", *rep.images["t"])]
+        bad = Representation(rep.ring, gens, spec=spec)
+        relations = defining_relations(spec)
+        report = verify_defining_relations(bad, relations)
+        assert not report.ok
+        for result, (lhs, rhs) in zip(report.results, relations):
+            left = _dense_product(bad, bad.letters(lhs))
+            right = _dense_product(bad, bad.letters(rhs))
+            assert result.ok == (left == right)
+            assert result.mismatch == _first_dense_mismatch(left, right)
+
+
+class TestChecksStillRun:
+    """Each construction check raises on a corrupted input."""
+
+    def test_defining_relations(self, monkeypatch):
+        def false_relations(spec):
+            x0, t = MixedWord.gen(0), MixedWord.t()
+            return [(x0 * t, t * x0)]
+
+        monkeypatch.setattr(reps, "defining_relations", false_relations)
+        with pytest.raises(VerificationError, match="defining relations fail"):
+            hnn_induced_rep(artin_even_spec(2), sigma_symbolic(2), S)
+        with pytest.raises(VerificationError, match="defining relations fail"):
+            integer_hnn(artin_odd_spec(1), sigma_int(2, 2, 2, basis="rank2-mixed"), 1)
+
+    def test_canonical_relation(self, monkeypatch):
+        monkeypatch.setattr(
+            reps, "canonical_relation", lambda m: ([("x", 1), ("y", 1)], [("y", 1), ("x", 1)])
+        )
+        with pytest.raises(VerificationError, match="canonical relation fails"):
+            artin_even(2)
+        with pytest.raises(VerificationError, match="canonical relation fails"):
+            artin_odd(1)
+
+    def test_even_block_shape(self):
+        qp = QpRing(5)
+        sigma = sigma_qp(2, 2, 3, 5)
+        sigma.params["lam"] = qp.from_int(3)  # the images were built with 2
+        with pytest.raises(VerificationError, match="x image does not match"):
+            artin_even(2, sigma, qp.from_int(5))
+
+    def test_odd_and_b3_block_shapes(self, monkeypatch):
+        real = reps.hnn_induced_rep
+        # the companion corner built with s^2 while the shape expects s
+        monkeypatch.setattr(reps, "hnn_induced_rep",
+                            lambda spec, sigma, s: real(spec, sigma, s * s))
+        with pytest.raises(VerificationError, match="y image does not match"):
+            artin_odd(1)
+        with pytest.raises(VerificationError, match="X image does not match"):
+            b3_explicit()
+
+    def test_golden_forms(self, monkeypatch):
+        golden = dict(GOLDEN_PSI_X0)
+        golden[2] = GOLDEN_PSI_X0[3]
+        monkeypatch.setattr(reps, "GOLDEN_PSI_X0", golden)
+        with pytest.raises(VerificationError, match="golden mismatch"):
+            b3_explicit()
