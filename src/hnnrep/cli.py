@@ -251,6 +251,8 @@ def cmd_splittable(args) -> int:
     print(f"injectivity failures: {report.injectivity_failures}, "
           f"recovery failures: {report.recovery_failures}, "
           f"homomorphism failures: {report.homomorphism_failures}")
+    if report.witness is not None:
+        print(f"first failure: {report.witness}")
     _dump_json(rep.to_json(), args.out)
     print("PASS" if report.ok else "FAIL")
     return 0 if report.ok else 1

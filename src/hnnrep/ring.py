@@ -240,14 +240,37 @@ def _json_int(x, what, text=True):
     raise ValueError(f"{what} must be an integer, not {x!r}")
 
 
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2015), so is_prime is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < 3.317 * 10^24; a
+    larger n raises ValueError rather than guess."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: it is at least "
+                         "3.317e24, where the Miller-Rabin bases are not proven")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -7,11 +7,20 @@ the Phi part and of the G part) under the shift action f^x(y) = f(x y) and
 reads off a matrix representation of Phi x| G of dimension at most
 m^2 + n^4.
 
-Span membership is decided by exact linear algebra over the rationals on a
-deterministic evaluation sample (all reduced generator words up to a given
-length).  Sampling cannot prove a function lies in a span, so every
-extracted expansion is re-verified on a disjoint fresh sample, and the
-dimension bound is enforced as a hard error.  All scalars are Fractions.
+Span membership is decided by exact linear algebra on a deterministic
+evaluation sample (all reduced generator words up to a given length).
+Sampling cannot prove a function lies in a span, so every extracted
+expansion is re-verified on a disjoint fresh sample, and the dimension
+bound is enforced as a hard error.
+
+The engine computes on an exact kernel: its matrices are tuples of row
+tuples whose entries are Python ints where integral and Fractions
+otherwise, converted once from the generator pairs and once per Phi-word
+from the tau pairs.  Span membership is decided fraction-free over Z, and
+the action matrices are kept as sparse rows {column: coefficient}, which
+the verification multiplies.  RingMatrix over QQ (Fraction entries) appears
+only at the API: the basis elements, `actions`, `coord_expansions`,
+`identity_values`, `action_of_word`, `recover` and `to_json`.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix
@@ -36,11 +47,8 @@ def letter_name(letter) -> str:
     return f"{kind}{idx}" + ("" if sign == 1 else "^-1")
 
 
-def letter_from_name(name: str):
-    base, _, tail = name.partition("^")
-    sign = -1 if tail == "-1" else 1
-    kind = "phi" if base.startswith("phi") else "g"
-    return (kind, int(base[len(kind):]), sign)
+def word_str(word) -> str:
+    return " ".join(letter_name(l) for l in word) if word else "ε"
 
 
 def coord_name(coord) -> str:
@@ -151,7 +159,7 @@ class SemidirectElement:
         return self.phi_mat.is_identity() and self.g_mat.is_identity()
 
     def word_str(self) -> str:
-        return " ".join(letter_name(l) for l in self.word) if self.word else "ε"
+        return word_str(self.word)
 
 
 class TauOracle:
@@ -249,35 +257,160 @@ def h_eval(p, k1, k2, q, element: SemidirectElement, tau: TauOracle) -> Fraction
     return total
 
 
+# --- The exact kernel ------------------------------------------------------
+#
+# A kernel matrix is a tuple of row tuples of exact numbers, an int where
+# the entry is integral and a Fraction otherwise; Python's numeric tower
+# picks the arithmetic.  Sparse rows are dicts {column: coefficient} with
+# no zero coefficient, so two sparse matrices are equal exactly when their
+# rows compare equal.
+
+
+def _exact(x):
+    """x as a kernel scalar: an int when integral, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _kernel_matrix(mat: RingMatrix):
+    return tuple(tuple(_exact(x) for x in row) for row in mat.rows)
+
+
+def _kernel_identity(d: int):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
+def _kmul(a, b):
+    """Product of two kernel matrices."""
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(_exact(sum(map(mul, row, col))) for col in cols) for row in a
+    )
+
+
+def _qq_matrix(rows) -> RingMatrix:
+    """A kernel matrix as a RingMatrix over QQ with Fraction entries."""
+    return RingMatrix(QQ, tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+def _sparse_rows(rows):
+    return tuple({j: _exact(x) for j, x in enumerate(row) if x} for row in rows)
+
+
+def _sparse_identity(d: int):
+    return tuple({i: 1} for i in range(d))
+
+
+def _dense_rows(rows, d: int):
+    return tuple(tuple(row.get(j, 0) for j in range(d)) for row in rows)
+
+
+def _sparse_mul(a, b):
+    """Product of two matrices given as sparse rows."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return tuple(out)
+
+
+class _Element:
+    """A semidirect element in kernel form: its letter word, the Phi-letter
+    subsequence as (index, sign) pairs, and the phi and g kernel matrices."""
+
+    __slots__ = ("word", "phi_word", "phi", "g")
+
+    def __init__(self, word, phi_word, phi, g):
+        self.word = word
+        self.phi_word = phi_word
+        self.phi = phi
+        self.g = g
+
+
+class _Kernel:
+    """(Phi, G, tau) in kernel form: the generator elements, built once from
+    the generator pairs, and the tau pairs, converted once per Phi-word."""
+
+    def __init__(self, phi_gens, g_gens, tau):
+        self.tau = tau
+        self._tau_pairs = {}
+        phi_id = _kernel_identity(phi_gens.degree)
+        g_id = _kernel_identity(g_gens.degree)
+        self.identity = _Element((), (), phi_id, g_id)
+        self.gens = {}
+        for kind, gens in (("phi", phi_gens), ("g", g_gens)):
+            for idx, pair in enumerate(gens.pairs):
+                for sign, mat in zip((1, -1), pair):
+                    letter = (kind, idx, sign)
+                    mat = _kernel_matrix(mat)
+                    self.gens[letter] = (
+                        _Element((letter,), ((idx, sign),), mat, g_id)
+                        if kind == "phi" else
+                        _Element((letter,), (), phi_id, mat)
+                    )
+
+    def tau_pair(self, phi_word):
+        pair = self._tau_pairs.get(phi_word)
+        if pair is None:
+            val, inv = self.tau.tau_pair(phi_word)
+            pair = (_kernel_matrix(val), _kernel_matrix(inv))
+            self._tau_pairs[phi_word] = pair
+        return pair
+
+    def mul(self, e1: _Element, e2: _Element) -> _Element:
+        """(phi1, g1)(phi2, g2) = (phi1 phi2, tau(phi2)^-1 g1 tau(phi2) g2)."""
+        t_val, t_inv = self.tau_pair(e2.phi_word)
+        return _Element(
+            e1.word + e2.word,
+            e1.phi_word + e2.phi_word,
+            _kmul(e1.phi, e2.phi),
+            _kmul(_kmul(t_inv, e1.g), _kmul(t_val, e2.g)),
+        )
+
+    def eval_word(self, letters) -> _Element:
+        out = self.identity
+        for letter in letters:
+            out = self.mul(out, self.gens[letter])
+        return out
+
+    def public(self, el: _Element) -> SemidirectElement:
+        return SemidirectElement(el.word, _qq_matrix(el.phi), _qq_matrix(el.g))
+
+
+def _conjugate_by_letter(kernel, mat, letter):
+    lv, linv = kernel.tau_pair((letter,))
+    return _kmul(_kmul(linv, mat), lv)
+
+
 def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
     """Check the oracle contract on short Phi-words: tau inverts correctly
     and word-level conjugation agrees with letter-by-letter conjugation."""
-    ident = RingMatrix.identity(QQ, g_gens.degree)
-    letters = []
-    for idx in range(len(phi_gens.pairs)):
-        letters.append((idx, 1))
-        letters.append((idx, -1))
-    words = [()]
-    frontier = [()]
-    for _ in range(word_len):
+    kernel = _Kernel(phi_gens, g_gens, tau)
+    ident = kernel.identity.g
+    g_mats = tuple(kernel.gens[("g", idx, 1)].g for idx in range(len(g_gens.pairs)))
+    letters = [(idx, s) for idx in range(len(phi_gens.pairs)) for s in (1, -1)]
+    # Each frontier entry: a Phi-word and the G generators conjugated by its
+    # letters one at a time, the expected word-level conjugates.
+    frontier = [((), g_mats)]
+    for depth in range(word_len + 1):
+        for w, expected in frontier:
+            t_val, t_inv = kernel.tau_pair(w)
+            if _kmul(t_val, t_inv) != ident or _kmul(t_inv, t_val) != ident:
+                raise OracleError(f"tau inverse wrong on {w}")
+            for g_mat, exp in zip(g_mats, expected):
+                if _kmul(_kmul(t_inv, g_mat), t_val) != exp:
+                    raise OracleError(
+                        f"tau({w}) does not realize the letterwise action"
+                    )
+        if depth == word_len:
+            break
         frontier = [
-            w + (l,) for w in frontier for l in letters
+            (w + (l,), tuple(_conjugate_by_letter(kernel, e, l) for e in expected))
+            for w, expected in frontier for l in letters
             if not (w and l == (w[-1][0], -w[-1][1]))
         ]
-        words.extend(frontier)
-    for w in words:
-        t_val, t_inv = tau.tau_pair(w)
-        if t_val * t_inv != ident or t_inv * t_val != ident:
-            raise OracleError(f"tau inverse wrong on {w}")
-        for g_mat, _ in g_gens.pairs:
-            expected = g_mat
-            for letter in w:
-                lv, linv = tau.tau_pair((letter,))
-                expected = linv * expected * lv
-            if t_inv * g_mat * t_val != expected:
-                raise OracleError(
-                    f"tau({w}) does not realize the letterwise action"
-                )
 
 
 @dataclass(frozen=True)
@@ -287,89 +420,126 @@ class ShiftedCoordinate:
     coord: tuple
     shift: SemidirectElement
 
-    def evaluate(self, y: SemidirectElement, tau: TauOracle) -> Fraction:
-        return coordinate_value(self.coord, semidirect_mul(self.shift, y, tau))
 
+class _Sample:
+    """Evaluation points prepared so that a shifted coordinate is one dot
+    product per point.  At a point y and for the shift x, the Phi coordinate
+    (i, j) is row i of x.phi times column j of y.phi, and the G coordinate
+    (p, q) is the sum over k1, k2 of x.g[k1][k2] * H_{p k1 k2 q}(y), with
+    the splitting kernel H_{p k1 k2 q}(y) = tau(y.phi)^-1[p][k1] *
+    (tau(y.phi) y.g)[k2][q]."""
 
-class _PreparedPoint:
-    """Sample element with the matrices needed to evaluate shifted
-    coordinates at it in O(n^2): for the shift x,
-    phi value = (x.phi * y.phi)[i][j] and
-    g value = (tau(y.phi)^-1 * x.g * tau(y.phi) * y.g)[p][q]."""
+    def __init__(self, kernel: _Kernel, elements):
+        m, n = len(kernel.identity.phi), len(kernel.identity.g)
+        self._phi_cols = [[] for _ in range(m)]
+        self._h = {(p, q): [] for p in range(n) for q in range(n)}
+        for y in elements:
+            for j in range(m):
+                self._phi_cols[j].append(tuple(row[j] for row in y.phi))
+            t_val, t_inv = kernel.tau_pair(y.phi_word)
+            b = _kmul(t_val, y.g)
+            for (p, q), hs in self._h.items():
+                hs.append(tuple(
+                    t_inv[p][k1] * b[k2][q] for k1 in range(n) for k2 in range(n)
+                ))
 
-    __slots__ = ("element", "phi_cols", "a_rows", "b_cols")
-
-    def __init__(self, element: SemidirectElement, tau: TauOracle):
-        self.element = element
-        self.phi_cols = tuple(zip(*element.phi_mat.rows)) if element.phi_mat.degree else ()
-        t_val, t_inv = tau.tau_pair(element.phi_word)
-        b = t_val * element.g_mat
-        self.a_rows = t_inv.rows
-        self.b_cols = tuple(zip(*b.rows))
-
-    def value(self, coord, shift: SemidirectElement) -> Fraction:
+    def values(self, coord, shift: _Element):
+        """The shifted coordinate y -> coord(shift * y) at every point."""
         kind, i, j = coord
         if kind == "phi":
-            row = shift.phi_mat.rows[i]
-            col = self.phi_cols[j]
-            return sum(a * b for a, b in zip(row, col))
-        x = shift.g_mat.rows
-        a_row = self.a_rows[i]
-        b_col = self.b_cols[j]
-        n = len(b_col)
-        total = Fraction(0)
-        for c in range(n):
-            s = sum(a_row[r] * x[r][c] for r in range(n))
-            if s:
-                total += s * b_col[c]
-        return total
+            row = shift.phi[i]
+            return [sum(map(mul, row, col)) for col in self._phi_cols[j]]
+        flat = [x for row in shift.g for x in row]
+        return [sum(map(mul, flat, h)) for h in self._h[i, j]]
 
 
 class _Span:
-    """Echelonized span with bookkeeping of each row as a combination of the
-    basis value vectors."""
+    """Fraction-free echelon form over Z of the basis value vectors b_k.
+
+    A row is an integer vector r with a positive pivot entry and its
+    combination R, so that r = sum_k R[k] * b_k.  Reduction eliminates the
+    pivots Bareiss style, scaling by the pivot entry instead of dividing by
+    it, and divides out the common factor after every step."""
 
     def __init__(self):
-        self.rows = []  # (normalized vector, combination dict, pivot column)
+        self.rows = []  # (integer vector, combination dict, pivot column)
 
     def reduce(self, vec):
-        vec = list(vec)
+        """(residual, combo, scale), all integers with scale > 0, such that
+        scale * vec - sum_k combo[k] * b_k == residual and the residual is
+        zero at every pivot.  The entries of vec may be ints or Fractions."""
+        scale = lcm(*(x.denominator for x in vec))
+        vec = [x.numerator * (scale // x.denominator) for x in vec]
         combo = {}
         for row, rcombo, piv in self.rows:
             c = vec[piv]
-            if c:
-                for idx, rv in enumerate(row):
-                    if rv:
-                        vec[idx] -= c * rv
-                for k, v in rcombo.items():
-                    combo[k] = combo.get(k, Fraction(0)) + c * v
-        return vec, combo
+            if not c:
+                continue
+            p = row[piv]
+            vec = [p * v - c * r for v, r in zip(vec, row)]
+            combo = {k: p * v for k, v in combo.items()}
+            for k, v in rcombo.items():
+                combo[k] = combo.get(k, 0) + c * v
+            scale *= p
+            g = gcd(scale, *combo.values())
+            if g > 1:
+                g = gcd(g, *vec)
+                if g > 1:
+                    vec = [v // g for v in vec]
+                    combo = {k: v // g for k, v in combo.items()}
+                    scale //= g
+        return vec, {k: v for k, v in combo.items() if v}, scale
 
-    def add(self, residual, combo, new_index):
+    def add(self, residual, combo, scale, index):
+        """Add the row of basis vector b_index from its nonzero residual:
+        residual = scale * b_index - sum_k combo[k] * b_k."""
         piv = next(i for i, v in enumerate(residual) if v)
-        inv = Fraction(1) / residual[piv]
-        row = [v * inv for v in residual]
-        rcombo = {k: -v * inv for k, v in combo.items() if v}
-        rcombo[new_index] = rcombo.get(new_index, Fraction(0)) + inv
-        self.rows.append((row, rcombo, piv))
+        sign = 1 if residual[piv] > 0 else -1
+        rcombo = {k: -sign * v for k, v in combo.items()}
+        rcombo[index] = sign * scale
+        self.rows.append(([sign * v for v in residual], rcombo, piv))
 
 
 class SplittableRep:
     """Result of the orbit closure: a basis of shifted coordinates, one
     action matrix per generator letter, and the expansion of every original
-    coordinate function in the basis (used to recover elements)."""
+    coordinate function in the basis (used to recover elements).
 
-    def __init__(self, phi_gens, g_gens, tau, basis, actions, coord_expansions,
-                 identity_values, sample_len, letters):
+    The engine's own data are sparse: `action_rows` maps a letter name to
+    the rows {column: coefficient} of its action matrix, and `expansions`
+    maps a coordinate id to {basis index: coefficient}; the checks read
+    these.  `actions`, `coord_expansions` and `identity_values` are their
+    Fraction views."""
+
+    def __init__(self, phi_gens, g_gens, tau, kernel, basis, action_rows,
+                 expansions, sample_len, letters):
         self.phi_gens = phi_gens
         self.g_gens = g_gens
         self.tau = tau
-        self.basis = tuple(basis)
-        self.actions = actions  # letter name -> RingMatrix over QQ
-        self.coord_expansions = coord_expansions  # coord id -> coeff tuple
-        self.identity_values = tuple(identity_values)
         self.sample_len = sample_len
         self.letters = tuple(letters)
+        self._kernel = kernel
+        self._shifts = tuple(basis)  # (coord id, kernel shift element)
+        self.basis = tuple(
+            ShiftedCoordinate(coord, kernel.public(shift)) for coord, shift in basis
+        )
+        self.action_rows = action_rows
+        self.expansions = expansions
+        self._identity_values = tuple(
+            (shift.phi if coord[0] == "phi" else shift.g)[coord[1]][coord[2]]
+            for coord, shift in basis
+        )
+        self._recover_rows = sorted(set().union(*expansions.values()))
+        d = self.dimension
+        self.actions = {
+            name: _qq_matrix(_dense_rows(rows, d))
+            for name, rows in action_rows.items()
+        }
+        self.coord_expansions = {
+            coord: tuple(Fraction(exp.get(i, 0)) for i in range(d))
+            for coord, exp in expansions.items()
+        }
+        self.identity_values = tuple(Fraction(v) for v in self._identity_values)
 
     @property
     def dimension(self) -> int:
@@ -383,31 +553,41 @@ class SplittableRep:
     def n_degree(self) -> int:
         return self.g_gens.degree
 
-    def action_of_word(self, letters) -> RingMatrix:
-        out = RingMatrix.identity(QQ, self.dimension)
+    def _word_rows(self, letters):
+        rows = _sparse_identity(self.dimension)
         for letter in letters:
-            out = out * self.actions[letter_name(letter)]
-        return out
+            rows = _sparse_mul(rows, self.action_rows[letter_name(letter)])
+        return rows
+
+    def action_of_word(self, letters) -> RingMatrix:
+        return _qq_matrix(_dense_rows(self._word_rows(letters), self.dimension))
 
     def recover(self, action: RingMatrix):
         """Matrices (phi, g) read off an action matrix through the coordinate
         expansions evaluated at the identity."""
-        y = [
-            sum(row[j] * self.identity_values[j] for j in range(self.dimension))
-            for row in action.rows
-        ]
+        phi, g = self._recover(_sparse_rows(action.rows))
+        return _qq_matrix(phi), _qq_matrix(g)
+
+    def _recover(self, rows):
+        """Kernel matrices (phi, g) read off sparse action rows: row i
+        applied to the identity values is the value at the identity of
+        basis function i shifted by the element."""
+        idv = self._identity_values
+        y = {
+            i: sum(c * idv[j] for j, c in rows[i].items())
+            for i in self._recover_rows
+        }
 
         def coord_val(coord):
-            coeffs = self.coord_expansions[coord]
-            return sum(c * y[i] for i, c in enumerate(coeffs) if c)
+            return sum(c * y[i] for i, c in self.expansions[coord].items())
 
         m, n = self.m_degree, self.n_degree
-        phi = RingMatrix(QQ, tuple(
+        phi = tuple(
             tuple(coord_val(("phi", i, j)) for j in range(m)) for i in range(m)
-        ))
-        g = RingMatrix(QQ, tuple(
+        )
+        g = tuple(
             tuple(coord_val(("g", p, q)) for q in range(n)) for p in range(n)
-        ))
+        )
         return phi, g
 
     def to_json(self):
@@ -441,22 +621,18 @@ def _inverse_letter(letter):
     return (kind, idx, -sign)
 
 
-def _reduced_words_elements(phi_gens, g_gens, tau, letters, max_len):
-    """All freely reduced letter words up to max_len, as semidirect elements,
+def _reduced_words_elements(kernel, letters, max_len):
+    """All freely reduced letter words up to max_len, as kernel elements,
     in length-lexicographic order."""
-    out = [semidirect_identity(phi_gens.degree, g_gens.degree)]
-    frontier = [(out[0], None)]
-    gen_elems = {l: generator_element(l, phi_gens, g_gens) for l in letters}
+    out = [kernel.identity]
+    frontier = [(kernel.identity, None)]
     for _ in range(max_len):
-        new = []
-        for el, last in frontier:
-            for letter in letters:
-                if last is not None and letter == _inverse_letter(last):
-                    continue
-                child = semidirect_mul(el, gen_elems[letter], tau)
-                new.append((child, letter))
-        frontier = new
-        out.extend(el for el, _ in new)
+        frontier = [
+            (kernel.mul(el, kernel.gens[letter]), letter)
+            for el, last in frontier for letter in letters
+            if last is None or letter != _inverse_letter(last)
+        ]
+        out.extend(el for el, _ in frontier)
     return out
 
 
@@ -486,76 +662,77 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     # the oracle contract is sampled to that depth.
     validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
 
-    sample = _reduced_words_elements(phi_gens, g_gens, tau, letters, sample_len)
-    points = [_PreparedPoint(el, tau) for el in sample]
-    gen_elems = {l: generator_element(l, phi_gens, g_gens) for l in letters}
-    identity = semidirect_identity(m, n)
+    kernel = _Kernel(phi_gens, g_gens, tau)
+    sample = _Sample(
+        kernel, _reduced_words_elements(kernel, letters, sample_len)
+    )
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
 
-    basis = []
+    basis = []  # (coord id, kernel shift element)
     span = _Span()
     expansions = {}
     action_rows = {letter: {} for letter in letters}
     pending = deque()
 
-    def eval_vector(coord, shift):
-        return [pt.value(coord, shift) for pt in points]
-
-    def combo_tuple(combo, width):
-        return tuple(combo.get(i, Fraction(0)) for i in range(width))
-
-    def add_basis(coord, shift, residual, combo):
+    def expand(coord, shift):
+        """The sparse expansion of coord shifted by shift in the basis; a
+        function outside the span becomes the next basis function."""
+        residual, combo, scale = span.reduce(sample.values(coord, shift))
+        if not any(residual):
+            return {k: _exact(Fraction(v, scale)) for k, v in combo.items()}
         idx = len(basis)
         if idx + 1 > bound:
             raise DimensionBoundError(
                 f"closure exceeded the bound m^2 + n^4 = {bound}"
             )
-        basis.append(ShiftedCoordinate(coord, shift))
-        span.add(residual, combo, idx)
+        basis.append((coord, shift))
+        span.add(residual, combo, scale, idx)
         pending.extend((idx, letter) for letter in letters)
-        return idx
+        return {idx: 1}
 
     for coord in coords:
-        vec = eval_vector(coord, identity)
-        residual, combo = span.reduce(vec)
-        if any(residual):
-            idx = add_basis(coord, identity, residual, combo)
-            expansions[coord] = {idx: Fraction(1)}
-        else:
-            expansions[coord] = combo
+        expansions[coord] = expand(coord, kernel.identity)
 
     while pending:
         i, letter = pending.popleft()
-        shifted = semidirect_mul(basis[i].shift, gen_elems[letter], tau)
-        vec = eval_vector(basis[i].coord, shifted)
-        residual, combo = span.reduce(vec)
-        if any(residual):
-            idx = add_basis(basis[i].coord, shifted, residual, combo)
-            action_rows[letter][i] = {idx: Fraction(1)}
-        else:
-            action_rows[letter][i] = combo
+        coord, shift = basis[i]
+        action_rows[letter][i] = expand(
+            coord, kernel.mul(shift, kernel.gens[letter])
+        )
 
     d = len(basis)
-    actions = {}
-    for letter in letters:
-        rows = tuple(
-            combo_tuple(action_rows[letter][i], d) for i in range(d)
-        )
-        actions[letter_name(letter)] = RingMatrix(QQ, rows)
-    coord_expansions = {c: combo_tuple(expansions[c], d) for c in coords}
-    identity_values = [coordinate_value(b.coord, b.shift) for b in basis]
-
+    rows = {
+        letter_name(letter): tuple(action_rows[letter][i] for i in range(d))
+        for letter in letters
+    }
     rep = SplittableRep(
-        phi_gens, g_gens, tau, basis, actions, coord_expansions,
-        identity_values, sample_len, letters,
+        phi_gens, g_gens, tau, kernel, basis, rows, expansions,
+        sample_len, letters,
     )
-    _fresh_sample_check(rep, gen_elems)
+    _fresh_sample_check(rep)
     return rep
 
 
-def _fresh_sample_check(rep: SplittableRep, gen_elems, count: int = 40):
+def _mismatch(direct, combo, basis_vals):
+    """The first point k where direct[k] differs from the combination
+    sum_j combo[j] * basis_vals[j][k], as (k, direct value, combination);
+    None when they agree everywhere.  The comparison runs on integers
+    scaled by the common denominator of the coefficients."""
+    den = lcm(*(c.denominator for c in combo.values()))
+    terms = [
+        (basis_vals[j], c.numerator * (den // c.denominator))
+        for j, c in combo.items()
+    ]
+    for k, value in enumerate(direct):
+        total = sum(c * vals[k] for vals, c in terms)
+        if total != value * den:
+            return k, value, _exact(Fraction(total, den))
+    return None
+
+
+def _fresh_sample_check(rep: SplittableRep, count: int = 40):
     """Re-verify every extracted expansion identity on fresh elements,
     disjoint (as words) from the build sample."""
     rng = random.Random(271828)
@@ -564,40 +741,31 @@ def _fresh_sample_check(rep: SplittableRep, gen_elems, count: int = 40):
         for _ in range(count):
             if rep.letters:
                 words.add(_random_reduced_word(rng, rep.letters, length))
-    elems = [
-        eval_word(w, rep.phi_gens, rep.g_gens, rep.tau) for w in sorted(words)
-    ]
-    if not elems:
+    if not words:
         return
-    points = [_PreparedPoint(el, rep.tau) for el in elems]
-    basis_vals = [
-        [pt.value(b.coord, b.shift) for pt in points] for b in rep.basis
-    ]
-    d = rep.dimension
-    for coord, coeffs in rep.coord_expansions.items():
-        direct = [coordinate_value(coord, pt.element) for pt in points]
-        combo = [
-            sum(coeffs[j] * basis_vals[j][k] for j in range(d))
-            for k in range(len(points))
-        ]
-        if direct != combo:
+    kernel = rep._kernel
+    words = sorted(words)
+    sample = _Sample(kernel, [kernel.eval_word(w) for w in words])
+    basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
+
+    def check(direct, combo, what):
+        bad = _mismatch(direct, combo, basis_vals)
+        if bad is not None:
+            k, value, total = bad
             raise VerificationError(
-                f"fresh-sample check failed for coordinate {coord_name(coord)}"
+                f"fresh-sample check failed for {what} at fresh word "
+                f"{word_str(words[k])}: direct value {value}, combination {total}"
             )
+
+    for coord, combo in rep.expansions.items():
+        check(sample.values(coord, kernel.identity), combo,
+              f"coordinate {coord_name(coord)}")
     for letter in rep.letters:
-        mat = rep.actions[letter_name(letter)]
-        for i, b in enumerate(rep.basis):
-            shifted = semidirect_mul(b.shift, gen_elems[letter], rep.tau)
-            direct = [pt.value(b.coord, shifted) for pt in points]
-            combo = [
-                sum(mat.rows[i][j] * basis_vals[j][k] for j in range(d))
-                for k in range(len(points))
-            ]
-            if direct != combo:
-                raise VerificationError(
-                    f"fresh-sample check failed for basis {i} under "
-                    f"{letter_name(letter)}"
-                )
+        rows = rep.action_rows[letter_name(letter)]
+        for i, (coord, shift) in enumerate(rep._shifts):
+            shifted = kernel.mul(shift, kernel.gens[letter])
+            check(sample.values(coord, shifted), rows[i],
+                  f"basis {i} under {letter_name(letter)}")
 
 
 def conjugation_matrix(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -636,6 +804,8 @@ class SplittableReport:
     injectivity_failures: int = 0
     recovery_failures: int = 0
     homomorphism_failures: int = 0
+    # The first failure found, naming its word and the differing values.
+    witness: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -659,69 +829,74 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     by evaluation on fresh sample points.
     """
     report = SplittableReport(max_len=max_len)
+    kernel = rep._kernel
     letters = rep.letters
-    gen_elems = {
-        l: generator_element(l, rep.phi_gens, rep.g_gens) for l in letters
-    }
-    ident_action = RingMatrix.identity(QQ, rep.dimension)
+    actions = {l: rep.action_rows[letter_name(l)] for l in letters}
+    ident_rows = _sparse_identity(rep.dimension)
+    identity = kernel.identity
 
-    def check(element, action):
+    def note(message):
+        if report.witness is None:
+            report.witness = message
+
+    def check(element, rows):
         report.words_checked += 1
-        phi, g = rep.recover(action)
-        if phi != element.phi_mat or g != element.g_mat:
+        phi, g = rep._recover(rows)
+        if phi != element.phi or g != element.g:
             report.recovery_failures += 1
-        if action == ident_action:
+            coord, read, value = next(
+                ((kind, i, j), a, b)
+                for kind, got, want in (("phi", phi, element.phi),
+                                        ("g", g, element.g))
+                for i, (r1, r2) in enumerate(zip(got, want))
+                for j, (a, b) in enumerate(zip(r1, r2)) if a != b
+            )
+            note(f"recovery failure at word {word_str(element.word)}: "
+                 f"{coord_name(coord)} reads {read}, the element has {value}")
+        if rows == ident_rows:
             report.identity_actions += 1
-            if not element.is_identity_pair():
+            if element.phi != identity.phi or element.g != identity.g:
                 report.injectivity_failures += 1
+                note(f"identity action at word {word_str(element.word)}")
 
-    def walk(element, action, depth, last):
+    def walk(element, rows, depth, last):
         for letter in letters:
             if last is not None and letter == _inverse_letter(last):
                 continue
-            child = semidirect_mul(element, gen_elems[letter], rep.tau)
-            child_action = action * rep.actions[letter_name(letter)]
-            check(child, child_action)
+            child = kernel.mul(element, kernel.gens[letter])
+            child_rows = _sparse_mul(rows, actions[letter])
+            check(child, child_rows)
             if depth + 1 < max_len:
-                walk(child, child_action, depth + 1, letter)
+                walk(child, child_rows, depth + 1, letter)
 
-    identity = semidirect_identity(rep.m_degree, rep.n_degree)
-    check(identity, ident_action)
+    check(identity, ident_rows)
     if letters:
-        walk(identity, ident_action, 0, None)
+        walk(identity, ident_rows, 0, None)
 
     # Random semantic homomorphism check on fresh evaluation points.
     rng = random.Random(seed)
     fresh_words = [
         _random_reduced_word(rng, letters, max_len + 2) for _ in range(20)
     ] if letters else []
-    points = [
-        _PreparedPoint(eval_word(w, rep.phi_gens, rep.g_gens, rep.tau), rep.tau)
-        for w in fresh_words
-    ]
-    basis_vals = [
-        [pt.value(b.coord, b.shift) for pt in points] for b in rep.basis
-    ]
-    d = rep.dimension
+    sample = _Sample(kernel, [kernel.eval_word(w) for w in fresh_words])
+    basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
     for _ in range(pairs if letters else 0):
         u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
-        element = eval_word(u + v, rep.phi_gens, rep.g_gens, rep.tau)
-        action = rep.action_of_word(u) * rep.action_of_word(v)
+        element = kernel.eval_word(u + v)
+        rows = _sparse_mul(rep._word_rows(u), rep._word_rows(v))
         report.pairs_checked += 1
-        ok = True
-        for i, b in enumerate(rep.basis):
-            shifted = semidirect_mul(b.shift, element, rep.tau)
-            for k, pt in enumerate(points):
-                direct = pt.value(b.coord, shifted)
-                combo = sum(
-                    action.rows[i][j] * basis_vals[j][k] for j in range(d)
+        for i, (coord, shift) in enumerate(rep._shifts):
+            direct = sample.values(coord, kernel.mul(shift, element))
+            bad = _mismatch(direct, rows[i], basis_vals)
+            if bad is not None:
+                k, value, total = bad
+                report.homomorphism_failures += 1
+                note(
+                    f"homomorphism failure for u = {word_str(u)}, "
+                    f"v = {word_str(v)}: basis {i} at fresh word "
+                    f"{word_str(fresh_words[k])}: direct value {value}, "
+                    f"combination {total}"
                 )
-                if direct != combo:
-                    ok = False
-                    break
-            if not ok:
                 break
-        if not ok:
-            report.homomorphism_failures += 1
     return report

@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hnnrep
 from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
@@ -90,6 +95,20 @@ class TestCheckCommand:
         code, _ = run(capsys, "check", "--suite", "relations", "--m", "4",
                       "--lambda", "2", "--mu", "2", "--s", "6")
         assert code == 2
+
+    def test_undecidable_s_exits_2_without_traceback(self):
+        # Primality is decided only below 3.317e24; a 30-digit --s is bad
+        # input, not a crash.
+        src = str(Path(hnnrep.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hnnrep", "check", "--suite", "relations",
+             "--m", "4", "--lambda", "2", "--mu", "2", "--s", "1" + "0" * 29],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -197,10 +216,11 @@ class TestSplittableCommand:
         gens = tmp_path / "g.json"
         gens.write_text(json.dumps(GENS_RANK2))
         out = tmp_path / "rep.json"
-        code, _ = run(capsys, "splittable", "--g", str(gens),
-                      "--tau", "inner", "--sample-len", "1",
-                      "--max-len", "2", "--out", str(out))
+        code, text = run(capsys, "splittable", "--g", str(gens),
+                         "--tau", "inner", "--sample-len", "1",
+                         "--max-len", "2", "--out", str(out))
         assert code == 1
+        assert "at fresh word " in text and "direct value" in text
 
     def test_bad_inverse_in_file(self, capsys, tmp_path):
         gens = tmp_path / "g.json"

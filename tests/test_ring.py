@@ -1,6 +1,7 @@
 """Laurent polynomial and prime-power-denominator arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,35 @@ class TestRingDescriptors:
 
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert all(is_prime(n) == trial(n) for n in range(5000))
+
+    def test_is_prime_large_primes_are_fast(self):
+        started = time.perf_counter()
+        assert is_prime(10000000000037)
+        assert is_prime(2**64 - 59)  # 20 digits
+        assert is_prime(2**61 - 1)
+        assert QpRing(2**64 - 59).p == 2**64 - 59
+        assert time.perf_counter() - started < 0.5
+
+    def test_is_prime_rejects_pseudoprimes_and_squares(self):
+        carmichael = (561, 41041)
+        # Strong pseudoprimes to the bases 2..7 and 2..37: the last one is
+        # caught only by the base 41.
+        strong = (3215031751, 318665857834031151167461)
+        squares = (49, 10007**2, (2**31 - 1) ** 2)
+        for n in carmichael + strong + squares:
+            assert not is_prime(n)
+
+    def test_is_prime_refuses_beyond_proven_bound(self):
+        with pytest.raises(ValueError):
+            is_prime(10**29 + 1)
+        with pytest.raises(ValueError):
+            ring_from_descriptor({"kind": "qp", "prime": 10**29 + 1})
 
     def test_fraction_scalar_json(self):
         assert QQ.scalar_to_json(Fraction(3, 4)) == "3/4"

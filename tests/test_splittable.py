@@ -1,9 +1,12 @@
 """Splittable-coordinates engine: products, kernels, closure, verification."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnnrep.errors import OracleError, VerificationError
 from hnnrep.matrix import RingMatrix
@@ -11,9 +14,10 @@ from hnnrep.ring import QQ
 from hnnrep.splittable import (
     InnerTau,
     MatrixGroupGens,
-    ShiftedCoordinate,
     TauOracle,
     TrivialTau,
+    _fresh_sample_check,
+    _Span,
     build_rep,
     conjugation_matrix,
     coordinate_value,
@@ -21,7 +25,6 @@ from hnnrep.splittable import (
     generator_element,
     h_eval,
     int_g_rep,
-    letter_from_name,
     letter_name,
     semidirect_identity,
     semidirect_mul,
@@ -37,6 +40,13 @@ G_CYCLIC = MatrixGroupGens.from_int_rows(2, [
     (((1, 1), (0, 1)), ((1, -1), (0, 1))),
 ])
 TRIVIAL_PHI = MatrixGroupGens.trivial()
+# G_RANK2 conjugated by [[1, 1/2], [0, 1]]: the same group with entries in
+# (1/2)Z, and Fraction entries of denominator 1 where they are integral.
+_C = RingMatrix(QQ, ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1))))
+_C_INV = RingMatrix(QQ, ((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(1))))
+G_RATIONAL = MatrixGroupGens(2, tuple(
+    (_C * m * _C_INV, _C * i * _C_INV) for m, i in G_RANK2.pairs
+))
 
 
 def trivial_setup():
@@ -192,17 +202,6 @@ class TestBuildRepTrivialPhi:
         assert report.ok
         assert report.words_checked == 1 + 4 + 12 + 36 + 108
 
-    def test_shifted_coordinate_evaluation(self):
-        phi, g_gens, tau = trivial_setup()
-        rep = build_rep(phi, g_gens, tau)
-        el = eval_word([("g", 0, 1), ("g", 1, -1)], phi, g_gens, tau)
-        for b in rep.basis:
-            shifted = ShiftedCoordinate(b.coord, el)
-            direct = coordinate_value(
-                b.coord, semidirect_mul(el, el, tau)
-            )
-            assert shifted.evaluate(el, tau) == direct
-
 
 class TestIntGRep:
     def test_rank2_dimension_bound(self):
@@ -281,10 +280,6 @@ class TestExport:
         mat = RingMatrix.from_json(doc["actions"]["g0"])
         assert mat.degree == 4
 
-    def test_letter_names_round_trip(self):
-        for letter in (("phi", 0, 1), ("phi", 3, -1), ("g", 1, 1), ("g", 0, -1)):
-            assert letter_from_name(letter_name(letter)) == letter
-
     def test_gens_round_trip(self):
         doc = G_RANK2.to_json()
         assert MatrixGroupGens.from_json(doc).to_json() == doc
@@ -296,3 +291,164 @@ class TestMatrixGroupGens:
             MatrixGroupGens.from_int_rows(2, [
                 (((1, 1), (0, 1)), ((1, 1), (0, 1))),
             ])
+
+
+class TestRationalGenerators:
+    def test_inner_tau(self):
+        rep = int_g_rep(G_RATIONAL, sample_len=3)
+        assert rep.dimension == 26
+        assert verify_rep(rep, max_len=2, pairs=20).ok
+        word = [("phi", 1, -1), ("g", 0, 1), ("g", 1, 1)]
+        element = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
+        assert rep.recover(rep.action_of_word(word)) == (
+            element.phi_mat, element.g_mat
+        )
+
+    def test_trivial_tau(self):
+        rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
+        assert rep.dimension == 4
+        assert verify_rep(rep, max_len=3).ok
+        assert rep.actions["g0"].ring == QQ
+        assert all(isinstance(x, Fraction)
+                   for row in rep.actions["g0"].rows for x in row)
+
+
+def reference_expansion(basis, vec):
+    """Coefficients x with sum_k x[k] * basis[k] == vec, by Gauss-Jordan
+    elimination over Fractions; None when vec is outside the span."""
+    d = len(basis)
+    rows = [
+        [Fraction(b[i]) for b in basis] + [Fraction(vec[i])]
+        for i in range(len(vec))
+    ]
+    pivots = []
+    for col in range(d):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    if any(rows[i][d] for i in range(len(pivots), len(rows))):
+        return None
+    x = [Fraction(0)] * d
+    for i, col in enumerate(pivots):
+        x[col] = rows[i][d]
+    return x
+
+
+_ENTRIES = {
+    "integer": st.integers(-4, 4),
+    "rational": st.fractions(-3, 3, max_denominator=4),
+    "fraction-denominator-1": st.integers(-4, 4).map(Fraction),
+}
+
+
+@st.composite
+def vector_sequences(draw, kind):
+    """Vectors of one length; some are combinations of earlier ones, so
+    both in-span and out-of-span vectors occur."""
+    entry = _ENTRIES[kind]
+    length = draw(st.integers(1, 6))
+    out = []
+    for _ in range(draw(st.integers(1, 9))):
+        if out and draw(st.booleans()):
+            coeffs = [draw(entry) for _ in out]
+            vec = [sum(c * v[i] for c, v in zip(coeffs, out)) for i in range(length)]
+        else:
+            vec = [draw(entry) for _ in range(length)]
+        out.append(vec)
+    return out
+
+
+class TestFractionFreeSpan:
+    @pytest.mark.parametrize("kind", sorted(_ENTRIES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, kind, data):
+        vectors = data.draw(vector_sequences(kind))
+        span = _Span()
+        basis = []
+        for vec in vectors:
+            residual, combo, scale = span.reduce(vec)
+            assert scale > 0
+            for i, f in enumerate(vec):
+                expected = scale * f - sum(c * basis[k][i] for k, c in combo.items())
+                assert residual[i] == expected
+            reference = reference_expansion(basis, vec)
+            if reference is None:
+                assert any(residual)
+                span.add(residual, combo, scale, len(basis))
+                basis.append(vec)
+            else:
+                assert not any(residual)
+                expansion = [Fraction(combo.get(k, 0), scale)
+                             for k in range(len(basis))]
+                assert expansion == reference
+
+
+class TestWitness:
+    def test_corrupted_action_names_the_fresh_word(self):
+        rep = build_rep(*trivial_setup())
+        by_name = {letter_name(l): l for l in rep.letters}
+        row = rep.action_rows["g0"][0]
+        row[0] = row.get(0, 0) + 1
+        with pytest.raises(VerificationError) as info:
+            _fresh_sample_check(rep)
+        message = str(info.value)
+        match = re.search(
+            r"basis 0 under g0 at fresh word ([^:]+): "
+            r"direct value (\S+), combination (\S+)$", message,
+        )
+        assert match, message
+        word = [by_name[name] for name in match.group(1).split()]
+        assert len(word) in (rep.sample_len + 1, rep.sample_len + 2)
+        # The named value is the shifted basis function at that word.
+        y = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
+        basis = rep.basis[0]
+        shifted = semidirect_mul(
+            basis.shift,
+            generator_element(("g", 0, 1), rep.phi_gens, rep.g_gens),
+            rep.tau,
+        )
+        direct = coordinate_value(basis.coord, semidirect_mul(shifted, y, rep.tau))
+        assert Fraction(match.group(2)) == direct
+        assert Fraction(match.group(3)) != direct
+
+        report = verify_rep(rep, max_len=2)
+        assert not report.ok and report.homomorphism_failures
+        assert re.match(r"recovery failure at word g0: G\(\d,\d\) reads \S+, "
+                        r"the element has \S+$", report.witness)
+
+    def test_homomorphism_failure_names_the_words(self):
+        rep = int_g_rep(G_RANK2, sample_len=3)
+        by_name = {letter_name(l): l for l in rep.letters}
+        # The last basis function is a shift that no coordinate expansion
+        # reads, so words of length 1 still recover correctly.
+        last = rep.dimension - 1
+        row = rep.action_rows["phi0"][last]
+        row[0] = row.get(0, 0) + 1
+        report = verify_rep(rep, max_len=1, pairs=20)
+        assert report.recovery_failures == 0 and report.homomorphism_failures
+        match = re.match(
+            r"homomorphism failure for u = (.+), v = (.+): basis (\d+) at "
+            r"fresh word (.+): direct value (\S+), combination (\S+)$",
+            report.witness,
+        )
+        assert match, report.witness
+        u, v, fresh = (
+            [by_name[name] for name in match.group(k).split()] for k in (1, 2, 4)
+        )
+        assert ("phi", 0, 1) in u + v
+        basis = rep.basis[int(match.group(3))]
+        element = eval_word(u + v, rep.phi_gens, rep.g_gens, rep.tau)
+        y = eval_word(fresh, rep.phi_gens, rep.g_gens, rep.tau)
+        shifted = semidirect_mul(basis.shift, element, rep.tau)
+        direct = coordinate_value(basis.coord, semidirect_mul(shifted, y, rep.tau))
+        assert Fraction(match.group(5)) == direct
+        assert Fraction(match.group(6)) != direct
