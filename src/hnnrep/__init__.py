@@ -41,7 +41,6 @@ from .ring import (
     LaurentRing,
     QpRing,
     QpScalar,
-    specialize,
 )
 from .words import (
     Endomorphism,
@@ -53,7 +52,6 @@ from .words import (
     artin_even_spec,
     artin_odd_spec,
     center_generator,
-    endo_power,
     equal,
     holomorph_conjugation_check,
     inner_endomorphism,

@@ -68,48 +68,43 @@ def _numeric_mode(args):
     return all(provided) and not args.integer
 
 
-def _build_artin(m: int, args):
-    """Canonical Artin representation for index m in the requested mode."""
-    n, odd = divmod(m, 2)
-    if args.integer:
+def _mode_inputs(m: int, args, integer=False):
+    """(spec, sigma, s) for index m in the requested mode: the Artin HNN
+    spec, the free-group images and the corner unit.  The integer mode is
+    taken only when integer is set; numeric (Q_p) mode needs all of
+    --lambda, --mu and a prime --s; symbolic mode is the default.  The
+    rank-2 case m = 3 uses the rank2-mixed basis."""
+    spec = _spec_for(m)
+    basis = "rank2-mixed" if m == 3 else "conjugated"
+    if integer:
         lam = 2 if args.lam is None else args.lam
         mu = 2 if args.mu is None else args.mu
         s = 1 if args.s is None else args.s
         if s == 0:
             raise CliError("--s must be nonzero in integer mode")
-        basis = "rank2-mixed" if (odd and n == 1) else "conjugated"
-        rank = 2 * n if odd else n
-        sigma = sigma_int(rank, lam, mu, basis=basis)
-        return integer_hnn(_spec_for(m), sigma, s)
+        return spec, sigma_int(spec.rank, lam, mu, basis=basis), s
     if _numeric_mode(args):
         if not is_prime(args.s):
             raise CliError("--s must be prime (it becomes the Q_p denominator)")
-        ring = QpRing(args.s)
-        s = ring.from_int(args.s)
-        if odd:
-            basis = "rank2-mixed" if n == 1 else "conjugated"
-            sigma = sigma_qp(2 * n, args.lam, args.mu, args.s, basis=basis)
-            return artin_odd(n, sigma, s)
-        sigma = sigma_qp(n, args.lam, args.mu, args.s)
-        return artin_even(n, sigma, s)
+        sigma = sigma_qp(spec.rank, args.lam, args.mu, args.s, basis=basis)
+        return spec, sigma, QpRing(args.s).from_int(args.s)
+    return spec, sigma_symbolic(spec.rank, basis=basis), LAURENT.s_power(1)
+
+
+def _build_artin(m: int, args):
+    """Canonical Artin representation for index m in the requested mode."""
+    spec, sigma, s = _mode_inputs(m, args, integer=args.integer)
+    if args.integer:
+        return integer_hnn(spec, sigma, s)
+    n, odd = divmod(m, 2)
     if odd:
-        return artin_odd(n)
-    return artin_even(n)
+        return artin_odd(n, sigma, s)
+    return artin_even(n, sigma, s)
 
 
 def _hnn_rep(m: int, args):
     """Induced representation on the x_i / t alphabet for index m."""
-    spec = _spec_for(m)
-    n, odd = divmod(m, 2)
-    basis = "rank2-mixed" if (odd and n == 1) else "conjugated"
-    if _numeric_mode(args):
-        if not is_prime(args.s):
-            raise CliError("--s must be prime (it becomes the Q_p denominator)")
-        ring = QpRing(args.s)
-        sigma = sigma_qp(spec.rank, args.lam, args.mu, args.s, basis=basis)
-        return hnn_induced_rep(spec, sigma, ring.from_int(args.s))
-    sigma = sigma_symbolic(spec.rank, basis=basis)
-    return hnn_induced_rep(spec, sigma, LAURENT.s_power(1))
+    return hnn_induced_rep(*_mode_inputs(m, args))
 
 
 def _dump_json(doc, path):

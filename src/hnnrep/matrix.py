@@ -310,6 +310,42 @@ class BlockMonomial:
     def is_identity(self) -> bool:
         return self.is_scalar(self.ring.one)
 
+    def is_inverse_of(self, other: "BlockMonomial") -> bool:
+        """Exact test for self * other = I; both must have the same shape.
+
+        The permutations must compose to the identity, and each block A of
+        self must meet its partner block B of other with A B = I.  A 2 x 2
+        block is decided by an adjugate certificate instead of the product:
+        u = det A = a d - b c must be a unit of the ring and B must equal
+        u^-1 adj A = u^-1 [[d, -b], [-c, a]].  Over any commutative ring
+        that is equivalent to A B = I.  If A B = I, then det A det B = 1,
+        so det A is a unit and B = A^-1 = u^-1 adj A.  Conversely, if
+        B = u^-1 adj A, then A B = u^-1 (A adj A) = u^-1 det A I = I.  The
+        certificate costs 2 products of block entries instead of 8; the
+        products with u^-1 are cheap, as units are monomials (+-s^c, +-p^e,
+        +-1).  Blocks of any other degree are multiplied out.
+        """
+        m = self.block_degree
+        if len(other.perm) != len(self.perm) or other.block_degree != m:
+            raise ValueError("shape mismatch")
+        ring = self.ring
+        ident = BlockMonomial.identity(ring, m, 1).blocks[0]
+        for i, (j, blk) in enumerate(zip(self.perm, self.blocks)):
+            if other.perm[j] != i:
+                return False
+            inv = other.blocks[j]
+            if m == 2:
+                (a, b), (c, d) = blk
+                det = a * d - b * c
+                if not ring.is_unit(det):
+                    return False
+                u = ring.unit_inverse(det)
+                if inv != ((u * d, -(u * b)), (-(u * c), u * a)):
+                    return False
+            elif _block_mul(blk, inv, ring.zero) != ident:
+                return False
+        return True
+
 
 def block_grid(ring, bdeg: int, k: int, blocks) -> "RingMatrix":
     """Assemble a k*k grid of bdeg-degree blocks; missing entries are zero.
@@ -366,13 +402,18 @@ def get_block(m: RingMatrix, i: int, j: int, bdeg: int) -> RingMatrix:
 
 def conjugate(m, u, u_inv):
     """Return u_inv * m * u for RingMatrix or BlockMonomial arguments, after
-    checking u * u_inv = I.
+    checking u * u_inv = I (BlockMonomial.is_inverse_of for blocks, the
+    product for dense matrices).
 
-    One product suffices: over a commutative ring, u * u_inv = I gives
-    det(u) det(u_inv) = 1, so u is invertible and u_inv is its two-sided
-    inverse.
+    The one-sided check suffices: over a commutative ring, u * u_inv = I
+    gives det(u) det(u_inv) = 1, so u is invertible and u_inv is its
+    two-sided inverse.
     """
-    if not (u * u_inv).is_identity():
+    if isinstance(u, BlockMonomial):
+        ok = u.is_inverse_of(u_inv)
+    else:
+        ok = (u * u_inv).is_identity()
+    if not ok:
         raise ValueError("u_inv is not an inverse of u")
     return u_inv * m * u
 

@@ -41,11 +41,12 @@ class Representation:
     (k = 1) otherwise.  image(), inverse_image() and eval() return dense
     matrices; block_eval_many() stays in blocks.
 
-    Each inverse is checked with the one product image * inverse = I.  That
-    suffices: over the commutative rings used here, A B = I gives
-    det A det B = 1, so A is invertible and B A = I as well.  An HnnSpec
-    may be attached when the generators are the x_i / t alphabet of an
-    extension.
+    Each inverse is checked for image * inverse = I with
+    BlockMonomial.is_inverse_of (an adjugate certificate on 2 x 2 blocks,
+    the product on others).  The one-sided check suffices: over the
+    commutative rings used here, A B = I gives det A det B = 1, so A is
+    invertible and B A = I as well.  An HnnSpec may be attached when the
+    generators are the x_i / t alphabet of an extension.
     """
 
     def __init__(self, ring, gens, spec=None, group="", params=None):
@@ -66,7 +67,7 @@ class Representation:
         self.ring = ring
         self.images = {}
         for name, image, inv in zip(self.gen_names, blocks[::2], blocks[1::2]):
-            if not (image * inv).is_identity():
+            if not image.is_inverse_of(inv):
                 raise VerificationError(f"inverse image of {name} is wrong")
             self.images[name] = (image, inv)
         self.degree = degree

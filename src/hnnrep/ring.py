@@ -8,7 +8,8 @@ and rational scalar rings for the integer representation and the splittable
 engine.
 
 Each ring has a small descriptor object carrying zero/one, integer
-embedding, and a bit-exact JSON encoding of its scalars.
+embedding, a unit test with the unit inverse, and a bit-exact JSON encoding
+of its scalars.
 """
 
 from __future__ import annotations
@@ -69,17 +70,20 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for (a1, b1, c1), k1 in self.terms.items():
-            for (a2, b2, c2), k2 in other.terms.items():
-                mono = (a1 + a2, b1 + b2, c1 + c2)
-                new = out.get(mono, 0) + k1 * k2
-                if new:
-                    out[mono] = new
-                elif mono in out:
-                    del out[mono]
+        xs, ys = self.terms, other.terms
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
         result = LaurentPoly()
-        result.terms = out
+        if len(xs) == 1:
+            # A monomial times anything only shifts exponents: no collisions.
+            (((a0, b0, c0), k0),) = xs.items()
+            result.terms = {
+                (a + a0, b + b0, c + c0): k * k0 for (a, b, c), k in ys.items()
+            }
+        elif len(xs) >= _PACK_MIN_TERMS and len(xs) * len(ys) >= _PACK_MIN_PAIRS:
+            result.terms = _packed_product(xs, ys)
+        elif xs:
+            result.terms = _schoolbook_product(xs, ys)
         return result
 
     def __pow__(self, k: int):
@@ -151,6 +155,102 @@ class LaurentPoly:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+# LaurentPoly.__mul__ packs when the smaller operand has at least
+# _PACK_MIN_TERMS terms and there are at least _PACK_MIN_PAIRS term pairs;
+# below that, the per-call cost of packing exceeds the dict loop's.
+_PACK_MIN_TERMS = 4
+_PACK_MIN_PAIRS = 64
+
+
+def _schoolbook_product(xs, ys):
+    """Product of two term dicts, one dict update per term pair."""
+    out = {}
+    for (a1, b1, c1), k1 in xs.items():
+        for (a2, b2, c2), k2 in ys.items():
+            mono = (a1 + a2, b1 + b2, c1 + c2)
+            new = out.get(mono, 0) + k1 * k2
+            if new:
+                out[mono] = new
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+def _packed_product(xs, ys):
+    """Product of two term dicts by Kronecker substitution.
+
+    A term (a, b, c) lies in the class (b - a, c) at position a, and class
+    products add both the class and the position, so each class is a
+    polynomial in a.  Its coefficients go into one int, one slot of `width`
+    bytes per position; a class pair costs one big-int product, and the
+    products landing in one class are summed in packed form.  Each result
+    coefficient is a sum of at most min(len(xs), len(ys)) products of
+    coefficients, so its absolute value stays below a quarter of the slot
+    range: adding half the range to every slot makes all slots
+    non-negative, and they are read back exactly with to_bytes/from_bytes.
+    Exact for every input; falls back to the schoolbook loop when an
+    operand's classes span more than twice as many positions as it has
+    terms, where empty slots would cost more than they save.
+    """
+    bits = (
+        max(map(abs, xs.values())).bit_length()
+        + max(map(abs, ys.values())).bit_length()
+        + min(len(xs), len(ys)).bit_length()
+        + 2
+    )
+    width = (bits + 7) // 8
+    shift = 8 * width
+    px, py = _pack_classes(xs, shift), _pack_classes(ys, shift)
+    if px is None or py is None:
+        return _schoolbook_product(xs, ys)
+    acc = {}
+    for d1, c1, lo1, n1, v1 in px:
+        for d2, c2, lo2, n2, v2 in py:
+            key = (d1 + d2, c1 + c2)
+            lo, hi, v = lo1 + lo2, lo1 + lo2 + n1 + n2 - 1, v1 * v2
+            old = acc.get(key)
+            if old is not None:
+                olo, ohi, ov = old
+                base = min(lo, olo)
+                v = (v << shift * (lo - base)) + (ov << shift * (olo - base))
+                lo, hi = base, max(hi, ohi)
+            acc[key] = (lo, hi, v)
+    half = 1 << (shift - 1)
+    half_slot = half.to_bytes(width, "little")
+    out = {}
+    for (d, c), (lo, hi, v) in acc.items():
+        n = hi - lo
+        buf = (v + int.from_bytes(half_slot * n, "little")).to_bytes(n * width, "little")
+        for i in range(n):
+            k = int.from_bytes(buf[i * width:(i + 1) * width], "little") - half
+            if k:
+                out[(lo + i, lo + i + d, c)] = k
+    return out
+
+
+def _pack_classes(terms, shift):
+    """[(b - a, c, lowest a, slot count, packed int)] per class, or None
+    when the classes span more than 2 * len(terms) positions in all."""
+    classes = {}
+    for (a, b, c), k in terms.items():
+        cls = classes.get((b - a, c))
+        if cls is None:
+            classes[(b - a, c)] = {a: k}
+        else:
+            cls[a] = k
+    spans = {key: (min(cls), max(cls)) for key, cls in classes.items()}
+    if sum(hi - lo + 1 for lo, hi in spans.values()) > 2 * len(terms):
+        return None
+    out = []
+    for (d, c), cls in classes.items():
+        lo, hi = spans[(d, c)]
+        v = 0
+        for a in range(hi, lo - 1, -1):
+            v = (v << shift) + cls.get(a, 0)
+        out.append((d, c, lo, hi - lo + 1, v))
+    return out
+
+
 class QpScalar:
     """Rational num / p^k for a fixed prime p; p never divides num unless k = 0."""
 
@@ -200,8 +300,10 @@ class QpScalar:
         return QpScalar(self.num * other.num, self.k + other.k, self.p)
 
     def is_unit(self) -> bool:
-        """Units of Q_p are +-p^e."""
+        """Units of Q_p are +-p^e; zero is not one."""
         num = abs(self.num)
+        if num == 0:
+            return False
         while num % self.p == 0:
             num //= self.p
         return num == 1
@@ -297,6 +399,13 @@ class LaurentRing:
     def s_power(self, c: int, coeff: int = 1):
         return LaurentPoly.monomial(0, 0, c, coeff)
 
+    def is_unit(self, x) -> bool:
+        """Units are +-s^c."""
+        return x.is_unit()
+
+    def unit_inverse(self, x):
+        return x.unit_inverse()
+
     def descriptor(self):
         return {"kind": "laurent"}
 
@@ -332,6 +441,13 @@ class QpRing:
     def from_int(self, k):
         return QpScalar(k, 0, self.p)
 
+    def is_unit(self, x) -> bool:
+        """Units are +-p^e."""
+        return x.is_unit()
+
+    def unit_inverse(self, x):
+        return x.unit_inverse()
+
     def descriptor(self):
         return {"kind": "qp", "prime": self.p}
 
@@ -359,6 +475,15 @@ class IntRing:
     def from_int(self, k):
         return k
 
+    def is_unit(self, x) -> bool:
+        """Units are +-1."""
+        return x in (1, -1)
+
+    def unit_inverse(self, x):
+        if not self.is_unit(x):
+            raise ValueError(f"{x} is not a unit of Z")
+        return x
+
     def descriptor(self):
         return {"kind": "integer"}
 
@@ -382,6 +507,15 @@ class FractionRing:
 
     def from_int(self, k):
         return Fraction(k)
+
+    def is_unit(self, x) -> bool:
+        """Every nonzero rational is a unit."""
+        return x != 0
+
+    def unit_inverse(self, x):
+        if not x:
+            raise ValueError("0 is not a unit of Q")
+        return 1 / Fraction(x)
 
     def descriptor(self):
         return {"kind": "rational"}
@@ -424,7 +558,3 @@ def ring_from_descriptor(doc):
     if kind == "rational":
         return QQ
     raise ValueError(f"unknown ring kind {kind!r}")
-
-
-def specialize(p: LaurentPoly, lam0: int, mu0: int, prime: int) -> QpScalar:
-    return p.specialize(lam0, mu0, prime)

@@ -290,10 +290,6 @@ class Endomorphism:
         return self.rank == other.rank and self.images == other.images
 
 
-def endo_power(e: Endomorphism, k: int) -> Endomorphism:
-    return e.power(k)
-
-
 def inner_endomorphism(rank: int, g: Word) -> Endomorphism:
     """Conjugation x -> g x g^-1 as an automorphism."""
     ginv = g.inverse()

@@ -15,7 +15,15 @@ from hnnrep.matrix import (
     det_bareiss,
     get_block,
 )
-from hnnrep.ring import INT, LAURENT, LaurentPoly, QpRing
+from hnnrep.reps import (
+    hnn_induced_rep,
+    integer_hnn,
+    sigma_int,
+    sigma_qp,
+    sigma_symbolic,
+)
+from hnnrep.ring import INT, LAURENT, LaurentPoly, QpRing, QpScalar
+from hnnrep.words import artin_even_spec
 
 LAM = LAURENT.lam()
 MU = LAURENT.mu()
@@ -268,3 +276,114 @@ class TestBlockMonomial:
         assert BlockMonomial.identity(LAURENT, 2, 3).is_scalar(ONE)
         off = BlockMonomial.from_matrix(block_diag([X0, X0]), 2)
         assert not off.is_scalar(ONE)
+
+
+def _replace_block(bm, i, blk):
+    blocks = list(bm.blocks)
+    blocks[i] = blk
+    return BlockMonomial(bm.ring, bm.perm, tuple(blocks))
+
+
+def _one_block(ring, rows):
+    return BlockMonomial(ring, (0,), (tuple(tuple(r) for r in rows),))
+
+
+def _block_product(a, b, ring):
+    return (BlockMonomial(ring, (0,), (a,)) * BlockMonomial(ring, (0,), (b,))).blocks[0]
+
+
+class TestInverseCertificate:
+    """BlockMonomial.is_inverse_of agrees with the product test A B = I."""
+
+    @staticmethod
+    def _agree(a, b):
+        want = (a * b).is_identity()
+        assert a.is_inverse_of(b) == want
+        return want
+
+    @pytest.mark.parametrize("mode", ["symbolic", "qp", "integer"])
+    def test_generator_pairs_and_corruptions(self, mode):
+        spec = artin_even_spec(2)
+        if mode == "integer":
+            # 4 x 4 blocks: decided by the product.
+            rep = integer_hnn(spec, sigma_int(2, 2, 3), 5)
+        elif mode == "qp":
+            rep = hnn_induced_rep(spec, sigma_qp(2, 2, 3, 5), QpRing(5).from_int(5))
+        else:
+            rep = hnn_induced_rep(spec, sigma_symbolic(2), LAURENT.s_power(1))
+        one = rep.ring.one
+        for image, inv in rep.images.values():
+            assert self._agree(image, inv)
+            assert self._agree(inv, image)
+            for i, blk in enumerate(inv.blocks):
+                # One entry of the inverse off by one.
+                rows = [list(r) for r in blk]
+                rows[0][-1] = rows[0][-1] + one
+                assert not self._agree(image, _replace_block(inv, i, tuple(map(tuple, rows))))
+            for i, blk in enumerate(image.blocks):
+                # A block times an elementary matrix: det A is still a unit.
+                m = len(blk)
+                elem = tuple(
+                    tuple(one if r == c or (r, c) == (0, 1) else rep.ring.zero
+                          for c in range(m))
+                    for r in range(m)
+                )
+                bad = _replace_block(image, i, _block_product(blk, elem, rep.ring))
+                assert not self._agree(bad, inv)
+
+    def test_determinant_must_be_a_unit(self):
+        # det diag(2, 1) = 2 is a unit of Q_2, with inverse diag(1/2, 1),
+        # but not of Q_5, where no block inverts it.
+        q5, q2 = QpRing(5), QpRing(2)
+        a5 = _one_block(q5, [[q5.from_int(2), q5.zero], [q5.zero, q5.one]])
+        b5 = _one_block(q5, [[q5.from_int(3), q5.zero], [q5.zero, q5.one]])
+        assert not self._agree(a5, b5)
+        a2 = _one_block(q2, [[q2.from_int(2), q2.zero], [q2.zero, q2.one]])
+        b2 = _one_block(q2, [[QpScalar(1, 1, 2), q2.zero], [q2.zero, q2.one]])
+        assert self._agree(a2, b2)
+
+    def test_singular_qp_block_is_rejected(self):
+        q5 = QpRing(5)
+        zero = _one_block(q5, [[q5.zero, q5.zero], [q5.zero, q5.zero]])
+        assert not self._agree(zero, zero)
+
+    def test_permutations_must_compose_to_identity(self):
+        ident = RingMatrix.identity(INT, 2)
+        cyc = BlockMonomial.from_matrix(block_companion([None, None], ident), 3)
+        assert not self._agree(cyc, cyc)
+        assert self._agree(cyc, cyc * cyc)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            BlockMonomial.identity(INT, 2, 2).is_inverse_of(BlockMonomial.identity(INT, 4, 1))
+
+    @pytest.mark.parametrize("ring,units", [
+        (INT, [1, -1]),
+        (QpRing(3), [QpScalar(e, 0, 3) for e in (1, -1, 3, -9)] + [QpScalar(1, 1, 3)]),
+        (LAURENT, [LAURENT.s_power(c, e) for c in (-1, 0, 2) for e in (1, -1)]),
+    ])
+    def test_random_blocks(self, ring, units):
+        rng = random.Random(41)
+        inverses = 0
+        for _ in range(300):
+            a = random_int_matrix(rng, ring, 2)
+            if rng.random() < 0.7:
+                # Upper triangular with a unit diagonal times lower
+                # unitriangular has a unit determinant; pair it with its
+                # adjugate inverse, sometimes scaled by a unit.
+                (_, q), (r, _) = a.rows
+                u, t = rng.choice(units), rng.choice(units)
+                a = RingMatrix(ring, ((u, q), (ring.zero, t))) * RingMatrix(
+                    ring, ((ring.one, ring.zero), (r, ring.one))
+                )
+                (p, q), (r, s) = a.rows
+                di = ring.unit_inverse(u * t)
+                b = RingMatrix(ring, ((di * s, -(di * q)), (-(di * r), di * p)))
+                if rng.random() < 0.3:
+                    b = b.scalar_mul(rng.choice(units))
+            else:
+                b = random_int_matrix(rng, ring, 2)
+            inverses += self._agree(
+                BlockMonomial.from_matrix(a, 1), BlockMonomial.from_matrix(b, 1)
+            )
+        assert 50 < inverses < 300

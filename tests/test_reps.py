@@ -137,6 +137,11 @@ class TestHnnInducedRep:
         with pytest.raises(ValueError):
             hnn_induced_rep(spec, sigma_symbolic(2), LAURENT.s_power(0))
 
+    def test_qp_zero_is_not_a_unit(self):
+        qp = QpRing(5)
+        with pytest.raises(ValueError):
+            hnn_induced_rep(artin_even_spec(2), sigma_qp(2, 2, 2, 5), qp.zero)
+
     def test_qp_construction(self):
         spec = artin_even_spec(2)
         qp = QpRing(5)

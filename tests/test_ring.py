@@ -5,7 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hnnrep import ring as ring_module
 from hnnrep.ring import (
     INT,
     LAURENT,
@@ -15,7 +18,6 @@ from hnnrep.ring import (
     QpScalar,
     is_prime,
     ring_from_descriptor,
-    specialize,
 )
 
 LAM = LAURENT.lam()
@@ -84,6 +86,97 @@ class TestLaurentPoly:
             assert LaurentPoly.from_json(doc) == p
 
 
+def schoolbook(xs, ys):
+    """Reference product of two term dicts: one update per term pair."""
+    out = {}
+    for (a1, b1, c1), k1 in xs.items():
+        for (a2, b2, c2), k2 in ys.items():
+            mono = (a1 + a2, b1 + b2, c1 + c2)
+            out[mono] = out.get(mono, 0) + k1 * k2
+    return {mono: k for mono, k in out.items() if k}
+
+
+# Terms (a, b, c) with b - a in {-1, 0, 1} and c in {-2, .., 1}: few classes,
+# dense along a, as in the builders' entries.  The sparse strategy spreads
+# terms over many classes with gaps along a.
+DENSE_MONO = st.tuples(st.integers(0, 24), st.integers(-1, 1), st.integers(-2, 1)).map(
+    lambda t: (t[0] + 1, t[0] + 1 + t[1], t[2])
+)
+SPARSE_MONO = st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(-40, 40))
+COEFF = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+
+
+def polys(mono):
+    return st.dictionaries(mono, COEFF, max_size=40).map(LaurentPoly)
+
+
+POLYS = st.one_of(polys(DENSE_MONO), polys(SPARSE_MONO))
+
+
+def dense_poly(rng, n, bits=84):
+    """n terms in three classes, contiguous along a, with big coefficients."""
+    terms = {}
+    for i in range(n):
+        q, r = divmod(i, 3)
+        terms[(q + 1, q + r, -1)] = rng.choice((-1, 1)) * rng.getrandbits(bits) | 1
+    return LaurentPoly(terms)
+
+
+class TestProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(POLYS, POLYS)
+    def test_matches_schoolbook(self, x, y):
+        want = schoolbook(x.terms, y.terms)
+        assert (x * y).terms == want
+        assert (y * x).terms == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(POLYS, POLYS)
+    def test_packed_product_exact_for_any_shape(self, x, y):
+        if x and y:
+            assert ring_module._packed_product(x.terms, y.terms) == schoolbook(
+                x.terms, y.terms
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys(DENSE_MONO), polys(DENSE_MONO))
+    def test_cancellation_leaves_no_zero_terms(self, x, y):
+        diff = (x + y) * (x - y) - (x * x - y * y)
+        assert diff.terms == {}
+        assert all(((x + y) * (x - y)).terms.values())
+
+    @pytest.mark.parametrize("n1,n2,packed", [
+        (3, 40, False), (4, 15, False), (4, 16, True), (8, 8, True),
+        (33, 33, True), (1, 33, False), (0, 33, False),
+    ])
+    def test_both_sides_of_the_packing_rule(self, monkeypatch, n1, n2, packed):
+        rng = random.Random(n1 * 100 + n2)
+        x, y = dense_poly(rng, n1), dense_poly(rng, n2)
+        want = schoolbook(x.terms, y.terms)
+
+        def unused(xs, ys):
+            raise AssertionError("wrong product path")
+
+        other = "_schoolbook_product" if packed else "_packed_product"
+        monkeypatch.setattr(ring_module, other, unused)
+        assert (x * y).terms == want
+        assert (y * x).terms == want
+
+    def test_sparse_operands_fall_back_to_schoolbook(self, monkeypatch):
+        rng = random.Random(3)
+        x = LaurentPoly({(10 * i, 10 * i, 0): rng.randrange(1, 9) for i in range(8)})
+        y = dense_poly(rng, 16)
+        want = schoolbook(x.terms, y.terms)
+        calls = []
+        real = ring_module._schoolbook_product
+        monkeypatch.setattr(
+            ring_module, "_schoolbook_product",
+            lambda xs, ys: calls.append(1) or real(xs, ys),
+        )
+        assert (x * y).terms == want
+        assert calls
+
+
 class TestSpecialize:
     def test_value(self):
         p = ONE - LAM * MU + LAM * LAM * MU * MU
@@ -127,6 +220,13 @@ class TestQpScalar:
         with pytest.raises(ValueError):
             p.from_int(3).unit_inverse()
 
+    def test_zero_is_not_a_unit(self):
+        zero = QpScalar(0, 0, 5)
+        assert not zero.is_unit()
+        assert not QpRing(5).is_unit(zero)
+        with pytest.raises(ValueError):
+            zero.unit_inverse()
+
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError):
             QpScalar(1, 0, 5) + QpScalar(1, 0, 7)
@@ -136,6 +236,25 @@ class TestRingDescriptors:
     def test_round_trip(self):
         for ring in (LAURENT, QpRing(5), INT, QQ):
             assert ring_from_descriptor(ring.descriptor()) == ring
+
+    def test_unit_test_and_inverse(self):
+        q5 = QpRing(5)
+        cases = [
+            (LAURENT, [ONE, LAURENT.s_power(-3), LAURENT.s_power(2, -1)],
+             [LAURENT.zero, LAM, ONE + S, LAURENT.from_int(2)]),
+            (q5, [q5.one, q5.from_int(-25), QpScalar(-1, 3, 5)],
+             [q5.zero, q5.from_int(2), QpScalar(3, 1, 5)]),
+            (INT, [1, -1], [0, 2, -3]),
+            (QQ, [Fraction(-2, 3), Fraction(5)], [Fraction(0)]),
+        ]
+        for ring, units, others in cases:
+            for u in units:
+                assert ring.is_unit(u)
+                assert u * ring.unit_inverse(u) == ring.one
+            for x in others:
+                assert not ring.is_unit(x)
+                with pytest.raises(ValueError):
+                    ring.unit_inverse(x)
 
     def test_qp_requires_prime(self):
         with pytest.raises(ValueError):
@@ -179,4 +298,4 @@ class TestRingDescriptors:
         assert QQ.scalar_to_json(Fraction(5)) == "5"
 
     def test_module_specialize(self):
-        assert specialize(S, 2, 2, 5) == QpScalar(5, 0, 5)
+        assert S.specialize(2, 2, 5) == QpScalar(5, 0, 5)

@@ -14,7 +14,6 @@ from hnnrep.words import (
     artin_even_spec,
     artin_odd_spec,
     center_generator,
-    endo_power,
     equal,
     holomorph_conjugation_check,
     inner_endomorphism,
@@ -105,15 +104,15 @@ class TestEndomorphism:
 
     def test_power_two_even(self):
         spec = artin_even_spec(2)
-        assert endo_power(spec.phi, 2).apply(x1) == W("x0 x1 x0^-1")
+        assert spec.phi.power(2).apply(x1) == W("x0 x1 x0^-1")
 
     def test_power_negative_psi(self):
         spec = artin_odd_spec(1)
-        assert endo_power(spec.phi, -1).apply(x0) == x1
+        assert spec.phi.power(-1).apply(x0) == x1
 
     def test_power_zero(self):
         spec = artin_odd_spec(1)
-        e = endo_power(spec.phi, 0)
+        e = spec.phi.power(0)
         for i in range(2):
             assert e.apply(Word.gen(i)) == Word.gen(i)
 
