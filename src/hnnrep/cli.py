@@ -76,6 +76,7 @@ def _mode_inputs(m: int, args, integer=False):
     rank-2 case m = 3 uses the rank2-mixed basis."""
     spec = _spec_for(m)
     basis = "rank2-mixed" if m == 3 else "conjugated"
+    numeric = _numeric_mode(args)
     if integer:
         lam = 2 if args.lam is None else args.lam
         mu = 2 if args.mu is None else args.mu
@@ -83,7 +84,7 @@ def _mode_inputs(m: int, args, integer=False):
         if s == 0:
             raise CliError("--s must be nonzero in integer mode")
         return spec, sigma_int(spec.rank, lam, mu, basis=basis), s
-    if _numeric_mode(args):
+    if numeric:
         if not is_prime(args.s):
             raise CliError("--s must be prime (it becomes the Q_p denominator)")
         sigma = sigma_qp(spec.rank, args.lam, args.mu, args.s, basis=basis)
@@ -166,6 +167,10 @@ def cmd_check(args) -> int:
         return _report_lines(lines, not mismatches, args.json_report, args.suite)
 
     if args.suite == "center":
+        if args.integer:
+            raise CliError("the center suite compares against s * identity, "
+                           "which the integer variant's unipotent corner "
+                           "does not give; drop --integer")
         spec = _spec_for(args.m)
         z = center_generator(spec)
         lines.append(f"center generator (word level): {z}")

@@ -32,11 +32,6 @@ class RingMatrix:
         ))
 
     @classmethod
-    def zeros(cls, ring, d: int) -> "RingMatrix":
-        zero = ring.zero
-        return cls(ring, tuple(tuple(zero for _ in range(d)) for _ in range(d)))
-
-    @classmethod
     def from_ints(cls, ring, rows) -> "RingMatrix":
         return cls(ring, tuple(
             tuple(ring.from_int(v) for v in row) for row in rows
@@ -88,9 +83,6 @@ class RingMatrix:
 
     def is_identity(self) -> bool:
         return self == RingMatrix.identity(self.ring, self.degree)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def to_json(self):
         enc = self.ring.scalar_to_json

@@ -29,6 +29,7 @@ from .words import (
     artin_even_spec,
     artin_odd_spec,
     parse_word,
+    reduced_walk,
 )
 
 
@@ -649,15 +650,16 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
     """Check eval(w) = identity iff the normal form of w is trivial, for
     every freely reduced mixed word of length at most max_len.
 
-    Non-reduced words evaluate and normalize identically to their reductions,
-    so enumerating reduced words in length-lexicographic order covers all
-    products.  The walk multiplies the representation's stored
-    block-monomial images (a coset permutation and one m x m block per
-    coset, see BlockMonomial): k = spec.n blocks for the induced
-    construction, and k = 1, a single dense block, for a representation
-    read from dense matrices without that shape.  Over Q_p the blocks are
-    scaled to integers with a tracked power of p, so the inner loop stays
-    in plain integer arithmetic; on other rings the exponent stays 0.  A word evaluates to the identity exactly when its
+    Non-reduced words evaluate and normalize identically to their
+    reductions, so walking the reduced words (depth first, see
+    reduced_walk) covers all products.  The walk multiplies the
+    representation's stored block-monomial images (a coset permutation and
+    one m x m block per coset, see BlockMonomial): k = spec.n blocks for
+    the induced construction, and k = 1, a single dense block, for a
+    representation read from dense matrices without that shape.  Over Q_p
+    the blocks are scaled to integers with a tracked power of p, so the
+    inner loop stays in plain integer arithmetic; on other rings the
+    exponent stays 0.  A word evaluates to the identity exactly when its
     permutation is the identity and every block equals p^e * I.
     """
     spec = rep.spec
@@ -665,57 +667,37 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
         raise ValueError("probe needs a representation with an attached spec")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    letters = []
-    for i in range(spec.rank):
-        letters.append((i, 1))
-        letters.append((i, -1))
-    letters.append((T_GEN, 1))
-    letters.append((T_GEN, -1))
-
-    # (letter, integer-scaled image, p-exponent, base word or None for t)
-    steps = []
-    for sym in letters:
-        name = "t" if sym[0] == T_GEN else f"x{sym[0]}"
-        base = None if sym[0] == T_GEN else Word.gen(*sym)
-        steps.append((sym, *_integer_scaled(rep.images[name][sym[1] != 1]), base))
-    first = steps[0][1]
+    pairs = [((g, 1), (g, -1)) for g in [*range(spec.rank), T_GEN]]
+    # letter -> (integer-scaled image, p-exponent, base word or None for t)
+    gens = {}
+    for g, sign in (sym for pair in pairs for sym in pair):
+        name, base = ("t", None) if g == T_GEN else (f"x{g}", Word.gen(g, sign))
+        gens[g, sign] = (*_integer_scaled(rep.images[name][sign != 1]), base)
+    first = gens[T_GEN, 1][0]
     ident = BlockMonomial.identity(first.ring, first.block_degree, len(first.perm))
-    top = max_len * max(e for _, _, e, _ in steps)
+    top = max_len * max(e for _, e, _ in gens.values())
     if rep.ring.kind == "qp":
         units = [rep.ring.p**e for e in range(top + 1)]
     else:
         units = [first.ring.one] * (top + 1)
     phi, phi_inv = spec.phi, spec.phi_inv
 
+    def step(state, sym):
+        mat, e, l, f = state
+        gen_mat, gen_e, base = gens[sym]
+        if base is not None:
+            return mat * gen_mat, e + gen_e, l, f * base
+        f = phi.apply(f) if sym[1] == 1 else phi_inv.apply(f)
+        return mat * gen_mat, e + gen_e, l + sym[1], f
+
     report = ProbeReport(max_len=max_len)
-    path = []
-
-    def walk(depth, mat, e, l, f):
-        last_inv = (path[-1][0], -path[-1][1]) if path else None
-        for sym, gen_mat, gen_e, base in steps:
-            if sym == last_inv:
-                continue
-            if base is None:
-                nl = l + sym[1]
-                nf = phi.apply(f) if sym[1] == 1 else phi_inv.apply(f)
-            else:
-                nl = l
-                nf = f * base
-            nmat = mat * gen_mat
-            ne = e + gen_e
-            trivial_nf = nl == 0 and not nf.syms
-            is_id = nmat.is_scalar(units[ne])
-            report.words_checked += 1
-            if is_id:
-                report.identity_count += 1
-            path.append(sym)
-            if trivial_nf != is_id:
-                report.counterexamples.append(str(MixedWord(tuple(path))))
-            if depth + 1 < max_len:
-                walk(depth + 1, nmat, ne, nl, nf)
-            path.pop()
-
-    walk(0, ident, 0, 0, Word())
+    root = (ident, 0, 0, Word())
+    for word, (mat, e, l, f) in reduced_walk(pairs, max_len, root, step):
+        is_id = mat.is_scalar(units[e])
+        report.words_checked += 1
+        report.identity_count += is_id
+        if is_id != (l == 0 and not f.syms):
+            report.counterexamples.append(str(MixedWord(word)))
     return report
 
 

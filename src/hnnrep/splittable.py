@@ -29,12 +29,14 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix
 from .ring import QQ
+from .words import reduced_walk
 
 # A letter of the semidirect product alphabet: (kind, generator index, sign).
 Letter = "tuple[str, int, int]"
@@ -154,9 +156,6 @@ class SemidirectElement:
     @property
     def g_word(self):
         return tuple((idx, sign) for kind, idx, sign in self.word if kind == "g")
-
-    def is_identity_pair(self) -> bool:
-        return self.phi_mat.is_identity() and self.g_mat.is_identity()
 
     def word_str(self) -> str:
         return word_str(self.word)
@@ -390,27 +389,20 @@ def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
     kernel = _Kernel(phi_gens, g_gens, tau)
     ident = kernel.identity.g
     g_mats = tuple(kernel.gens[("g", idx, 1)].g for idx in range(len(g_gens.pairs)))
-    letters = [(idx, s) for idx in range(len(phi_gens.pairs)) for s in (1, -1)]
-    # Each frontier entry: a Phi-word and the G generators conjugated by its
-    # letters one at a time, the expected word-level conjugates.
-    frontier = [((), g_mats)]
-    for depth in range(word_len + 1):
-        for w, expected in frontier:
-            t_val, t_inv = kernel.tau_pair(w)
-            if _kmul(t_val, t_inv) != ident or _kmul(t_inv, t_val) != ident:
-                raise OracleError(f"tau inverse wrong on {w}")
-            for g_mat, exp in zip(g_mats, expected):
-                if _kmul(_kmul(t_inv, g_mat), t_val) != exp:
-                    raise OracleError(
-                        f"tau({w}) does not realize the letterwise action"
-                    )
-        if depth == word_len:
-            break
-        frontier = [
-            (w + (l,), tuple(_conjugate_by_letter(kernel, e, l) for e in expected))
-            for w, expected in frontier for l in letters
-            if not (w and l == (w[-1][0], -w[-1][1]))
-        ]
+    pairs = [((idx, 1), (idx, -1)) for idx in range(len(phi_gens.pairs))]
+    # A Phi-word's state: the G generators conjugated by its letters one at
+    # a time, the expected word-level conjugates.
+    words = reduced_walk(pairs, word_len, g_mats, lambda expected, l: tuple(
+        _conjugate_by_letter(kernel, e, l) for e in expected))
+    for w, expected in chain([((), g_mats)], words):
+        t_val, t_inv = kernel.tau_pair(w)
+        if _kmul(t_val, t_inv) != ident or _kmul(t_inv, t_val) != ident:
+            raise OracleError(f"tau inverse wrong on {w}")
+        for g_mat, exp in zip(g_mats, expected):
+            if _kmul(_kmul(t_inv, g_mat), t_val) != exp:
+                raise OracleError(
+                    f"tau({w}) does not realize the letterwise action"
+                )
 
 
 @dataclass(frozen=True)
@@ -605,35 +597,18 @@ class SplittableRep:
         }
 
 
-def _alphabet(phi_gens, g_gens):
-    letters = []
-    for idx in range(len(phi_gens.pairs)):
-        letters.append(("phi", idx, 1))
-        letters.append(("phi", idx, -1))
-    for idx in range(len(g_gens.pairs)):
-        letters.append(("g", idx, 1))
-        letters.append(("g", idx, -1))
-    return tuple(letters)
+def _letter_pairs(phi_gens, g_gens):
+    """(letter, inverse letter) for every Phi generator, then every G one."""
+    return tuple(
+        ((kind, idx, 1), (kind, idx, -1))
+        for kind, gens in (("phi", phi_gens), ("g", g_gens))
+        for idx in range(len(gens.pairs))
+    )
 
 
 def _inverse_letter(letter):
     kind, idx, sign = letter
     return (kind, idx, -sign)
-
-
-def _reduced_words_elements(kernel, letters, max_len):
-    """All freely reduced letter words up to max_len, as kernel elements,
-    in length-lexicographic order."""
-    out = [kernel.identity]
-    frontier = [(kernel.identity, None)]
-    for _ in range(max_len):
-        frontier = [
-            (kernel.mul(el, kernel.gens[letter]), letter)
-            for el, last in frontier for letter in letters
-            if last is None or letter != _inverse_letter(last)
-        ]
-        out.extend(el for el, _ in frontier)
-    return out
 
 
 def _random_reduced_word(rng, letters, length):
@@ -657,15 +632,16 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     """
     m, n = phi_gens.degree, g_gens.degree
     bound = m * m + n**4
-    letters = _alphabet(phi_gens, g_gens)
+    pairs = _letter_pairs(phi_gens, g_gens)
+    letters = tuple(letter for pair in pairs for letter in pair)
     # The engine consults tau on phi-words as long as the fresh sample, so
     # the oracle contract is sampled to that depth.
     validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
 
     kernel = _Kernel(phi_gens, g_gens, tau)
-    sample = _Sample(
-        kernel, _reduced_words_elements(kernel, letters, sample_len)
-    )
+    words = reduced_walk(pairs, sample_len, kernel.identity,
+                         lambda el, l: kernel.mul(el, kernel.gens[l]))
+    sample = _Sample(kernel, [kernel.identity, *(el for _, el in words)])
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
@@ -859,19 +835,15 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
                 report.injectivity_failures += 1
                 note(f"identity action at word {word_str(element.word)}")
 
-    def walk(element, rows, depth, last):
-        for letter in letters:
-            if last is not None and letter == _inverse_letter(last):
-                continue
-            child = kernel.mul(element, kernel.gens[letter])
-            child_rows = _sparse_mul(rows, actions[letter])
-            check(child, child_rows)
-            if depth + 1 < max_len:
-                walk(child, child_rows, depth + 1, letter)
+    def step(state, letter):
+        element, rows = state
+        return (kernel.mul(element, kernel.gens[letter]),
+                _sparse_mul(rows, actions[letter]))
 
     check(identity, ident_rows)
-    if letters:
-        walk(identity, ident_rows, 0, None)
+    alphabet = _letter_pairs(rep.phi_gens, rep.g_gens)
+    for _, state in reduced_walk(alphabet, max_len, (identity, ident_rows), step):
+        check(*state)
 
     # Random semantic homomorphism check on fresh evaluation points.
     rng = random.Random(seed)

@@ -188,6 +188,38 @@ def parse_base_word(text: str) -> Word:
     return Word.make(w.syms)
 
 
+def reduced_walk(pairs, max_len, root, step):
+    """Yield (word, state) for every freely reduced word of length
+    1..max_len over the letters of pairs, a sequence of (letter, inverse).
+
+    The walk is depth first: each word comes right after its prefix, and
+    siblings follow the order of the flattened pairs.  A word is a tuple of
+    letters; its state is step(state of its prefix, last letter), with root
+    the state of the empty word, so each word costs one step.
+    """
+    letters = [letter for pair in pairs for letter in pair]
+    inverse = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+    children = {a: [b for b in letters if b != inverse[a]] for a in letters}
+    if max_len < 1:
+        return
+    # Each frame is a prefix, its state and the iterator over the letters
+    # still to try after it; descending parks the current frame.
+    stack = []
+    word, state, todo = (), root, iter(letters)
+    while True:
+        for letter in todo:
+            child, child_state = word + (letter,), step(state, letter)
+            yield child, child_state
+            if len(child) < max_len:
+                stack.append((word, state, todo))
+                word, state, todo = child, child_state, iter(children[letter])
+                break
+        else:
+            if not stack:
+                return
+            word, state, todo = stack.pop()
+
+
 def _image_table(images):
     """Per-symbol images: (i, 1) -> images[i].syms, (i, -1) -> its inverse."""
     table = {}

@@ -251,3 +251,14 @@ def test_malformed_g_document_exits_2(capsys, tmp_path, doc):
     code = main(["splittable", "--g", str(gens), "--out", str(tmp_path / "rep.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "relations", "--m", "4", "--symbolic", "--integer"],
+    ["check", "--suite", "center", "--m", "5", "--integer"],
+], ids=["symbolic-with-integer", "center-with-integer"])
+def test_dropped_mode_flag_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

@@ -115,7 +115,8 @@ class TestBlocks:
         m = block_grid(LAURENT, 2, 2, {(0, 1): X0, (1, 0): X1})
         assert get_block(m, 0, 1, 2) == X0
         assert get_block(m, 1, 0, 2) == X1
-        assert get_block(m, 0, 0, 2) == RingMatrix.zeros(LAURENT, 2)
+        zero = RingMatrix(LAURENT, ((ZERO, ZERO), (ZERO, ZERO)))
+        assert get_block(m, 0, 0, 2) == zero
 
 
 class TestConjugate:

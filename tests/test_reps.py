@@ -541,6 +541,24 @@ class TestProbeDifferential:
         assert report.ok
         self._assert_agrees(off, 4)
 
+    def test_counterexamples_in_walk_order(self):
+        # x1 takes x0's images, so x0 x1^-1 and its relatives evaluate to
+        # the identity; the lines come in depth-first word order.
+        rep = _q5_hnn(artin_even_spec(2))
+        gens = [(name, rep.image(src), rep.inverse_image(src))
+                for name, src in zip(rep.gen_names, ["x0", "x0", "t"])]
+        bad = Representation(rep.ring, gens, spec=rep.spec)
+        report = probe_faithfulness(bad, 4)
+        assert _brute_force_counts(bad, 4) == (
+            report.words_checked, report.identity_count,
+            len(report.counterexamples)) == (936, 40, 48)
+        assert report.counterexamples[:12] == [
+            "x0 x0 x1^-1 x0^-1", "x0 x0 x1^-1 x1^-1", "x0 x1 x0^-1 x0^-1",
+            "x0 x1 x0^-1 x1^-1", "x0 x1^-1", "x0 x1^-1 x0 x1^-1",
+            "x0 x1^-1 x0^-1 x1", "x0 x1^-1 x1^-1 x0", "x0 t^-1 x1^-1 t",
+            "x0^-1 x0^-1 x1 x0", "x0^-1 x0^-1 x1 x1", "x0^-1 x1",
+        ]
+
 
 MODE_FLAGS = {
     "symbolic": [],

@@ -1,6 +1,8 @@
 """Word arithmetic, automorphisms, normal forms, centers."""
 
+import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from hnnrep.words import (
     parse_base_word,
     parse_word,
     psi_inverse_power_x0,
+    reduced_walk,
 )
 
 x0 = Word.gen(0)
@@ -271,17 +274,9 @@ class TestCenter:
         # For 0 < k < n, no t^k * f with |f| <= 4 commutes with everything.
         for spec in (artin_even_spec(2), artin_odd_spec(1)):
             gens = spec.generators
-            syms = [(g, s) for g in range(spec.rank) for s in (1, -1)]
-            words = [Word()]
-            frontier = [Word()]
-            for _ in range(4):
-                frontier = [
-                    w * Word.gen(g, s)
-                    for w in frontier
-                    for g, s in syms
-                    if len(w * Word.gen(g, s)) == len(w) + 1
-                ]
-                words.extend(frontier)
+            pairs = [((g, 1), (g, -1)) for g in range(spec.rank)]
+            walk = reduced_walk(pairs, 4, Word(), lambda f, l: f * Word.gen(*l))
+            words = [Word()] + [f for _, f in walk]
             for k in range(1, spec.n):
                 tk = MixedWord.t() ** k
                 for f in words:
@@ -395,3 +390,73 @@ class TestWordFastPaths:
                 endo.apply(Word.gen(spec.rank))
             with pytest.raises(ValueError):
                 endo.apply(x0 * Word.gen(spec.rank, -1))
+
+
+def _pairs(r):
+    return [((g, 1), (g, -1)) for g in range(r)]
+
+
+def _is_reduced(word, pairs):
+    inverse = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+    return all(inverse[a] != b for a, b in zip(word, word[1:]))
+
+
+def _walk_words(pairs, max_len):
+    return [w for w, _ in reduced_walk(pairs, max_len, None, lambda s, l: None)]
+
+
+class TestReducedWalk:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("max_len", [1, 2, 5])
+    def test_count_is_closed_form(self, r, max_len):
+        expected = sum(2 * r * (2 * r - 1) ** (l - 1)
+                       for l in range(1, max_len + 1))
+        assert len(_walk_words(_pairs(r), max_len)) == expected
+
+    def test_words_reduced_and_distinct(self):
+        pairs = _pairs(3)
+        words = _walk_words(pairs, 4)
+        assert all(_is_reduced(w, pairs) and 1 <= len(w) <= 4 for w in words)
+        assert len(set(words)) == len(words)
+
+    def test_depth_first_lexicographic_order(self):
+        pairs = _pairs(2) + [((-1, 1), (-1, -1))]
+        rank = {l: i for i, l in enumerate(l for pair in pairs for l in pair)}
+        keys = [tuple(rank[l] for l in w) for w in _walk_words(pairs, 4)]
+        # A prefix sorts before its extensions, so strictly increasing
+        # tuples are exactly the depth-first order.
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert keys[:5] == [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 2)]
+
+    def test_state_is_left_fold_of_step(self):
+        pairs = _pairs(2)
+        calls = []
+
+        def step(state, letter):
+            calls.append(letter)
+            return Word.gen(*letter).inverse() * state * Word.gen(*letter)
+
+        walk = list(reduced_walk(pairs, 4, x0, step))
+        assert len(calls) == len(walk)
+        for word, state in walk:
+            assert state == reduce(step, word, x0)
+
+    def test_empty_walks(self):
+        step = lambda s, l: pytest.fail("step called")
+        assert list(reduced_walk(_pairs(2), 0, None, step)) == []
+        assert list(reduced_walk(_pairs(2), -1, None, step)) == []
+        assert list(reduced_walk([], 3, None, step)) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(), min_size=0, max_size=6, unique=True)
+           .filter(lambda xs: len(xs) % 2 == 0),
+           max_len=st.integers(0, 4))
+    def test_matches_filtered_product(self, labels, max_len):
+        pairs = list(zip(labels[::2], labels[1::2]))
+        expected = [
+            w for l in range(1, max_len + 1)
+            for w in itertools.product(labels, repeat=l) if _is_reduced(w, pairs)
+        ]
+        rank = {l: i for i, l in enumerate(labels)}
+        expected.sort(key=lambda w: [rank[l] for l in w])
+        assert _walk_words(pairs, max_len) == expected
