@@ -160,6 +160,10 @@ def cmd_check(args) -> int:
     if args.suite == "golden":
         if args.m != 3:
             raise CliError("the golden suite is specific to --m 3")
+        if args.integer or any(v is not None for v in (args.lam, args.mu, args.s)):
+            raise CliError("the golden suite compares the symbolic braid-case "
+                           "blocks against their closed forms; drop --integer, "
+                           "--lambda, --mu and --s")
         _, mismatches = golden_check()
         for key in ("sigma_inv", "psi1_x0", "psi2_x0", "psi3_x0", "psi4_x0"):
             status = "FAIL" if key in mismatches else "ok"
@@ -188,6 +192,9 @@ def cmd_check(args) -> int:
         return _report_lines(lines, ok, args.json_report, args.suite)
 
     if args.suite == "faithfulness":
+        if args.integer:
+            raise CliError("the faithfulness suite probes the Q_p "
+                           "representation and has no integer mode; drop --integer")
         if not _numeric_mode(args):
             raise CliError("the faithfulness suite needs --lambda --mu --s")
         hnn = _hnn_rep(args.m, args)

@@ -16,7 +16,9 @@ defining relations t^-1 x t = phi(x), and the displayed block shapes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import VerificationError
 from .matrix import BlockMonomial, RingMatrix, conjugate, det_bareiss
@@ -631,7 +633,7 @@ def b3_explicit(sigma: Representation = None, s=None):
     return x_mat.to_matrix(), y_mat.to_matrix()
 
 
-# --- exhaustive faithfulness probe --------------------------------------------
+# --- faithfulness probe --------------------------------------------------------
 
 
 @dataclass
@@ -651,16 +653,94 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
     every freely reduced mixed word of length at most max_len.
 
     Non-reduced words evaluate and normalize identically to their
-    reductions, so walking the reduced words (depth first, see
-    reduced_walk) covers all products.  The walk multiplies the
-    representation's stored block-monomial images (a coset permutation and
-    one m x m block per coset, see BlockMonomial): k = spec.n blocks for
-    the induced construction, and k = 1, a single dense block, for a
-    representation read from dense matrices without that shape.  Over Q_p
-    the blocks are scaled to integers with a tracked power of p, so the
-    inner loop stays in plain integer arithmetic; on other rings the
-    exponent stays 0.  A word evaluates to the identity exactly when its
-    permutation is the identity and every block equals p^e * I.
+    reductions, so the reduced words cover all products.  They are not
+    walked one by one; a meet-in-the-middle certificate decides them from
+    the half-words, the reduced words of length at most H = ceil(max_len/2)
+    and the empty word.  A reduced word w of length l splits once as
+    a * c^-1 with |a| = ceil(l/2) and |c| = floor(l/2), and a * c^-1 is
+    reduced exactly when a and c end in different letters (or c is empty).
+    Then eval(w) = I exactly when a and c have the same image, and w is
+    trivial exactly when they have the same normal form t^l * f.  So when
+    the partition of the half-words by image equals their partition by
+    normal form, no reduced word of length at most 2H is a counterexample.
+    The counts follow in closed form: words_checked is
+    sum_{l <= max_len} 2r (2r - 1)^(l - 1) over the 2r letters, and
+    identity_count counts, in each image class, the pairs (a, c) of
+    lengths ceil(l/2) and floor(l/2) that end in different letters.
+
+    When the partitions differ, the exhaustive walk (_probe_walk) decides
+    every word and lists the counterexamples in its depth-first order.  Its
+    report is returned as it is: a collision of the half-words may give its
+    only counterexample at length max_len + 1, beyond the probe.
+
+    Images are multiplied as the representation's stored block-monomial
+    images (a coset permutation and one m x m block per coset, see
+    BlockMonomial): k = spec.n blocks for the induced construction, and
+    k = 1, a single dense block, for a representation read from dense
+    matrices without that shape.  Over Q_p the blocks are scaled to
+    integers with a tracked power p^e, and an image is keyed by its
+    blocks rescaled to one common power of p; Laurent entries are keyed by
+    their terms, other entries by themselves.
+    """
+    pairs, root, step, e_max = _probe_steps(rep, max_len)
+    half = (max_len + 1) // 2
+    image_key = _image_keyer(rep.ring, half * e_max)
+    image_of, normal_form_of = {}, {}
+    members = Counter()  # (image key, length, last letter) -> half-words
+    half_words = reduced_walk(pairs, half, root, step)
+    for word, (mat, e, l, f) in chain([((), root)], half_words):
+        key, nf = image_key(mat, e), (l, f.syms)
+        # The partitions agree while each image key meets one normal form
+        # and each normal form one image key.
+        if (normal_form_of.setdefault(key, nf) != nf
+                or image_of.setdefault(nf, key) != key):
+            return _probe_walk(rep, max_len)
+        members[key, len(word), word[-1] if word else None] += 1
+
+    # a of length n is the first half of the words of lengths 2n - 1 and
+    # 2n, with c of length n - 1 and n: the pairs in one class, less those
+    # where c ends in the letter a ends in.
+    sizes = Counter()
+    for (key, n, _), count in members.items():
+        sizes[key, n] += count
+    identities = sum(
+        count * (sizes[key, n_c] - members[key, n_c, last])
+        for (key, n, last), count in members.items()
+        for n_c in (n - 1, n) if 0 < n and n + n_c <= max_len
+    )
+    size = 2 * len(pairs)
+    words = sum(size * (size - 1) ** (n - 1) for n in range(1, max_len + 1))
+    return ProbeReport(max_len, words_checked=words, identity_count=identities)
+
+
+def _probe_walk(rep: Representation, max_len: int) -> ProbeReport:
+    """The probe word by word: walk every reduced mixed word of length at
+    most max_len depth first (see reduced_walk) and list each word whose
+    image is the identity while its normal form is not, or the reverse.  A
+    word evaluates to the identity exactly when its permutation is the
+    identity and every integer-scaled block equals p^e * I."""
+    pairs, root, step, e_max = _probe_steps(rep, max_len)
+    top = max_len * e_max
+    if rep.ring.kind == "qp":
+        units = [rep.ring.p**e for e in range(top + 1)]
+    else:
+        units = [root[0].ring.one] * (top + 1)
+    report = ProbeReport(max_len=max_len)
+    for word, (mat, e, l, f) in reduced_walk(pairs, max_len, root, step):
+        is_id = mat.is_scalar(units[e])
+        report.words_checked += 1
+        report.identity_count += is_id
+        if is_id != (l == 0 and not f.syms):
+            report.counterexamples.append(str(MixedWord(word)))
+    return report
+
+
+def _probe_steps(rep: Representation, max_len: int):
+    """(letter pairs, root state, step, e_max) of the probe's word walks.
+
+    A state is (integer-scaled image, p-exponent e, l, f): the image is
+    the scaled blocks / p^e, and the word equals t^l * f in the extension.
+    Each letter raises e by at most e_max.
     """
     spec = rep.spec
     if spec is None:
@@ -675,11 +755,6 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
         gens[g, sign] = (*_integer_scaled(rep.images[name][sign != 1]), base)
     first = gens[T_GEN, 1][0]
     ident = BlockMonomial.identity(first.ring, first.block_degree, len(first.perm))
-    top = max_len * max(e for _, e, _ in gens.values())
-    if rep.ring.kind == "qp":
-        units = [rep.ring.p**e for e in range(top + 1)]
-    else:
-        units = [first.ring.one] * (top + 1)
     phi, phi_inv = spec.phi, spec.phi_inv
 
     def step(state, sym):
@@ -690,15 +765,35 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
         f = phi.apply(f) if sym[1] == 1 else phi_inv.apply(f)
         return mat * gen_mat, e + gen_e, l + sym[1], f
 
-    report = ProbeReport(max_len=max_len)
-    root = (ident, 0, 0, Word())
-    for word, (mat, e, l, f) in reduced_walk(pairs, max_len, root, step):
-        is_id = mat.is_scalar(units[e])
-        report.words_checked += 1
-        report.identity_count += is_id
-        if is_id != (l == 0 and not f.syms):
-            report.counterexamples.append(str(MixedWord(word)))
-    return report
+    e_max = max(e for _, e, _ in gens.values())
+    return pairs, (ident, 0, 0, Word()), step, e_max
+
+
+def _image_keyer(ring, top):
+    """key(integer-scaled image, e): a hashable key of the image, equal for
+    two states exactly when their images are equal.  Over Q_p the blocks
+    are rescaled to the common denominator p^top (e <= top), and the key
+    is the text of the permutation and the rescaled entries, which holds
+    the probe's half-words in a third of the memory of a tuple of ints;
+    Laurent entries become the sets of their terms."""
+    if ring.kind == "qp":
+        scales = [ring.p ** (top - e) for e in range(top + 1)]
+
+        def key(mat, e):
+            c = scales[e]
+            return repr((mat.perm, [
+                c * x for blk in mat.blocks for row in blk for x in row
+            ]))
+    elif ring.kind == "laurent":
+        def key(mat, e):
+            return mat.perm, tuple([
+                frozenset(x.terms.items())
+                for blk in mat.blocks for row in blk for x in row
+            ])
+    else:
+        def key(mat, e):
+            return mat.perm, mat.blocks
+    return key
 
 
 def _integer_scaled(bm: BlockMonomial):

@@ -422,6 +422,12 @@ class LaurentRing:
         return "LaurentRing()"
 
 
+# Largest denominator exponent k that a JSON Q_p entry [numerator, k] may
+# carry.  Sums bring their terms to a common denominator p^k, so one sum
+# with a large k costs time superlinear in k; the builds write k <= 1.
+QP_MAX_JSON_EXPONENT = 10_000
+
+
 class QpRing:
     kind = "qp"
 
@@ -457,8 +463,11 @@ class QpRing:
     def scalar_from_json(self, doc):
         if not isinstance(doc, list) or len(doc) != 2:
             raise ValueError("Q_p scalar must be [numerator, k]")
-        num, k = doc
-        return QpScalar(_json_int(num, "numerator"), _json_int(k, "k", text=False), self.p)
+        num = _json_int(doc[0], "numerator")
+        k = _json_int(doc[1], "k", text=False)
+        if k > QP_MAX_JSON_EXPONENT:
+            raise ValueError(f"Q_p exponent k = {k} exceeds {QP_MAX_JSON_EXPONENT}")
+        return QpScalar(num, k, self.p)
 
     def __eq__(self, other):
         return isinstance(other, QpRing) and self.p == other.p

@@ -274,3 +274,19 @@ def test_criterion_9_holomorph_identity():
     assert conventions == {"ltr"}
     report(9, "holomorph conjugation identity, consistent convention "
               "(apply phi^-1 first)", t0, "5 s")
+
+
+def test_criterion_10_faithfulness_to_length_10():
+    t0 = time.time()
+    qp = QpRing(5)
+    s5 = qp.from_int(5)
+    a3 = hnn_induced_rep(
+        artin_odd_spec(1), sigma_qp(2, 2, 2, 5, basis="rank2-mixed"), s5
+    )
+    a4 = hnn_induced_rep(artin_even_spec(2), sigma_qp(2, 2, 2, 5), s5)
+    for rep, label in ((a3, "A(3)"), (a4, "A(4)")):
+        probe = probe_faithfulness(rep, 10)
+        assert probe.ok, f"{label}: {probe.counterexamples[:3]}"
+        assert probe.words_checked == 14_648_436  # sum of 6 * 5^(l-1), l <= 10
+    report(10, "probe to length 10 at lam=mu=2, s=5: zero counterexamples "
+               "(half-word certificate)", t0, "10 s")

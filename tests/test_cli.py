@@ -256,9 +256,23 @@ def test_malformed_g_document_exits_2(capsys, tmp_path, doc):
 @pytest.mark.parametrize("argv", [
     ["check", "--suite", "relations", "--m", "4", "--symbolic", "--integer"],
     ["check", "--suite", "center", "--m", "5", "--integer"],
-], ids=["symbolic-with-integer", "center-with-integer"])
+    ["check", "--suite", "golden", "--m", "3", "--integer"],
+    ["check", "--suite", "golden", "--m", "3", "--lambda", "2", "--mu", "2",
+     "--s", "5"],
+], ids=["symbolic-with-integer", "center-with-integer", "golden-with-integer",
+        "golden-with-numeric"])
 def test_dropped_mode_flag_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def test_faithfulness_with_integer_names_the_cause(capsys):
+    code = main(["check", "--suite", "faithfulness", "--m", "3", "--integer",
+                 "--lambda", "2", "--mu", "2", "--s", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the faithfulness suite probes the Q_p "
+                            "representation and has no integer mode; drop --integer\n")

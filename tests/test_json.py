@@ -7,6 +7,7 @@ import copy
 import functools
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hnnrep.cli import main
 from hnnrep.errors import VerificationError
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
+from hnnrep.ring import QP_MAX_JSON_EXPONENT
 
 MODE_FLAGS = {
     "symbolic": [],
@@ -256,3 +258,23 @@ def test_any_replaced_node_gives_value_or_verification_error(mode, data):
 def test_malformed_matrix_raises_value_error(doc):
     with pytest.raises(ValueError):
         RingMatrix.from_json(doc)
+
+
+def _qp_entry(k):
+    return {"degree": 1, "ring": {"kind": "qp", "prime": 5}, "rows": [[["1", k]]]}
+
+
+def test_huge_qp_exponent_rejected_promptly():
+    # Summing ["1", k] with 1 would compute 5^k.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds"):
+        RingMatrix.from_json(_qp_entry(10**7))
+    assert time.perf_counter() - started < 1.0
+
+
+def test_qp_exponent_at_bound_accepted():
+    mat = RingMatrix.from_json(_qp_entry(QP_MAX_JSON_EXPONENT))
+    (x,), = mat.rows
+    assert (x + mat.ring.one).k == QP_MAX_JSON_EXPONENT
+    with pytest.raises(ValueError):
+        RingMatrix.from_json(_qp_entry(QP_MAX_JSON_EXPONENT + 1))

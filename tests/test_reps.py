@@ -374,9 +374,7 @@ class TestSingleCosetSpec:
     """phi itself inner (n = 1): the companion degenerates to one block."""
 
     def _spec(self):
-        return HnnSpec(
-            rank=2, phi=inner_endomorphism(2, Word.gen(0)), n=1, w0=Word.gen(0)
-        )
+        return _single_coset_spec()
 
     def test_degree_and_relations(self):
         rep = hnn_induced_rep(self._spec(), sigma_symbolic(2), S)
@@ -500,6 +498,19 @@ def _conjugated_off_blocks(rep):
     return Representation(rep.ring, gens, spec=rep.spec, group=rep.group)
 
 
+def _single_coset_spec():
+    return HnnSpec(
+        rank=2, phi=inner_endomorphism(2, Word.gen(0)), n=1, w0=Word.gen(0)
+    )
+
+
+def _x1_as_x0(rep):
+    """rep with x1 given the images of x0."""
+    gens = [(name, rep.image(src), rep.inverse_image(src))
+            for name, src in zip(rep.gen_names, ["x0", "x0", "t"])]
+    return Representation(rep.ring, gens, spec=rep.spec)
+
+
 class TestProbeDifferential:
     """The block-monomial probe against a dense brute-force loop."""
 
@@ -522,9 +533,7 @@ class TestProbeDifferential:
         self._assert_agrees(rep, 4)
 
     def test_single_coset_symbolic(self):
-        spec = HnnSpec(
-            rank=2, phi=inner_endomorphism(2, Word.gen(0)), n=1, w0=Word.gen(0)
-        )
+        spec = _single_coset_spec()
         self._assert_agrees(hnn_induced_rep(spec, sigma_symbolic(2), S), 4)
 
     def test_dense_fallback_same_counts(self):
@@ -558,6 +567,73 @@ class TestProbeDifferential:
             "x0 x1^-1 x0^-1 x1", "x0 x1^-1 x1^-1 x0", "x0 t^-1 x1^-1 t",
             "x0^-1 x0^-1 x1 x0", "x0^-1 x0^-1 x1 x1", "x0^-1 x1",
         ]
+
+    def _assert_matches_walk(self, rep, max_len):
+        report = probe_faithfulness(rep, max_len)
+        assert report == reps._probe_walk(rep, max_len)
+        return report
+
+    @pytest.mark.parametrize("max_len", [1, 2])
+    @pytest.mark.parametrize("spec, basis", [
+        (artin_odd_spec(1), "rank2-mixed"), (artin_even_spec(2), "conjugated"),
+    ], ids=["a3", "a4"])
+    def test_lengths_with_empty_half_word(self, spec, basis, max_len):
+        # at length 1 the second half-word c is empty
+        rep = _q5_hnn(spec, basis)
+        self._assert_matches_walk(rep, max_len)
+        self._assert_agrees(rep, max_len)
+
+    def test_a3_odd_length(self):
+        rep = _q5_hnn(artin_odd_spec(1), "rank2-mixed")
+        self._assert_matches_walk(rep, 7)
+        self._assert_agrees(rep, 5)
+
+    def test_a4_even_length(self):
+        rep = _q5_hnn(artin_even_spec(2))
+        self._assert_matches_walk(rep, 6)
+        self._assert_agrees(rep, 6)
+
+    @pytest.mark.parametrize("max_len", [5, 6])
+    @pytest.mark.parametrize("build", [
+        lambda: integer_hnn(artin_odd_spec(1), sigma_int(2, 2, 2, basis="rank2-mixed"), 1),
+        lambda: hnn_induced_rep(_single_coset_spec(), sigma_symbolic(2), S),
+        lambda: _conjugated_off_blocks(_q5_hnn(artin_even_spec(2))),
+    ], ids=["integer", "single-coset-symbolic", "dense-one-block"])
+    def test_other_rings_and_shapes(self, build, max_len):
+        self._assert_matches_walk(build(), max_len)
+
+    def test_collision_beyond_probe_length(self):
+        # x0 and x1 share an image, but the shortest word that shows it,
+        # x0 x1^-1, has length 2: at length 1 the half-words collide while
+        # every probed word is fine, and the walk's report stands.
+        bad = _x1_as_x0(_q5_hnn(artin_even_spec(2)))
+        report = self._assert_matches_walk(bad, 1)
+        assert (report.words_checked, report.identity_count, report.ok) == (6, 0, True)
+        assert self._assert_matches_walk(bad, 2).counterexamples == [
+            "x0 x1^-1", "x0^-1 x1", "x1 x0^-1", "x1^-1 x0",
+        ]
+
+    def test_broken_relation_falls_back(self):
+        # x0, x1, t sent to a free basis of a free group: distinct words
+        # never share an image, but t^-1 x1 t and x0 are one element.
+        free = sigma_qp(3, 2, 2, 5)
+        gens = [(name, free.image(src), free.inverse_image(src))
+                for name, src in zip(["x0", "x1", "t"], free.gen_names)]
+        bad = Representation(free.ring, gens, spec=artin_even_spec(2))
+        report = self._assert_matches_walk(bad, 4)
+        assert _brute_force_counts(bad, 4) == (
+            report.words_checked, report.identity_count,
+            len(report.counterexamples)) == (936, 0, 8)
+        assert report.counterexamples[0] == "x0 t^-1 x1^-1 t"
+
+    def test_certificate_needs_no_walk(self, monkeypatch):
+        def walk(rep, max_len):
+            raise AssertionError("the exhaustive walk ran")
+
+        monkeypatch.setattr(reps, "_probe_walk", walk)
+        report = probe_faithfulness(_q5_hnn(artin_even_spec(2)), 7)
+        assert (report.words_checked, report.identity_count, report.ok) == (
+            117186, 100, True)
 
 
 MODE_FLAGS = {
