@@ -12,7 +12,6 @@ import json
 import sys
 
 from .errors import VerificationError
-from .matrix import RingMatrix
 from .reps import (
     artin_even,
     artin_odd,
@@ -179,14 +178,13 @@ def cmd_check(args) -> int:
         z = center_generator(spec)
         lines.append(f"center generator (word level): {z}")
         hnn = _hnn_rep(args.m, args)
-        z_img = hnn.eval(z)
-        s = hnn.params["s"]
-        scalar = RingMatrix.identity(hnn.ring, hnn.degree).scalar_mul(s)
-        ok = z_img == scalar
+        (z_img,) = hnn.block_eval_many([z])
+        ok = z_img.is_scalar(hnn.params["s"])
         lines.append(f"matrix image of t^n w0 equals s * identity: "
                      f"{'ok' if ok else 'FAIL'}")
         for name in hnn.gen_names:
-            commutes = z_img * hnn.image(name) == hnn.image(name) * z_img
+            image = hnn.images[name][0]
+            commutes = z_img * image == image * z_img
             lines.append(f"commutes with {name}: {'ok' if commutes else 'FAIL'}")
             ok = ok and commutes
         return _report_lines(lines, ok, args.json_report, args.suite)
@@ -236,6 +234,8 @@ def _load_gens(path) -> MatrixGroupGens:
 
 
 def cmd_splittable(args) -> int:
+    if args.max_len < 1:
+        raise CliError("--max-len must be at least 1")
     g_gens = _load_gens(args.g)
     if args.phi is not None:
         if args.tau != "inner":

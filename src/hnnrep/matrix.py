@@ -51,22 +51,7 @@ class RingMatrix:
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        d = self.degree
-        zero = self.ring.zero
-        out = []
-        for i in range(d):
-            acc = [zero] * d
-            for k, a in enumerate(self.rows[i]):
-                if a == zero:
-                    continue
-                brow = other.rows[k]
-                for j in range(d):
-                    b = brow[j]
-                    if b == zero:
-                        continue
-                    acc[j] = acc[j] + a * b
-            out.append(tuple(acc))
-        return RingMatrix(self.ring, tuple(out))
+        return RingMatrix(self.ring, _block_mul(self.rows, other.rows, self.ring.zero))
 
     def __pow__(self, k: int) -> "RingMatrix":
         if k < 0:
@@ -126,8 +111,8 @@ def _block_mul(a, b, zero):
             (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
             (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
         )
-    # Zero entries are skipped, as in RingMatrix.__mul__: the integer
-    # variant's 4 x 4 blocks are diag(2 x 2, 2 x 2).
+    # Zero entries are skipped: the integer variant's 4 x 4 blocks are
+    # diag(2 x 2, 2 x 2).
     out = []
     for row in a:
         acc = [zero] * len(b)

@@ -251,22 +251,17 @@ def sigma_int(rank, lam0, mu0, basis="conjugated") -> Representation:
 
 
 def _unit_with_inverse(ring, s):
-    """Validate that s is an infinite-order unit and return (s, s^-1)."""
-    if ring.kind == "laurent":
-        if not s.is_unit():
-            raise ValueError("s must be a unit +-s^c")
-        ((_, _, c),) = s.terms.keys()
-        if c == 0:
-            raise ValueError("s must have infinite order (nonzero s-exponent)")
-        return s, s.unit_inverse()
-    if ring.kind == "qp":
-        if not s.is_unit():
-            raise ValueError("s must be a unit +-p^e of Q_p")
-        inv = s.unit_inverse()
-        if s == ring.one or s == -ring.one:
-            raise ValueError("s must have infinite order")
-        return s, inv
-    raise ValueError(f"no infinite-order units available over {ring!r}")
+    """Validate that s is an infinite-order unit and return (s, s^-1).
+
+    Over Laurent polynomials and Q_p the units are +-s^c and +-p^e, of
+    infinite order unless c = 0 or e = 0, that is unless s = +-1."""
+    if ring.kind not in ("laurent", "qp"):
+        raise ValueError(f"no infinite-order units available over {ring!r}")
+    if not ring.is_unit(s):
+        raise ValueError(f"s = {s!r} is not a unit over {ring!r}")
+    if s == ring.one or s == -ring.one:
+        raise ValueError("s must have infinite order, not +-1")
+    return s, ring.unit_inverse(s)
 
 
 def _phi_inverse_orbit(spec: HnnSpec, w: Word):
@@ -306,10 +301,7 @@ def _induced_representation(spec, sigma, corner_z, corner_z_inv, group):
         for i in range(spec.rank)
     ]
     gens.append(("t", t_img, t_inv))
-    rep = Representation(
-        ring, gens, spec=spec, group=group,
-        params=dict(sigma.params, corner=corner_z.to_matrix()),
-    )
+    rep = Representation(ring, gens, spec=spec, group=group, params=dict(sigma.params))
     relations = defining_relations(spec)
     report = verify_defining_relations(rep, relations)
     if not report.ok:
@@ -340,37 +332,34 @@ def integer_hnn(spec: HnnSpec, sigma_z: Representation, s: int) -> Representatio
         raise ValueError("integer variant needs an integer sigma")
     if s == 0:
         raise ValueError("s must be nonzero")
+    ident2 = ((1, 0), (0, 1))
+    gens = []
     for name in sigma_z.gen_names:
-        if det_bareiss(sigma_z.image(name)) != 1:
+        # A one-block image is its own dense matrix.
+        image, inverse = (
+            x.blocks[0] if len(x.perm) == 1 else x.to_matrix().rows
+            for x in sigma_z.images[name]
+        )
+        if det_bareiss(RingMatrix(INT, image)) != 1:
             raise ValueError(f"sigma image of {name} must have determinant 1")
-    ident2 = RingMatrix.identity(INT, 2)
-    ident_m = RingMatrix.identity(INT, sigma_z.degree)
-    sigma_ext = Representation(
-        INT,
-        [
-            (name, _diag2(ident2, sigma_z.image(name)),
-             _diag2(ident2, sigma_z.inverse_image(name)))
-            for name in sigma_z.gen_names
-        ],
-        group=sigma_z.group, params=dict(sigma_z.params),
-    )
-    t_s = RingMatrix.from_ints(INT, ((1, s), (0, 1)))
-    t_s_inv = RingMatrix.from_ints(INT, ((1, -s), (0, 1)))
+        gens.append((name, _diag2(ident2, image), _diag2(ident2, inverse)))
+    sigma_ext = Representation(INT, gens, group=sigma_z.group,
+                               params=dict(sigma_z.params))
+    ident_m = BlockMonomial.identity(INT, sigma_z.degree, 1).blocks[0]
     rep = _induced_representation(
-        spec, sigma_ext, _diag2(t_s, ident_m), _diag2(t_s_inv, ident_m),
+        spec, sigma_ext, _diag2(((1, s), (0, 1)), ident_m),
+        _diag2(((1, -s), (0, 1)), ident_m),
         group=f"F_phi(X), rank {spec.rank}, integer",
     )
     rep.params["s"] = s
     return rep
 
 
-def _diag2(top: RingMatrix, bottom: RingMatrix) -> BlockMonomial:
-    """diag(top, bottom) as a one-block matrix."""
-    a, b = top.degree, bottom.degree
-    zero = top.ring.zero
-    rows = tuple(r + (zero,) * b for r in top.rows)
-    rows += tuple((zero,) * a + r for r in bottom.rows)
-    return BlockMonomial(top.ring, (0,), (rows,))
+def _diag2(top, bottom) -> BlockMonomial:
+    """diag(top, bottom) of two integer blocks as a one-block matrix."""
+    a, b = len(top), len(bottom)
+    rows = tuple(r + (0,) * b for r in top) + tuple((0,) * a + r for r in bottom)
+    return BlockMonomial(INT, (0,), (rows,))
 
 
 def defining_relations(spec: HnnSpec):

@@ -19,8 +19,14 @@ otherwise, converted once from the generator pairs and once per Phi-word
 from the tau pairs.  Span membership is decided fraction-free over Z, and
 the action matrices are kept as sparse rows {column: coefficient}, which
 the verification multiplies.  RingMatrix over QQ (Fraction entries) appears
-only at the API: the basis elements, `actions`, `coord_expansions`,
-`identity_values`, `action_of_word`, `recover` and `to_json`.
+only at the API: the basis elements, `actions`, `action_of_word`, `recover`
+and `to_json`.
+
+`semidirect_identity`, `generator_element`, `semidirect_mul`, `eval_word`,
+`coordinate_value` and `h_eval` are the public Fraction reference API: they
+compute semidirect products, coordinates and the splitting kernel on
+RingMatrix over QQ straight from the definitions, for checking the kernel
+against.
 """
 
 from __future__ import annotations
@@ -141,8 +147,7 @@ class SemidirectElement:
 
     The phi component of a product of generators is the product of the phi
     letters in order, so phi_word is the phi-letter subsequence of word.  The
-    g component is twisted by tau, so its matrix is authoritative; g_word is
-    the g-letter subsequence kept for display.
+    g component is twisted by tau, so its matrix is authoritative.
     """
 
     word: tuple
@@ -152,10 +157,6 @@ class SemidirectElement:
     @property
     def phi_word(self):
         return tuple((idx, sign) for kind, idx, sign in self.word if kind == "phi")
-
-    @property
-    def g_word(self):
-        return tuple((idx, sign) for kind, idx, sign in self.word if kind == "g")
 
     def word_str(self) -> str:
         return word_str(self.word)
@@ -385,7 +386,10 @@ def _conjugate_by_letter(kernel, mat, letter):
 
 def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
     """Check the oracle contract on short Phi-words: tau inverts correctly
-    and word-level conjugation agrees with letter-by-letter conjugation."""
+    and word-level conjugation agrees with letter-by-letter conjugation.
+
+    Returns the kernel form of (Phi, G, tau) that was checked, holding the
+    tau pairs of the Phi-words of length at most word_len."""
     kernel = _Kernel(phi_gens, g_gens, tau)
     ident = kernel.identity.g
     g_mats = tuple(kernel.gens[("g", idx, 1)].g for idx in range(len(g_gens.pairs)))
@@ -403,6 +407,7 @@ def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
                 raise OracleError(
                     f"tau({w}) does not realize the letterwise action"
                 )
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -500,8 +505,7 @@ class SplittableRep:
     The engine's own data are sparse: `action_rows` maps a letter name to
     the rows {column: coefficient} of its action matrix, and `expansions`
     maps a coordinate id to {basis index: coefficient}; the checks read
-    these.  `actions`, `coord_expansions` and `identity_values` are their
-    Fraction views."""
+    these.  `actions` is the Fraction view of the action rows."""
 
     def __init__(self, phi_gens, g_gens, tau, kernel, basis, action_rows,
                  expansions, sample_len, letters):
@@ -527,11 +531,6 @@ class SplittableRep:
             name: _qq_matrix(_dense_rows(rows, d))
             for name, rows in action_rows.items()
         }
-        self.coord_expansions = {
-            coord: tuple(Fraction(exp.get(i, 0)) for i in range(d))
-            for coord, exp in expansions.items()
-        }
-        self.identity_values = tuple(Fraction(v) for v in self._identity_values)
 
     @property
     def dimension(self) -> int:
@@ -636,9 +635,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     letters = tuple(letter for pair in pairs for letter in pair)
     # The engine consults tau on phi-words as long as the fresh sample, so
     # the oracle contract is sampled to that depth.
-    validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
-
-    kernel = _Kernel(phi_gens, g_gens, tau)
+    kernel = validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
     words = reduced_walk(pairs, sample_len, kernel.identity,
                          lambda el, l: kernel.mul(el, kernel.gens[l]))
     sample = _Sample(kernel, [kernel.identity, *(el for _, el in words)])
@@ -691,57 +688,60 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     return rep
 
 
-def _mismatch(direct, combo, basis_vals):
-    """The first point k where direct[k] differs from the combination
-    sum_j combo[j] * basis_vals[j][k], as (k, direct value, combination);
-    None when they agree everywhere.  The comparison runs on integers
-    scaled by the common denominator of the coefficients."""
-    den = lcm(*(c.denominator for c in combo.values()))
-    terms = [
-        (basis_vals[j], c.numerator * (den // c.denominator))
-        for j, c in combo.items()
-    ]
-    for k, value in enumerate(direct):
-        total = sum(c * vals[k] for vals, c in terms)
-        if total != value * den:
-            return k, value, _exact(Fraction(total, den))
-    return None
+def _fresh_points(rep: SplittableRep, words):
+    """A checker on the fresh evaluation points kernel.eval_word(w), w in
+    words.
+
+    check(coord, shift, combo) compares the shifted coordinate
+    y -> coord(shift * y) with the combination sum_j combo[j] * (basis
+    function j) at each point, in the order of words.  It returns None when
+    they agree everywhere, and otherwise names the first differing point:
+    "at fresh word w: direct value v, combination c".  The comparison runs
+    on integers scaled by the common denominator of the coefficients."""
+    kernel = rep._kernel
+    sample = _Sample(kernel, [kernel.eval_word(w) for w in words])
+    basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
+
+    def check(coord, shift, combo):
+        den = lcm(*(c.denominator for c in combo.values()))
+        terms = [
+            (basis_vals[j], c.numerator * (den // c.denominator))
+            for j, c in combo.items()
+        ]
+        for k, value in enumerate(sample.values(coord, shift)):
+            total = sum(c * vals[k] for vals, c in terms)
+            if total != value * den:
+                return (f"at fresh word {word_str(words[k])}: direct value "
+                        f"{value}, combination {_exact(Fraction(total, den))}")
+        return None
+
+    return check
 
 
 def _fresh_sample_check(rep: SplittableRep, count: int = 40):
     """Re-verify every extracted expansion identity on fresh elements,
     disjoint (as words) from the build sample."""
     rng = random.Random(271828)
-    words = set()
-    for length in (rep.sample_len + 1, rep.sample_len + 2):
-        for _ in range(count):
-            if rep.letters:
-                words.add(_random_reduced_word(rng, rep.letters, length))
-    if not words:
-        return
+    words = sorted({
+        _random_reduced_word(rng, rep.letters, length)
+        for length in (rep.sample_len + 1, rep.sample_len + 2)
+        for _ in range(count if rep.letters else 0)
+    })
     kernel = rep._kernel
-    words = sorted(words)
-    sample = _Sample(kernel, [kernel.eval_word(w) for w in words])
-    basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
+    mismatch = _fresh_points(rep, words)
 
-    def check(direct, combo, what):
-        bad = _mismatch(direct, combo, basis_vals)
+    def check(what, coord, shift, combo):
+        bad = mismatch(coord, shift, combo)
         if bad is not None:
-            k, value, total = bad
-            raise VerificationError(
-                f"fresh-sample check failed for {what} at fresh word "
-                f"{word_str(words[k])}: direct value {value}, combination {total}"
-            )
+            raise VerificationError(f"fresh-sample check failed for {what} {bad}")
 
     for coord, combo in rep.expansions.items():
-        check(sample.values(coord, kernel.identity), combo,
-              f"coordinate {coord_name(coord)}")
+        check(f"coordinate {coord_name(coord)}", coord, kernel.identity, combo)
     for letter in rep.letters:
         rows = rep.action_rows[letter_name(letter)]
         for i, (coord, shift) in enumerate(rep._shifts):
-            shifted = kernel.mul(shift, kernel.gens[letter])
-            check(sample.values(coord, shifted), rows[i],
-                  f"basis {i} under {letter_name(letter)}")
+            check(f"basis {i} under {letter_name(letter)}", coord,
+                  kernel.mul(shift, kernel.gens[letter]), rows[i])
 
 
 def conjugation_matrix(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -802,8 +802,11 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     directly computed element coordinates, for every enumerated word.
     Homomorphism: for random word pairs (u, v), the matrix action(u)action(v)
     must shift the basis functions exactly like the element of u v, checked
-    by evaluation on fresh sample points.
+    by evaluation on fresh sample points.  A max_len below 1 raises
+    ValueError.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     report = SplittableReport(max_len=max_len)
     kernel = rep._kernel
     letters = rep.letters
@@ -850,8 +853,7 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     fresh_words = [
         _random_reduced_word(rng, letters, max_len + 2) for _ in range(20)
     ] if letters else []
-    sample = _Sample(kernel, [kernel.eval_word(w) for w in fresh_words])
-    basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
+    mismatch = _fresh_points(rep, fresh_words)
     for _ in range(pairs if letters else 0):
         u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
@@ -859,16 +861,10 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
         rows = _sparse_mul(rep._word_rows(u), rep._word_rows(v))
         report.pairs_checked += 1
         for i, (coord, shift) in enumerate(rep._shifts):
-            direct = sample.values(coord, kernel.mul(shift, element))
-            bad = _mismatch(direct, rows[i], basis_vals)
+            bad = mismatch(coord, kernel.mul(shift, element), rows[i])
             if bad is not None:
-                k, value, total = bad
                 report.homomorphism_failures += 1
-                note(
-                    f"homomorphism failure for u = {word_str(u)}, "
-                    f"v = {word_str(v)}: basis {i} at fresh word "
-                    f"{word_str(fresh_words[k])}: direct value {value}, "
-                    f"combination {total}"
-                )
+                note(f"homomorphism failure for u = {word_str(u)}, "
+                     f"v = {word_str(v)}: basis {i} {bad}")
                 break
     return report

@@ -159,12 +159,18 @@ class MixedWord:
 
 _TERM_RE = re.compile(r"^(x(\d+)|t)(\^(-?\d+))?$")
 
+# Most letters a parsed word may expand to.  An exponent k expands to |k|
+# letters, so without a bound a few bytes of text could ask for any amount
+# of memory and time.
+MAX_WORD_LETTERS = 1_000_000
+
 
 def parse_word(text: str) -> MixedWord:
     """Parse the word grammar: whitespace-separated terms gen('^'signed-int)?.
 
     Generators are x<digits> or t; an exponent expands to |k| symbols, e.g.
-    "x0 t^-1 x1^2 t" and "ε" (or "") is the empty word.
+    "x0 t^-1 x1^2 t" and "ε" (or "") is the empty word.  A word that would
+    expand to more than MAX_WORD_LETTERS letters raises ValueError.
     """
     text = text.strip()
     if text in ("", "ε", "1"):
@@ -177,6 +183,8 @@ def parse_word(text: str) -> MixedWord:
         gen = T_GEN if m.group(1) == "t" else int(m.group(2))
         exp = int(m.group(4)) if m.group(4) is not None else 1
         sign = 1 if exp > 0 else -1
+        if len(syms) + abs(exp) > MAX_WORD_LETTERS:
+            raise ValueError(f"word expands to more than {MAX_WORD_LETTERS} letters")
         syms.extend([(gen, sign)] * abs(exp))
     return MixedWord(tuple(syms))
 
@@ -229,11 +237,12 @@ def _image_table(images):
     return table
 
 
-def _substitute(table, w: Word) -> Word:
-    """Apply a per-symbol image table to w, reducing as we go."""
+def _substitute(table, syms) -> list:
+    """Apply a per-symbol image table to a reduced symbol sequence, reducing
+    as we go."""
     out = []
     try:
-        for sym in w.syms:
+        for sym in syms:
             for g, s in table[sym]:
                 if out and out[-1][0] == g and out[-1][1] == -s:
                     out.pop()
@@ -241,7 +250,7 @@ def _substitute(table, w: Word) -> Word:
                     out.append((g, s))
     except KeyError:
         raise ValueError("word rank exceeds endomorphism rank") from None
-    return Word._reduced(tuple(out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,9 +281,9 @@ class Endomorphism:
                 raise ValueError("one inverse image per generator required")
             inverse_table = _image_table(self.inverse_images)
             for i in range(self.rank):
-                back = _substitute(inverse_table, self.images[i])
-                forth = _substitute(self.table, self.inverse_images[i])
-                if back != Word.gen(i) or forth != Word.gen(i):
+                back = _substitute(inverse_table, self.images[i].syms)
+                forth = _substitute(self.table, self.inverse_images[i].syms)
+                if back != [(i, 1)] or forth != [(i, 1)]:
                     raise ValueError(
                         f"inverse images do not invert the map on x{i}"
                     )
@@ -289,7 +298,7 @@ class Endomorphism:
         return self.inverse_images is not None
 
     def apply(self, w: Word) -> Word:
-        return _substitute(self.table, w)
+        return Word._reduced(tuple(_substitute(self.table, w.syms)))
 
     def inverse(self) -> "Endomorphism":
         if self.inverse_images is None:
@@ -415,20 +424,29 @@ class NormalForm:
 def normal_form(spec: HnnSpec, w) -> NormalForm:
     """Normal form t^l * f of a mixed word, by a single left-to-right scan.
 
-    A base symbol appends to f; reading t^e sets l += e and f := phi^e(f).
+    f is a stack of reduced symbols.  A base symbol cancels its inverse on
+    top of f or is pushed; reading t^e sets l += e and f := phi^e(f)
+    through the substitution table of phi or phi^-1.  A base symbol costs
+    O(1) and a t symbol O(|f|).
     """
     syms = w.syms if isinstance(w, (Word, MixedWord)) else tuple(w)
+    phi, phi_inv = spec.phi.table, spec.phi_inv.table
     l = 0
-    f = Word()
+    f = []
     for g, s in syms:
         if g == T_GEN:
             l += s
-            f = spec.phi.apply(f) if s == 1 else spec.phi_inv.apply(f)
+            f = _substitute(phi if s == 1 else phi_inv, f)
+            continue
+        if g >= spec.rank:
+            raise ValueError(f"generator x{g} outside rank {spec.rank}")
+        if s not in (1, -1) or g < 0:
+            _check_syms(((g, s),), allow_t=False)
+        if f and f[-1] == (g, -s):
+            f.pop()
         else:
-            if g >= spec.rank:
-                raise ValueError(f"generator x{g} outside rank {spec.rank}")
-            f = f * Word.gen(g, s)
-    return NormalForm(l, f)
+            f.append((g, s))
+    return NormalForm(l, Word._reduced(tuple(f)))
 
 
 def equal(spec: HnnSpec, u, v) -> bool:

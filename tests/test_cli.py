@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import hnnrep
+from hnnrep import cli
 from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
+from hnnrep.words import center_generator
 
 
 def run(capsys, *argv):
@@ -276,3 +278,103 @@ def test_faithfulness_with_integer_names_the_cause(capsys):
     assert captured.out == ""
     assert captured.err == ("error: the faithfulness suite probes the Q_p "
                             "representation and has no integer mode; drop --integer\n")
+
+
+@pytest.mark.parametrize("max_len", ["0", "-1"])
+def test_splittable_max_len_below_one_exits_2_before_building(capsys, tmp_path,
+                                                              max_len):
+    gens = tmp_path / "g.json"
+    gens.write_text(json.dumps(GENS_RANK2))
+    code = main(["splittable", "--g", str(gens), "--max-len", max_len,
+                 "--out", str(tmp_path / "rep.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --max-len must be at least 1\n"
+    assert "dimension" not in captured.out
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_word_longer_than_the_expansion_bound_exits_2(capsys):
+    code = main(["word", "--op", "normal-form", "--m", "4",
+                 "--word", "x0^1000000 x1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: word expands to more than 1000000 letters\n"
+    assert captured.out == ""
+
+
+# stdout of `check --suite center` for m = 3..6, recorded from the dense
+# degree-k*m matrix products that the suite used before it moved onto
+# blocks.  The symbolic mode and the Q_5 mode print the same text.
+CENTER_STDOUT = {
+    3: """center generator (word level): t t t t t t x0 x1^-1 x0^-1 x1
+matrix image of t^n w0 equals s * identity: ok
+commutes with x0: ok
+commutes with x1: ok
+commutes with t: ok
+PASS
+""",
+    4: """center generator (word level): t t x0 x1
+matrix image of t^n w0 equals s * identity: ok
+commutes with x0: ok
+commutes with x1: ok
+commutes with t: ok
+PASS
+""",
+    5: """center generator (word level): t t t t t t t t t t x0 x2 x3^-1 x2^-1 x1^-1 x0^-1 x1 x3
+matrix image of t^n w0 equals s * identity: ok
+commutes with x0: ok
+commutes with x1: ok
+commutes with x2: ok
+commutes with x3: ok
+commutes with t: ok
+PASS
+""",
+    6: """center generator (word level): t t t x0 x1 x2
+matrix image of t^n w0 equals s * identity: ok
+commutes with x0: ok
+commutes with x1: ok
+commutes with x2: ok
+commutes with t: ok
+PASS
+""",
+}
+
+
+@pytest.mark.parametrize("mode", [[], ["--lambda", "2", "--mu", "3", "--s", "5"]],
+                         ids=["symbolic", "qp"])
+@pytest.mark.parametrize("m", sorted(CENTER_STDOUT))
+def test_center_stdout_pinned(capsys, m, mode):
+    code = main(["check", "--suite", "center", "--m", str(m), *mode])
+    assert code == 0
+    assert capsys.readouterr().out == CENTER_STDOUT[m]
+
+
+@pytest.mark.parametrize("corruption", ["wrong-s", "swapped-images"])
+def test_center_verdicts_match_dense_products(capsys, monkeypatch, corruption):
+    # A wrong s fails only the scalar line; swapping the images of x0 and
+    # x1 sends t^n w0 to a matrix that commutes with no generator.  The
+    # verdicts must be the ones the dense products give.
+    hnn = cli._hnn_rep(4, cli.build_parser().parse_args(
+        ["check", "--suite", "center", "--m", "4"]))
+    images = dict(hnn.images)
+    params = dict(hnn.params)
+    if corruption == "wrong-s":
+        params["s"] = params["s"] * params["s"]
+    else:
+        images["x0"], images["x1"] = images["x1"], images["x0"]
+    rep = Representation(hnn.ring, [(name, *images[name]) for name in hnn.gen_names],
+                         spec=hnn.spec, params=params)
+    monkeypatch.setattr(cli, "_hnn_rep", lambda m, args: rep)
+    z_img = rep.eval(center_generator(rep.spec))
+    scalar = RingMatrix.identity(rep.ring, rep.degree).scalar_mul(params["s"])
+    expected = [z_img == scalar] + [
+        z_img * rep.image(name) == rep.image(name) * z_img
+        for name in rep.gen_names
+    ]
+    assert not all(expected)
+    code = main(["check", "--suite", "center", "--m", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.endswith(": ok") for line in lines[1:-1]] == expected
+    assert lines[-1] == "FAIL"

@@ -1,8 +1,11 @@
 """Dense exact matrices, block assembly, conjugation, determinants."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnnrep.matrix import (
     BlockMonomial,
@@ -22,7 +25,7 @@ from hnnrep.reps import (
     sigma_qp,
     sigma_symbolic,
 )
-from hnnrep.ring import INT, LAURENT, LaurentPoly, QpRing, QpScalar
+from hnnrep.ring import INT, LAURENT, QQ, LaurentPoly, QpRing, QpScalar
 from hnnrep.words import artin_even_spec
 
 LAM = LAURENT.lam()
@@ -42,7 +45,38 @@ def random_int_matrix(rng, ring, d):
     )
 
 
+# Matrix entries with many zeros: the product skips zero entries.
+_SMALL = st.one_of(st.just(0), st.integers(-9, 9))
+ENTRIES = {
+    "integer": _SMALL,
+    "rational": st.builds(Fraction, _SMALL, st.integers(1, 6)),
+    "laurent": st.one_of(st.just(ZERO), st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)),
+        _SMALL, max_size=3,
+    ).map(LaurentPoly)),
+}
+
+
 class TestRingMatrix:
+    @pytest.mark.parametrize("ring", [INT, QQ, LAURENT], ids=lambda r: r.kind)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_product_is_the_entrywise_sum(self, ring, data):
+        d = data.draw(st.integers(0, 5))
+        square = st.lists(
+            st.lists(ENTRIES[ring.kind], min_size=d, max_size=d),
+            min_size=d, max_size=d,
+        )
+        a, b = (RingMatrix(ring, data.draw(square)) for _ in range(2))
+        want = tuple(
+            tuple(
+                sum((a.rows[i][k] * b.rows[k][j] for k in range(d)), ring.zero)
+                for j in range(d)
+            )
+            for i in range(d)
+        )
+        assert (a * b).rows == want
+
     def test_identity_neutral(self):
         m = RingMatrix.identity(LAURENT, 4)
         grid = block_diag([X0, X1])

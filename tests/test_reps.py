@@ -137,6 +137,31 @@ class TestHnnInducedRep:
         with pytest.raises(ValueError):
             hnn_induced_rep(spec, sigma_symbolic(2), LAURENT.s_power(0))
 
+    @pytest.mark.parametrize("ring, sigma", [
+        (LAURENT, lambda: sigma_symbolic(2)),
+        (QpRing(5), lambda: sigma_qp(2, 2, 2, 5)),
+    ], ids=["laurent", "qp"])
+    def test_plus_minus_one_has_finite_order(self, ring, sigma):
+        for s in (ring.one, -ring.one):
+            with pytest.raises(ValueError, match="infinite order"):
+                hnn_induced_rep(artin_even_spec(2), sigma(), s)
+
+    @pytest.mark.parametrize("sigma, s", [
+        (lambda: sigma_symbolic(2), LAURENT.s_power(-2)),
+        (lambda: sigma_symbolic(2), LAURENT.s_power(3, -1)),
+        (lambda: sigma_qp(2, 2, 2, 5), QpRing(5).from_int(-25)),
+        (lambda: sigma_qp(2, 2, 2, 5), QpRing(5).unit_inverse(QpRing(5).from_int(5))),
+    ], ids=["s^-2", "-s^3", "-25", "1/5"])
+    def test_infinite_order_units_accepted(self, sigma, s):
+        rep = hnn_induced_rep(artin_even_spec(2), sigma(), s)
+        assert rep.params["s"] == s
+        assert rep.eval(center_generator(rep.spec)) == RingMatrix.identity(
+            rep.ring, rep.degree).scalar_mul(s)
+
+    def test_no_units_over_the_integers(self):
+        with pytest.raises(ValueError, match="no infinite-order units available"):
+            hnn_induced_rep(artin_even_spec(2), sigma_int(2, 2, 2), 3)
+
     def test_qp_zero_is_not_a_unit(self):
         qp = QpRing(5)
         with pytest.raises(ValueError):
@@ -318,6 +343,31 @@ class TestIntegerHnn:
         assert rep.degree == 8
         for name in rep.gen_names:
             assert det_bareiss(rep.image(name)) == 1
+
+    def test_rejects_determinant_other_than_one(self):
+        swap = RingMatrix(INT, ((0, 1), (1, 0)))
+        sigma = Representation(INT, [("x0", swap, swap), ("x1", swap, swap)])
+        with pytest.raises(ValueError, match="x0 must have determinant 1"):
+            integer_hnn(artin_even_spec(2), sigma, 1)
+
+    def test_multi_block_sigma_reads_as_its_dense_matrices(self):
+        # diag(sigma, sigma) given as two-block images builds what its dense
+        # matrices, read as one block each, build.
+        sigma = sigma_int(2, 2, 3)
+        doubled = [
+            (name, BlockMonomial.diag([img, img]), BlockMonomial.diag([inv, inv]))
+            for name, (img, inv) in sigma.images.items()
+        ]
+        two_block = Representation(INT, doubled)
+        dense = Representation(INT, [
+            (name, img.to_matrix(), inv.to_matrix()) for name, img, inv in doubled
+        ])
+        assert len(two_block.images["x0"][0].perm) == 2
+        assert len(dense.images["x0"][0].perm) == 1
+        spec = artin_even_spec(2)
+        rep = integer_hnn(spec, two_block, 5)
+        assert rep.degree == 2 * 6
+        assert rep.to_json() == integer_hnn(spec, dense, 5).to_json()
 
 
 class TestVerifyDefiningRelations:

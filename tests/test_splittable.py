@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,38 @@ class TestValidateTau:
         with pytest.raises(OracleError):
             validate_tau(phi_gens, G_RANK2, ReversedTau(G_RANK2))
 
+    def test_returns_the_checked_kernel(self):
+        kernel = validate_tau(INNER_PHI, G_RANK2, InnerTau(G_RANK2), word_len=2)
+        for w in [(), ((0, 1),), ((1, -1), (0, 1))]:
+            val, inv = InnerTau(G_RANK2).tau_pair(w)
+            assert kernel.tau_pair(w) == (
+                tuple(map(tuple, val.rows)), tuple(map(tuple, inv.rows)))
+
+    def test_build_asks_tau_once_per_phi_word(self):
+        # build_rep works on the kernel validate_tau checked, so no tau pair
+        # is fetched and converted twice.
+        tau = CountingTau(InnerTau(G_RANK2))
+        rep = build_rep(INNER_PHI, G_RANK2, tau, sample_len=3)
+        assert verify_rep(rep, max_len=2, pairs=20).ok
+        assert tau.calls and max(tau.calls.values()) == 1
+
+
+INNER_PHI = MatrixGroupGens(4, tuple(
+    (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in G_RANK2.pairs
+))
+
+
+class CountingTau(TauOracle):
+    """Passes tau_pair through and counts the calls per Phi-word."""
+
+    def __init__(self, tau):
+        self.tau = tau
+        self.calls = Counter()
+
+    def tau_pair(self, phi_word):
+        self.calls[tuple(phi_word)] += 1
+        return self.tau.tau_pair(phi_word)
+
 
 class TestBuildRepTrivialPhi:
     def test_dimension_four(self):
@@ -201,6 +234,12 @@ class TestBuildRepTrivialPhi:
         report = verify_rep(rep, max_len=4)
         assert report.ok
         assert report.words_checked == 1 + 4 + 12 + 36 + 108
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_verify_needs_a_positive_length(self, max_len):
+        rep = build_rep(*trivial_setup())
+        with pytest.raises(ValueError, match="max_len must be at least 1"):
+            verify_rep(rep, max_len=max_len)
 
 
 class TestIntGRep:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnnrep.words import (
+    MAX_WORD_LETTERS,
+    T_GEN,
     Endomorphism,
     MixedWord,
     Word,
@@ -235,6 +238,56 @@ class TestNormalForm:
                 direct = normal_form(spec, u * v)
                 assert direct.l == nu.l + nv.l
                 assert direct.f == spec.phi.power(nv.l).apply(nu.f) * nv.f
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_word_product_fold(self, data):
+        spec = data.draw(st.sampled_from(FOLD_SPECS))
+        letters = [(g, s) for g in (*range(spec.rank), T_GEN) for s in (1, -1)]
+        syms = data.draw(st.lists(st.sampled_from(letters), max_size=60))
+        nf = normal_form(spec, syms)
+        assert (nf.l, nf.f) == fold_normal_form(spec, syms)
+
+    def test_long_base_runs_take_linear_time(self):
+        spec = artin_even_spec(2)
+        w = MW("x0^80000 x1^-40000 x1^40000 x0^-40000 t")
+        assert len(w) == 200_001
+        start = time.perf_counter()
+        nf = normal_form(spec, w)
+        elapsed = time.perf_counter() - start
+        assert (nf.l, nf.f) == (1, spec.phi.apply(Word.make(((0, 1),) * 40000)))
+        assert elapsed < 1.0, elapsed
+
+
+FOLD_SPECS = (artin_even_spec(2), artin_even_spec(3), artin_odd_spec(1),
+              artin_odd_spec(2))
+
+
+def fold_normal_form(spec, syms):
+    """(l, f) as a fold of Word products, one letter at a time: the
+    reference for normal_form's symbol stack."""
+    l, f = 0, Word()
+    for g, s in syms:
+        if g == T_GEN:
+            l += s
+            f = spec.phi.apply(f) if s == 1 else spec.phi_inv.apply(f)
+        else:
+            f = f * Word.gen(g, s)
+    return l, f
+
+
+class TestParseBound:
+    def test_bound_is_inclusive(self):
+        assert len(MW(f"x0^{MAX_WORD_LETTERS - 1} t^-1")) == MAX_WORD_LETTERS
+
+    @pytest.mark.parametrize("text", [
+        f"x0^{MAX_WORD_LETTERS + 1}",
+        f"x0^-{MAX_WORD_LETTERS} t",
+        "t x1^99999999999999999999999999",
+    ])
+    def test_longer_words_are_refused(self, text):
+        with pytest.raises(ValueError, match="more than"):
+            MW(text)
 
 
 class TestEqual:
