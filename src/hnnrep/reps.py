@@ -335,14 +335,10 @@ def integer_hnn(spec: HnnSpec, sigma_z: Representation, s: int) -> Representatio
     ident2 = ((1, 0), (0, 1))
     gens = []
     for name in sigma_z.gen_names:
-        # A one-block image is its own dense matrix.
-        image, inverse = (
-            x.blocks[0] if len(x.perm) == 1 else x.to_matrix().rows
-            for x in sigma_z.images[name]
-        )
-        if det_bareiss(RingMatrix(INT, image)) != 1:
+        image, inverse = sigma_z.image(name), sigma_z.inverse_image(name)
+        if det_bareiss(image) != 1:
             raise ValueError(f"sigma image of {name} must have determinant 1")
-        gens.append((name, _diag2(ident2, image), _diag2(ident2, inverse)))
+        gens.append((name, _diag2(ident2, image.rows), _diag2(ident2, inverse.rows)))
     sigma_ext = Representation(INT, gens, group=sigma_z.group,
                                params=dict(sigma_z.params))
     ident_m = BlockMonomial.identity(INT, sigma_z.degree, 1).blocks[0]
