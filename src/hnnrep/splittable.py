@@ -13,14 +13,28 @@ Sampling cannot prove a function lies in a span, so every extracted
 expansion is re-verified on a disjoint fresh sample, and the dimension
 bound is enforced as a hard error.
 
+Each sample point y has a kernel row: its m^2 entries y.phi[k][j] and its
+n^4 splitting-kernel values H_{p k1 k2 q}(y).  A shifted coordinate's
+values on a sample S are K_S c, for the kernel rows K_S and a coefficient
+vector c read off the shift, so a linear relation holds among value
+vectors on S exactly when it holds on any subset of S whose kernel rows
+span the row space of K_S.  The build therefore decides spans on the
+points that raise the rank, in walk order (26 of 457 for Int(G).G of a
+rank-2 SL_2(Z) pair at sample length 3): the same basis, expansions and
+action matrices as the whole sample gives.  The fresh sample is not
+pruned.
+
 The engine computes on an exact kernel: its matrices are tuples of row
 tuples whose entries are Python ints where integral and Fractions
 otherwise, converted once from the generator pairs and once per Phi-word
 from the tau pairs.  Span membership is decided fraction-free over Z, and
-the action matrices are kept as sparse rows {column: coefficient}, which
-the verification multiplies.  RingMatrix over QQ (Fraction entries) appears
-only at the API: the basis elements, `actions`, `action_of_word`, `recover`
-and `to_json`.
+the action matrices are kept as sparse rows {column: coefficient}.  The
+checks read them once per call as (den, integer rows), den the lcm of the
+denominators, and multiply ints; recovery and the identity test compare
+against den times the element and den times I, and a Fraction appears
+only in a witness.  RingMatrix over QQ (Fraction entries) appears only at
+the API: the basis elements, `actions`, `action_of_word`, `recover` and
+`to_json`.
 
 `semidirect_identity`, `generator_element`, `semidirect_mul`, `eval_word`,
 `coordinate_value` and `h_eval` are the public Fraction reference API: they
@@ -287,9 +301,10 @@ def _kmul(a, b):
     )
 
 
-def _qq_matrix(rows) -> RingMatrix:
-    """A kernel matrix as a RingMatrix over QQ with Fraction entries."""
-    return RingMatrix(QQ, tuple(tuple(Fraction(x) for x in row) for row in rows))
+def _qq_matrix(rows, den=1) -> RingMatrix:
+    """The kernel matrix rows / den as a RingMatrix over QQ with Fraction
+    entries."""
+    return RingMatrix(QQ, tuple(tuple(Fraction(x, den) for x in row) for row in rows))
 
 
 def _sparse_rows(rows):
@@ -314,6 +329,30 @@ def _sparse_mul(a, b):
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: v for j, v in acc.items() if v})
     return tuple(out)
+
+
+def _integer_rows(rows):
+    """(den, integer rows) for sparse rows of ints and Fractions: den is the
+    lcm of their denominators and the integer rows are den * rows."""
+    den = lcm(*(x.denominator for row in rows for x in row.values()))
+    return den, tuple(
+        {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+        for row in rows
+    )
+
+
+def _word_rows(actions, letters, d: int):
+    """(den, integer rows) of the action of a word, from actions mapping a
+    letter to its (den, integer rows): the product folded from the first
+    letter, with the dens multiplied.  The empty word gives the identity."""
+    if not letters:
+        return 1, _sparse_identity(d)
+    den, rows = actions[letters[0]]
+    for letter in letters[1:]:
+        l_den, l_rows = actions[letter]
+        den *= l_den
+        rows = _sparse_mul(rows, l_rows)
+    return den, rows
 
 
 class _Element:
@@ -418,27 +457,70 @@ class ShiftedCoordinate:
     shift: SemidirectElement
 
 
+def _kernel_row(kernel: _Kernel, y: _Element):
+    """The kernel row of the point y: its m^2 entries y.phi[k][j], column j
+    at [j m, (j + 1) m), then its n^4 values of the splitting kernel
+    H_{p k1 k2 q}(y) = tau(y.phi)^-1[p][k1] * (tau(y.phi) y.g)[k2][q], for
+    (p, q) at m^2 + (p n + q) n^2 and k1, k2 in order.  Every shifted
+    coordinate is a fixed linear combination of these entries (see
+    _Sample)."""
+    t_val, t_inv = kernel.tau_pair(y.phi_word)
+    b_cols = tuple(zip(*_kmul(t_val, y.g)))
+    n = len(b_cols)
+    row = [x for col in zip(*y.phi) for x in col]
+    row += [t * b for p in range(n) for q in range(n)
+            for t in t_inv[p] for b in b_cols[q]]
+    return row
+
+
+def _row_basis(rows):
+    """Indices, in order, of the rows that are not in the span of the rows
+    before them: a row basis of the row space.
+
+    The null space of the rows picked so far is kept as a basis of integer
+    vectors.  A row outside the span of the picked rows has a nonzero dot
+    product with one of them, the pivot; the others are then made
+    orthogonal to the row fraction-free, p * u - (row . u) * v for the
+    pivot v with p = row . v, and divided by their content."""
+    width = len(rows[0]) if rows else 0
+    null = [[int(i == j) for j in range(width)] for i in range(width)]
+    picked = []
+    for idx, row in enumerate(rows):
+        if not null:
+            break
+        den = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (den // x.denominator) for x in row]
+        piv = next(((k, p) for k, v in enumerate(null)
+                    if (p := sum(map(mul, row, v)))), None)
+        if piv is None:
+            continue
+        picked.append(idx)
+        k, p = piv
+        v = null.pop(k)
+        for k, u in enumerate(null[k:], k):
+            c = sum(map(mul, row, u))
+            if c:
+                u = [p * a - c * b for a, b in zip(u, v)]
+                g = gcd(*u)
+                null[k] = [a // g for a in u] if g > 1 else u
+    return picked
+
+
 class _Sample:
     """Evaluation points prepared so that a shifted coordinate is one dot
-    product per point.  At a point y and for the shift x, the Phi coordinate
-    (i, j) is row i of x.phi times column j of y.phi, and the G coordinate
-    (p, q) is the sum over k1, k2 of x.g[k1][k2] * H_{p k1 k2 q}(y), with
-    the splitting kernel H_{p k1 k2 q}(y) = tau(y.phi)^-1[p][k1] *
-    (tau(y.phi) y.g)[k2][q]."""
+    product per point, from the points' kernel rows (_kernel_row).  At a
+    point y and for the shift x, the Phi coordinate (i, j) is row i of
+    x.phi times column j of y.phi, and the G coordinate (p, q) is the sum
+    over k1, k2 of x.g[k1][k2] * H_{p k1 k2 q}(y)."""
 
-    def __init__(self, kernel: _Kernel, elements):
+    def __init__(self, kernel: _Kernel, rows):
         m, n = len(kernel.identity.phi), len(kernel.identity.g)
-        self._phi_cols = [[] for _ in range(m)]
-        self._h = {(p, q): [] for p in range(n) for q in range(n)}
-        for y in elements:
-            for j in range(m):
-                self._phi_cols[j].append(tuple(row[j] for row in y.phi))
-            t_val, t_inv = kernel.tau_pair(y.phi_word)
-            b = _kmul(t_val, y.g)
-            for (p, q), hs in self._h.items():
-                hs.append(tuple(
-                    t_inv[p][k1] * b[k2][q] for k1 in range(n) for k2 in range(n)
-                ))
+        self._phi_cols = [[r[j * m:(j + 1) * m] for r in rows] for j in range(m)]
+        self._h = {}
+        for p in range(n):
+            for q in range(n):
+                start = m * m + (p * n + q) * n * n
+                self._h[p, q] = [r[start:start + n * n] for r in rows]
 
     def values(self, coord, shift: _Element):
         """The shifted coordinate y -> coord(shift * y) at every point."""
@@ -521,11 +603,6 @@ class SplittableRep:
         )
         self.action_rows = action_rows
         self.expansions = expansions
-        self._identity_values = tuple(
-            (shift.phi if coord[0] == "phi" else shift.g)[coord[1]][coord[2]]
-            for coord, shift in basis
-        )
-        self._recover_rows = sorted(set().union(*expansions.values()))
         d = self.dimension
         self.actions = {
             name: _qq_matrix(_dense_rows(rows, d))
@@ -544,42 +621,30 @@ class SplittableRep:
     def n_degree(self) -> int:
         return self.g_gens.degree
 
-    def _word_rows(self, letters):
-        rows = _sparse_identity(self.dimension)
-        for letter in letters:
-            rows = _sparse_mul(rows, self.action_rows[letter_name(letter)])
-        return rows
+    def _integer_actions(self):
+        """Each letter's action as (den, integer rows), read from
+        action_rows at the time of the call."""
+        return {l: _integer_rows(self.action_rows[letter_name(l)])
+                for l in self.letters}
 
     def action_of_word(self, letters) -> RingMatrix:
-        return _qq_matrix(_dense_rows(self._word_rows(letters), self.dimension))
+        d = self.dimension
+        den, rows = _word_rows(self._integer_actions(), tuple(letters), d)
+        return _qq_matrix(_dense_rows(rows, d), den)
 
     def recover(self, action: RingMatrix):
         """Matrices (phi, g) read off an action matrix through the coordinate
         expansions evaluated at the identity."""
-        phi, g = self._recover(_sparse_rows(action.rows))
-        return _qq_matrix(phi), _qq_matrix(g)
-
-    def _recover(self, rows):
-        """Kernel matrices (phi, g) read off sparse action rows: row i
-        applied to the identity values is the value at the identity of
-        basis function i shifted by the element."""
-        idv = self._identity_values
-        y = {
-            i: sum(c * idv[j] for j, c in rows[i].items())
-            for i in self._recover_rows
-        }
-
-        def coord_val(coord):
-            return sum(c * y[i] for i, c in self.expansions[coord].items())
-
+        den, rows = _integer_rows(_sparse_rows(action.rows))
+        recovery = _Recovery(self)
+        values = recovery.read(rows)
+        den *= recovery.scale
         m, n = self.m_degree, self.n_degree
-        phi = tuple(
-            tuple(coord_val(("phi", i, j)) for j in range(m)) for i in range(m)
+        return (
+            _qq_matrix([values[i * m:(i + 1) * m] for i in range(m)], den),
+            _qq_matrix([values[m * m + p * n:m * m + (p + 1) * n]
+                        for p in range(n)], den),
         )
-        g = tuple(
-            tuple(coord_val(("g", p, q)) for q in range(n)) for p in range(n)
-        )
-        return phi, g
 
     def to_json(self):
         return {
@@ -594,6 +659,41 @@ class SplittableRep:
                 name: mat.to_json() for name, mat in sorted(self.actions.items())
             },
         }
+
+
+class _Recovery:
+    """The recovery map of a representation, in integers.
+
+    Row i of an action matrix applied to the identity values of the basis
+    functions is the value at the identity of basis function i shifted by
+    the element, and a coordinate of the element is its expansion applied
+    to those values.  The identity values and the expansions are scaled to
+    integers by one common factor, so read(rows) for integer action rows
+    den * A gives the coordinates of the element of A times den * scale:
+    the Phi entries row by row, then the G entries (the order of coords)."""
+
+    def __init__(self, rep: SplittableRep):
+        m, n = rep.m_degree, rep.n_degree
+        self.coords = [("phi", i, j) for i in range(m) for j in range(m)]
+        self.coords += [("g", p, q) for p in range(n) for q in range(n)]
+        idv = [
+            (shift.phi if coord[0] == "phi" else shift.g)[coord[1]][coord[2]]
+            for coord, shift in rep._shifts
+        ]
+        idv_den = lcm(*(x.denominator for x in idv))
+        self.identity_values = [
+            x.numerator * (idv_den // x.denominator) for x in idv
+        ]
+        exp_den, self.expansions = _integer_rows(
+            [rep.expansions[c] for c in self.coords])
+        self.scale = idv_den * exp_den
+        self.rows_read = sorted(set().union(*self.expansions))
+
+    def read(self, rows):
+        idv = self.identity_values
+        y = {i: sum(c * idv[j] for j, c in rows[i].items())
+             for i in self.rows_read}
+        return [sum(c * y[i] for i, c in e.items()) for e in self.expansions]
 
 
 def _letter_pairs(phi_gens, g_gens):
@@ -638,7 +738,12 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     kernel = validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
     words = reduced_walk(pairs, sample_len, kernel.identity,
                          lambda el, l: kernel.mul(el, kernel.gens[l]))
-    sample = _Sample(kernel, [kernel.identity, *(el for _, el in words)])
+    rows = [_kernel_row(kernel, y)
+            for y in chain([kernel.identity], (el for _, el in words))]
+    # Relations among shifted coordinates on the sample are relations among
+    # their coefficient vectors modulo the null space of the kernel rows,
+    # so a row basis of the sample decides them exactly as the whole does.
+    sample = _Sample(kernel, [rows[i] for i in _row_basis(rows)])
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
@@ -692,27 +797,24 @@ def _fresh_points(rep: SplittableRep, words):
     """A checker on the fresh evaluation points kernel.eval_word(w), w in
     words.
 
-    check(coord, shift, combo) compares the shifted coordinate
-    y -> coord(shift * y) with the combination sum_j combo[j] * (basis
-    function j) at each point, in the order of words.  It returns None when
-    they agree everywhere, and otherwise names the first differing point:
-    "at fresh word w: direct value v, combination c".  The comparison runs
-    on integers scaled by the common denominator of the coefficients."""
+    check(coord, shift, combo, den) compares the shifted coordinate
+    y -> coord(shift * y) with the combination sum_j combo[j] / den *
+    (basis function j), for integer coefficients combo[j], at each point,
+    in the order of words.  It returns None when they agree everywhere,
+    and otherwise names the first differing point: "at fresh word w: direct
+    value v, combination c".  Every fresh point is evaluated; the points
+    are not pruned to a row basis as the build sample is."""
     kernel = rep._kernel
-    sample = _Sample(kernel, [kernel.eval_word(w) for w in words])
+    sample = _Sample(kernel, [_kernel_row(kernel, kernel.eval_word(w)) for w in words])
     basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
 
-    def check(coord, shift, combo):
-        den = lcm(*(c.denominator for c in combo.values()))
-        terms = [
-            (basis_vals[j], c.numerator * (den // c.denominator))
-            for j, c in combo.items()
-        ]
+    def check(coord, shift, combo, den):
+        terms = [(basis_vals[j], c) for j, c in combo.items()]
         for k, value in enumerate(sample.values(coord, shift)):
             total = sum(c * vals[k] for vals, c in terms)
             if total != value * den:
                 return (f"at fresh word {word_str(words[k])}: direct value "
-                        f"{value}, combination {_exact(Fraction(total, den))}")
+                        f"{value}, combination {Fraction(total, den)}")
         return None
 
     return check
@@ -730,18 +832,18 @@ def _fresh_sample_check(rep: SplittableRep, count: int = 40):
     kernel = rep._kernel
     mismatch = _fresh_points(rep, words)
 
-    def check(what, coord, shift, combo):
-        bad = mismatch(coord, shift, combo)
+    def check(what, coord, shift, combo, den):
+        bad = mismatch(coord, shift, combo, den)
         if bad is not None:
             raise VerificationError(f"fresh-sample check failed for {what} {bad}")
 
     for coord, combo in rep.expansions.items():
-        check(f"coordinate {coord_name(coord)}", coord, kernel.identity, combo)
-    for letter in rep.letters:
-        rows = rep.action_rows[letter_name(letter)]
+        den, (combo,) = _integer_rows((combo,))
+        check(f"coordinate {coord_name(coord)}", coord, kernel.identity, combo, den)
+    for letter, (den, rows) in rep._integer_actions().items():
         for i, (coord, shift) in enumerate(rep._shifts):
             check(f"basis {i} under {letter_name(letter)}", coord,
-                  kernel.mul(shift, kernel.gens[letter]), rows[i])
+                  kernel.mul(shift, kernel.gens[letter]), rows[i], den)
 
 
 def conjugation_matrix(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -810,42 +912,43 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     report = SplittableReport(max_len=max_len)
     kernel = rep._kernel
     letters = rep.letters
-    actions = {l: rep.action_rows[letter_name(l)] for l in letters}
-    ident_rows = _sparse_identity(rep.dimension)
+    d = rep.dimension
+    # Every action is den * A as integer rows, so the walk multiplies ints.
+    actions = rep._integer_actions()
+    recovery = _Recovery(rep)
     identity = kernel.identity
 
     def note(message):
         if report.witness is None:
             report.witness = message
 
-    def check(element, rows):
+    def check(element, den, rows):
         report.words_checked += 1
-        phi, g = rep._recover(rows)
-        if phi != element.phi or g != element.g:
+        scale = den * recovery.scale
+        got = recovery.read(rows)
+        values = [x for mat in (element.phi, element.g) for row in mat for x in row]
+        if got != [x * scale for x in values]:
             report.recovery_failures += 1
-            coord, read, value = next(
-                ((kind, i, j), a, b)
-                for kind, got, want in (("phi", phi, element.phi),
-                                        ("g", g, element.g))
-                for i, (r1, r2) in enumerate(zip(got, want))
-                for j, (a, b) in enumerate(zip(r1, r2)) if a != b
-            )
+            k = next(k for k, x in enumerate(values) if got[k] != x * scale)
             note(f"recovery failure at word {word_str(element.word)}: "
-                 f"{coord_name(coord)} reads {read}, the element has {value}")
-        if rows == ident_rows:
+                 f"{coord_name(recovery.coords[k])} reads "
+                 f"{Fraction(got[k], scale)}, the element has {values[k]}")
+        if all(row == {i: den} for i, row in enumerate(rows)):
             report.identity_actions += 1
             if element.phi != identity.phi or element.g != identity.g:
                 report.injectivity_failures += 1
                 note(f"identity action at word {word_str(element.word)}")
 
     def step(state, letter):
-        element, rows = state
-        return (kernel.mul(element, kernel.gens[letter]),
-                _sparse_mul(rows, actions[letter]))
+        element, den, rows = state
+        l_den, l_rows = actions[letter]
+        return (kernel.mul(element, kernel.gens[letter]), den * l_den,
+                _sparse_mul(rows, l_rows))
 
-    check(identity, ident_rows)
+    root = (identity, *_word_rows(actions, (), d))
+    check(*root)
     alphabet = _letter_pairs(rep.phi_gens, rep.g_gens)
-    for _, state in reduced_walk(alphabet, max_len, (identity, ident_rows), step):
+    for _, state in reduced_walk(alphabet, max_len, root, step):
         check(*state)
 
     # Random semantic homomorphism check on fresh evaluation points.
@@ -858,10 +961,13 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
         u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         element = kernel.eval_word(u + v)
-        rows = _sparse_mul(rep._word_rows(u), rep._word_rows(v))
+        (u_den, u_rows), (v_den, v_rows) = (
+            _word_rows(actions, w, d) for w in (u, v))
+        rows = _sparse_mul(u_rows, v_rows)
         report.pairs_checked += 1
         for i, (coord, shift) in enumerate(rep._shifts):
-            bad = mismatch(coord, kernel.mul(shift, element), rows[i])
+            bad = mismatch(coord, kernel.mul(shift, element), rows[i],
+                           u_den * v_den)
             if bad is not None:
                 report.homomorphism_failures += 1
                 note(f"homomorphism failure for u = {word_str(u)}, "

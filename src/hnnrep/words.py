@@ -97,10 +97,16 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return Word()
+        # self = a c a^-1 with c cyclically reduced, so w^k = a c^k a^-1 and
+        # c^k is reduced as it stands.
+        syms, i = self.syms, 0
+        n = len(syms)
+        while (i < n - 1 - i and syms[i][0] == syms[n - 1 - i][0]
+               and syms[i][1] == -syms[n - 1 - i][1]):
+            i += 1
+        return Word._reduced(syms[:i] + syms[i:n - i] * k + syms[n - i:])
 
     def __len__(self):
         return len(self.syms)

@@ -5,6 +5,8 @@ the stated time budgets are generous on desk hardware.  Each test prints one
 pass/fail line (run with -s to see them).
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -290,3 +292,35 @@ def test_criterion_10_faithfulness_to_length_10():
         assert probe.words_checked == 14_648_436  # sum of 6 * 5^(l-1), l <= 10
     report(10, "probe to length 10 at lam=mu=2, s=5: zero counterexamples "
                "(half-word certificate)", t0, "10 s")
+
+
+def _e3(i, j, k):
+    """The 3 x 3 elementary matrix I + k * E_ij."""
+    return tuple(
+        tuple(int(r == c) + (k if (r, c) == (i, j) else 0) for c in range(3))
+        for r in range(3)
+    )
+
+
+# SHA-256 of json.dumps(rep.to_json(), sort_keys=True) for the degree-3
+# Int(G).G below, recorded from the build that decided spans on the whole
+# sample of 1,597 points.
+DEGREE3_JSON_SHA256 = (
+    "4d39dc9bf594471e95da5bbbfaa18df25c3d190d857580b8303566450c96ede3"
+)
+
+
+def test_criterion_11_degree3_int_g_rep():
+    t0 = time.time()
+    g_gens = MatrixGroupGens.from_int_rows(3, [
+        (_e3(1, 0, 2), _e3(1, 0, -2)), (_e3(0, 1, 2), _e3(0, 1, -2)),
+        (_e3(1, 2, 3), _e3(1, 2, -3)),
+    ])
+    rep = int_g_rep(g_gens, sample_len=3)
+    assert rep.dimension == 58
+    assert rep.m_degree**2 + rep.n_degree**4 == 162
+    assert verify_rep(rep, max_len=2).ok
+    text = json.dumps(rep.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEGREE3_JSON_SHA256
+    report(11, "splittable: Int(G)G for <e21(2), e12(2), e23(3)> <= SL_3(Z), "
+               "dim 58 <= 162, verified to length 2", t0, "30 s")

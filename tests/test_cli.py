@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hnnrep
 from hnnrep import cli
@@ -378,3 +382,131 @@ def test_center_verdicts_match_dense_products(capsys, monkeypatch, corruption):
     assert code == 1
     assert [line.endswith(": ok") for line in lines[1:-1]] == expected
     assert lines[-1] == "FAIL"
+
+
+# --- Fuzzing the argument surface ------------------------------------------
+#
+# Every subcommand with a random subset of its flags in random order, each
+# value well-formed, malformed or missing, sometimes an unknown flag, and
+# paths to good, malformed and missing files.  Numbers stay small (m <= 6,
+# lengths <= 2), so each example runs in well under a second.
+
+FUZZ_DOCS = {
+    "g.json": GENS_RANK2,
+    "cyclic.json": {"degree": 2, "generators": [
+        {"matrix": [[1, 1], [0, 1]], "inverse": [[1, -1], [0, 1]]}]},
+    "rational.json": {"degree": 2, "generators": [
+        {"matrix": [[2, "-1/2"], [2, 0]], "inverse": [[0, "1/2"], [-2, 2]]}]},
+    "degree1.json": {"degree": 1, "generators": [
+        {"matrix": [[-1]], "inverse": [[-1]]}]},
+    "degree0.json": {"degree": 0, "generators": []},
+    "ragged.json": {"degree": 2, "generators": [
+        {"matrix": [[1, 0], [2]], "inverse": [[1, 0], [-2, 1]]}]},
+    "wrong-degree.json": {"degree": 3, "generators": GENS_RANK2["generators"]},
+    "not-inverse.json": {"degree": 1, "generators": [
+        {"matrix": [[2]], "inverse": [[2]]}]},
+    "infinite.json": {"degree": 1, "generators": [
+        {"matrix": [[float("inf")]], "inverse": [[1]]}]},
+    "list.json": [1, 2],
+    "null.json": None,
+}
+FUZZ_TEXT = {"broken.json": "{not json", "empty.json": "", "binary.json": "\udcff"}
+FUZZ_PATHS = [*FUZZ_DOCS, *FUZZ_TEXT, "missing.json", ".", "no-dir/out.json", "-"]
+
+_JUNK = st.sampled_from(["", "x", "1.5", "1e3", "--", "-x", "0x10", " 2"])
+
+
+# Hypothesis favours the ends of an integer range, so rare cases are drawn
+# as the last of ten sampled values instead.
+_RARE = st.sampled_from([False] * 9 + [True])
+
+
+def _mostly(good, bad):
+    """good nine times in ten, else bad."""
+    return _RARE.flatmap(lambda rare: bad if rare else good)
+
+
+def _number(values):
+    return _mostly(st.sampled_from([str(v) for v in values]), _JUNK)
+
+
+def _choice(valid, invalid):
+    return _mostly(st.sampled_from(valid), st.just(invalid))
+
+
+_M = _number([3, 4, 5, 6, 2, -1])
+_LEN = _number([1, 2, 0, -1])
+_PARAM = _number([2, 3, 5, 1, 0, -2, 4])
+_PATH = st.sampled_from(FUZZ_PATHS)
+_OUT = _mostly(st.just("out.json"), _PATH)
+_WORD = st.lists(
+    st.sampled_from(["x0", "x1", "x3", "t", "t^-1", "x0^2", "x1^-3", "x",
+                     "^", "x0^", "t^x", "y0", "x-1", "x0^1000001"]),
+    max_size=6,
+).map(" ".join)
+_MODE = {"--lambda": _PARAM, "--mu": _PARAM, "--s": _PARAM,
+         "--symbolic": None, "--integer": None}
+# Per subcommand: its flags with their values (None for a switch), and the
+# flags it requires.
+FUZZ_FLAGS = {
+    "build": ({"--group": _choice(["artin"], "coxeter"), "--m": _M,
+               **_MODE, "--out": _OUT}, {"--m", "--out"}),
+    "check": ({"--suite": _choice(["relations", "golden", "center",
+                                    "faithfulness"], "spectral"),
+               "--m": _M, **_MODE, "--max-len": _LEN, "--json-report": _OUT},
+              {"--suite", "--m"}),
+    "word": ({"--op": _choice(["normal-form", "equal"], "split"),
+              "--m": _M, "--word": _WORD, "--word2": _WORD},
+             {"--op", "--m", "--word"}),
+    "splittable": ({"--g": _PATH, "--phi": _PATH,
+                    "--tau": _choice(["trivial", "inner"], "outer"),
+                    "--sample-len": _LEN, "--max-len": _LEN, "--out": _OUT},
+                   {"--g", "--out"}),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(_choice(sorted(FUZZ_FLAGS), "frobnicate"))
+    flags, required = FUZZ_FLAGS.get(command, ({}, set()))
+    # A required flag or a value is left out, or an unknown flag added, one
+    # time in ten; an optional flag is given half the time.
+    chosen = [flag for flag in sorted(flags)
+              if not draw(_RARE if flag in required else st.booleans())]
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        argv.append(flag)
+        if flags[flag] is not None and not draw(_RARE):
+            argv.append(draw(flags[flag]))
+    if draw(_RARE):
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_DOCS.items():
+        (root / name).write_text(json.dumps(doc))
+    for name, text in FUZZ_TEXT.items():
+        (root / name).write_text(text, errors="surrogateescape")
+    return root
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_fuzzed_argv_exits_cleanly(fuzz_dir, monkeypatch, argv):
+    # Bad arguments and bad files exit 2 with an error line, a failed check
+    # exits 1; nothing escapes as an exception (a traceback on stderr).
+    monkeypatch.chdir(fuzz_dir)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects bad arguments this way
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnnrep import splittable
 from hnnrep.errors import OracleError, VerificationError
 from hnnrep.matrix import RingMatrix
 from hnnrep.ring import QQ
 from hnnrep.splittable import (
     InnerTau,
     MatrixGroupGens,
+    SplittableReport,
     TauOracle,
     TrivialTau,
     _fresh_sample_check,
+    _random_reduced_word,
     _Span,
     build_rep,
     conjugation_matrix,
+    coord_name,
     coordinate_value,
     eval_word,
     generator_element,
@@ -31,7 +35,9 @@ from hnnrep.splittable import (
     semidirect_mul,
     validate_tau,
     verify_rep,
+    word_str,
 )
+from hnnrep.words import reduced_walk
 
 G_RANK2 = MatrixGroupGens.from_int_rows(2, [
     (((1, 0), (2, 1)), ((1, 0), (-2, 1))),
@@ -491,3 +497,256 @@ class TestWitness:
         direct = coordinate_value(basis.coord, semidirect_mul(shifted, y, rep.tau))
         assert Fraction(match.group(5)) == direct
         assert Fraction(match.group(6)) != direct
+
+
+# --- Row-basis build and integer verification ------------------------------
+
+
+def sl2_pair(a, b):
+    return MatrixGroupGens.from_int_rows(2, [
+        (((1, 0), (a, 1)), ((1, 0), (-a, 1))),
+        (((1, b), (0, 1)), ((1, -b), (0, 1))),
+    ])
+
+
+def _e(i, j, k):
+    """The 3 x 3 elementary matrix I + k * E_ij."""
+    return tuple(
+        tuple(int(r == c) + (k if (r, c) == (i, j) else 0) for c in range(3))
+        for r in range(3)
+    )
+
+
+# <e21(2), e12(2), e23(3)> <= SL_3(Z)
+G_DEGREE3 = MatrixGroupGens.from_int_rows(3, [
+    (_e(1, 0, 2), _e(1, 0, -2)), (_e(0, 1, 2), _e(0, 1, -2)),
+    (_e(1, 2, 3), _e(1, 2, -3)),
+])
+
+BUILDS = {
+    **{f"inner-{a}{b}": (lambda a=a, b=b: int_g_rep(sl2_pair(a, b), sample_len=3))
+       for a in (2, 3) for b in (2, 3)},
+    **{f"trivial-{a}{b}": (lambda a=a, b=b: build_rep(
+        TRIVIAL_PHI, sl2_pair(a, b), TrivialTau(2), sample_len=4))
+       for a in (2, 3) for b in (2, 3)},
+    "inner-rational": lambda: int_g_rep(G_RATIONAL, sample_len=3),
+    "trivial-rational": lambda: build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2),
+                                          sample_len=4),
+    "inner-cyclic": lambda: int_g_rep(G_CYCLIC, sample_len=4),
+    "trivial-group": lambda: build_rep(TRIVIAL_PHI, MatrixGroupGens(2, ()),
+                                       TrivialTau(2), sample_len=4),
+}
+
+
+def rep_data(rep):
+    return ([(b.coord, b.shift.word) for b in rep.basis], rep.expansions,
+            rep.action_rows)
+
+
+def greedy_row_basis(rows):
+    """Reference: the indices of the rows outside the span of the rows
+    picked before them, by Fraction Gauss-Jordan elimination."""
+    picked = []
+    for idx, row in enumerate(rows):
+        if reference_expansion([rows[i] for i in picked], row) is None:
+            picked.append(idx)
+    return picked
+
+
+class TestRowBasis:
+    @pytest.mark.parametrize("kind", sorted(_ENTRIES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, kind, data):
+        rows = data.draw(vector_sequences(kind))
+        assert splittable._row_basis(rows) == greedy_row_basis(rows)
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_same_rep_as_the_full_sample(self, monkeypatch, name):
+        rep = BUILDS[name]()
+        monkeypatch.setattr(splittable, "_row_basis", lambda rows: range(len(rows)))
+        full = BUILDS[name]()
+        assert rep_data(rep) == rep_data(full)
+        assert rep.to_json() == full.to_json()
+
+    def test_same_failure_as_the_full_sample(self, monkeypatch):
+        # sample_len = 2 is too short for the degree-3 group: the fresh
+        # sample rejects the closure, with the same witness either way.
+        with pytest.raises(VerificationError) as pruned:
+            int_g_rep(G_DEGREE3, sample_len=2)
+        monkeypatch.setattr(splittable, "_row_basis", lambda rows: range(len(rows)))
+        with pytest.raises(VerificationError) as full:
+            int_g_rep(G_DEGREE3, sample_len=2)
+        assert str(pruned.value) == str(full.value)
+        assert str(pruned.value).startswith(
+            "fresh-sample check failed for coordinate Phi(1,8) at fresh word "
+            "phi0^-1 phi1 phi0 phi2^-1: direct value -48, combination 0")
+
+    @pytest.mark.parametrize("name, points, rank", [
+        ("inner-22", 457, 26), ("trivial-22", 161, 4),
+    ])
+    def test_build_sample_is_a_row_basis_fresh_points_all_kept(
+            self, monkeypatch, name, points, rank):
+        sizes, fresh = [], []
+        row_basis, sample_init, fresh_points = (
+            splittable._row_basis, splittable._Sample.__init__,
+            splittable._fresh_points)
+
+        def recording_row_basis(rows):
+            sizes.append(len(rows))
+            return row_basis(rows)
+
+        def recording_sample(self, kernel, rows):
+            sizes.append(len(rows))
+            sample_init(self, kernel, rows)
+
+        def recording_fresh_points(rep, words):
+            fresh.append(len(words))
+            return fresh_points(rep, words)
+
+        monkeypatch.setattr(splittable, "_row_basis", recording_row_basis)
+        monkeypatch.setattr(splittable._Sample, "__init__", recording_sample)
+        monkeypatch.setattr(splittable, "_fresh_points", recording_fresh_points)
+        BUILDS[name]()
+        assert sizes == [points, rank, *fresh]
+
+
+def _dense(rows, d):
+    return RingMatrix(QQ, tuple(
+        tuple(Fraction(row.get(j, 0)) for j in range(d)) for row in rows
+    ))
+
+
+def reference_verify(rep, max_len, pairs=100, seed=0):
+    """verify_rep on Fraction action matrices read from action_rows, with
+    elements, coordinates and shifts from the Fraction reference API."""
+    d, tau = rep.dimension, rep.tau
+    letters = rep.letters
+    actions = {l: _dense(rep.action_rows[letter_name(l)], d) for l in letters}
+    ident = RingMatrix.identity(QQ, d)
+
+    def action(word):
+        out = ident
+        for letter in word:
+            out = out * actions[letter]
+        return out
+
+    def element(word):
+        return eval_word(word, rep.phi_gens, rep.g_gens, tau)
+
+    idv = [coordinate_value(b.coord, b.shift) for b in rep.basis]
+    m, n = rep.m_degree, rep.n_degree
+    coords = [("phi", i, j) for i in range(m) for j in range(m)]
+    coords += [("g", p, q) for p in range(n) for q in range(n)]
+    report = SplittableReport(max_len=max_len)
+
+    def note(message):
+        if report.witness is None:
+            report.witness = message
+
+    pairs_of_letters = list(zip(letters[::2], letters[1::2]))
+    words = [()] + [w for w, _ in reduced_walk(pairs_of_letters, max_len, None,
+                                               lambda s, l: None)]
+    identity = element(())
+    for word in words:
+        el, a = element(word), action(word)
+        report.words_checked += 1
+        y = [sum(a.rows[i][j] * idv[j] for j in range(d)) for i in range(d)]
+        for coord in coords:
+            read = sum(c * y[i] for i, c in rep.expansions[coord].items())
+            if read != coordinate_value(coord, el):
+                report.recovery_failures += 1
+                note(f"recovery failure at word {word_str(word)}: "
+                     f"{coord_name(coord)} reads {read}, the element has "
+                     f"{coordinate_value(coord, el)}")
+                break
+        if a == ident:
+            report.identity_actions += 1
+            if (el.phi_mat, el.g_mat) != (identity.phi_mat, identity.g_mat):
+                report.injectivity_failures += 1
+                note(f"identity action at word {word_str(word)}")
+
+    rng = random.Random(seed)
+    fresh = [_random_reduced_word(rng, letters, max_len + 2) for _ in range(20)]
+    fresh_el = [element(w) for w in fresh]
+    basis_vals = [[coordinate_value(b.coord, semidirect_mul(b.shift, y, tau))
+                   for y in fresh_el] for b in rep.basis]
+    for _ in range(pairs):
+        u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
+        v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
+        el, a = element(u + v), action(u) * action(v)
+        report.pairs_checked += 1
+        for i, b in enumerate(rep.basis):
+            shifted = semidirect_mul(b.shift, el, tau)
+            bad = [
+                (w, direct, comb) for w, y, vals in zip(fresh, fresh_el, zip(*basis_vals))
+                if (direct := coordinate_value(b.coord, semidirect_mul(shifted, y, tau)))
+                != (comb := sum(x * val for x, val in zip(a.rows[i], vals)))
+            ]
+            if bad:
+                w, direct, comb = bad[0]
+                report.homomorphism_failures += 1
+                note(f"homomorphism failure for u = {word_str(u)}, "
+                     f"v = {word_str(v)}: basis {i} at fresh word "
+                     f"{word_str(w)}: direct value {direct}, combination {comb}")
+                break
+    return report
+
+
+def _bump(rep, name, row, col, by):
+    target = rep.action_rows[name][row]
+    target[col] = target.get(col, 0) + by
+
+
+class TestIntegerVerify:
+    """verify_rep runs on integer action rows with a denominator; its
+    report must be the one that Fraction action matrices give."""
+
+    def test_corrupted_trivial_action(self):
+        rep = build_rep(*trivial_setup())
+        _bump(rep, "g0", 0, 0, 1)
+        assert verify_rep(rep, max_len=2) == reference_verify(rep, max_len=2)
+
+    def test_corrupted_unread_basis_function(self):
+        rep = int_g_rep(G_RANK2, sample_len=3)
+        _bump(rep, "phi0", rep.dimension - 1, 0, 1)
+        report = verify_rep(rep, max_len=1, pairs=20)
+        assert not report.ok
+        assert report == reference_verify(rep, max_len=1, pairs=20)
+
+    def test_corrupted_denominator_two_coefficient(self):
+        # g1 has integral coefficients, so its denominator is the bump's 2.
+        rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
+        assert all(isinstance(x, int) for row in rep.action_rows["g1"]
+                   for x in row.values())
+        _bump(rep, "g1", 1, 0, Fraction(1, 2))
+        report = verify_rep(rep, max_len=2, pairs=30)
+        assert not report.ok
+        assert report == reference_verify(rep, max_len=2, pairs=30)
+
+    def test_identity_action_with_denominators(self):
+        # g1 acting as g0^-1 makes g0 g1 act as the identity, as den * I
+        # with den the product of the two letters' denominators.
+        rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
+        rep.action_rows["g1"] = rep.action_rows["g0^-1"]
+        report = verify_rep(rep, max_len=2, pairs=30)
+        assert report.identity_actions == 3  # ε, g0 g1 and g1^-1 g0^-1
+        assert report.injectivity_failures == 2
+        assert report == reference_verify(rep, max_len=2, pairs=30)
+
+    @pytest.mark.parametrize("name", ["inner-rational", "trivial-rational",
+                                      "inner-23"])
+    def test_sound_reps(self, name):
+        rep = BUILDS[name]()
+        report = verify_rep(rep, max_len=2, pairs=8)
+        assert report.ok
+        assert report == reference_verify(rep, max_len=2, pairs=8)
+
+    def test_public_views_read_the_action_rows(self):
+        rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
+        word = [("g", 0, 1), ("g", 1, -1), ("g", 0, 1)]
+        action = rep.action_of_word(word)
+        dense = {name: _dense(rows, 4) for name, rows in rep.action_rows.items()}
+        assert action == dense["g0"] * dense["g1^-1"] * dense["g0"]
+        element = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
+        assert rep.recover(action) == (element.phi_mat, element.g_mat)

@@ -439,6 +439,43 @@ class TestWordFastPaths:
         assert a * b == Word.make(a.syms + b.syms)
         assert (a * b).syms == Word.make(a.syms + b.syms).syms
 
+    @settings(max_examples=300, deadline=None)
+    @given(reduced_words(2), st.integers(-6, 6))
+    def test_power_matches_product_fold(self, w, k):
+        # reduced_words draws words that are not cyclically reduced, such as
+        # x0 x1 x0^-1, as well as cyclically reduced ones.
+        base = w if k >= 0 else w.inverse()
+        expected = reduce(lambda acc, _: acc * base, range(abs(k)), Word())
+        power = w ** k
+        assert power == expected
+        assert Word(power.syms) == power  # freely reduced
+
+    # (word, length of its conjugator a, where word = a c a^-1 with c
+    # cyclically reduced)
+    @pytest.mark.parametrize("text, a", [
+        ("x0", 0), ("x0 x1^-1", 0), ("x0 x1 x0 x1^-1 x0^-1", 2),
+    ])
+    def test_large_power_copies_linearly(self, monkeypatch, text, a):
+        # Count the symbols passed to Word._reduced: k junction products
+        # would copy O(k^2) of them, and fail here as soon as they have
+        # copied more than the power's length.
+        w, k = W(text), 10**5
+        length = 2 * a + (len(w) - 2 * a) * k
+        reduced = Word._reduced
+        copied = [0]
+
+        def counting(syms):
+            copied[0] += len(syms)
+            assert copied[0] <= length, copied[0]
+            return reduced(syms)
+
+        monkeypatch.setattr(Word, "_reduced", staticmethod(counting))
+        power = w ** k
+        monkeypatch.undo()
+        assert len(power) == length
+        assert power.syms[:a] == w.syms[:a]
+        assert power.syms[a:a + len(w) - 2 * a] == w.syms[a:len(w) - a]
+
     @pytest.mark.parametrize("spec_name", ["even2", "odd1"])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
