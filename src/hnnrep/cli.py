@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import VerificationError
 from .reps import (
@@ -107,8 +108,59 @@ def _hnn_rep(m: int, args):
     return hnn_induced_rep(*_mode_inputs(m, args))
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_MISSING = object()
+
+
+def _json_text(obj, indent=""):
+    """The text of json.dumps(obj, indent=2, sort_keys=True) at nesting
+    prefix indent, for dicts with str keys, lists, str, int, bool and None;
+    TypeError for anything else (a float, a tuple, a non-str key).
+
+    Inside a list, an item that is the same object as the one before it
+    reuses its text, which depends only on the object and the indent, so a
+    run of shared zero entries in a matrix row is encoded once.  Identity,
+    not equality, decides: 1 == True, but their texts differ."""
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        brackets = "[]"
+        parts = []
+        prev = text = _MISSING
+        for item in obj:
+            if item is not prev:
+                prev, text = item, _json_text(item, inner)
+            parts.append(text)
+    elif isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        brackets = "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        parts = [
+            _ESCAPE(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())
+        ]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts)
+            + f"\n{indent}{brackets[1]}")
+
+
 def _dump_json(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _json_text(doc)
     if path == "-":
         print(text)
     else:
@@ -265,7 +317,10 @@ def cmd_splittable(args) -> int:
     return 0 if report.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared:
+    a process that runs main() many times builds it once."""
     parser = argparse.ArgumentParser(
         prog="hnnrep",
         description="Exact linear representations of HNN extensions and "

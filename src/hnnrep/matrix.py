@@ -71,11 +71,7 @@ class RingMatrix:
 
     def to_json(self):
         enc = self.ring.scalar_to_json
-        return {
-            "degree": self.degree,
-            "ring": self.ring.descriptor(),
-            "rows": [[enc(x) for x in row] for row in self.rows],
-        }
+        return _matrix_json(self.ring, [[enc(x) for x in row] for row in self.rows])
 
     @classmethod
     def from_json(cls, doc) -> "RingMatrix":
@@ -100,6 +96,11 @@ class RingMatrix:
         return "RingMatrix([\n" + "\n".join(
             "  [" + ", ".join(repr(x) for x in row) + "]" for row in self.rows
         ) + f"\n]) over {self.ring!r}"
+
+
+def _matrix_json(ring, rows):
+    """The matrix document RingMatrix.from_json reads, from encoded rows."""
+    return {"degree": len(rows), "ring": ring.descriptor(), "rows": rows}
 
 
 def _block_mul(a, b, zero):
@@ -136,7 +137,8 @@ class BlockMonomial:
     tuples of row tuples of ring scalars; the generic kernel starts each
     dot product from ring.zero, so plain ints work with INT.  Dense
     matrices enter through the checked from_matrix and leave through
-    to_matrix; a degree-m matrix is the one-block case k = 1.  Both factors
+    to_matrix; to_json writes the dense document without a dense matrix.
+    A degree-m matrix is the one-block case k = 1.  Both factors
     of a product must have the same k and m.
     """
 
@@ -231,6 +233,20 @@ class BlockMonomial:
             left, right = (zero,) * (j * m), (zero,) * ((k - 1 - j) * m)
             rows += [left + r + right for r in blk]
         return RingMatrix(self.ring, rows)
+
+    def to_json(self):
+        """The document of to_matrix().to_json(), written from the blocks:
+        each row is its block row's encoded entries between runs of zeros,
+        and every zero entry is one shared object, the zero scalar encoded
+        once."""
+        m, k = self.block_degree, len(self.perm)
+        enc = self.ring.scalar_to_json
+        zero = enc(self.ring.zero)
+        rows = []
+        for j, blk in zip(self.perm, self.blocks):
+            left, right = [zero] * (j * m), [zero] * ((k - 1 - j) * m)
+            rows += [left + [enc(x) if x else zero for x in r] + right for r in blk]
+        return _matrix_json(self.ring, rows)
 
     def map_entries(self, ring, fn) -> "BlockMonomial":
         """Same shape with fn applied to every block entry, over ring."""

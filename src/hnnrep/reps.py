@@ -9,9 +9,10 @@ integer variant of degree 4 per coset where the scalar s is replaced by a
 unipotent central block.
 
 Every image is block-monomial (see BlockMonomial), and the builders work on
-blocks throughout; dense matrices appear only at the JSON and display
-boundary.  Everything is verified at construction: generator inverses, the
-defining relations t^-1 x t = phi(x), and the displayed block shapes.
+blocks throughout, JSON output included; dense matrices appear only at the
+display boundary (image(), eval()).  Everything is verified at
+construction: generator inverses, the defining relations
+t^-1 x t = phi(x), and the displayed block shapes.
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ class Representation:
         return self.block_eval_many([item])[0].to_matrix()
 
     def to_json(self):
+        """The document from_json reads.  Each image is laid out as the
+        dense RingMatrix document, written from its blocks
+        (BlockMonomial.to_json), so zero entries may be one shared
+        object."""
         return {
             "group": self.group,
             "degree": self.degree,
@@ -138,10 +143,10 @@ class Representation:
             "generators": [
                 {
                     "name": name,
-                    "image": self.image(name).to_json(),
-                    "imageInverse": self.inverse_image(name).to_json(),
+                    "image": image.to_json(),
+                    "imageInverse": inverse.to_json(),
                 }
-                for name in self.gen_names
+                for name, (image, inverse) in self.images.items()
             ],
         }
 

@@ -259,6 +259,27 @@ def _substitute(table, syms) -> list:
     return out
 
 
+def _images_after(outer, inner) -> tuple:
+    """Images of outer o inner, both given by generator images: each inner
+    image with every letter replaced by its outer image, as a product of
+    reduced words.  An outer image is inverted only for a letter that
+    needs it."""
+    inverted = {}
+    out = []
+    for w in inner:
+        acc = Word()
+        for g, s in w.syms:
+            if s == 1:
+                acc = acc * outer[g]
+                continue
+            inv = inverted.get(g)
+            if inv is None:
+                inv = inverted[g] = outer[g].inverse()
+            acc = acc * inv
+        out.append(acc)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Endomorphism:
     """Free-group endomorphism given by generator images.
@@ -295,6 +316,18 @@ class Endomorphism:
                     )
 
     @staticmethod
+    def _trusted(rank, images, inverse_images) -> "Endomorphism":
+        """Trusted constructor for tables right by construction (the
+        inverse or a power of a checked map): skips the checks of
+        Endomorphism(...)."""
+        e = object.__new__(Endomorphism)
+        object.__setattr__(e, "rank", rank)
+        object.__setattr__(e, "images", images)
+        object.__setattr__(e, "inverse_images", inverse_images)
+        object.__setattr__(e, "table", _image_table(images))
+        return e
+
+    @staticmethod
     def identity(rank: int) -> "Endomorphism":
         gens = tuple(Word.gen(i) for i in range(rank))
         return Endomorphism(rank, gens, gens)
@@ -309,28 +342,33 @@ class Endomorphism:
     def inverse(self) -> "Endomorphism":
         if self.inverse_images is None:
             raise ValueError("endomorphism has no inverse images")
-        return Endomorphism(self.rank, self.inverse_images, self.images)
+        return Endomorphism._trusted(self.rank, self.inverse_images, self.images)
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Return self o other (apply other first)."""
         if self.rank != other.rank:
             raise ValueError("rank mismatch in composition")
-        images = tuple(self.apply(w) for w in other.images)
+        images = _images_after(self.images, other.images)
         inv = None
         if self.invertible and other.invertible:
-            other_inv = other.inverse()
-            inv = tuple(other_inv.apply(w) for w in self.inverse_images)
+            inv = _images_after(other.inverse_images, self.inverse_images)
         return Endomorphism(self.rank, images, inv)
 
     def power(self, k: int) -> "Endomorphism":
+        """self^k, built by word products and not checked again: the powers
+        of a checked map are right by construction.  phi^(j+1)(x) is the
+        product over the letters of phi(x) of their phi^j images, and
+        likewise for the inverse images."""
         if k == 0:
             return Endomorphism.identity(self.rank)
         if k < 0:
             return self.inverse().power(-k)
-        out = self
+        images, inverse = self.images, self.inverse_images
         for _ in range(k - 1):
-            out = out.compose(self)
-        return out
+            images = _images_after(images, self.images)
+            if inverse is not None:
+                inverse = _images_after(inverse, self.inverse_images)
+        return Endomorphism._trusted(self.rank, images, inverse)
 
     def same_map(self, other: "Endomorphism") -> bool:
         """Equality as maps: identical images on every generator."""

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -165,6 +166,37 @@ class TestBuildCommand:
         code, _ = run(capsys, "build", "--group", "coxeter", "--m", "4",
                       "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", sorted(k for k in REFERENCE if k.startswith("build ")))
+def test_build_matches_benchmark_reference(capsys, monkeypatch, tmp_path, key):
+    # Every recorded build: the symbolic builds and each (lambda, mu, p)
+    # triple in numeric and integer mode.  The output file is the name
+    # the recorded stdout ends with, relative to the working directory.
+    want = REFERENCE[key]
+    out = want["stdout"].split()[-1]
+    monkeypatch.chdir(tmp_path)
+    code, stdout = run(capsys, *key.split(), "--out", out)
+    assert code == 0
+    assert stdout == want["stdout"]
+    assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == want["sha256"]
+
+
+def test_parser_built_on_first_use_then_shared():
+    probe = ("import hnnrep.cli as c; "
+             "print(c.build_parser.cache_info().currsize)")
+    src = str(Path(hnnrep.__file__).resolve().parents[1])
+    shown = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert shown.stdout.strip() == "0"
+    assert cli.build_parser() is cli.build_parser()
 
 
 GENS_RANK2 = {

@@ -1,6 +1,8 @@
 """JSON readers: bit-exact round trips of `build` output, and ValueError
 (never KeyError or TypeError) on malformed matrix and representation
-documents."""
+documents.  The CLI's writer: the text of json.dumps(indent=2,
+sort_keys=True), and build documents written from blocks equal to the
+dense layout."""
 
 import contextlib
 import copy
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnnrep import cli
 from hnnrep.cli import main
 from hnnrep.errors import VerificationError
 from hnnrep.matrix import RingMatrix
@@ -278,3 +281,83 @@ def test_qp_exponent_at_bound_accepted():
     assert (x + mat.ring.one).k == QP_MAX_JSON_EXPONENT
     with pytest.raises(ValueError):
         RingMatrix.from_json(_qp_entry(QP_MAX_JSON_EXPONENT + 1))
+
+
+# The CLI writer against json.dumps(indent=2, sort_keys=True).
+
+TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=()), max_size=8),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", " ",
+                     "\ud800", "😀", ""]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-(10**60), 10**60), st.sampled_from([0, 1, -1, True, False]),
+    TEXT,
+)
+
+
+@st.composite
+def _with_repeats(draw, children):
+    """A list of objects drawn from a small pool, so one object (a list,
+    say) recurs both next to itself and further on."""
+    pool = draw(st.lists(children, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+    return [pool[i] for i in picks]
+
+
+WRITER_TREES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4),
+        _with_repeats(children),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(WRITER_TREES)
+def test_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_writer_reuses_text_only_for_the_same_object():
+    row = ["0", "1"]
+    doc = {"a": [row, row, [], row], "b": [1, True, 1, None, False, 0]}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, [0, 2.0], {"a": [float("nan")]}, {1: "x"}, {"a": {None: 1}},
+    (1, 2), {"a": (1,)}, {"a": {1, 2}},
+])
+def test_writer_rejects_what_it_does_not_write(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
+def _dense_document(rep):
+    """The document as it was laid out from the dense images."""
+    return {
+        "group": rep.group,
+        "degree": rep.degree,
+        "ring": rep.ring.descriptor(),
+        "generators": [
+            {"name": name, "image": rep.image(name).to_json(),
+             "imageInverse": rep.inverse_image(name).to_json()}
+            for name in rep.gen_names
+        ],
+    }
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+@pytest.mark.parametrize("m", range(3, 13))
+def test_block_document_equals_dense_document(m, mode):
+    args = cli.build_parser().parse_args(
+        ["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"])
+    rep = cli._build_artin(m, args)
+    doc = rep.to_json()
+    assert doc == _dense_document(rep)
+    assert cli._json_text(doc) == dump(doc)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -475,6 +476,47 @@ class TestWordFastPaths:
         assert len(power) == length
         assert power.syms[:a] == w.syms[:a]
         assert power.syms[a:a + len(w) - 2 * a] == w.syms[a:len(w) - a]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), k=st.integers(-5, 5))
+    def test_power_matches_checked_composition(self, data, k):
+        # Automorphisms of F(x0, x1, x2) from checked generators; the power
+        # must equal the fold of checked compositions and pass the check.
+        phi = artin_even_spec(3).phi
+        pool = [phi, phi.inverse(),
+                Endomorphism(3, (x1, Word.gen(2), x0), (Word.gen(2), x0, x1))]
+        endo = inner_endomorphism(3, data.draw(reduced_words(3, max_size=4)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            endo = endo.compose(data.draw(st.sampled_from(pool)))
+        base = endo if k >= 0 else endo.inverse()
+        expected = Endomorphism.identity(3)
+        for _ in range(abs(k)):
+            expected = expected.compose(base)
+        power = endo.power(k)
+        assert power.images == expected.images
+        assert power.inverse_images == expected.inverse_images
+        Endomorphism(3, power.images, power.inverse_images)
+        w = data.draw(reduced_words(3))
+        assert power.apply(w) == expected.apply(w)
+
+    def test_power_without_inverse_images(self):
+        endo = Endomorphism(2, (x0 * x0, x0 * x1))
+        assert endo.power(3).images == (x0 ** 8, x0 ** 7 * x1)
+        assert endo.power(3).inverse_images is None
+        with pytest.raises(ValueError):
+            endo.power(-1)
+
+    def test_large_specs_build_quickly(self):
+        # HnnSpec checks phi^n on every generator.  Re-checking each step
+        # of the power costs time quadratic in the image lengths, which
+        # stalls these specs for many seconds.
+        started = time.perf_counter()
+        odd = artin_odd_spec.__wrapped__(25)    # m = 51, phi^102
+        even = artin_even_spec.__wrapped__(50)  # m = 100, phi^50
+        assert time.perf_counter() - started < 5.0
+        for spec in (odd, even):
+            assert normal_form(spec, MW("x0 t")).l == 1
+            assert str(normal_form(spec, MW("x0"))) == "t^0 · x0"
 
     @pytest.mark.parametrize("spec_name", ["even2", "odd1"])
     @settings(max_examples=100, deadline=None)
