@@ -9,7 +9,6 @@ from .matrix import (
     block_diag,
     block_grid,
     conjugate,
-    det2,
     det_bareiss,
     get_block,
 )

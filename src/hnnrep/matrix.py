@@ -411,13 +411,6 @@ def conjugate(m, u, u_inv):
     return u_inv * m * u
 
 
-def det2(m: RingMatrix):
-    if m.degree != 2:
-        raise ValueError("det2 needs a 2x2 matrix")
-    (a, b), (c, d) = m.rows
-    return a * d - b * c
-
-
 def det_bareiss(m: RingMatrix) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
     if m.ring != INT:

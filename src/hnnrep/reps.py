@@ -17,9 +17,9 @@ t^-1 x t = phi(x), and the displayed block shapes.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, permutations
 
 from .errors import VerificationError
 from .matrix import BlockMonomial, RingMatrix, conjugate, det_bareiss
@@ -650,18 +650,19 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
     a * c^-1 with |a| = ceil(l/2) and |c| = floor(l/2), and a * c^-1 is
     reduced exactly when a and c end in different letters (or c is empty).
     Then eval(w) = I exactly when a and c have the same image, and w is
-    trivial exactly when they have the same normal form t^l * f.  So when
-    the partition of the half-words by image equals their partition by
-    normal form, no reduced word of length at most 2H is a counterexample.
-    The counts follow in closed form: words_checked is
-    sum_{l <= max_len} 2r (2r - 1)^(l - 1) over the 2r letters, and
-    identity_count counts, in each image class, the pairs (a, c) of
-    lengths ceil(l/2) and floor(l/2) that end in different letters.
+    trivial exactly when they have the same normal form t^l * f.  So the
+    half-words are classed twice, by image and by normal form, and:
 
-    When the partitions differ, the exhaustive walk (_probe_walk) decides
-    every word and lists the counterexamples in its depth-first order.  Its
-    report is returned as it is: a collision of the half-words may give its
-    only counterexample at length max_len + 1, beyond the probe.
+    - words_checked is sum_{l <= max_len} 2r (2r - 1)^(l - 1) over the 2r
+      letters, and identity_count counts, in each image class, the pairs
+      (a, c) of lengths ceil(l/2) and floor(l/2) that end in different
+      letters;
+    - the counterexamples are the words a * c^-1 of length at most max_len
+      whose halves share a class in one partition and not in the other.
+      They are listed in the depth-first order of reduced_walk, which is
+      the lexicographic order of the letter indices in the flattened
+      pairs, a prefix first.  When the partitions agree there are none,
+      and nothing is enumerated.
 
     Images are multiplied as the representation's stored block-monomial
     images (a coset permutation and one m x m block per coset, see
@@ -675,16 +676,12 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
     pairs, root, step, e_max = _probe_steps(rep, max_len)
     half = (max_len + 1) // 2
     image_key = _image_keyer(rep.ring, half * e_max)
-    image_of, normal_form_of = {}, {}
+    cells = {}  # (image key, normal form) -> half-words
     members = Counter()  # (image key, length, last letter) -> half-words
     half_words = reduced_walk(pairs, half, root, step)
     for word, (mat, e, l, f) in chain([((), root)], half_words):
-        key, nf = image_key(mat, e), (l, f.syms)
-        # The partitions agree while each image key meets one normal form
-        # and each normal form one image key.
-        if (normal_form_of.setdefault(key, nf) != nf
-                or image_of.setdefault(nf, key) != key):
-            return _probe_walk(rep, max_len)
+        key = image_key(mat, e)
+        cells.setdefault((key, (l, f.syms)), []).append(word)
         members[key, len(word), word[-1] if word else None] += 1
 
     # a of length n is the first half of the words of lengths 2n - 1 and
@@ -700,29 +697,33 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
     )
     size = 2 * len(pairs)
     words = sum(size * (size - 1) ** (n - 1) for n in range(1, max_len + 1))
-    return ProbeReport(max_len, words_checked=words, identity_count=identities)
+    return ProbeReport(max_len, words, identities,
+                       _probe_counterexamples(cells, pairs, max_len))
 
 
-def _probe_walk(rep: Representation, max_len: int) -> ProbeReport:
-    """The probe word by word: walk every reduced mixed word of length at
-    most max_len depth first (see reduced_walk) and list each word whose
-    image is the identity while its normal form is not, or the reverse.  A
-    word evaluates to the identity exactly when its permutation is the
-    identity and every integer-scaled block equals p^e * I."""
-    pairs, root, step, e_max = _probe_steps(rep, max_len)
-    top = max_len * e_max
-    if rep.ring.kind == "qp":
-        units = [rep.ring.p**e for e in range(top + 1)]
-    else:
-        units = [root[0].ring.one] * (top + 1)
-    report = ProbeReport(max_len=max_len)
-    for word, (mat, e, l, f) in reduced_walk(pairs, max_len, root, step):
-        is_id = mat.is_scalar(units[e])
-        report.words_checked += 1
-        report.identity_count += is_id
-        if is_id != (l == 0 and not f.syms):
-            report.counterexamples.append(str(MixedWord(word)))
-    return report
+def _probe_counterexamples(cells, pairs, max_len):
+    """The words a * c^-1 of length at most max_len with a and c in
+    different cells of one image class or of one normal-form class, as
+    strings in depth-first walk order.  (a is never empty: the empty word
+    is alone in its cell.)"""
+    images, forms = {key for key, _ in cells}, {nf for _, nf in cells}
+    if len(images) == len(cells) == len(forms):
+        return []  # the partitions agree
+    by_image, by_form = defaultdict(list), defaultdict(list)
+    for (key, nf), cell in cells.items():
+        by_image[key].append(cell)
+        by_form[nf].append(cell)
+    found = [
+        a + tuple((g, -s) for g, s in reversed(c))
+        for classes in chain(by_image.values(), by_form.values())
+        for a_cell, c_cell in permutations(classes, 2)
+        for a in a_cell for c in c_cell
+        if 0 <= len(a) - len(c) <= 1 and len(a) + len(c) <= max_len
+        and (not c or a[-1] != c[-1])
+    ]
+    index = {sym: i for i, sym in enumerate(chain.from_iterable(pairs))}
+    found.sort(key=lambda w: [index[sym] for sym in w])
+    return [str(MixedWord(w)) for w in found]
 
 
 def _probe_steps(rep: Representation, max_len: int):

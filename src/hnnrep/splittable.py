@@ -727,8 +727,12 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
 
     Raises DimensionBoundError if the closure exceeds m^2 + n^4 (an
     inconsistent oracle) and VerificationError if an extracted expansion
-    fails on the disjoint fresh sample (insufficient sample_len).
+    fails on the disjoint fresh sample (insufficient sample_len).  A
+    negative sample_len, whose fresh sample is the identity alone, raises
+    ValueError.
     """
+    if sample_len < 0:
+        raise ValueError("sample_len must be at least 0")
     m, n = phi_gens.degree, g_gens.degree
     bound = m * m + n**4
     pairs = _letter_pairs(phi_gens, g_gens)

@@ -260,6 +260,19 @@ class TestSplittableCommand:
         assert code == 1
         assert "at fresh word " in text and "direct value" in text
 
+    def test_negative_sample_len_is_a_usage_error(self, capsys, tmp_path):
+        # A negative length leaves a fresh sample of the identity alone;
+        # the command refuses it instead of writing an unchecked rep.
+        gens = tmp_path / "g.json"
+        gens.write_text(json.dumps(GENS_RANK2))
+        out = tmp_path / "rep.json"
+        assert main(["splittable", "--g", str(gens), "--tau", "inner",
+                     "--sample-len", "-2", "--max-len", "2",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: sample_len must be at least 0")
+        assert not out.exists()
+
     def test_bad_inverse_in_file(self, capsys, tmp_path):
         gens = tmp_path / "g.json"
         bad = {
@@ -467,7 +480,7 @@ def _choice(valid, invalid):
 
 
 _M = _number([3, 4, 5, 6, 2, -1])
-_LEN = _number([1, 2, 0, -1])
+_LEN = _number([1, 2, 0, -1, -2])
 _PARAM = _number([2, 3, 5, 1, 0, -2, 4])
 _PATH = st.sampled_from(FUZZ_PATHS)
 _OUT = _mostly(st.just("out.json"), _PATH)

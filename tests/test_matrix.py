@@ -14,7 +14,6 @@ from hnnrep.matrix import (
     block_diag,
     block_grid,
     conjugate,
-    det2,
     det_bareiss,
     get_block,
 )
@@ -37,6 +36,11 @@ X0 = RingMatrix(LAURENT, ((ONE, ZERO), (LAM, ONE)))
 X0_INV = RingMatrix(LAURENT, ((ONE, ZERO), (-LAM, ONE)))
 X1 = RingMatrix(LAURENT, ((ONE, MU), (ZERO, ONE)))
 X1_INV = RingMatrix(LAURENT, ((ONE, -MU), (ZERO, ONE)))
+
+
+def det2(m):
+    (a, b), (c, d) = m.rows
+    return a * d - b * c
 
 
 def random_int_matrix(rng, ring, d):

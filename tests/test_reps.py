@@ -1,7 +1,9 @@
 """Representation builders: block shapes, relations, golden forms, probe."""
 
 import functools
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -12,13 +14,13 @@ from hnnrep.matrix import (
     RingMatrix,
     block_diag,
     conjugate,
-    det2,
     det_bareiss,
     get_block,
 )
 from hnnrep.reps import (
     GOLDEN_PSI_X0,
     GOLDEN_SIGMA_INV,
+    ProbeReport,
     Representation,
     artin_even,
     artin_odd,
@@ -46,6 +48,7 @@ from hnnrep.words import (
     inner_endomorphism,
     normal_form,
     parse_word,
+    reduced_walk,
 )
 
 LAM = LAURENT.lam()
@@ -57,6 +60,11 @@ S = LAURENT.s_power(1)
 
 def lau(rows):
     return RingMatrix(LAURENT, tuple(tuple(r) for r in rows))
+
+
+def det2(m):
+    (a, b), (c, d) = m.rows
+    return a * d - b * c
 
 
 class TestSigmaFree:
@@ -525,6 +533,29 @@ def _brute_force_counts(rep, max_len):
     return checked, identities, disagreements
 
 
+def _walk_report(rep, max_len):
+    """The probe word by word, as a reference: walk every reduced mixed
+    word of length at most max_len depth first (see reduced_walk) on the
+    probe's own block states, and list each word whose image is the
+    identity while its normal form is not, or the reverse.  A word
+    evaluates to the identity exactly when its permutation is the identity
+    and every integer-scaled block equals p^e * I."""
+    pairs, root, step, e_max = reps._probe_steps(rep, max_len)
+    top = max_len * e_max
+    if rep.ring.kind == "qp":
+        units = [rep.ring.p**e for e in range(top + 1)]
+    else:
+        units = [root[0].ring.one] * (top + 1)
+    report = ProbeReport(max_len=max_len)
+    for word, (mat, e, l, f) in reduced_walk(pairs, max_len, root, step):
+        is_id = mat.is_scalar(units[e])
+        report.words_checked += 1
+        report.identity_count += is_id
+        if is_id != (l == 0 and not f.syms):
+            report.counterexamples.append(str(MixedWord(word)))
+    return report
+
+
 def _q5_hnn(spec, basis="conjugated"):
     qp = QpRing(5)
     return hnn_induced_rep(spec, sigma_qp(spec.rank, 2, 2, 5, basis=basis),
@@ -620,7 +651,7 @@ class TestProbeDifferential:
 
     def _assert_matches_walk(self, rep, max_len):
         report = probe_faithfulness(rep, max_len)
-        assert report == reps._probe_walk(rep, max_len)
+        assert report == _walk_report(rep, max_len)
         return report
 
     @pytest.mark.parametrize("max_len", [1, 2])
@@ -663,27 +694,52 @@ class TestProbeDifferential:
             "x0 x1^-1", "x0^-1 x1", "x1 x0^-1", "x1^-1 x0",
         ]
 
-    def test_broken_relation_falls_back(self):
+    @staticmethod
+    def _free_basis_rep():
         # x0, x1, t sent to a free basis of a free group: distinct words
         # never share an image, but t^-1 x1 t and x0 are one element.
         free = sigma_qp(3, 2, 2, 5)
         gens = [(name, free.image(src), free.inverse_image(src))
                 for name, src in zip(["x0", "x1", "t"], free.gen_names)]
-        bad = Representation(free.ring, gens, spec=artin_even_spec(2))
+        return Representation(free.ring, gens, spec=artin_even_spec(2))
+
+    def test_broken_relation_falls_back(self):
+        bad = self._free_basis_rep()
         report = self._assert_matches_walk(bad, 4)
         assert _brute_force_counts(bad, 4) == (
             report.words_checked, report.identity_count,
             len(report.counterexamples)) == (936, 0, 8)
         assert report.counterexamples[0] == "x0 t^-1 x1^-1 t"
 
-    def test_certificate_needs_no_walk(self, monkeypatch):
-        def walk(rep, max_len):
-            raise AssertionError("the exhaustive walk ran")
+    def test_failing_probe_at_length_10(self):
+        # The counterexamples come from the colliding half-word pairs, not
+        # from a walk of all 14.6 M words; the figures are the walk's.
+        bad = self._free_basis_rep()
+        start = time.perf_counter()
+        report = probe_faithfulness(bad, 10)
+        elapsed = time.perf_counter() - start
+        assert (report.words_checked, report.identity_count,
+                len(report.counterexamples)) == (14_648_436, 0, 12_480)
+        assert report.counterexamples[0] == (
+            "x0 x0 x0 x0 t^-1 x1^-1 x1^-1 x1^-1 x1^-1 t")
+        digest = hashlib.sha256(
+            "\n".join(report.counterexamples).encode()).hexdigest()
+        assert digest == (
+            "dfb7e17f087d200e44d97294a4379df74803a2a5f6433846c0db84a2a0562885")
+        assert elapsed < 10.0, f"failing L = 10 probe took {elapsed:.1f}s"
 
-        monkeypatch.setattr(reps, "_probe_walk", walk)
+    def test_certificate_needs_no_walk(self, monkeypatch):
+        depths = []
+
+        def walk(pairs, max_len, root, step):
+            depths.append(max_len)
+            return reduced_walk(pairs, max_len, root, step)
+
+        monkeypatch.setattr(reps, "reduced_walk", walk)
         report = probe_faithfulness(_q5_hnn(artin_even_spec(2)), 7)
         assert (report.words_checked, report.identity_count, report.ok) == (
             117186, 100, True)
+        assert depths and max(depths) <= 4  # ceil(7 / 2)
 
 
 MODE_FLAGS = {

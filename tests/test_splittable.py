@@ -274,6 +274,15 @@ class TestIntGRep:
         report = verify_rep(rep, max_len=3, pairs=20)
         assert report.ok
 
+    @pytest.mark.parametrize("sample_len", [-1, -2])
+    def test_negative_sample_len_rejected(self, sample_len):
+        # At -2 the fresh words would all be empty: the gate would check
+        # nothing and pass a dimension-1 rep that fails verify_rep.
+        with pytest.raises(ValueError, match="sample_len must be at least 0"):
+            int_g_rep(G_RANK2, sample_len=sample_len)
+        with pytest.raises(ValueError, match="sample_len must be at least 0"):
+            build_rep(*trivial_setup(), sample_len=sample_len)
+
     def test_corrupted_tau_detected(self):
         phi_gens = MatrixGroupGens(4, tuple(
             (conjugation_matrix(m, i), conjugation_matrix(i, m))
