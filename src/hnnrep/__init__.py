@@ -50,6 +50,7 @@ from .words import (
     artin_canonical,
     artin_even_spec,
     artin_odd_spec,
+    artin_spec,
     center_generator,
     equal,
     holomorph_conjugation_check,

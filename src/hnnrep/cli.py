@@ -16,6 +16,7 @@ from .errors import VerificationError
 from .reps import (
     artin_even,
     artin_odd,
+    artin_sigma_basis,
     canonical_relation,
     defining_relations,
     golden_check,
@@ -38,8 +39,7 @@ from .splittable import (
 )
 from .words import (
     artin_canonical,
-    artin_even_spec,
-    artin_odd_spec,
+    artin_spec,
     center_generator,
     equal,
     normal_form,
@@ -49,14 +49,6 @@ from .words import (
 
 class CliError(Exception):
     """Input validation failure; exits with status 2."""
-
-
-def _spec_for(m: int):
-    if m < 3:
-        raise CliError("Artin index m must be at least 3")
-    if m % 2 == 0:
-        return artin_even_spec(m // 2)
-    return artin_odd_spec((m - 1) // 2)
 
 
 def _numeric_mode(args):
@@ -72,10 +64,9 @@ def _mode_inputs(m: int, args, integer=False):
     """(spec, sigma, s) for index m in the requested mode: the Artin HNN
     spec, the free-group images and the corner unit.  The integer mode is
     taken only when integer is set; numeric (Q_p) mode needs all of
-    --lambda, --mu and a prime --s; symbolic mode is the default.  The
-    rank-2 case m = 3 uses the rank2-mixed basis."""
-    spec = _spec_for(m)
-    basis = "rank2-mixed" if m == 3 else "conjugated"
+    --lambda, --mu and a prime --s; symbolic mode is the default."""
+    spec = artin_spec(m)
+    basis = artin_sigma_basis(m)
     numeric = _numeric_mode(args)
     if integer:
         lam = 2 if args.lam is None else args.lam
@@ -98,9 +89,7 @@ def _build_artin(m: int, args):
     if args.integer:
         return integer_hnn(spec, sigma, s)
     n, odd = divmod(m, 2)
-    if odd:
-        return artin_odd(n, sigma, s)
-    return artin_even(n, sigma, s)
+    return (artin_odd if odd else artin_even)(n, sigma, s)
 
 
 def _hnn_rep(m: int, args):
@@ -159,6 +148,11 @@ def _json_text(obj, indent=""):
             + f"\n{indent}{brackets[1]}")
 
 
+def _report_stream(path):
+    """stderr when the JSON document goes to stdout (path "-"), else stdout."""
+    return sys.stderr if path == "-" else sys.stdout
+
+
 def _dump_json(doc, path):
     text = _json_text(doc)
     if path == "-":
@@ -173,14 +167,16 @@ def cmd_build(args) -> int:
         raise CliError(f"unknown group {args.group!r}")
     rep = _build_artin(args.m, args)
     _dump_json(rep.to_json(), args.out)
-    print(f"wrote {rep.group or 'representation'} of degree {rep.degree} to {args.out}")
+    print(f"wrote {rep.group or 'representation'} of degree {rep.degree} to {args.out}",
+          file=_report_stream(args.out))
     return 0
 
 
 def _report_lines(lines, ok, json_path, suite):
+    out = _report_stream(json_path)
     for line in lines:
-        print(line)
-    print("PASS" if ok else "FAIL")
+        print(line, file=out)
+    print("PASS" if ok else "FAIL", file=out)
     if json_path:
         _dump_json({"suite": suite, "pass": ok, "details": lines}, json_path)
     return 0 if ok else 1
@@ -196,12 +192,11 @@ def cmd_check(args) -> int:
         for r in rel_report.results:
             lines.append(f"defining relation {r.lhs} = {r.rhs}: "
                          f"{'ok' if r.ok else 'FAIL ' + str(r.mismatch)}")
-        if args.integer:
-            _, _, relation = artin_canonical(args.m)
-            can_report = verify_defining_relations(hnn, [relation])
+        if args.integer:  # the x_i / t alphabet: w_m at the words x, y
+            rep, relation = hnn, artin_canonical(args.m)[2]
         else:
-            rep = _build_artin(args.m, args)
-            can_report = verify_defining_relations(rep, [canonical_relation(args.m)])
+            rep, relation = _build_artin(args.m, args), canonical_relation(args.m)
+        can_report = verify_defining_relations(rep, [relation])
         r = can_report.results[0]
         lines.append(f"canonical relation w_{args.m}(x,y) = w_{args.m}(y,x): "
                      f"{'ok' if r.ok else 'FAIL ' + str(r.mismatch)}")
@@ -226,8 +221,7 @@ def cmd_check(args) -> int:
             raise CliError("the center suite compares against s * identity, "
                            "which the integer variant's unipotent corner "
                            "does not give; drop --integer")
-        spec = _spec_for(args.m)
-        z = center_generator(spec)
+        z = center_generator(artin_spec(args.m))
         lines.append(f"center generator (word level): {z}")
         hnn = _hnn_rep(args.m, args)
         (z_img,) = hnn.block_eval_many([z])
@@ -261,7 +255,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_word(args) -> int:
-    spec = _spec_for(args.m)
+    spec = artin_spec(args.m)
     w = parse_word(args.word)
     if w.min_rank > spec.rank:
         raise CliError(f"word uses generators outside rank {spec.rank}")
@@ -303,17 +297,19 @@ def cmd_splittable(args) -> int:
             MatrixGroupGens.trivial(), g_gens,
             TrivialTau(g_gens.degree), args.sample_len,
         )
-    print(f"dimension {rep.dimension} (bound {rep.m_degree ** 2 + rep.n_degree ** 4})")
+    out = _report_stream(args.out)
+    print(f"dimension {rep.dimension} (bound {rep.m_degree ** 2 + rep.n_degree ** 4})",
+          file=out)
     report = verify_rep(rep, args.max_len)
     print(f"words checked: {report.words_checked}, "
-          f"identity actions: {report.identity_actions}")
+          f"identity actions: {report.identity_actions}", file=out)
     print(f"injectivity failures: {report.injectivity_failures}, "
           f"recovery failures: {report.recovery_failures}, "
-          f"homomorphism failures: {report.homomorphism_failures}")
+          f"homomorphism failures: {report.homomorphism_failures}", file=out)
     if report.witness is not None:
-        print(f"first failure: {report.witness}")
+        print(f"first failure: {report.witness}", file=out)
     _dump_json(rep.to_json(), args.out)
-    print("PASS" if report.ok else "FAIL")
+    print("PASS" if report.ok else "FAIL", file=out)
     return 0 if report.ok else 1
 
 

@@ -31,8 +31,10 @@ from .words import (
     Word,
     artin_even_spec,
     artin_odd_spec,
+    canonical_relation,
     parse_word,
     reduced_walk,
+    syms_str,
 )
 
 
@@ -242,6 +244,12 @@ def sigma_free(rank, ring, lam, mu, basis="conjugated") -> Representation:
     )
 
 
+def artin_sigma_basis(m: int) -> str:
+    """The sigma basis of the A(m) builds: rank2-mixed for the rank-2 spec
+    of m = 3, conjugated otherwise."""
+    return "rank2-mixed" if m == 3 else "conjugated"
+
+
 def sigma_symbolic(rank, basis="conjugated") -> Representation:
     return sigma_free(rank, LAURENT, LAURENT.lam(), LAURENT.mu(), basis)
 
@@ -307,12 +315,8 @@ def _induced_representation(spec, sigma, corner_z, corner_z_inv, group):
     ]
     gens.append(("t", t_img, t_inv))
     rep = Representation(ring, gens, spec=spec, group=group, params=dict(sigma.params))
-    relations = defining_relations(spec)
-    report = verify_defining_relations(rep, relations)
-    if not report.ok:
-        raise VerificationError(
-            f"defining relations fail for {group}: {report.failures()}"
-        )
+    _require_relations(rep, defining_relations(spec),
+                       f"defining relations fail for {group}")
     return rep
 
 
@@ -410,6 +414,13 @@ def verify_defining_relations(rep: Representation, relations) -> RelationReport:
     return RelationReport(tuple(results))
 
 
+def _require_relations(rep: Representation, relations, failure: str):
+    """Raise VerificationError naming the failed relations unless all hold."""
+    report = verify_defining_relations(rep, relations)
+    if not report.ok:
+        raise VerificationError(f"{failure}: {report.failures()}")
+
+
 def _first_mismatch(left: RingMatrix, right: RingMatrix):
     """(row, col, left entry, right entry) of the first differing entry."""
     for i, (lrow, rrow) in enumerate(zip(left.rows, right.rows)):
@@ -465,15 +476,7 @@ def artin_even(n: int, sigma: Representation = None, s=None) -> Representation:
     corner = (x0_inv * (v * x0_inv) ** (n - 1)).scalar_mul(s)
     _check_shape("y", y_img, BlockMonomial.companion([w] * (n - 1), corner))
 
-    rep = Representation(
-        ring,
-        [("x", x_img, x_inv), ("y", y_img, y_inv)],
-        spec=spec,
-        group=f"A({2 * n})",
-        params=dict(sigma.params, s=s),
-    )
-    _verify_artin_relation(rep, 2 * n)
-    return rep
+    return _canonical_rep(2 * n, spec, sigma, s, (x_img, x_inv), (y_img, y_inv))
 
 
 def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
@@ -485,7 +488,7 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     """
     spec = artin_odd_spec(n)
     if sigma is None:
-        sigma = sigma_symbolic(2 * n, basis="rank2-mixed" if n == 1 else "conjugated")
+        sigma = sigma_symbolic(2 * n, basis=artin_sigma_basis(2 * n + 1))
     if s is None:
         s = LAURENT.s_power(1)
     tau = hnn_induced_rep(spec, sigma, s)
@@ -499,29 +502,17 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     *superdiag, corner = sigma.block_eval_many(orbit[:-1] + [corner_word])
     _check_shape("y", y_img, BlockMonomial.companion(superdiag, corner.scalar_mul(s)))
 
-    rep = Representation(
-        sigma.ring,
-        [("x", x_img, x_inv), ("y", y_img, y_inv)],
-        spec=spec,
-        group=f"A({2 * n + 1})",
-        params=dict(sigma.params, s=s),
-    )
-    _verify_artin_relation(rep, 2 * n + 1)
+    return _canonical_rep(2 * n + 1, spec, sigma, s, (x_img, x_inv), (y_img, y_inv))
+
+
+def _canonical_rep(m, spec, sigma, s, x, y) -> Representation:
+    """The representation of A(m) with the (image, inverse) pairs x and y
+    as its canonical generators, checked on the canonical relation."""
+    rep = Representation(sigma.ring, [("x", *x), ("y", *y)], spec=spec,
+                         group=f"A({m})", params=dict(sigma.params, s=s))
+    _require_relations(rep, [canonical_relation(m)],
+                       f"canonical relation fails for A({m})")
     return rep
-
-
-def canonical_relation(m: int):
-    """The alternating relation w_m(x,y) = w_m(y,x) over letters x, y."""
-    n, rem = divmod(m, 2)
-    lhs = [("x", 1), ("y", 1)] * n + [("x", 1)] * rem
-    rhs = [("y", 1), ("x", 1)] * n + [("y", 1)] * rem
-    return lhs, rhs
-
-
-def _verify_artin_relation(rep: Representation, m: int):
-    left, right = rep.block_eval_many(canonical_relation(m))
-    if left != right:
-        raise VerificationError(f"canonical relation fails for A({m})")
 
 
 # --- the braid-group pair and its golden closed forms -------------------------
@@ -723,7 +714,7 @@ def _probe_counterexamples(cells, pairs, max_len):
     ]
     index = {sym: i for i, sym in enumerate(chain.from_iterable(pairs))}
     found.sort(key=lambda w: [index[sym] for sym in w])
-    return [str(MixedWord(w)) for w in found]
+    return [syms_str(w) for w in found]
 
 
 def _probe_steps(rep: Representation, max_len: int):

@@ -25,9 +25,10 @@ action matrices as the whole sample gives.  The fresh sample is not
 pruned.
 
 The engine computes on an exact kernel: its matrices are tuples of row
-tuples whose entries are Python ints where integral and Fractions
-otherwise, converted once from the generator pairs and once per Phi-word
-from the tau pairs.  Span membership is decided fraction-free over Z, and
+tuples, ints for integer inputs and ints and Fractions, some of them
+integral, for rational ones.  They are converted once from the generator
+pairs and once per Phi-word from the tau pairs, and multiplied by
+matrix._block_mul.  Span membership is decided fraction-free over Z, and
 the action matrices are kept as sparse rows {column: coefficient}.  The
 checks read them once per call as (den, integer rows), den the lcm of the
 denominators, and multiply ints; recovery and the identity test compare
@@ -54,7 +55,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionBoundError, OracleError, VerificationError
-from .matrix import RingMatrix
+from .matrix import RingMatrix, _block_mul
 from .ring import QQ
 from .words import reduced_walk
 
@@ -273,11 +274,12 @@ def h_eval(p, k1, k2, q, element: SemidirectElement, tau: TauOracle) -> Fraction
 
 # --- The exact kernel ------------------------------------------------------
 #
-# A kernel matrix is a tuple of row tuples of exact numbers, an int where
-# the entry is integral and a Fraction otherwise; Python's numeric tower
-# picks the arithmetic.  Sparse rows are dicts {column: coefficient} with
-# no zero coefficient, so two sparse matrices are equal exactly when their
-# rows compare equal.
+# A kernel matrix is a tuple of row tuples of exact numbers (ints, and
+# Fractions for rational inputs, integral ones included); Python's numeric
+# tower picks the arithmetic.  Kernel rows and shifts are read through
+# _exact, so the sample's dot products stay in ints where they can.  Sparse
+# rows are dicts {column: coefficient} with no zero coefficient, so two
+# sparse matrices are equal exactly when their rows compare equal.
 
 
 def _exact(x):
@@ -291,14 +293,6 @@ def _kernel_matrix(mat: RingMatrix):
 
 def _kernel_identity(d: int):
     return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-
-
-def _kmul(a, b):
-    """Product of two kernel matrices."""
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(_exact(sum(map(mul, row, col))) for col in cols) for row in a
-    )
 
 
 def _qq_matrix(rows, den=1) -> RingMatrix:
@@ -404,8 +398,8 @@ class _Kernel:
         return _Element(
             e1.word + e2.word,
             e1.phi_word + e2.phi_word,
-            _kmul(e1.phi, e2.phi),
-            _kmul(_kmul(t_inv, e1.g), _kmul(t_val, e2.g)),
+            _block_mul(e1.phi, e2.phi, 0),
+            _block_mul(_block_mul(t_inv, e1.g, 0), _block_mul(t_val, e2.g, 0), 0),
         )
 
     def eval_word(self, letters) -> _Element:
@@ -420,7 +414,7 @@ class _Kernel:
 
 def _conjugate_by_letter(kernel, mat, letter):
     lv, linv = kernel.tau_pair((letter,))
-    return _kmul(_kmul(linv, mat), lv)
+    return _block_mul(_block_mul(linv, mat, 0), lv, 0)
 
 
 def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
@@ -439,10 +433,11 @@ def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
         _conjugate_by_letter(kernel, e, l) for e in expected))
     for w, expected in chain([((), g_mats)], words):
         t_val, t_inv = kernel.tau_pair(w)
-        if _kmul(t_val, t_inv) != ident or _kmul(t_inv, t_val) != ident:
+        if (_block_mul(t_val, t_inv, 0) != ident
+                or _block_mul(t_inv, t_val, 0) != ident):
             raise OracleError(f"tau inverse wrong on {w}")
         for g_mat, exp in zip(g_mats, expected):
-            if _kmul(_kmul(t_inv, g_mat), t_val) != exp:
+            if _block_mul(_block_mul(t_inv, g_mat, 0), t_val, 0) != exp:
                 raise OracleError(
                     f"tau({w}) does not realize the letterwise action"
                 )
@@ -465,12 +460,12 @@ def _kernel_row(kernel: _Kernel, y: _Element):
     coordinate is a fixed linear combination of these entries (see
     _Sample)."""
     t_val, t_inv = kernel.tau_pair(y.phi_word)
-    b_cols = tuple(zip(*_kmul(t_val, y.g)))
+    b_cols = tuple(zip(*_block_mul(t_val, y.g, 0)))
     n = len(b_cols)
     row = [x for col in zip(*y.phi) for x in col]
     row += [t * b for p in range(n) for q in range(n)
             for t in t_inv[p] for b in b_cols[q]]
-    return row
+    return [_exact(x) for x in row]
 
 
 def _row_basis(rows):
@@ -526,9 +521,9 @@ class _Sample:
         """The shifted coordinate y -> coord(shift * y) at every point."""
         kind, i, j = coord
         if kind == "phi":
-            row = shift.phi[i]
+            row = [_exact(x) for x in shift.phi[i]]
             return [sum(map(mul, row, col)) for col in self._phi_cols[j]]
-        flat = [x for row in shift.g for x in row]
+        flat = [_exact(x) for row in shift.g for x in row]
         return [sum(map(mul, flat, h)) for h in self._h[i, j]]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import chain
 
 from .errors import VerificationError
 
@@ -41,6 +42,11 @@ def _sym_str(sym):
     gen, sign = sym
     name = "t" if gen == T_GEN else f"x{gen}"
     return name if sign == 1 else f"{name}^-1"
+
+
+def syms_str(syms) -> str:
+    """Text of a symbol tuple, "ε" when empty: the str of its (Mixed)Word."""
+    return " ".join(map(_sym_str, syms)) if syms else "ε"
 
 
 def _check_syms(syms, allow_t):
@@ -117,7 +123,7 @@ class Word:
         return 1 + max((g for g, _ in self.syms), default=-1)
 
     def __str__(self):
-        return " ".join(_sym_str(s) for s in self.syms) if self.syms else "ε"
+        return syms_str(self.syms)
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ class MixedWord:
         return 1 + max((g for g, _ in self.syms), default=-1)
 
     def __str__(self):
-        return " ".join(_sym_str(s) for s in self.syms) if self.syms else "ε"
+        return syms_str(self.syms)
 
 
 _TERM_RE = re.compile(r"^(x(\d+)|t)(\^(-?\d+))?$")
@@ -558,33 +564,43 @@ def psi_inverse_power_x0(n: int, i: int) -> Word:
     return spec.w0.inverse() * w * spec.w0
 
 
+def artin_spec(m: int) -> HnnSpec:
+    """The HNN spec of the Artin group A(m), m >= 3: the even spec of rank
+    m/2 for even m, the odd spec of rank m - 1 for odd m."""
+    if m < 3:
+        raise ValueError("Artin index m must be at least 3")
+    n, odd = divmod(m, 2)
+    return artin_odd_spec(n) if odd else artin_even_spec(n)
+
+
+def canonical_relation(m: int):
+    """The alternating relation w_m(x,y) = w_m(y,x) of A(m), both sides as
+    lists of (letter, sign) pairs over the letters x, y."""
+    n, rem = divmod(m, 2)
+    lhs = [("x", 1), ("y", 1)] * n + [("x", 1)] * rem
+    rhs = [("y", 1), ("x", 1)] * n + [("y", 1)] * rem
+    return lhs, rhs
+
+
 def artin_canonical(m: int):
     """Canonical two-generator presentation data for Artin index m >= 3.
 
-    Returns (x, y, (lhs, rhs)) as mixed words over the matching HNN spec:
-    even m = 2n gives x = x0, y = t with (x0 t)^n = (t x0)^n; odd m = 2n+1
-    gives x = t, y = x0 t with (t x0 t)^n t = (x0 t^2)^n x0 t.  Both sides
-    are verified equal under the spec's normal form.
+    Returns (x, y, (lhs, rhs)), mixed words over artin_spec(m), with (lhs,
+    rhs) the canonical relation at x, y: even m = 2n gives x = x0, y = t and
+    (x0 t)^n = (t x0)^n; odd m = 2n+1 gives x = t, y = x0 t and (t x0 t)^n t
+    = (x0 t^2)^n x0 t.  Both sides are verified equal by normal form.
     """
-    if m < 3:
-        raise ValueError("Artin index must be at least 3")
-    t = MixedWord.t()
-    x0 = MixedWord.gen(0)
-    if m % 2 == 0:
-        n = m // 2
-        spec = artin_even_spec(n)
-        x, y = x0, t
-        lhs = (x0 * t) ** n
-        rhs = (t * x0) ** n
-    else:
-        n = (m - 1) // 2
-        spec = artin_odd_spec(n)
-        x, y = t, x0 * t
-        lhs = (t * x0 * t) ** n * t
-        rhs = (x0 * t * t) ** n * x0 * t
+    spec = artin_spec(m)
+    t, x0 = MixedWord.t(), MixedWord.gen(0)
+    letters = {"x": x0, "y": t} if m % 2 == 0 else {"x": t, "y": x0 * t}
+    lhs, rhs = (
+        MixedWord(tuple(chain.from_iterable(
+            (letters[name] ** sign).syms for name, sign in side)))
+        for side in canonical_relation(m)
+    )
     if not equal(spec, lhs, rhs):
         raise VerificationError(f"canonical relation fails for m = {m}")
-    return x, y, (lhs, rhs)
+    return letters["x"], letters["y"], (lhs, rhs)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,28 @@ GENS_RANK2 = {
 }
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["build", "--m", "4"], "--out"),
+    (["check", "--suite", "relations", "--m", "5"], "--json-report"),
+    (["splittable", "--g", "g.json", "--tau", "inner", "--sample-len", "3",
+      "--max-len", "2"], "--out"),
+])
+def test_dash_output_puts_the_document_alone_on_stdout(capsys, monkeypatch,
+                                                       tmp_path, argv, flag):
+    # With "-", stdout is exactly the text the command writes to a file,
+    # and the lines it prints beside a file output go to stderr.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps(GENS_RANK2))
+    assert main([*argv, flag, "doc.json"]) == 0
+    to_file = capsys.readouterr()
+    assert main([*argv, flag, "-"]) == 0
+    to_dash = capsys.readouterr()
+    assert to_dash.out == (tmp_path / "doc.json").read_text()
+    json.loads(to_dash.out)
+    assert to_dash.err == to_file.out.replace("doc.json", "-")
+    assert to_file.err == ""
+
+
 class TestSplittableCommand:
     def test_trivial_phi(self, capsys, tmp_path):
         gens = tmp_path / "g.json"

@@ -32,13 +32,16 @@ INDICES = range(3, 7)
 
 @functools.cache
 def build_text(m, mode):
-    """The text `build --m m` writes in the given mode, without its final
-    newline."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    """The text `build --m m --out -` writes in the given mode, without its
+    final newline.  Stdout holds the document alone; the `wrote` line goes
+    to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"]) == 0
-    text, _, _ = buf.getvalue().rpartition("\nwrote ")
-    return text
+    json.loads(out.getvalue())
+    assert err.getvalue().startswith("wrote ")
+    assert out.getvalue().endswith("}\n")
+    return out.getvalue()[:-1]
 
 
 def build_doc(m, mode):

@@ -889,9 +889,13 @@ class TestChecksStillRun:
         monkeypatch.setattr(
             reps, "canonical_relation", lambda m: ([("x", 1), ("y", 1)], [("y", 1), ("x", 1)])
         )
-        with pytest.raises(VerificationError, match="canonical relation fails"):
+        # The message names the first differing entry as (row, col, ...).
+        witness = r"mismatch=\(\d+, \d+, "
+        with pytest.raises(VerificationError,
+                           match=r"canonical relation fails for A\(4\): .*" + witness):
             artin_even(2)
-        with pytest.raises(VerificationError, match="canonical relation fails"):
+        with pytest.raises(VerificationError,
+                           match=r"canonical relation fails for A\(3\): .*" + witness):
             artin_odd(1)
 
     def test_even_block_shape(self):

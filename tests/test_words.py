@@ -366,8 +366,20 @@ class TestArtinCanonical:
         assert rhs == MW("x0 t t x0 t")
 
     def test_sweep(self):
-        for m in range(3, 11):
-            artin_canonical(m)  # raises on failure
+        # artin_canonical substitutes x, y into canonical_relation; these
+        # are the closed forms of both sides.
+        t, x0 = MixedWord.t(), MixedWord.gen(0)
+        for m in range(3, 13):
+            n, odd = divmod(m, 2)
+            x, y, (lhs, rhs) = artin_canonical(m)  # raises on failure
+            if odd:
+                assert (x, y) == (t, x0 * t)
+                assert lhs == (t * x0 * t) ** n * t
+                assert rhs == (x0 * t * t) ** n * x0 * t
+            else:
+                assert (x, y) == (x0, t)
+                assert lhs == (x0 * t) ** n
+                assert rhs == (t * x0) ** n
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
