@@ -17,8 +17,6 @@ from .reps import (
     artin_even,
     artin_odd,
     artin_sigma_basis,
-    canonical_relation,
-    defining_relations,
     golden_check,
     hnn_induced_rep,
     integer_hnn,
@@ -185,18 +183,15 @@ def _report_lines(lines, ok, json_path, suite):
 def cmd_check(args) -> int:
     lines = []
     if args.suite == "relations":
-        hnn = _build_artin(args.m, args) if args.integer else _hnn_rep(args.m, args)
-        rel_report = verify_defining_relations(
-            hnn, defining_relations(hnn.spec)
-        )
+        # The build verified its relations; print the reports it kept.
+        rep = _build_artin(args.m, args)
+        reports = rep.relation_reports
+        if args.integer:  # the x_i / t alphabet: w_m at the words x, y
+            reports += (verify_defining_relations(rep, [artin_canonical(args.m)[2]]),)
+        rel_report, can_report = reports
         for r in rel_report.results:
             lines.append(f"defining relation {r.lhs} = {r.rhs}: "
                          f"{'ok' if r.ok else 'FAIL ' + str(r.mismatch)}")
-        if args.integer:  # the x_i / t alphabet: w_m at the words x, y
-            rep, relation = hnn, artin_canonical(args.m)[2]
-        else:
-            rep, relation = _build_artin(args.m, args), canonical_relation(args.m)
-        can_report = verify_defining_relations(rep, [relation])
         r = can_report.results[0]
         lines.append(f"canonical relation w_{args.m}(x,y) = w_{args.m}(y,x): "
                      f"{'ok' if r.ok else 'FAIL ' + str(r.mismatch)}")

@@ -12,7 +12,9 @@ Every image is block-monomial (see BlockMonomial), and the builders work on
 blocks throughout, JSON output included; dense matrices appear only at the
 display boundary (image(), eval()).  Everything is verified at
 construction: generator inverses, the defining relations
-t^-1 x t = phi(x), and the displayed block shapes.
+t^-1 x t = phi(x), the canonical relation w_m, and the displayed block
+shapes.  Each relation check runs once, and its report is kept on the
+representation (Representation.relation_reports).
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ class Representation:
     commutative rings used here, A B = I gives det A det B = 1, so A is
     invertible and B A = I as well.  An HnnSpec may be attached when the
     generators are the x_i / t alphabet of an extension.
+
+    relation_reports holds the RelationReports that the builder verified,
+    in order: the defining relations, then the canonical relation for an
+    A(m) build.  It is empty for a representation read from JSON.
     """
 
     def __init__(self, ring, gens, spec=None, group="", params=None):
@@ -80,6 +86,7 @@ class Representation:
         self.spec = spec
         self.group = group
         self.params = params or {}
+        self.relation_reports = ()
 
     def image(self, name: str) -> RingMatrix:
         return self.images[name][0].to_matrix()
@@ -399,26 +406,26 @@ class RelationReport:
 
 def verify_defining_relations(rep: Representation, relations) -> RelationReport:
     """Evaluate both sides of each relation on blocks; on failure report the
-    first differing entry in dense (row, col) coordinates."""
-    relations = list(relations)
-    sides = rep.block_eval_many([w for pair in relations for w in pair])
+    first differing entry in dense (row, col) coordinates.  Each side is
+    recorded as the text of its letters, such as "t^-1 x0 t" or "x y x"."""
+    sides = [tuple(rep.letters(w)) for pair in relations for w in pair]
+    images = rep.block_eval_many(sides)
     results = []
-    for (lhs, rhs), left, right in zip(relations, sides[::2], sides[1::2]):
-        if left == right:
-            results.append(RelationResult(str(lhs), str(rhs), True))
-            continue
-        results.append(RelationResult(
-            str(lhs), str(rhs), False,
-            _first_mismatch(left.to_matrix(), right.to_matrix()),
-        ))
+    for lhs, rhs, left, right in zip(sides[::2], sides[1::2], images[::2], images[1::2]):
+        mismatch = None if left == right else _first_mismatch(
+            left.to_matrix(), right.to_matrix())
+        results.append(RelationResult(syms_str(lhs), syms_str(rhs),
+                                      mismatch is None, mismatch))
     return RelationReport(tuple(results))
 
 
 def _require_relations(rep: Representation, relations, failure: str):
-    """Raise VerificationError naming the failed relations unless all hold."""
+    """Raise VerificationError naming the failed relations unless all hold;
+    keep the report in rep.relation_reports."""
     report = verify_defining_relations(rep, relations)
     if not report.ok:
         raise VerificationError(f"{failure}: {report.failures()}")
+    rep.relation_reports += (report,)
 
 
 def _first_mismatch(left: RingMatrix, right: RingMatrix):
@@ -476,7 +483,7 @@ def artin_even(n: int, sigma: Representation = None, s=None) -> Representation:
     corner = (x0_inv * (v * x0_inv) ** (n - 1)).scalar_mul(s)
     _check_shape("y", y_img, BlockMonomial.companion([w] * (n - 1), corner))
 
-    return _canonical_rep(2 * n, spec, sigma, s, (x_img, x_inv), (y_img, y_inv))
+    return _canonical_rep(2 * n, tau, (x_img, x_inv), (y_img, y_inv))
 
 
 def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
@@ -502,14 +509,17 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     *superdiag, corner = sigma.block_eval_many(orbit[:-1] + [corner_word])
     _check_shape("y", y_img, BlockMonomial.companion(superdiag, corner.scalar_mul(s)))
 
-    return _canonical_rep(2 * n + 1, spec, sigma, s, (x_img, x_inv), (y_img, y_inv))
+    return _canonical_rep(2 * n + 1, tau, (x_img, x_inv), (y_img, y_inv))
 
 
-def _canonical_rep(m, spec, sigma, s, x, y) -> Representation:
+def _canonical_rep(m, tau, x, y) -> Representation:
     """The representation of A(m) with the (image, inverse) pairs x and y
-    as its canonical generators, checked on the canonical relation."""
-    rep = Representation(sigma.ring, [("x", *x), ("y", *y)], spec=spec,
-                         group=f"A({m})", params=dict(sigma.params, s=s))
+    as its canonical generators, checked on the canonical relation.  The
+    spec, ring and params (s included) are those of the induced
+    representation tau, and the relation reports continue tau's."""
+    rep = Representation(tau.ring, [("x", *x), ("y", *y)], spec=tau.spec,
+                         group=f"A({m})", params=dict(tau.params))
+    rep.relation_reports = tau.relation_reports
     _require_relations(rep, [canonical_relation(m)],
                        f"canonical relation fails for A({m})")
     return rep
@@ -573,12 +583,14 @@ def golden_check():
 
 
 def b3_explicit(sigma: Representation = None, s=None):
-    """The braid-group pair X, Y: the induced generators of the index-3 case
-    conjugated by diag(E2, E2, Sigma^-1, .., Sigma^-1).
+    """The braid-group pair X, Y: the induced generators t and x0 t of the
+    index-3 case conjugated by diag(E2, E2, Sigma^-1, .., Sigma^-1), their
+    inverses t^-1 and t^-1 x0^-1 likewise.
 
     Returns 12x12 matrices verified against their block shapes (identity and
-    Sigma^-1 blocks for X; x0, x1*Sigma^-1 and psi-power blocks for Y) and
-    the braid relation X Y X = Y X Y.
+    Sigma^-1 blocks for X; x0, x1*Sigma^-1 and psi-power blocks for Y), the
+    inverse certificate of every Representation, and the braid relation
+    X Y X = Y X Y, the canonical relation of A(3).
     """
     spec = artin_odd_spec(1)
     symbolic = sigma is None
@@ -587,8 +599,8 @@ def b3_explicit(sigma: Representation = None, s=None):
     if s is None:
         s = LAURENT.s_power(1)
     tau = hnn_induced_rep(spec, sigma, s)
-    t_img = tau.images["t"][0]
-    dt = tau.images["x0"][0] * t_img
+    t_img, t_inv = tau.images["t"]
+    x0_img, x0_inv = tau.images["x0"]
     psi = spec.phi
     x0w, x1w = Word.gen(0), Word.gen(1)
     sig_inv, sig, x0, x1, psi1, psi2, psi3, psi4 = sigma.block_eval_many(
@@ -598,20 +610,19 @@ def b3_explicit(sigma: Representation = None, s=None):
     ident2 = BlockMonomial.identity(sigma.ring, 2, 1)
     u = BlockMonomial.diag([ident2, ident2] + [sig_inv] * 4)
     u_inv = BlockMonomial.diag([ident2, ident2] + [sig] * 4)
-    x_mat = conjugate(t_img, u, u_inv)
-    y_mat = conjugate(dt, u, u_inv)
+    x_pair = [conjugate(g, u, u_inv) for g in (t_img, t_inv)]
+    y_pair = [conjugate(g, u, u_inv) for g in (x0_img * t_img, t_inv * x0_inv)]
 
-    _check_shape("X", x_mat, BlockMonomial.companion(
+    _check_shape("X", x_pair[0], BlockMonomial.companion(
         [ident2, sig_inv, ident2, ident2, ident2], ident2.scalar_mul(s)))
-    _check_shape("Y", y_mat, BlockMonomial.companion(
+    _check_shape("Y", y_pair[0], BlockMonomial.companion(
         [x0, x1 * sig_inv, psi4, psi3, psi2], psi1.scalar_mul(s)))
     if symbolic:
         _, mismatches = golden_check()
         if mismatches:
             raise VerificationError(f"golden mismatch: {mismatches}")
-    if x_mat * y_mat * x_mat != y_mat * x_mat * y_mat:
-        raise VerificationError("braid relation X Y X = Y X Y fails")
-    return x_mat.to_matrix(), y_mat.to_matrix()
+    rep = _canonical_rep(3, tau, x_pair, y_pair)
+    return rep.image("x"), rep.image("y")
 
 
 # --- faithfulness probe --------------------------------------------------------

@@ -21,8 +21,10 @@ vectors on S exactly when it holds on any subset of S whose kernel rows
 span the row space of K_S.  The build therefore decides spans on the
 points that raise the rank, in walk order (26 of 457 for Int(G).G of a
 rank-2 SL_2(Z) pair at sample length 3): the same basis, expansions and
-action matrices as the whole sample gives.  The fresh sample is not
-pruned.
+action matrices as the whole sample gives.  The fresh points are pruned
+the same way (_Sample), with the same verdicts and witnesses: a mismatch
+at a point is linear in its kernel row, so the first failing point is
+outside the span of the points before it, and it is kept.
 
 The engine computes on an exact kernel: its matrices are tuples of row
 tuples, ints for integer inputs and ints and Fractions, some of them
@@ -81,7 +83,11 @@ def coord_name(coord) -> str:
 
 @dataclass(frozen=True)
 class MatrixGroupGens:
-    """Generators of a matrix group, each paired with its inverse."""
+    """Generators of a matrix group, each paired with its inverse.
+
+    A pair (A, B) is checked one-sided, A B = I.  That suffices: A and B
+    are square over Q, so A B = I gives det A det B = 1, A is invertible,
+    and B = A^-1, so B A = I as well."""
 
     degree: int
     pairs: tuple
@@ -91,7 +97,7 @@ class MatrixGroupGens:
         for mat, inv in self.pairs:
             if mat.degree != self.degree or inv.degree != self.degree:
                 raise ValueError("generator degree mismatch")
-            if mat * inv != ident or inv * mat != ident:
+            if mat * inv != ident:
                 raise ValueError("generator pair does not multiply to identity")
 
     @classmethod
@@ -420,6 +426,8 @@ def _conjugate_by_letter(kernel, mat, letter):
 def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
     """Check the oracle contract on short Phi-words: tau inverts correctly
     and word-level conjugation agrees with letter-by-letter conjugation.
+    The inverse is checked one-sided, tau(w) tau(w)^-1 = I, which for
+    square matrices over Q gives the other side too (see MatrixGroupGens).
 
     Returns the kernel form of (Phi, G, tau) that was checked, holding the
     tau pairs of the Phi-words of length at most word_len."""
@@ -433,8 +441,7 @@ def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
         _conjugate_by_letter(kernel, e, l) for e in expected))
     for w, expected in chain([((), g_mats)], words):
         t_val, t_inv = kernel.tau_pair(w)
-        if (_block_mul(t_val, t_inv, 0) != ident
-                or _block_mul(t_inv, t_val, 0) != ident):
+        if _block_mul(t_val, t_inv, 0) != ident:
             raise OracleError(f"tau inverse wrong on {w}")
         for g_mat, exp in zip(g_mats, expected):
             if _block_mul(_block_mul(t_inv, g_mat, 0), t_val, 0) != exp:
@@ -502,13 +509,25 @@ def _row_basis(rows):
 
 
 class _Sample:
-    """Evaluation points prepared so that a shifted coordinate is one dot
-    product per point, from the points' kernel rows (_kernel_row).  At a
-    point y and for the shift x, the Phi coordinate (i, j) is row i of
-    x.phi times column j of y.phi, and the G coordinate (p, q) is the sum
-    over k1, k2 of x.g[k1][k2] * H_{p k1 k2 q}(y)."""
+    """Evaluation points, given as (word, kernel element) pairs, pruned to
+    the points whose kernel rows (_kernel_row) raise the rank, in order
+    (_row_basis); words holds the kept points' words.  A linear relation
+    among shifted coordinates holds on the kept points exactly when it
+    holds on all of them.
 
-    def __init__(self, kernel: _Kernel, rows):
+    A shifted coordinate is one dot product per kept point: at a point y
+    and for the shift x, the Phi coordinate (i, j) is row i of x.phi times
+    column j of y.phi, and the G coordinate (p, q) is the sum over k1, k2
+    of x.g[k1][k2] * H_{p k1 k2 q}(y)."""
+
+    def __init__(self, kernel: _Kernel, points):
+        words, rows = [], []
+        for word, el in points:
+            words.append(word)
+            rows.append(_kernel_row(kernel, el))
+        keep = _row_basis(rows)
+        self.words = [words[i] for i in keep]
+        rows = [rows[i] for i in keep]
         m, n = len(kernel.identity.phi), len(kernel.identity.g)
         self._phi_cols = [[r[j * m:(j + 1) * m] for r in rows] for j in range(m)]
         self._h = {}
@@ -737,12 +756,10 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     kernel = validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
     words = reduced_walk(pairs, sample_len, kernel.identity,
                          lambda el, l: kernel.mul(el, kernel.gens[l]))
-    rows = [_kernel_row(kernel, y)
-            for y in chain([kernel.identity], (el for _, el in words))]
     # Relations among shifted coordinates on the sample are relations among
     # their coefficient vectors modulo the null space of the kernel rows,
     # so a row basis of the sample decides them exactly as the whole does.
-    sample = _Sample(kernel, [rows[i] for i in _row_basis(rows)])
+    sample = _Sample(kernel, chain([((), kernel.identity)], words))
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
@@ -801,10 +818,11 @@ def _fresh_points(rep: SplittableRep, words):
     (basis function j), for integer coefficients combo[j], at each point,
     in the order of words.  It returns None when they agree everywhere,
     and otherwise names the first differing point: "at fresh word w: direct
-    value v, combination c".  Every fresh point is evaluated; the points
-    are not pruned to a row basis as the build sample is."""
+    value v, combination c".  The points are pruned to a row basis as the
+    build sample is (_Sample), which keeps the verdict and the first
+    differing point."""
     kernel = rep._kernel
-    sample = _Sample(kernel, [_kernel_row(kernel, kernel.eval_word(w)) for w in words])
+    sample = _Sample(kernel, ((w, kernel.eval_word(w)) for w in words))
     basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
 
     def check(coord, shift, combo, den):
@@ -812,7 +830,7 @@ def _fresh_points(rep: SplittableRep, words):
         for k, value in enumerate(sample.values(coord, shift)):
             total = sum(c * vals[k] for vals, c in terms)
             if total != value * den:
-                return (f"at fresh word {word_str(words[k])}: direct value "
+                return (f"at fresh word {word_str(sample.words[k])}: direct value "
                         f"{value}, combination {Fraction(total, den)}")
         return None
 

@@ -40,12 +40,14 @@ def _reduce(syms):
 
 def _sym_str(sym):
     gen, sign = sym
-    name = "t" if gen == T_GEN else f"x{gen}"
+    name = gen if isinstance(gen, str) else "t" if gen == T_GEN else f"x{gen}"
     return name if sign == 1 else f"{name}^-1"
 
 
 def syms_str(syms) -> str:
-    """Text of a symbol tuple, "ε" when empty: the str of its (Mixed)Word."""
+    """Text of a symbol tuple, "ε" when empty: the str of its (Mixed)Word.
+    A symbol's generator may also be a letter name, such as "x", taken as
+    it stands."""
     return " ".join(map(_sym_str, syms)) if syms else "ε"
 
 

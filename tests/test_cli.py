@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hnnrep
-from hnnrep import cli
+from hnnrep import cli, reps
 from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
@@ -419,6 +419,31 @@ def test_center_stdout_pinned(capsys, m, mode):
     code = main(["check", "--suite", "center", "--m", str(m), *mode])
     assert code == 0
     assert capsys.readouterr().out == CENTER_STDOUT[m]
+
+
+@pytest.mark.parametrize("mode", [[], ["--lambda", "2", "--mu", "3", "--s", "5"],
+                                  ["--integer"]], ids=["symbolic", "qp", "integer"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_relations_suite_builds_once(capsys, monkeypatch, m, mode):
+    # One induced representation and two relation verifications per run:
+    # the build's defining relations and w_m (verified by the build, or by
+    # the suite in the integer mode, whose build does not verify w_m).
+    counts = {"builds": 0, "verifications": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(reps, "_induced_representation", "builds")
+    counting(reps, "verify_defining_relations", "verifications")
+    counting(cli, "verify_defining_relations", "verifications")
+    assert main(["check", "--suite", "relations", "--m", str(m), *mode]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert counts == {"builds": 1, "verifications": 2}
 
 
 @pytest.mark.parametrize("corruption", ["wrong-s", "swapped-images"])

@@ -393,6 +393,24 @@ class TestVerifyDefiningRelations:
         failure = report.failures()[0]
         assert failure.mismatch is not None
 
+    def test_sides_recorded_as_words(self):
+        rep = artin_even(2)
+        (result,) = verify_defining_relations(rep, [canonical_relation(4)]).results
+        assert (result.lhs, result.rhs) == ("x y x y", "y x y x")
+
+    def test_builds_keep_their_reports(self):
+        # Each build keeps the reports it verified: the defining relations,
+        # then the canonical relation for an A(m) build.
+        rep = artin_odd(1)
+        defining, canonical = rep.relation_reports
+        assert [(r.lhs, r.ok) for r in defining.results] == [
+            ("t^-1 x0 t", True), ("t^-1 x1 t", True)]
+        assert [(r.lhs, r.rhs, r.ok) for r in canonical.results] == [
+            ("x y x", "y x y", True)]
+        integer = integer_hnn(artin_odd_spec(1), sigma_int(2, 2, 2, basis="rank2-mixed"), 1)
+        assert len(integer.relation_reports) == 1
+        assert Representation.from_json(rep.to_json()).relation_reports == ()
+
     def test_trivial_relation(self):
         rep = artin_even(2)
         w = [("x", 1), ("y", -1), ("x", 1)]
@@ -889,14 +907,19 @@ class TestChecksStillRun:
         monkeypatch.setattr(
             reps, "canonical_relation", lambda m: ([("x", 1), ("y", 1)], [("y", 1), ("x", 1)])
         )
-        # The message names the first differing entry as (row, col, ...).
-        witness = r"mismatch=\(\d+, \d+, "
+        # The message names the sides as words and the first differing
+        # entry as (row, col, ...).
+        witness = r"lhs='x y', rhs='y x', ok=False, mismatch=\(\d+, \d+, "
         with pytest.raises(VerificationError,
                            match=r"canonical relation fails for A\(4\): .*" + witness):
             artin_even(2)
         with pytest.raises(VerificationError,
                            match=r"canonical relation fails for A\(3\): .*" + witness):
             artin_odd(1)
+        # The braid pair goes through the same checker.
+        with pytest.raises(VerificationError,
+                           match=r"canonical relation fails for A\(3\): .*" + witness):
+            b3_explicit()
 
     def test_even_block_shape(self):
         qp = QpRing(5)

@@ -173,6 +173,22 @@ class TestValidateTau:
         with pytest.raises(OracleError):
             validate_tau(phi_gens, G_RANK2, ReversedTau(G_RANK2))
 
+    def test_wrong_inverse_on_one_word_fails(self):
+        # tau(w)^-1 is wrong on one length-2 Phi-word only; the one-sided
+        # inverse check names that word.
+        bad = ((0, 1), (1, 1))
+
+        class WrongInverse(TauOracle):
+            def __init__(self, g_gens):
+                self.inner = InnerTau(g_gens)
+
+            def tau_pair(self, phi_word):
+                val, inv = self.inner.tau_pair(phi_word)
+                return (val, val) if tuple(phi_word) == bad else (val, inv)
+
+        with pytest.raises(OracleError, match=re.escape(f"tau inverse wrong on {bad}")):
+            validate_tau(INNER_PHI, G_RANK2, WrongInverse(G_RANK2), word_len=2)
+
     def test_returns_the_checked_kernel(self):
         kernel = validate_tau(INNER_PHI, G_RANK2, InnerTau(G_RANK2), word_len=2)
         for w in [(), ((0, 1),), ((1, -1), (0, 1))]:
@@ -345,6 +361,16 @@ class TestMatrixGroupGens:
             MatrixGroupGens.from_int_rows(2, [
                 (((1, 1), (0, 1)), ((1, 1), (0, 1))),
             ])
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["matrix", "inverse"])
+    @pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_one_entry_corruption_rejected(self, side, row, col):
+        # The pair is checked one-sided, A B = I; a corrupted A or B fails it.
+        pair = [[list(r) for r in m] for m in (((1, 0), (2, 1)), ((1, 0), (-2, 1)))]
+        pair[side][row][col] += 1
+        with pytest.raises(ValueError, match="does not multiply to identity"):
+            MatrixGroupGens.from_int_rows(2, [tuple(
+                tuple(map(tuple, m)) for m in pair)])
 
 
 class TestRationalGenerators:
@@ -591,33 +617,24 @@ class TestRowBasis:
             "fresh-sample check failed for coordinate Phi(1,8) at fresh word "
             "phi0^-1 phi1 phi0 phi2^-1: direct value -48, combination 0")
 
-    @pytest.mark.parametrize("name, points, rank", [
-        ("inner-22", 457, 26), ("trivial-22", 161, 4),
+    @pytest.mark.parametrize("name, points, fresh, rank", [
+        ("inner-22", 457, 80, 26), ("trivial-22", 161, 78, 4),
     ])
-    def test_build_sample_is_a_row_basis_fresh_points_all_kept(
-            self, monkeypatch, name, points, rank):
-        sizes, fresh = [], []
-        row_basis, sample_init, fresh_points = (
-            splittable._row_basis, splittable._Sample.__init__,
-            splittable._fresh_points)
+    def test_samples_pruned_to_row_bases(
+            self, monkeypatch, name, points, fresh, rank):
+        # (points, points kept) of each _Sample: the build sample, then the
+        # fresh points of the build's fresh-sample check.
+        sizes = []
+        row_basis = splittable._row_basis
 
         def recording_row_basis(rows):
-            sizes.append(len(rows))
-            return row_basis(rows)
-
-        def recording_sample(self, kernel, rows):
-            sizes.append(len(rows))
-            sample_init(self, kernel, rows)
-
-        def recording_fresh_points(rep, words):
-            fresh.append(len(words))
-            return fresh_points(rep, words)
+            kept = row_basis(rows)
+            sizes.append((len(rows), len(kept)))
+            return kept
 
         monkeypatch.setattr(splittable, "_row_basis", recording_row_basis)
-        monkeypatch.setattr(splittable._Sample, "__init__", recording_sample)
-        monkeypatch.setattr(splittable, "_fresh_points", recording_fresh_points)
         BUILDS[name]()
-        assert sizes == [points, rank, *fresh]
+        assert sizes == [(points, rank), (fresh, rank)]
 
 
 def _dense(rows, d):
