@@ -22,6 +22,7 @@ from .reps import (
     golden_check,
     golden_table,
     hnn_induced_rep,
+    integer_artin,
     integer_hnn,
     probe_faithfulness,
     sigma_free,

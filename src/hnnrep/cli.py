@@ -19,12 +19,11 @@ from .reps import (
     artin_sigma_basis,
     golden_check,
     hnn_induced_rep,
-    integer_hnn,
+    integer_artin,
     probe_faithfulness,
     sigma_int,
     sigma_qp,
     sigma_symbolic,
-    verify_defining_relations,
 )
 from .ring import LAURENT, QpRing, is_prime
 from .splittable import (
@@ -36,7 +35,6 @@ from .splittable import (
     verify_rep,
 )
 from .words import (
-    artin_canonical,
     artin_spec,
     center_generator,
     equal,
@@ -83,9 +81,9 @@ def _mode_inputs(m: int, args, integer=False):
 
 def _build_artin(m: int, args):
     """Canonical Artin representation for index m in the requested mode."""
-    spec, sigma, s = _mode_inputs(m, args, integer=args.integer)
+    _, sigma, s = _mode_inputs(m, args, integer=args.integer)
     if args.integer:
-        return integer_hnn(spec, sigma, s)
+        return integer_artin(m, sigma, s)
     n, odd = divmod(m, 2)
     return (artin_odd if odd else artin_even)(n, sigma, s)
 
@@ -183,19 +181,22 @@ def _report_lines(lines, ok, json_path, suite):
 def cmd_check(args) -> int:
     lines = []
     if args.suite == "relations":
-        # The build verified its relations; print the reports it kept.
-        rep = _build_artin(args.m, args)
-        reports = rep.relation_reports
-        if args.integer:  # the x_i / t alphabet: w_m at the words x, y
-            reports += (verify_defining_relations(rep, [artin_canonical(args.m)[2]]),)
-        rel_report, can_report = reports
-        for r in rel_report.results:
+        # The build verified its relations; print the reports it kept, or,
+        # when a relation failed, the reports up to the failed one.
+        try:
+            reports = _build_artin(args.m, args).relation_reports
+        except VerificationError as exc:
+            if not exc.reports:
+                raise
+            reports = exc.reports
+        defining, *canonical = reports
+        for r in defining.results:
             lines.append(f"defining relation {r.lhs} = {r.rhs}: "
                          f"{'ok' if r.ok else 'FAIL ' + str(r.mismatch)}")
-        r = can_report.results[0]
-        lines.append(f"canonical relation w_{args.m}(x,y) = w_{args.m}(y,x): "
-                     f"{'ok' if r.ok else 'FAIL ' + str(r.mismatch)}")
-        ok = rel_report.ok and can_report.ok
+        for r in (c.results[0] for c in canonical):
+            lines.append(f"canonical relation w_{args.m}(x,y) = w_{args.m}(y,x): "
+                         f"{'ok' if r.ok else 'FAIL ' + str(r.mismatch)}")
+        ok = all(report.ok for report in reports)
         return _report_lines(lines, ok, args.json_report, args.suite)
 
     if args.suite == "golden":

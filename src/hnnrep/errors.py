@@ -2,7 +2,14 @@
 
 
 class VerificationError(RuntimeError):
-    """An exact identity that a construction guarantees failed to hold."""
+    """An exact identity that a construction guarantees failed to hold.
+
+    reports holds the relation reports a build verified up to and including
+    a failed relation check, and is empty for other failures."""
+
+    def __init__(self, message, reports=()):
+        super().__init__(message)
+        self.reports = reports
 
 
 class OracleError(VerificationError):

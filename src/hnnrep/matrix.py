@@ -1,9 +1,10 @@
 """Dense square matrices over an exact scalar ring, block-monomial matrices,
 block assembly, and fraction-free determinants.
 
-There is deliberately no general matrix inversion: every matrix that needs
-an inverse in this package is a representation image, and its inverse is the
-image of the inverse word.
+There is deliberately no general matrix inversion.  A built representation
+image is block-monomial with 2 x 2 blocks of unit determinant, and its
+inverse is the block adjugate (BlockMonomial.inverse); every other inverse
+is given with its matrix and checked.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def _block_mul(a, b, zero):
             (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
             (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
         )
-    # Zero entries are skipped: the integer variant's 4 x 4 blocks are
-    # diag(2 x 2, 2 x 2).
+    # Zero entries are skipped: dense products of block-monomial images and
+    # the splittable engine's kernel matrices are mostly zeros.
     out = []
     for row in a:
         acc = [zero] * len(b)
@@ -181,9 +182,13 @@ class BlockMonomial:
 
     @classmethod
     def from_blocks(cls, perm, blocks) -> "BlockMonomial":
-        """Block row i holds the one-block matrix blocks[i] in block column
-        perm[i]; raise ValueError unless perm is a permutation and the
-        blocks share one ring and one degree."""
+        """Block row i holds the matrix blocks[i] in block column perm[i].
+
+        A matrix of q blocks is flattened into q block rows of the result,
+        and its block column into q block columns, so the result's blocks
+        are those of the given matrices.  Raise ValueError unless perm is a
+        permutation and the matrices share one ring and one block degree.
+        """
         if not blocks:
             raise ValueError("empty block list")
         perm = tuple(perm)
@@ -191,22 +196,24 @@ class BlockMonomial:
             raise ValueError("block columns must be a permutation")
         ring = blocks[0].ring
         m = blocks[0].block_degree
-        for b in blocks:
-            if len(b.perm) != 1:
-                raise ValueError("expected one-block matrices")
-            if b.ring != ring or b.block_degree != m:
-                raise ValueError("blocks of mixed ring or degree")
-        return cls(ring, perm, tuple(b.blocks[0] for b in blocks))
+        if any(b.ring != ring or b.block_degree != m for b in blocks):
+            raise ValueError("blocks of mixed ring or degree")
+        # Block column j is as wide as the matrix placed in it, and starts
+        # at flattened block column start[j].
+        width = dict(zip(perm, (len(b.perm) for b in blocks)))
+        start = [sum(width[c] for c in range(j)) for j in range(len(blocks))]
+        perm = tuple(start[j] + c for j, b in zip(perm, blocks) for c in b.perm)
+        return cls(ring, perm, tuple(blk for b in blocks for blk in b.blocks))
 
     @classmethod
     def diag(cls, blocks) -> "BlockMonomial":
-        """Block diagonal of one-block matrices."""
+        """Block diagonal of the given matrices."""
         return cls.from_blocks(range(len(blocks)), blocks)
 
     @classmethod
     def companion(cls, superdiag, corner) -> "BlockMonomial":
-        """Blocks (i, i+1) from superdiag and corner at (k-1, 0): the
-        stable-letter shape."""
+        """Blocks (i, i+1) from superdiag and corner at (k-1, 0), flattened
+        as in from_blocks: the stable-letter shape."""
         k = len(superdiag) + 1
         return cls.from_blocks((*range(1, k), 0), [*superdiag, corner])
 
@@ -303,6 +310,20 @@ class BlockMonomial:
     def is_identity(self) -> bool:
         return self.is_scalar(self.ring.one)
 
+    def inverse(self) -> "BlockMonomial":
+        """The inverse of a matrix with 2 x 2 blocks of unit determinant:
+        the inverse permutation, and u^-1 adj A for each block A, u = det A
+        (see is_inverse_of).  Raise ValueError for blocks of another degree
+        or a block whose determinant is not a unit."""
+        if self.block_degree != 2:
+            raise ValueError("the block inverse needs 2 x 2 blocks")
+        # Block row j of the inverse is block row i of self with perm[i] = j.
+        rows = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
+        blocks = tuple(_adjugate_inverse(self.ring, self.blocks[i]) for i in rows)
+        if None in blocks:
+            raise ValueError("a block determinant is not a unit")
+        return BlockMonomial(self.ring, rows, blocks)
+
     def is_inverse_of(self, other: "BlockMonomial") -> bool:
         """Exact test for self * other = I; both must have the same shape.
 
@@ -316,7 +337,8 @@ class BlockMonomial:
         B = u^-1 adj A, then A B = u^-1 (A adj A) = u^-1 det A I = I.  The
         certificate costs 2 products of block entries instead of 8; the
         products with u^-1 are cheap, as units are monomials (+-s^c, +-p^e,
-        +-1).  Blocks of any other degree are multiplied out.
+        +-1).  Blocks of any other degree, such as the one block of a dense
+        matrix read from JSON, are multiplied out.
         """
         m = self.block_degree
         if len(other.perm) != len(self.perm) or other.block_degree != m:
@@ -328,16 +350,22 @@ class BlockMonomial:
                 return False
             inv = other.blocks[j]
             if m == 2:
-                (a, b), (c, d) = blk
-                det = a * d - b * c
-                if not ring.is_unit(det):
-                    return False
-                u = ring.unit_inverse(det)
-                if inv != ((u * d, -(u * b)), (-(u * c), u * a)):
+                if inv != _adjugate_inverse(ring, blk):
                     return False
             elif _block_mul(blk, inv, ring.zero) != ident:
                 return False
         return True
+
+
+def _adjugate_inverse(ring, blk):
+    """u^-1 adj A of the 2 x 2 block A, u = det A, or None if u is not a
+    unit of the ring."""
+    (a, b), (c, d) = blk
+    det = a * d - b * c
+    if not ring.is_unit(det):
+        return None
+    u = ring.unit_inverse(det)
+    return ((u * d, -(u * b)), (-(u * c), u * a))
 
 
 def block_grid(ring, bdeg: int, k: int, blocks) -> "RingMatrix":

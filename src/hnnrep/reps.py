@@ -5,13 +5,15 @@ construction for the HNN extension F_phi(X) (stable letter as a block
 companion over the cosets of <F(X), t^n>, base letters as block diagonals of
 twisted images).  Conjugating by explicit block-diagonal matrices produces
 the canonical two-generator Artin images, the 12x12 braid-group pair, and an
-integer variant of degree 4 per coset where the scalar s is replaced by a
-unipotent central block.
+integer variant of degree 4 per coset (two 2x2 blocks) where the scalar s is
+replaced by a unipotent central block.
 
-Every image is block-monomial (see BlockMonomial), and the builders work on
-blocks throughout, JSON output included; dense matrices appear only at the
-display boundary (image(), eval()).  Everything is verified at
-construction: generator inverses, the defining relations
+Every image is block-monomial (see BlockMonomial) with 2x2 blocks of unit
+determinant, so its inverse is the block adjugate (BlockMonomial.inverse).
+The builders work on blocks throughout, JSON output included; dense
+matrices appear only at the display boundary (image(), eval()).
+Everything is verified at construction: generator inverses, the defining
+relations
 t^-1 x t = phi(x), the canonical relation w_m, and the displayed block
 shapes.  Each relation check runs once, and its report is kept on the
 representation (Representation.relation_reports).
@@ -31,8 +33,10 @@ from .words import (
     MixedWord,
     T_GEN,
     Word,
+    artin_canonical,
     artin_even_spec,
     artin_odd_spec,
+    artin_spec,
     canonical_relation,
     parse_word,
     reduced_walk,
@@ -44,10 +48,11 @@ class Representation:
     """Matrices assigned to named generators, inverses included.
 
     Images are stored as BlockMonomial, all of one shape: the builders pass
-    blocks, and dense RingMatrix input (a JSON document, say) is read with
-    k = spec.n blocks when every image has that shape and as one block
-    (k = 1) otherwise.  image(), inverse_image() and eval() return dense
-    matrices; block_eval_many() stays in blocks.
+    blocks, and dense RingMatrix input is read with k = spec.n blocks when
+    every image has that shape and as one block (k = 1) otherwise.  A JSON
+    document comes without a spec, so it is read as one block.  image(),
+    inverse_image() and eval() return dense matrices; block_eval_many()
+    stays in blocks.
 
     Each inverse is checked for image * inverse = I with
     BlockMonomial.is_inverse_of (an adjugate certificate on 2 x 2 blocks,
@@ -270,8 +275,8 @@ def sigma_int(rank, lam0, mu0, basis="conjugated") -> Representation:
     return sigma_free(rank, INT, lam0, mu0, basis)
 
 
-def _unit_with_inverse(ring, s):
-    """Validate that s is an infinite-order unit and return (s, s^-1).
+def _infinite_order_unit(ring, s):
+    """Validate that s is an infinite-order unit and return it.
 
     Over Laurent polynomials and Q_p the units are +-s^c and +-p^e, of
     infinite order unless c = 0 or e = 0, that is unless s = +-1."""
@@ -281,7 +286,7 @@ def _unit_with_inverse(ring, s):
         raise ValueError(f"s = {s!r} is not a unit over {ring!r}")
     if s == ring.one or s == -ring.one:
         raise ValueError("s must have infinite order, not +-1")
-    return s, ring.unit_inverse(s)
+    return s
 
 
 def _phi_inverse_orbit(spec: HnnSpec, w: Word):
@@ -292,35 +297,30 @@ def _phi_inverse_orbit(spec: HnnSpec, w: Word):
     return out
 
 
-def _induced_representation(spec, sigma, corner_z, corner_z_inv, group):
+def _induced_representation(spec, sigma, corner_z, group):
     """Coset-induced representation of the extension from sigma and a
     central block z standing in for the image of t^n w0.
 
     t maps to the block companion over the cosets 1, t, .., t^{n-1} with
     corner z * sigma(w0^-1); x_i maps to the block diagonal of the
-    sigma-images of phi^-j(x_i).  All these words and their inverses are
-    evaluated in one batch, sharing prefixes.  The defining relations are
-    verified.
+    sigma-images of phi^-j(x_i).  These words are evaluated in one batch,
+    sharing prefixes.  Every block is 2 x 2 with a unit determinant (sigma
+    images have determinant 1 and z is central with a unit determinant),
+    so each inverse is the block adjugate, BlockMonomial.inverse.  The
+    defining relations are verified.
     """
     k = spec.n
     ring = sigma.ring
     words = [w for i in range(spec.rank) for w in _phi_inverse_orbit(spec, Word.gen(i))]
-    f_img, f_inv_img, *images = sigma.block_eval_many(
-        [spec.f, spec.f.inverse()] + words + [w.inverse() for w in words]
-    )
-    forward, backward = images[:len(words)], images[len(words):]
-    ident = BlockMonomial.identity(ring, sigma.degree, 1)
+    f_img, *images = sigma.block_eval_many([spec.f] + words)
+    # Equal orbit words share one image; invert each distinct word once.
+    inverse = {w: img.inverse() for w, img in dict(zip(words, images)).items()}
+    ident = BlockMonomial.identity(ring, f_img.block_degree, len(f_img.perm))
     t_img = BlockMonomial.companion([ident] * (k - 1), corner_z * f_img)
-    t_inv = BlockMonomial.from_blocks(
-        (k - 1, *range(k - 1)), [f_inv_img * corner_z_inv] + [ident] * (k - 1)
-    )
-    gens = [
-        (f"x{i}",
-         BlockMonomial.diag(forward[i * k:(i + 1) * k]),
-         BlockMonomial.diag(backward[i * k:(i + 1) * k]))
-        for i in range(spec.rank)
-    ]
-    gens.append(("t", t_img, t_inv))
+    gens = [(f"x{i}", BlockMonomial.diag(images[i * k:(i + 1) * k]),
+             BlockMonomial.diag([inverse[w] for w in words[i * k:(i + 1) * k]]))
+            for i in range(spec.rank)]
+    gens.append(("t", t_img, t_img.inverse()))
     rep = Representation(ring, gens, spec=spec, group=group, params=dict(sigma.params))
     _require_relations(rep, defining_relations(spec),
                        f"defining relations fail for {group}")
@@ -329,49 +329,62 @@ def _induced_representation(spec, sigma, corner_z, corner_z_inv, group):
 
 def hnn_induced_rep(spec: HnnSpec, sigma: Representation, s) -> Representation:
     """Faithful representation of the extension of degree sigma.degree * n,
-    with the infinite-order unit s in the companion corner."""
-    s_val, s_inv = _unit_with_inverse(sigma.ring, s)
-    ident = BlockMonomial.identity(sigma.ring, sigma.degree, 1)
+    with the infinite-order unit s in the companion corner.  sigma's stored
+    images must have 2 x 2 blocks, as sigma_free's have; other blocks raise
+    ValueError (BlockMonomial.inverse)."""
+    s = _infinite_order_unit(sigma.ring, s)
+    (ident,) = sigma.block_eval_many([()])  # the identity in sigma's shape
     rep = _induced_representation(
-        spec, sigma, ident.scalar_mul(s_val), ident.scalar_mul(s_inv),
-        group=f"F_phi(X), rank {spec.rank}",
-    )
-    rep.params["s"] = s_val
-    return rep
-
-
-def integer_hnn(spec: HnnSpec, sigma_z: Representation, s: int) -> Representation:
-    """Integer variant: the scalar s is replaced by the unipotent block
-    [[1,s],[0,1]], giving matrices of degree 4n over the integers with
-    determinant one."""
-    if sigma_z.ring != INT:
-        raise ValueError("integer variant needs an integer sigma")
-    if s == 0:
-        raise ValueError("s must be nonzero")
-    ident2 = ((1, 0), (0, 1))
-    gens = []
-    for name in sigma_z.gen_names:
-        image, inverse = sigma_z.image(name), sigma_z.inverse_image(name)
-        if det_bareiss(image) != 1:
-            raise ValueError(f"sigma image of {name} must have determinant 1")
-        gens.append((name, _diag2(ident2, image.rows), _diag2(ident2, inverse.rows)))
-    sigma_ext = Representation(INT, gens, group=sigma_z.group,
-                               params=dict(sigma_z.params))
-    ident_m = BlockMonomial.identity(INT, sigma_z.degree, 1).blocks[0]
-    rep = _induced_representation(
-        spec, sigma_ext, _diag2(((1, s), (0, 1)), ident_m),
-        _diag2(((1, -s), (0, 1)), ident_m),
-        group=f"F_phi(X), rank {spec.rank}, integer",
+        spec, sigma, ident.scalar_mul(s), group=f"F_phi(X), rank {spec.rank}",
     )
     rep.params["s"] = s
     return rep
 
 
-def _diag2(top, bottom) -> BlockMonomial:
-    """diag(top, bottom) of two integer blocks as a one-block matrix."""
-    a, b = len(top), len(bottom)
-    rows = tuple(r + (0,) * b for r in top) + tuple((0,) * a + r for r in bottom)
-    return BlockMonomial(INT, (0,), (rows,))
+def integer_hnn(spec: HnnSpec, sigma_z: Representation, s: int) -> Representation:
+    """Integer variant: the scalar s is replaced by the unipotent block
+    U = [[1,s],[0,1]], giving matrices of degree 2n (d + 2) over the
+    integers with determinant one, d = sigma_z.degree.
+
+    sigma_z's images must have determinant 1 and 2 x 2 blocks.  A base
+    letter x maps through diag(I_2, sigma_z(x)) and the corner is
+    diag(U, I_d), all as matrices of 2 x 2 blocks, so every built image
+    has 2 x 2 blocks of unit determinant."""
+    if sigma_z.ring != INT:
+        raise ValueError("integer variant needs an integer sigma")
+    if s == 0:
+        raise ValueError("s must be nonzero")
+    if sigma_z.degree % 2:
+        raise ValueError("integer variant needs sigma images in 2 x 2 blocks")
+    half = sigma_z.degree // 2
+    ident2 = BlockMonomial.identity(INT, 2, 1)
+    gens = []
+    for name in sigma_z.gen_names:
+        image, inverse = sigma_z.image(name), sigma_z.inverse_image(name)
+        if det_bareiss(image) != 1:
+            raise ValueError(f"sigma image of {name} must have determinant 1")
+        gens.append((name, *(
+            BlockMonomial.diag([ident2, BlockMonomial.from_matrix(mat, half)])
+            for mat in (image, inverse))))
+    sigma_ext = Representation(INT, gens, group=sigma_z.group,
+                               params=dict(sigma_z.params))
+    corner = BlockMonomial.diag([_mat2(INT, 1, s, 0, 1)] + [ident2] * half)
+    rep = _induced_representation(
+        spec, sigma_ext, corner, group=f"F_phi(X), rank {spec.rank}, integer",
+    )
+    rep.params["s"] = s
+    return rep
+
+
+def integer_artin(m: int, sigma_z: Representation, s: int) -> Representation:
+    """The integer variant of A(m) on the x_i / t alphabet of artin_spec(m),
+    with the canonical relation w_m verified at the artin_canonical words
+    of x and y.  Its relation reports are (defining, canonical), as for
+    artin_even and artin_odd."""
+    rep = integer_hnn(artin_spec(m), sigma_z, s)
+    _require_relations(rep, [artin_canonical(m)[2]],
+                       f"canonical relation fails for A({m})")
+    return rep
 
 
 def defining_relations(spec: HnnSpec):
@@ -420,12 +433,14 @@ def verify_defining_relations(rep: Representation, relations) -> RelationReport:
 
 
 def _require_relations(rep: Representation, relations, failure: str):
-    """Raise VerificationError naming the failed relations unless all hold;
-    keep the report in rep.relation_reports."""
+    """Keep the report in rep.relation_reports; unless all relations hold,
+    raise VerificationError naming the failed ones, with the reports so
+    far, this one last, as its reports."""
     report = verify_defining_relations(rep, relations)
-    if not report.ok:
-        raise VerificationError(f"{failure}: {report.failures()}")
     rep.relation_reports += (report,)
+    if not report.ok:
+        raise VerificationError(f"{failure}: {report.failures()}",
+                                rep.relation_reports)
 
 
 def _first_mismatch(left: RingMatrix, right: RingMatrix):
@@ -473,9 +488,9 @@ def artin_even(n: int, sigma: Representation = None, s=None) -> Representation:
     w = _mat2(ring, one, -mu, zero, one)  # A block, also v^-1
     v = _mat2(ring, one, mu, zero, one)
     u = BlockMonomial.diag([w**i for i in range(n)])
-    u_inv = BlockMonomial.diag([v**i for i in range(n)])
-    x_img, x_inv = (conjugate(g, u, u_inv) for g in tau.images["x0"])
-    y_img, y_inv = (conjugate(g, u, u_inv) for g in tau.images["t"])
+    u_inv = u.inverse()
+    x_img = conjugate(tau.images["x0"][0], u, u_inv)
+    y_img = conjugate(tau.images["t"][0], u, u_inv)
 
     x0 = _mat2(ring, one, zero, lam, one)
     x0_inv = _mat2(ring, one, zero, -lam, one)
@@ -483,7 +498,7 @@ def artin_even(n: int, sigma: Representation = None, s=None) -> Representation:
     corner = (x0_inv * (v * x0_inv) ** (n - 1)).scalar_mul(s)
     _check_shape("y", y_img, BlockMonomial.companion([w] * (n - 1), corner))
 
-    return _canonical_rep(2 * n, tau, (x_img, x_inv), (y_img, y_inv))
+    return _canonical_rep(2 * n, tau, x_img, y_img)
 
 
 def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
@@ -499,26 +514,25 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     if s is None:
         s = LAURENT.s_power(1)
     tau = hnn_induced_rep(spec, sigma, s)
-    x_img, x_inv = tau.images["t"]
-    x0_img, x0_inv = tau.images["x0"]
-    y_img = x0_img * x_img
-    y_inv = x_inv * x0_inv
+    x_img = tau.images["t"][0]
+    y_img = tau.images["x0"][0] * x_img
 
     orbit = _phi_inverse_orbit(spec, Word.gen(0))
     corner_word = spec.w0.inverse() * spec.phi.apply(Word.gen(0))
     *superdiag, corner = sigma.block_eval_many(orbit[:-1] + [corner_word])
     _check_shape("y", y_img, BlockMonomial.companion(superdiag, corner.scalar_mul(s)))
 
-    return _canonical_rep(2 * n + 1, tau, (x_img, x_inv), (y_img, y_inv))
+    return _canonical_rep(2 * n + 1, tau, x_img, y_img)
 
 
 def _canonical_rep(m, tau, x, y) -> Representation:
-    """The representation of A(m) with the (image, inverse) pairs x and y
-    as its canonical generators, checked on the canonical relation.  The
-    spec, ring and params (s included) are those of the induced
-    representation tau, and the relation reports continue tau's."""
-    rep = Representation(tau.ring, [("x", *x), ("y", *y)], spec=tau.spec,
-                         group=f"A({m})", params=dict(tau.params))
+    """The representation of A(m) with the images x and y as its canonical
+    generators, and their block adjugates as inverses, checked on the
+    canonical relation.  The spec, ring and params (s included) are those
+    of the induced representation tau, and the relation reports continue
+    tau's."""
+    rep = Representation(tau.ring, [("x", x, x.inverse()), ("y", y, y.inverse())],
+                         spec=tau.spec, group=f"A({m})", params=dict(tau.params))
     rep.relation_reports = tau.relation_reports
     _require_relations(rep, [canonical_relation(m)],
                        f"canonical relation fails for A({m})")
@@ -584,8 +598,7 @@ def golden_check():
 
 def b3_explicit(sigma: Representation = None, s=None):
     """The braid-group pair X, Y: the induced generators t and x0 t of the
-    index-3 case conjugated by diag(E2, E2, Sigma^-1, .., Sigma^-1), their
-    inverses t^-1 and t^-1 x0^-1 likewise.
+    index-3 case conjugated by diag(E2, E2, Sigma^-1, .., Sigma^-1).
 
     Returns 12x12 matrices verified against their block shapes (identity and
     Sigma^-1 blocks for X; x0, x1*Sigma^-1 and psi-power blocks for Y), the
@@ -599,29 +612,28 @@ def b3_explicit(sigma: Representation = None, s=None):
     if s is None:
         s = LAURENT.s_power(1)
     tau = hnn_induced_rep(spec, sigma, s)
-    t_img, t_inv = tau.images["t"]
-    x0_img, x0_inv = tau.images["x0"]
+    t_img = tau.images["t"][0]
     psi = spec.phi
     x0w, x1w = Word.gen(0), Word.gen(1)
-    sig_inv, sig, x0, x1, psi1, psi2, psi3, psi4 = sigma.block_eval_many(
-        [spec.w0.inverse(), spec.w0, x0w, x1w]
+    sig_inv, x0, x1, psi1, psi2, psi3, psi4 = sigma.block_eval_many(
+        [spec.w0.inverse(), x0w, x1w]
         + [psi.power(j).apply(x0w) for j in range(1, 5)]
     )
     ident2 = BlockMonomial.identity(sigma.ring, 2, 1)
     u = BlockMonomial.diag([ident2, ident2] + [sig_inv] * 4)
-    u_inv = BlockMonomial.diag([ident2, ident2] + [sig] * 4)
-    x_pair = [conjugate(g, u, u_inv) for g in (t_img, t_inv)]
-    y_pair = [conjugate(g, u, u_inv) for g in (x0_img * t_img, t_inv * x0_inv)]
+    u_inv = u.inverse()
+    x_img = conjugate(t_img, u, u_inv)
+    y_img = conjugate(tau.images["x0"][0] * t_img, u, u_inv)
 
-    _check_shape("X", x_pair[0], BlockMonomial.companion(
+    _check_shape("X", x_img, BlockMonomial.companion(
         [ident2, sig_inv, ident2, ident2, ident2], ident2.scalar_mul(s)))
-    _check_shape("Y", y_pair[0], BlockMonomial.companion(
+    _check_shape("Y", y_img, BlockMonomial.companion(
         [x0, x1 * sig_inv, psi4, psi3, psi2], psi1.scalar_mul(s)))
     if symbolic:
         _, mismatches = golden_check()
         if mismatches:
             raise VerificationError(f"golden mismatch: {mismatches}")
-    rep = _canonical_rep(3, tau, x_pair, y_pair)
+    rep = _canonical_rep(3, tau, x_img, y_img)
     return rep.image("x"), rep.image("y")
 
 

@@ -18,7 +18,7 @@ from hnnrep import cli, reps
 from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
-from hnnrep.words import center_generator
+from hnnrep.words import MixedWord, center_generator
 
 
 def run(capsys, *argv):
@@ -425,9 +425,8 @@ def test_center_stdout_pinned(capsys, m, mode):
                                   ["--integer"]], ids=["symbolic", "qp", "integer"])
 @pytest.mark.parametrize("m", [3, 4])
 def test_relations_suite_builds_once(capsys, monkeypatch, m, mode):
-    # One induced representation and two relation verifications per run:
-    # the build's defining relations and w_m (verified by the build, or by
-    # the suite in the integer mode, whose build does not verify w_m).
+    # One induced representation and two relation verifications per run,
+    # both made by the build: the defining relations and w_m.
     counts = {"builds": 0, "verifications": 0}
 
     def counting(module, name, key):
@@ -440,10 +439,49 @@ def test_relations_suite_builds_once(capsys, monkeypatch, m, mode):
 
     counting(reps, "_induced_representation", "builds")
     counting(reps, "verify_defining_relations", "verifications")
-    counting(cli, "verify_defining_relations", "verifications")
     assert main(["check", "--suite", "relations", "--m", str(m), *mode]) == 0
     assert capsys.readouterr().out.endswith("PASS\n")
     assert counts == {"builds": 1, "verifications": 2}
+
+
+def _false_defining_relations(spec):
+    x0, t = MixedWord.gen(0), MixedWord.t()
+    return [(x0 * t, t * x0)]
+
+
+@pytest.mark.parametrize("mode", [[], ["--lambda", "2", "--mu", "3", "--s", "5"],
+                                  ["--integer"]], ids=["symbolic", "qp", "integer"])
+def test_failing_relation_still_reports(capsys, monkeypatch, tmp_path, mode):
+    # The build stops at the failed defining relation; the suite prints the
+    # report it carries, then FAIL, and writes the JSON report.
+    monkeypatch.setattr(reps, "defining_relations", _false_defining_relations)
+    path = tmp_path / "report.json"
+    code = main(["check", "--suite", "relations", "--m", "4", *mode,
+                 "--json-report", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("defining relation x0 t = t x0: FAIL (")
+    assert lines[-1] == "FAIL"
+    doc = json.loads(path.read_text())
+    assert doc == {"suite": "relations", "pass": False, "details": lines[:-1]}
+
+
+@pytest.mark.parametrize("mode", [[], ["--lambda", "2", "--mu", "3", "--s", "5"]],
+                         ids=["symbolic", "qp"])
+def test_failing_canonical_relation_still_reports(capsys, monkeypatch, tmp_path, mode):
+    monkeypatch.setattr(reps, "canonical_relation",
+                        lambda m: ([("x", 1), ("y", 1)], [("y", 1), ("x", 1)]))
+    path = tmp_path / "report.json"
+    code = main(["check", "--suite", "relations", "--m", "4", *mode,
+                 "--json-report", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[:2] == ["defining relation t^-1 x0 t = x0 x1 x0^-1: ok",
+                         "defining relation t^-1 x1 t = x0: ok"]
+    assert lines[2].startswith("canonical relation w_4(x,y) = w_4(y,x): FAIL (")
+    assert lines[3:] == ["FAIL"]
+    assert json.loads(path.read_text())["pass"] is False
 
 
 @pytest.mark.parametrize("corruption", ["wrong-s", "swapped-images"])

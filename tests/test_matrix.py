@@ -344,7 +344,7 @@ class TestInverseCertificate:
     def test_generator_pairs_and_corruptions(self, mode):
         spec = artin_even_spec(2)
         if mode == "integer":
-            # 4 x 4 blocks: decided by the product.
+            # 2 x 2 blocks, two per coset: decided by the certificate.
             rep = integer_hnn(spec, sigma_int(2, 2, 3), 5)
         elif mode == "qp":
             rep = hnn_induced_rep(spec, sigma_qp(2, 2, 3, 5), QpRing(5).from_int(5))
@@ -426,3 +426,107 @@ class TestInverseCertificate:
                 BlockMonomial.from_matrix(a, 1), BlockMonomial.from_matrix(b, 1)
             )
         assert 50 < inverses < 300
+
+
+def _unit_det_block(rng, ring, units):
+    """A random 2 x 2 block with a unit determinant: upper triangular with
+    a unit diagonal times lower unitriangular."""
+    (_, q), (r, _) = random_int_matrix(rng, ring, 2).rows
+    upper = RingMatrix(ring, ((rng.choice(units), q), (ring.zero, rng.choice(units))))
+    lower = RingMatrix(ring, ((ring.one, ring.zero), (r, ring.one)))
+    return (upper * lower).rows
+
+
+class TestBlockInverse:
+    """BlockMonomial.inverse: the inverse permutation and block adjugates."""
+
+    @pytest.mark.parametrize("ring,units", [
+        (INT, [1, -1]),
+        (QpRing(3), [QpScalar(e, 0, 3) for e in (1, -1, 3, -9)] + [QpScalar(1, 1, 3)]),
+        (LAURENT, [LAURENT.s_power(c, e) for c in (-1, 0, 2) for e in (1, -1)]),
+    ])
+    def test_inverse_is_two_sided(self, ring, units):
+        rng = random.Random(7)
+        for k in (1, 2, 3, 5):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            bm = BlockMonomial(ring, tuple(perm), tuple(
+                _unit_det_block(rng, ring, units) for _ in range(k)))
+            inv = bm.inverse()
+            assert bm.is_inverse_of(inv) and inv.is_inverse_of(bm)
+            ident = RingMatrix.identity(ring, 2 * k)
+            assert bm.to_matrix() * inv.to_matrix() == ident
+            assert inv.to_matrix() * bm.to_matrix() == ident
+
+    def test_non_unit_determinant_raises(self):
+        bm = BlockMonomial(INT, (1, 0), (((1, 0), (0, 1)), ((2, 0), (0, 1))))
+        with pytest.raises(ValueError, match="not a unit"):
+            bm.inverse()
+        q5 = QpRing(5)
+        zero = _one_block(q5, [[q5.zero, q5.zero], [q5.zero, q5.zero]])
+        with pytest.raises(ValueError, match="not a unit"):
+            zero.inverse()
+
+    @pytest.mark.parametrize("m, k", [(1, 2), (3, 1), (4, 2)])
+    def test_blocks_not_2x2_raise(self, m, k):
+        with pytest.raises(ValueError, match="2 x 2 blocks"):
+            BlockMonomial.identity(INT, m, k).inverse()
+
+
+class TestFlattenedBlocks:
+    """from_blocks, diag and companion of several-block matrices equal the
+    dense assembly of their dense matrices."""
+
+    @staticmethod
+    def _dense(perm, parts):
+        """The dense matrix with parts[i] in block row i, block column
+        perm[i], block sizes read off the parts."""
+        ring = parts[0].ring
+        size = [0] * len(parts)
+        for j, part in zip(perm, parts):
+            size[j] = part.degree
+        d = sum(size)
+        rows = [[ring.zero] * d for _ in range(d)]
+        top = 0
+        for j, part in zip(perm, parts):
+            left = sum(size[:j])
+            for i, row in enumerate(part.to_matrix().rows):
+                rows[top + i][left:left + part.degree] = row
+            top += part.degree
+        return RingMatrix(ring, rows)
+
+    def test_mixed_block_counts(self):
+        rng = random.Random(3)
+        units = [1, -1]
+
+        def part(k):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            return BlockMonomial(INT, tuple(perm), tuple(
+                _unit_det_block(rng, INT, units) for _ in range(k)))
+
+        for _ in range(20):
+            parts = [part(rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            perm = list(range(len(parts)))
+            rng.shuffle(perm)
+            flat = BlockMonomial.from_blocks(perm, parts)
+            assert flat.block_degree == 2
+            assert len(flat.perm) == sum(len(p.perm) for p in parts)
+            assert flat.to_matrix() == self._dense(perm, parts)
+            assert BlockMonomial.diag(parts).to_matrix() == self._dense(
+                range(len(parts)), parts)
+
+    def test_companion_of_two_block_matrices(self):
+        ident = BlockMonomial.identity(INT, 2, 2)
+        corner = BlockMonomial.diag([
+            _one_block(INT, [[1, 5], [0, 1]]), _one_block(INT, [[1, 0], [2, 1]])])
+        t = BlockMonomial.companion([ident, ident], corner)
+        assert t.perm == (2, 3, 4, 5, 0, 1)
+        assert t.to_matrix() == self._dense((1, 2, 0), [ident, ident, corner])
+        assert t.to_matrix() == block_companion(
+            [None, None], corner.to_matrix())
+
+    def test_mixed_block_degree_rejected(self):
+        with pytest.raises(ValueError, match="mixed ring or degree"):
+            BlockMonomial.diag([BlockMonomial.identity(INT, 2, 1),
+                                BlockMonomial.identity(INT, 4, 1)])

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hnnrep import cli, reps
+from hnnrep import cli, matrix, reps
 from hnnrep.errors import VerificationError
 from hnnrep.matrix import (
     BlockMonomial,
@@ -29,6 +29,7 @@ from hnnrep.reps import (
     defining_relations,
     golden_check,
     hnn_induced_rep,
+    integer_artin,
     integer_hnn,
     probe_faithfulness,
     sigma_int,
@@ -628,7 +629,7 @@ class TestProbeDifferential:
     def test_a3_integer_variant(self):
         spec = artin_odd_spec(1)
         rep = integer_hnn(spec, sigma_int(2, 2, 2, basis="rank2-mixed"), 1)
-        assert rep.degree == 4 * spec.n  # 4 x 4 blocks, one per coset
+        assert rep.degree == 4 * spec.n  # two 2 x 2 blocks per coset
         self._assert_agrees(rep, 4)
 
     def test_single_coset_symbolic(self):
@@ -804,7 +805,8 @@ class TestBlockPathDifferential:
     def test_eval_matches_dense_product(self, m, mode):
         rep = _built(m, mode)
         k = len(rep.images[rep.gen_names[0]][0].perm)
-        assert k == rep.spec.n  # stored as one block per coset
+        # stored as one 2 x 2 block per coset, two in the integer variant
+        assert k == rep.spec.n * (2 if mode == "integer" else 1)
         rng = random.Random(f"{m}:{mode}")
         words = [_random_letters(rng, rep.gen_names, rng.randint(0, 7))
                  for _ in range(6)]
@@ -944,3 +946,174 @@ class TestChecksStillRun:
         monkeypatch.setattr(reps, "GOLDEN_PSI_X0", golden)
         with pytest.raises(VerificationError, match="golden mismatch"):
             b3_explicit()
+
+
+def _mode_inputs(m, mode):
+    """(spec, sigma, s) of `build --m m` in the given mode."""
+    args = cli.build_parser().parse_args(
+        ["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"]
+    )
+    return cli._mode_inputs(m, args, integer=mode == "integer")
+
+
+def _induced(m, mode):
+    """The induced representation on the x_i / t alphabet of A(m)."""
+    build = integer_hnn if mode == "integer" else hnn_induced_rep
+    return build(*_mode_inputs(m, mode))
+
+
+def _inverse_word_images(m, mode):
+    """The generator inverses of the induced representation assembled from
+    inverse words: the sigma images of the inverse orbit words, and t^-1
+    with sigma(f^-1) z^-1 in block row 0 and identities below.  Every
+    inverse here is one of sigma's hand-written generator inverses or the
+    inverse corner z^-1."""
+    spec, sigma, s = _mode_inputs(m, mode)
+    if mode == "integer":
+        ident2 = BlockMonomial.identity(INT, 2, 1)
+        sigma = Representation(INT, [
+            (name, BlockMonomial.diag([ident2, img]), BlockMonomial.diag([ident2, inv]))
+            for name, (img, inv) in sigma.images.items()
+        ])
+        z_inv = BlockMonomial.diag([BlockMonomial(INT, (0,), (((1, -s), (0, 1)),)), ident2])
+    else:
+        z_inv = BlockMonomial.identity(sigma.ring, 2, 1).scalar_mul(
+            sigma.ring.unit_inverse(s))
+    k = spec.n
+    out = {}
+    for i in range(spec.rank):
+        orbit = reps._phi_inverse_orbit(spec, Word.gen(i))
+        out[f"x{i}"] = BlockMonomial.diag(
+            sigma.block_eval_many([w.inverse() for w in orbit]))
+    (f_inv,) = sigma.block_eval_many([spec.f.inverse()])
+    ident = BlockMonomial.identity(sigma.ring, 2, len(f_inv.perm))
+    out["t"] = BlockMonomial.from_blocks(
+        (k - 1, *range(k - 1)), [f_inv * z_inv] + [ident] * (k - 1))
+    return out
+
+
+def _inverse_letters(word):
+    return [(name, -sign) for name, sign in reversed(word)]
+
+
+class TestDerivedInverses:
+    """Every built inverse is the block adjugate of its image."""
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_generator_inverses_match_inverse_words(self, m, mode):
+        tau = _induced(m, mode)
+        want = _inverse_word_images(m, mode)
+        assert set(want) == set(tau.gen_names)
+        for name, (_, inverse) in tau.images.items():
+            assert inverse == want[name], name
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_inverse_matches_inverse_word(self, m, mode):
+        rep = _built(m, mode)
+        rng = random.Random(f"inverse {m}:{mode}")
+        words = [[(name, 1)] for name in rep.gen_names] + [
+            _random_letters(rng, rep.gen_names, rng.randint(1, 8)) for _ in range(6)]
+        images = rep.block_eval_many(words + [_inverse_letters(w) for w in words])
+        for w, image, inverse in zip(words, images, images[len(words):]):
+            assert image.inverse() == inverse, w
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 8])
+    def test_induced_build_evaluates_each_word_once(self, monkeypatch, m, mode):
+        # f and the rank * n orbit words, in one batch; no inverse words.
+        batches = []
+        inside = []
+        real_eval = Representation.block_eval_many
+        real_induced = reps._induced_representation
+
+        def block_eval_many(self, items):
+            items = list(items)
+            if inside:
+                batches.append(len(items))
+            return real_eval(self, items)
+
+        def induced(spec, sigma, corner_z, group):
+            inside.append(True)
+            try:
+                return real_induced(spec, sigma, corner_z, group)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Representation, "block_eval_many", block_eval_many)
+        monkeypatch.setattr(reps, "_induced_representation", induced)
+        spec = _mode_inputs(m, mode)[0]
+        _induced(m, mode)
+        # the batch, then the defining relations: two sides per generator
+        assert batches == [1 + spec.rank * spec.n, 2 * spec.rank]
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_builds_multiply_2x2_blocks_only(self, monkeypatch, tmp_path, m, mode):
+        degrees = set()
+        real = matrix._block_mul
+
+        def block_mul(a, b, zero):
+            degrees.update((len(a), len(b)))
+            return real(a, b, zero)
+
+        monkeypatch.setattr(matrix, "_block_mul", block_mul)
+        argv = ["build", "--m", str(m), *MODE_FLAGS[mode],
+                "--out", str(tmp_path / "rep.json")]
+        assert cli.main(argv) == 0
+        assert degrees == {2}
+
+    def test_sigma_needs_2x2_blocks(self):
+        sigma = sigma_symbolic(2)
+        pairs = [(name, BlockMonomial.diag([img, img]), BlockMonomial.diag([inv, inv]))
+                 for name, (img, inv) in sigma.images.items()]
+        doubled = hnn_induced_rep(artin_even_spec(2), Representation(LAURENT, pairs), S)
+        assert (doubled.degree, len(doubled.images["t"][0].perm)) == (8, 4)
+        dense = Representation(LAURENT, [
+            (name, img.to_matrix(), inv.to_matrix()) for name, img, inv in pairs])
+        with pytest.raises(ValueError, match="2 x 2 blocks"):
+            hnn_induced_rep(artin_even_spec(2), dense, S)
+        ident3 = RingMatrix.identity(INT, 3)
+        odd = Representation(INT, [("x0", ident3, ident3), ("x1", ident3, ident3)])
+        with pytest.raises(ValueError, match="2 x 2 blocks"):
+            integer_hnn(artin_even_spec(2), odd, 1)
+
+    def test_integer_artin_keeps_both_reports(self):
+        rep = integer_artin(3, sigma_int(2, 2, 2, basis="rank2-mixed"), 1)
+        defining, canonical = rep.relation_reports
+        assert defining.ok and canonical.ok
+        assert [(r.lhs, r.rhs) for r in canonical.results] == [("t x0 t t", "x0 t t x0 t")]
+
+
+class TestDerivedInversesHideNoWrongImage:
+    """A wrong forward image fails the defining relations in every mode,
+    though its inverse is derived from it."""
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_wrong_orbit_word(self, monkeypatch, m, mode):
+        real = reps._phi_inverse_orbit
+
+        def orbit(spec, w):
+            words = real(spec, w)
+            return words[:-1] + [words[-1] * Word.gen(0)]
+
+        monkeypatch.setattr(reps, "_phi_inverse_orbit", orbit)
+        with pytest.raises(VerificationError, match="defining relations fail"):
+            _built.__wrapped__(m, mode)
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_wrong_corner(self, monkeypatch, m, mode):
+        # z times sigma(x0): invertible, with 2 x 2 blocks of unit
+        # determinant, but not central.
+        real = reps._induced_representation
+
+        def induced(spec, sigma, corner_z, group):
+            (x0,) = sigma.block_eval_many(["x0"])
+            return real(spec, sigma, corner_z * x0, group)
+
+        monkeypatch.setattr(reps, "_induced_representation", induced)
+        with pytest.raises(VerificationError, match="defining relations fail"):
+            _built.__wrapped__(m, mode)
