@@ -20,6 +20,7 @@ from .reps import (
     golden_check,
     hnn_induced_rep,
     integer_artin,
+    matrix_relation_reports,
     probe_faithfulness,
     sigma_int,
     sigma_qp,
@@ -181,10 +182,12 @@ def _report_lines(lines, ok, json_path, suite):
 def cmd_check(args) -> int:
     lines = []
     if args.suite == "relations":
-        # The build verified its relations; print the reports it kept, or,
-        # when a relation failed, the reports up to the failed one.
+        # Evaluate on the built matrices every relation the build verified
+        # (the build may have certified them on the word skeleton); when a
+        # relation failed in the build, print the reports it carries, up
+        # to the failed one.
         try:
-            reports = _build_artin(args.m, args).relation_reports
+            reports = matrix_relation_reports(_build_artin(args.m, args))
         except VerificationError as exc:
             if not exc.reports:
                 raise

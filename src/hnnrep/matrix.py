@@ -310,16 +310,26 @@ class BlockMonomial:
     def is_identity(self) -> bool:
         return self.is_scalar(self.ring.one)
 
-    def inverse(self) -> "BlockMonomial":
+    def inverse(self, adjugates=None) -> "BlockMonomial":
         """The inverse of a matrix with 2 x 2 blocks of unit determinant:
         the inverse permutation, and u^-1 adj A for each block A, u = det A
         (see is_inverse_of).  Raise ValueError for blocks of another degree
-        or a block whose determinant is not a unit."""
+        or a block whose determinant is not a unit.
+
+        Blocks that are one object, such as the images of equal orbit
+        words, share one inverse block.  adjugates, a dict from id(block)
+        to its inverse block, extends that sharing to several matrices
+        whose blocks stay alive while it is in use."""
         if self.block_degree != 2:
             raise ValueError("the block inverse needs 2 x 2 blocks")
         # Block row j of the inverse is block row i of self with perm[i] = j.
         rows = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
-        blocks = tuple(_adjugate_inverse(self.ring, self.blocks[i]) for i in rows)
+        if adjugates is None:
+            adjugates = {}
+        for blk in self.blocks:
+            if id(blk) not in adjugates:
+                adjugates[id(blk)] = _adjugate_inverse(self.ring, blk)
+        blocks = tuple(adjugates[id(self.blocks[i])] for i in rows)
         if None in blocks:
             raise ValueError("a block determinant is not a unit")
         return BlockMonomial(self.ring, rows, blocks)
@@ -421,20 +431,21 @@ def get_block(m: RingMatrix, i: int, j: int, bdeg: int) -> RingMatrix:
     return RingMatrix(m.ring, rows)
 
 
-def conjugate(m, u, u_inv):
-    """Return u_inv * m * u for RingMatrix or BlockMonomial arguments, after
-    checking u * u_inv = I (BlockMonomial.is_inverse_of for blocks, the
-    product for dense matrices).
+def conjugate(m, u, u_inv=None):
+    """Return u_inv * m * u for RingMatrix or BlockMonomial arguments.
 
-    The one-sided check suffices: over a commutative ring, u * u_inv = I
-    gives det(u) det(u_inv) = 1, so u is invertible and u_inv is its
-    two-sided inverse.
+    Without u_inv, u must be a BlockMonomial with 2 x 2 blocks, and u_inv
+    is its block adjugate (BlockMonomial.inverse), exact by construction.
+    A given u_inv is checked for u * u_inv = I (BlockMonomial.is_inverse_of
+    for blocks, the product for dense matrices).  The one-sided check
+    suffices: over a commutative ring, u * u_inv = I gives
+    det(u) det(u_inv) = 1, so u is invertible and u_inv is its two-sided
+    inverse.
     """
-    if isinstance(u, BlockMonomial):
-        ok = u.is_inverse_of(u_inv)
-    else:
-        ok = (u * u_inv).is_identity()
-    if not ok:
+    if u_inv is None:
+        u_inv = u.inverse()
+    elif not (u.is_inverse_of(u_inv) if isinstance(u, BlockMonomial)
+              else (u * u_inv).is_identity()):
         raise ValueError("u_inv is not an inverse of u")
     return u_inv * m * u
 

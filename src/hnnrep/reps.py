@@ -9,13 +9,27 @@ integer variant of degree 4 per coset (two 2x2 blocks) where the scalar s is
 replaced by a unipotent central block.
 
 Every image is block-monomial (see BlockMonomial) with 2x2 blocks of unit
-determinant, so its inverse is the block adjugate (BlockMonomial.inverse).
-The builders work on blocks throughout, JSON output included; dense
-matrices appear only at the display boundary (image(), eval()).
-Everything is verified at construction: generator inverses, the defining
-relations
+determinant, so its inverse is the block adjugate (BlockMonomial.inverse),
+exact by construction.  The builders work on blocks throughout, JSON output
+included; dense matrices appear only at the display boundary (image(),
+eval()).
+
+Everything is verified at construction: the defining relations
 t^-1 x t = phi(x), the canonical relation w_m, and the displayed block
-shapes.  Each relation check runs once, and its report is kept on the
+shapes.  The relations are certified on the ring-free word skeleton of the
+extension (HnnSpec.skeleton): every induced image is a monomial element of
+(F x <z>) wr S_k evaluated through sigma and the corner z.  Three facts make
+a relation that holds on the skeletons hold on the matrices, in every ring
+at once: sigma is a homomorphism of the free group (its inverse images are
+checked), z is central and invertible (z commutes with each sigma(x_i),
+checked exactly on the matrices, and the corner block has a unit
+determinant), and the images are the evaluated skeleton (the builder
+evaluates the skeleton's own words).  The canonical pair is the image of
+the artin_canonical words, conjugated by a matrix with its exact block
+adjugate inverse, which keeps every relation.  When the certificate does
+not pass, the relations are evaluated on the matrices
+(verify_defining_relations), which then decides, failure messages
+included.  Each check runs once, and its report is kept on the
 representation (Representation.relation_reports).
 """
 
@@ -54,26 +68,41 @@ class Representation:
     inverse_image() and eval() return dense matrices; block_eval_many()
     stays in blocks.
 
-    Each inverse is checked for image * inverse = I with
+    A given inverse is checked for image * inverse = I with
     BlockMonomial.is_inverse_of (an adjugate certificate on 2 x 2 blocks,
     the product on others).  The one-sided check suffices: over the
     commutative rings used here, A B = I gives det A det B = 1, so A is
-    invertible and B A = I as well.  An HnnSpec may be attached when the
-    generators are the x_i / t alphabet of an extension.
+    invertible and B A = I as well.  An inverse given as None is derived
+    from a BlockMonomial image as its block adjugate
+    (BlockMonomial.inverse), which is exact and raises on a block whose
+    determinant is not a unit, so it is not checked again.  An HnnSpec may
+    be attached when the generators are the x_i / t alphabet of an
+    extension.
+
+    gen_words maps each generator to the mixed word of the spec whose
+    skeleton (HnnSpec.skeleton_of) the image evaluates, when the builder
+    made that exact; it is None otherwise, and relations are then
+    evaluated on the matrices.
 
     relation_reports holds the RelationReports that the builder verified,
     in order: the defining relations, then the canonical relation for an
-    A(m) build.  It is empty for a representation read from JSON.
+    A(m) build.  relation_checks holds, in the same order, the pairs
+    (representation, relations) they were verified on, the representation
+    None for this one (see matrix_relation_reports).  Both are empty for a
+    representation read from JSON.
     """
 
     def __init__(self, ring, gens, spec=None, group="", params=None):
-        # gens: ordered list of (name, image, inverse image)
+        # gens: ordered list of (name, image, inverse image or None)
         if not gens:
             raise ValueError("a representation needs at least one generator")
         self.gen_names = tuple(name for name, _, _ in gens)
         if len(set(self.gen_names)) != len(self.gen_names):
             raise ValueError("repeated generator name")
-        mats = [mat for _, image, inv in gens for mat in (image, inv)]
+        derived = {name for name, _, inv in gens if inv is None}
+        adjugates = {}  # shared by the derived inverses
+        mats = [mat for _, image, inv in gens
+                for mat in (image, image.inverse(adjugates) if inv is None else inv)]
         degree = mats[0].degree
         for mat in mats:
             if mat.degree != degree:
@@ -84,14 +113,16 @@ class Representation:
         self.ring = ring
         self.images = {}
         for name, image, inv in zip(self.gen_names, blocks[::2], blocks[1::2]):
-            if not image.is_inverse_of(inv):
+            if name not in derived and not image.is_inverse_of(inv):
                 raise VerificationError(f"inverse image of {name} is wrong")
             self.images[name] = (image, inv)
         self.degree = degree
         self.spec = spec
         self.group = group
         self.params = params or {}
+        self.gen_words = None
         self.relation_reports = ()
+        self.relation_checks = ()
 
     def image(self, name: str) -> RingMatrix:
         return self.images[name][0].to_matrix()
@@ -289,39 +320,37 @@ def _infinite_order_unit(ring, s):
     return s
 
 
-def _phi_inverse_orbit(spec: HnnSpec, w: Word):
-    """Words phi^0(w), phi^-1(w), .., phi^-(n-1)(w)."""
-    out = [w]
-    for _ in range(spec.n - 1):
-        out.append(spec.phi_inv.apply(out[-1]))
-    return out
-
-
 def _induced_representation(spec, sigma, corner_z, group):
     """Coset-induced representation of the extension from sigma and a
-    central block z standing in for the image of t^n w0.
+    central block z standing in for the image of t^n w0: the evaluated
+    skeleton of each letter (HnnSpec.skeleton).
 
     t maps to the block companion over the cosets 1, t, .., t^{n-1} with
     corner z * sigma(w0^-1); x_i maps to the block diagonal of the
-    sigma-images of phi^-j(x_i).  These words are evaluated in one batch,
-    sharing prefixes.  Every block is 2 x 2 with a unit determinant (sigma
-    images have determinant 1 and z is central with a unit determinant),
-    so each inverse is the block adjugate, BlockMonomial.inverse.  The
-    defining relations are verified.
+    sigma-images of phi^-j(x_i).  The skeleton's words are evaluated in one
+    batch, sharing prefixes.  Every block is 2 x 2 with a unit determinant
+    (sigma images have determinant 1 and z is central with a unit
+    determinant), so each inverse is the block adjugate,
+    BlockMonomial.inverse.  The defining relations are verified.
     """
-    k = spec.n
-    ring = sigma.ring
-    words = [w for i in range(spec.rank) for w in _phi_inverse_orbit(spec, Word.gen(i))]
-    f_img, *images = sigma.block_eval_many([spec.f] + words)
-    # Equal orbit words share one image; invert each distinct word once.
-    inverse = {w: img.inverse() for w, img in dict(zip(words, images)).items()}
-    ident = BlockMonomial.identity(ring, f_img.block_degree, len(f_img.perm))
-    t_img = BlockMonomial.companion([ident] * (k - 1), corner_z * f_img)
-    gens = [(f"x{i}", BlockMonomial.diag(images[i * k:(i + 1) * k]),
-             BlockMonomial.diag([inverse[w] for w in words[i * k:(i + 1) * k]]))
-            for i in range(spec.rank)]
-    gens.append(("t", t_img, t_img.inverse()))
-    rep = Representation(ring, gens, spec=spec, group=group, params=dict(sigma.params))
+    letters = {f"x{i}": (i, 1) for i in range(spec.rank)} | {"t": (T_GEN, 1)}
+    skeletons = {name: spec.skeleton[sym] for name, sym in letters.items()}
+    words = list(dict.fromkeys(w for sk in skeletons.values() for _, w in sk.cells))
+    sigma_of = dict(zip(words, sigma.block_eval_many(words)))
+    gens = []
+    for name, sk in skeletons.items():
+        blocks = []
+        for e, w in sk.cells:
+            blk = sigma_of[w]
+            for _ in range(e):
+                blk = corner_z * blk
+            blocks.append(blk)
+        gens.append((name, BlockMonomial.from_blocks(sk.perm, blocks), None))
+    rep = Representation(sigma.ring, gens, spec=spec, group=group,
+                         params=dict(sigma.params))
+    if all(corner_z * x == x * corner_z
+           for x, _ in (sigma.images[f"x{i}"] for i in range(spec.rank))):
+        rep.gen_words = {name: MixedWord((sym,)) for name, sym in letters.items()}
     _require_relations(rep, defining_relations(spec),
                        f"defining relations fail for {group}")
     return rep
@@ -432,12 +461,41 @@ def verify_defining_relations(rep: Representation, relations) -> RelationReport:
     return RelationReport(tuple(results))
 
 
+def matrix_relation_reports(rep: Representation):
+    """verify_defining_relations on the built matrices for every relation
+    the builder verified, in the order of rep.relation_reports."""
+    return tuple(verify_defining_relations(source or rep, relations)
+                 for source, relations in rep.relation_checks)
+
+
+def _skeleton_report(rep: Representation, relations):
+    """The report verify_defining_relations gives when both sides of every
+    relation have equal skeletons (see the module docstring); None when
+    rep has no gen_words or some relation is not certified."""
+    words = rep.gen_words
+    if words is None:
+        return None
+    results = []
+    for pair in relations:
+        lhs, rhs = (tuple(rep.letters(w)) for w in pair)
+        left, right = (rep.spec.skeleton_of(chain.from_iterable(
+            (words[name] ** sign).syms for name, sign in side)) for side in (lhs, rhs))
+        if left != right:
+            return None
+        results.append(RelationResult(syms_str(lhs), syms_str(rhs), True))
+    return RelationReport(tuple(results))
+
+
 def _require_relations(rep: Representation, relations, failure: str):
-    """Keep the report in rep.relation_reports; unless all relations hold,
+    """Keep the report in rep.relation_reports, from the skeleton
+    certificate or else from the matrices; unless all relations hold,
     raise VerificationError naming the failed ones, with the reports so
     far, this one last, as its reports."""
-    report = verify_defining_relations(rep, relations)
+    report = _skeleton_report(rep, relations)
+    if report is None:
+        report = verify_defining_relations(rep, relations)
     rep.relation_reports += (report,)
+    rep.relation_checks += ((None, relations),)
     if not report.ok:
         raise VerificationError(f"{failure}: {report.failures()}",
                                 rep.relation_reports)
@@ -488,9 +546,8 @@ def artin_even(n: int, sigma: Representation = None, s=None) -> Representation:
     w = _mat2(ring, one, -mu, zero, one)  # A block, also v^-1
     v = _mat2(ring, one, mu, zero, one)
     u = BlockMonomial.diag([w**i for i in range(n)])
-    u_inv = u.inverse()
-    x_img = conjugate(tau.images["x0"][0], u, u_inv)
-    y_img = conjugate(tau.images["t"][0], u, u_inv)
+    x_img = conjugate(tau.images["x0"][0], u)
+    y_img = conjugate(tau.images["t"][0], u)
 
     x0 = _mat2(ring, one, zero, lam, one)
     x0_inv = _mat2(ring, one, zero, -lam, one)
@@ -517,7 +574,7 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     x_img = tau.images["t"][0]
     y_img = tau.images["x0"][0] * x_img
 
-    orbit = _phi_inverse_orbit(spec, Word.gen(0))
+    orbit = [w for _, w in spec.skeleton[0, 1].cells]
     corner_word = spec.w0.inverse() * spec.phi.apply(Word.gen(0))
     *superdiag, corner = sigma.block_eval_many(orbit[:-1] + [corner_word])
     _check_shape("y", y_img, BlockMonomial.companion(superdiag, corner.scalar_mul(s)))
@@ -528,12 +585,18 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
 def _canonical_rep(m, tau, x, y) -> Representation:
     """The representation of A(m) with the images x and y as its canonical
     generators, and their block adjugates as inverses, checked on the
-    canonical relation.  The spec, ring and params (s included) are those
-    of the induced representation tau, and the relation reports continue
-    tau's."""
-    rep = Representation(tau.ring, [("x", x, x.inverse()), ("y", y, y.inverse())],
+    canonical relation.  x and y are the images of the artin_canonical(m)
+    words under tau, conjugated by a matrix with its exact inverse.  The
+    spec, ring and params (s included) are those of the induced
+    representation tau, and the relation reports continue tau's."""
+    rep = Representation(tau.ring, [("x", x, None), ("y", y, None)],
                          spec=tau.spec, group=f"A({m})", params=dict(tau.params))
+    if tau.gen_words is not None:
+        x_word, y_word, _ = artin_canonical(m)
+        rep.gen_words = {"x": x_word, "y": y_word}
     rep.relation_reports = tau.relation_reports
+    rep.relation_checks = tuple((source or tau, relations)
+                                for source, relations in tau.relation_checks)
     _require_relations(rep, [canonical_relation(m)],
                        f"canonical relation fails for A({m})")
     return rep
@@ -621,9 +684,8 @@ def b3_explicit(sigma: Representation = None, s=None):
     )
     ident2 = BlockMonomial.identity(sigma.ring, 2, 1)
     u = BlockMonomial.diag([ident2, ident2] + [sig_inv] * 4)
-    u_inv = u.inverse()
-    x_img = conjugate(t_img, u, u_inv)
-    y_img = conjugate(tau.images["x0"][0] * t_img, u, u_inv)
+    x_img = conjugate(t_img, u)
+    y_img = conjugate(tau.images["x0"][0] * t_img, u)
 
     _check_shape("X", x_img, BlockMonomial.companion(
         [ident2, sig_inv, ident2, ident2, ident2], ident2.scalar_mul(s)))

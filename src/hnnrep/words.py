@@ -414,6 +414,41 @@ def _shift_automorphism(rank: int, head: Word) -> Endomorphism:
 
 
 @dataclass(frozen=True)
+class Skeleton:
+    """A ring-free image in the wreath product (F x <z>) wr S_k.
+
+    Block row i holds z^e * sigma(w) in block column perm[i], for the pair
+    cells[i] = (e, w) of a z-exponent and a reduced base word.  Evaluated
+    through a homomorphism sigma of the free group and an invertible z that
+    commutes with its images, products of skeletons are products of the
+    block-monomial matrices: the permutations compose, the words
+    concatenate and the exponents add.
+    """
+
+    perm: tuple
+    cells: tuple
+
+    @staticmethod
+    def identity(k: int) -> "Skeleton":
+        return Skeleton(tuple(range(k)), ((0, Word()),) * k)
+
+    def __mul__(self, other: "Skeleton") -> "Skeleton":
+        # Block row i of self meets block row perm[i] of other, as in
+        # BlockMonomial.__mul__.
+        return Skeleton(
+            tuple(other.perm[j] for j in self.perm),
+            tuple((e + other.cells[j][0], w * other.cells[j][1])
+                  for (e, w), j in zip(self.cells, self.perm)),
+        )
+
+    def inverse(self) -> "Skeleton":
+        # Block row j of the inverse is block row i of self with perm[i] = j.
+        rows = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
+        return Skeleton(rows, tuple(
+            (-self.cells[i][0], self.cells[i][1].inverse()) for i in rows))
+
+
+@dataclass(frozen=True)
 class HnnSpec:
     """Data (rank, phi, n, w0) of an HNN extension with phi^n inner.
 
@@ -451,6 +486,41 @@ class HnnSpec:
     def f(self) -> Word:
         """The conjugator with phi^n(x) = f^-1 x f, namely w0^-1."""
         return self.w0.inverse()
+
+    @cached_property
+    def skeleton(self) -> dict:
+        """Skeletons of the induced representation's letters over the n
+        cosets 1, t, .., t^(n-1), keyed by symbol, inverses included.
+
+        x_i is the diagonal of the orbit words phi^-j(x_i), j = 0..n-1, and
+        t the companion with empty words above the diagonal and z * f in
+        the corner, z standing for the central image of t^n w0."""
+        k = self.n
+        gens = {T_GEN: Skeleton((*range(1, k), 0),
+                                ((0, Word()),) * (k - 1) + ((1, self.f),))}
+        for i in range(self.rank):
+            orbit = [Word.gen(i)]
+            for _ in range(k - 1):
+                orbit.append(self.phi_inv.apply(orbit[-1]))
+            gens[i] = Skeleton(tuple(range(k)), tuple((0, w) for w in orbit))
+        # The cached words share one tuple per symbol, so that they cost a
+        # pointer a letter for as long as the spec lives.
+        symbols = {}
+
+        def shared(sk):
+            return Skeleton(sk.perm, tuple(
+                (e, Word._reduced(tuple(symbols.setdefault(x, x) for x in w.syms)))
+                for e, w in sk.cells))
+
+        return {(g, s): shared(sk if s == 1 else sk.inverse())
+                for g, sk in gens.items() for s in (1, -1)}
+
+    def skeleton_of(self, syms) -> Skeleton:
+        """The skeleton of a mixed word, given by its symbols."""
+        out = Skeleton.identity(self.n)
+        for sym in syms:
+            out = out * self.skeleton[sym]
+        return out
 
     @property
     def generators(self):

@@ -18,7 +18,7 @@ from hnnrep import cli, reps
 from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
-from hnnrep.words import MixedWord, center_generator
+from hnnrep.words import MixedWord, Skeleton, Word, artin_spec, center_generator
 
 
 def run(capsys, *argv):
@@ -178,13 +178,28 @@ def test_build_matches_benchmark_reference(capsys, monkeypatch, tmp_path, key):
     # Every recorded build: the symbolic builds and each (lambda, mu, p)
     # triple in numeric and integer mode.  The output file is the name
     # the recorded stdout ends with, relative to the working directory.
+    # The relations the build certified on the word skeleton are also
+    # evaluated on its matrices: the defining relations and w_m.
     want = REFERENCE[key]
     out = want["stdout"].split()[-1]
     monkeypatch.chdir(tmp_path)
+    built = []
+    real = cli._build_artin
+
+    def build(m, args):
+        built.append(real(m, args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_artin", build)
     code, stdout = run(capsys, *key.split(), "--out", out)
     assert code == 0
     assert stdout == want["stdout"]
     assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == want["sha256"]
+    (rep,) = built
+    assert len(rep.relation_reports) == 2 and rep.gen_words is not None
+    on_matrices = reps.matrix_relation_reports(rep)
+    assert on_matrices == rep.relation_reports
+    assert all(report.ok for report in on_matrices)
 
 
 def test_parser_built_on_first_use_then_shared():
@@ -425,8 +440,9 @@ def test_center_stdout_pinned(capsys, m, mode):
                                   ["--integer"]], ids=["symbolic", "qp", "integer"])
 @pytest.mark.parametrize("m", [3, 4])
 def test_relations_suite_builds_once(capsys, monkeypatch, m, mode):
-    # One induced representation and two relation verifications per run,
-    # both made by the build: the defining relations and w_m.
+    # One induced representation and two relation verifications per run:
+    # the build certifies the defining relations and w_m on the word
+    # skeleton, and the suite evaluates both on the built matrices.
     counts = {"builds": 0, "verifications": 0}
 
     def counting(module, name, key):
@@ -482,6 +498,76 @@ def test_failing_canonical_relation_still_reports(capsys, monkeypatch, tmp_path,
     assert lines[2].startswith("canonical relation w_4(x,y) = w_4(y,x): FAIL (")
     assert lines[3:] == ["FAIL"]
     assert json.loads(path.read_text())["pass"] is False
+
+
+def _relations_suite(capsys, tmp_path, m, flags):
+    """(exit code, stdout, JSON report text) of the relations suite."""
+    path = tmp_path / "report.json"
+    code = main(["check", "--suite", "relations", "--m", str(m), *flags,
+                 "--json-report", str(path)])
+    return code, capsys.readouterr().out, path.read_text()
+
+
+RELATION_MODES = {
+    "symbolic": [],
+    "qp": ["--lambda", "2", "--mu", "3", "--s", "5"],
+    "integer": ["--integer"],
+    "integer-params": ["--integer", "--lambda", "3", "--mu", "2", "--s", "7"],
+}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["pass", "false-w_m"])
+@pytest.mark.parametrize("mode", sorted(RELATION_MODES))
+@pytest.mark.parametrize("m", range(3, 12))
+def test_relations_suite_same_without_certificate(capsys, monkeypatch, tmp_path,
+                                                  m, mode, failing):
+    # The suite's lines come from the matrices, so forcing the skeleton
+    # certificate to fail changes neither stdout nor the JSON report, a
+    # failing canonical relation included.
+    if failing:
+        # x y = y x in place of w_m, for the canonical pair and for the
+        # integer variant's x_i / t words
+        real = reps.artin_canonical
+
+        def artin_canonical(m):
+            x, y, _ = real(m)
+            return x, y, (x * y, y * x)
+
+        monkeypatch.setattr(reps, "canonical_relation",
+                            lambda m: ([("x", 1), ("y", 1)], [("y", 1), ("x", 1)]))
+        monkeypatch.setattr(reps, "artin_canonical", artin_canonical)
+    on = _relations_suite(capsys, tmp_path, m, RELATION_MODES[mode])
+    monkeypatch.setattr(reps, "_skeleton_report", lambda rep, relations: None)
+    off = _relations_suite(capsys, tmp_path, m, RELATION_MODES[mode])
+    assert on == off
+    assert on[0] == (1 if failing else 0)
+
+
+def test_relations_suite_evaluates_the_matrices(capsys, monkeypatch, tmp_path):
+    # With a certificate that accepts everything and an orbit word of x1
+    # with one letter too many (the canonical pair's block shapes do not
+    # see x1), the build goes through, and the suite still finds the
+    # failure on the matrices.
+    def accept_all(rep, relations):
+        return reps.RelationReport(tuple(
+            reps.RelationResult(str(lhs), str(rhs), True) for lhs, rhs in relations))
+
+    monkeypatch.setattr(reps, "_skeleton_report", accept_all)
+    spec = artin_spec(4)
+    table = dict(spec.skeleton)
+    x1 = table[1, 1]
+    cells = ((0, x1.cells[0][1] * Word.gen(0)),) + x1.cells[1:]
+    table[1, 1] = Skeleton(x1.perm, cells)
+    table[1, -1] = table[1, 1].inverse()
+    monkeypatch.setitem(vars(spec), "skeleton", table)
+    code, out, report = _relations_suite(capsys, tmp_path, 4, [])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("defining relation t^-1 x0 t = x0 x1 x0^-1: FAIL (")
+    assert lines[1].startswith("defining relation t^-1 x1 t = x0: FAIL (")
+    assert lines[-1] == "FAIL"
+    assert json.loads(report) == {"suite": "relations", "pass": False,
+                                  "details": lines[:-1]}
 
 
 @pytest.mark.parametrize("corruption", ["wrong-s", "swapped-images"])

@@ -41,10 +41,13 @@ from hnnrep.ring import INT, LAURENT, QpRing
 from hnnrep.words import (
     HnnSpec,
     MixedWord,
+    Skeleton,
     T_GEN,
     Word,
+    artin_canonical,
     artin_even_spec,
     artin_odd_spec,
+    artin_spec,
     center_generator,
     inner_endomorphism,
     normal_form,
@@ -982,7 +985,7 @@ def _inverse_word_images(m, mode):
     k = spec.n
     out = {}
     for i in range(spec.rank):
-        orbit = reps._phi_inverse_orbit(spec, Word.gen(i))
+        orbit = [spec.phi_inv.power(j).apply(Word.gen(i)) for j in range(k)]
         out[f"x{i}"] = BlockMonomial.diag(
             sigma.block_eval_many([w.inverse() for w in orbit]))
     (f_inv,) = sigma.block_eval_many([spec.f.inverse()])
@@ -1022,7 +1025,9 @@ class TestDerivedInverses:
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     @pytest.mark.parametrize("m", [3, 4, 5, 8])
     def test_induced_build_evaluates_each_word_once(self, monkeypatch, m, mode):
-        # f and the rank * n orbit words, in one batch; no inverse words.
+        # The empty word, f and the rank * n orbit words, each once and in
+        # one batch; no inverse words, and no relation sides, as the
+        # skeleton certifies the defining relations.
         batches = []
         inside = []
         real_eval = Representation.block_eval_many
@@ -1031,7 +1036,7 @@ class TestDerivedInverses:
         def block_eval_many(self, items):
             items = list(items)
             if inside:
-                batches.append(len(items))
+                batches.append(items)
             return real_eval(self, items)
 
         def induced(spec, sigma, corner_z, group):
@@ -1044,9 +1049,11 @@ class TestDerivedInverses:
         monkeypatch.setattr(Representation, "block_eval_many", block_eval_many)
         monkeypatch.setattr(reps, "_induced_representation", induced)
         spec = _mode_inputs(m, mode)[0]
-        _induced(m, mode)
-        # the batch, then the defining relations: two sides per generator
-        assert batches == [1 + spec.rank * spec.n, 2 * spec.rank]
+        assert _induced(m, mode).relation_reports[0].ok
+        want = {Word(), spec.f} | {spec.phi_inv.power(j).apply(Word.gen(i))
+                                   for i in range(spec.rank) for j in range(spec.n)}
+        (batch,) = batches
+        assert len(batch) == len(set(batch)) and set(batch) == want
 
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -1086,22 +1093,79 @@ class TestDerivedInverses:
         assert [(r.lhs, r.rhs) for r in canonical.results] == [("t x0 t t", "x0 t t x0 t")]
 
 
+def _replace_cell(monkeypatch, spec, sym, coset, change):
+    """Patch spec.skeleton: the letter sym gets change(cell) at the given
+    coset, and its inverse letter the inverse skeleton.  The images the
+    builders evaluate from the skeleton change with it."""
+    table = dict(spec.skeleton)
+    sk = table[sym]
+    cells = list(sk.cells)
+    cells[coset] = change(cells[coset])
+    table[sym] = Skeleton(sk.perm, tuple(cells))
+    table[sym[0], -sym[1]] = table[sym].inverse()
+    monkeypatch.setitem(vars(spec), "skeleton", table)
+
+
+def _no_certificate(monkeypatch):
+    """Force the skeleton certificate to fail, so that every relation is
+    evaluated on the matrices."""
+    monkeypatch.setattr(reps, "_skeleton_report", lambda rep, relations: None)
+
+
+def _same_failure_without_certificate(monkeypatch, build):
+    """The VerificationError of build(), checked to be the one it raises
+    with the certificate forced to fail, and to come from a relation that
+    the certificate rejected or could not be tried on."""
+    verdicts = []
+    real = reps._skeleton_report
+
+    def spy(rep, relations):
+        verdicts.append(real(rep, relations))
+        return verdicts[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(reps, "_skeleton_report", spy)
+        with pytest.raises(VerificationError) as on:
+            build()
+    with monkeypatch.context() as mp:
+        _no_certificate(mp)
+        with pytest.raises(VerificationError) as off:
+            build()
+    assert (str(on.value), on.value.reports) == (str(off.value), off.value.reports)
+    assert verdicts[-1] is None
+    return on.value
+
+
 class TestDerivedInversesHideNoWrongImage:
-    """A wrong forward image fails the defining relations in every mode,
-    though its inverse is derived from it."""
+    """A wrong forward image fails the relations in every mode, though its
+    inverse is derived from it: the skeleton certificate rejects it, and
+    the matrix check then raises the error it raises without the
+    certificate, the text, the (row, col, ...) witness and the reports
+    alike."""
 
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_wrong_orbit_word(self, monkeypatch, m, mode):
-        real = reps._phi_inverse_orbit
+        # one letter appended to the orbit word of the first or last coset
+        spec = artin_spec(m)
+        for coset in (0, spec.n - 1):
+            with monkeypatch.context() as mp:
+                _replace_cell(mp, spec, (0, 1), coset,
+                              lambda cell: (cell[0], cell[1] * Word.gen(0)))
+                exc = _same_failure_without_certificate(
+                    mp, lambda: _built.__wrapped__(m, mode))
+            assert str(exc).startswith("defining relations fail")
+            assert "mismatch=(" in str(exc)
 
-        def orbit(spec, w):
-            words = real(spec, w)
-            return words[:-1] + [words[-1] * Word.gen(0)]
-
-        monkeypatch.setattr(reps, "_phi_inverse_orbit", orbit)
-        with pytest.raises(VerificationError, match="defining relations fail"):
-            _built.__wrapped__(m, mode)
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_corner_word_times_x0(self, monkeypatch, m, mode):
+        spec = artin_spec(m)
+        _replace_cell(monkeypatch, spec, (T_GEN, 1), spec.n - 1,
+                      lambda cell: (cell[0], cell[1] * Word.gen(0)))
+        exc = _same_failure_without_certificate(
+            monkeypatch, lambda: _built.__wrapped__(m, mode))
+        assert str(exc).startswith("defining relations fail")
 
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -1115,5 +1179,67 @@ class TestDerivedInversesHideNoWrongImage:
             return real(spec, sigma, corner_z * x0, group)
 
         monkeypatch.setattr(reps, "_induced_representation", induced)
-        with pytest.raises(VerificationError, match="defining relations fail"):
-            _built.__wrapped__(m, mode)
+        exc = _same_failure_without_certificate(
+            monkeypatch, lambda: _built.__wrapped__(m, mode))
+        assert str(exc).startswith("defining relations fail")
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_integer_corner_block_not_central(self, monkeypatch, m):
+        # diag(U, V) with V = [[1, 1], [0, 1]], which does not commute with
+        # the lower unitriangular sigma(x0)
+        real = reps._induced_representation
+        ident2 = BlockMonomial.identity(INT, 2, 1)
+        v = BlockMonomial(INT, (0,), (((1, 1), (0, 1)),))
+
+        def induced(spec, sigma, corner_z, group):
+            return real(spec, sigma, corner_z * BlockMonomial.diag([ident2, v]), group)
+
+        monkeypatch.setattr(reps, "_induced_representation", induced)
+        exc = _same_failure_without_certificate(
+            monkeypatch, lambda: _built.__wrapped__(m, "integer"))
+        assert str(exc).startswith("defining relations fail")
+
+    def test_wrong_conjugator(self, monkeypatch):
+        # A u_inv given to conjugate is checked; a wrong u, with its exact
+        # inverse, fails the block shapes.
+        real = reps.conjugate
+        for wrong, error, match in (
+            (lambda m, u: real(m, u, u), ValueError, "u_inv is not an inverse of u"),
+            (lambda m, u: real(m, u * u), VerificationError, "image does not match"),
+        ):
+            monkeypatch.setattr(reps, "conjugate", wrong)
+            for build in (lambda: artin_even(2), lambda: artin_even(3), b3_explicit):
+                with pytest.raises(error, match=match):
+                    build()
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_corner_exponent_two_passes_both_checks(self, monkeypatch, m, mode):
+        # z^2 in place of z in the corner of t is not caught by either
+        # check: the two sides of every defining relation and of w_m have
+        # the same exponent sum in t, so from each coset they pass the
+        # corner equally often, and z's exponent cancels.  (The
+        # block shapes of the symbolic and Q_p canonical pairs catch it;
+        # in the integer variant it is the corner of 2s in place of s.)
+        spec = artin_spec(m)
+        _replace_cell(monkeypatch, spec, (T_GEN, 1), spec.n - 1,
+                      lambda cell: (2, cell[1]))
+        tau = _induced(m, mode)
+        relations = defining_relations(spec) + [artin_canonical(m)[2]]
+        assert tau.gen_words is not None
+        assert reps._skeleton_report(tau, relations).ok
+        assert verify_defining_relations(tau, relations).ok
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_builds_without_certificate_are_identical(monkeypatch, m, mode):
+    # With the certificate forced to fail, the matrix check decides every
+    # relation, and the outputs and reports do not change.
+    on = _built(m, mode)
+    assert on.gen_words is not None
+    _no_certificate(monkeypatch)
+    off = _built.__wrapped__(m, mode)
+    assert cli._json_text(off.to_json()) == cli._json_text(on.to_json())
+    assert off.relation_reports == on.relation_reports
+    assert reps.matrix_relation_reports(on) == on.relation_reports

@@ -352,6 +352,46 @@ class TestCenter:
                     ), (k, str(f))
 
 
+class TestSkeleton:
+    """The ring-free skeleton of the induced representation."""
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_relations_hold_on_skeletons(self, m):
+        spec = words.artin_spec(m)
+        t = ((T_GEN, 1),)
+        for i in range(spec.rank):
+            lhs = ((T_GEN, -1), (i, 1)) + t
+            assert spec.skeleton_of(lhs) == spec.skeleton_of(spec.phi.apply(Word.gen(i)).syms)
+        _, _, (lhs, rhs) = artin_canonical(m)
+        assert spec.skeleton_of(lhs.syms) == spec.skeleton_of(rhs.syms)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_skeletons_decide_the_word_problem(self, m):
+        # Equal skeletons exactly when equal normal forms: the skeleton map
+        # is a faithful image of the extension.
+        spec = words.artin_spec(m)
+        rng = random.Random(f"skeleton {m}")
+        letters = [(g, s) for g in [*range(spec.rank), T_GEN] for s in (1, -1)]
+        ws = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+              for _ in range(40)]
+        ws += [w + ((T_GEN, 1), (T_GEN, -1)) for w in ws[:10]]
+        for u, v in itertools.combinations(ws, 2):
+            assert (spec.skeleton_of(u) == spec.skeleton_of(v)) == equal(spec, u, v)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_center_is_z(self, m):
+        # t^n w0 maps to z in every coset
+        spec = words.artin_spec(m)
+        assert spec.skeleton_of(center_generator(spec).syms) == words.Skeleton(
+            tuple(range(spec.n)), ((1, Word()),) * spec.n)
+
+    def test_inverse(self):
+        spec = artin_odd_spec(1)
+        for sym, sk in spec.skeleton.items():
+            assert sk * spec.skeleton[sym[0], -sym[1]] == words.Skeleton.identity(spec.n)
+            assert sk.inverse() == spec.skeleton[sym[0], -sym[1]]
+
+
 class TestArtinCanonical:
     def test_even_m4(self):
         x, y, (lhs, rhs) = artin_canonical(4)
