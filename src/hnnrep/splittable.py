@@ -26,6 +26,18 @@ the same way (_Sample), with the same verdicts and witnesses: a mismatch
 at a point is linear in its kernel row, so the first failing point is
 outside the span of the points before it, and it is kept.
 
+The fresh points are checked in packed form (_fresh_points,
+_PackedPoints).  Each kept kernel row is scaled to integers by a positive
+factor, each kernel column's entries over the points become one big int
+with one balanced W-bit slot per point, and each basis function's values
+are packed the same way, scaled by one common factor.  Checking a shifted
+coordinate against a combination of basis functions is then one equation
+of big ints: at most max(m, n^2) + (terms of the combination) multiply-adds
+and one comparison.  W comes from a per-call bound on the slots of both
+sides, and the packs are rebuilt wider when a call needs it, so no slot
+overflows.  The lowest nonzero slot of the packed difference is the first
+differing point, and the witness reads its values back from that slot.
+
 The engine computes on an exact kernel: its matrices are tuples of row
 tuples, ints for integer inputs and ints and Fractions, some of them
 integral, for rational ones.  They are converted once from the generator
@@ -35,9 +47,11 @@ the action matrices are kept as sparse rows {column: coefficient}.  The
 checks read them once per call as (den, integer rows), den the lcm of the
 denominators, and multiply ints; recovery and the identity test compare
 against den times the element and den times I, and a Fraction appears
-only in a witness.  RingMatrix over QQ (Fraction entries) appears only at
-the API: the basis elements, `actions`, `action_of_word`, `recover` and
-`to_json`.
+only in a witness.  InnerTau keeps its memo in kernel form too.  RingMatrix
+over QQ (Fraction entries) appears only at the API: the tau pairs an
+oracle returns, `basis` and `actions` (built on first access),
+`action_of_word` and `recover`; `to_json` writes the action rows as they
+are.
 
 `semidirect_identity`, `generator_element`, `semidirect_mul`, `eval_word`,
 `coordinate_value` and `h_eval` are the public Fraction reference API: they
@@ -52,12 +66,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionBoundError, OracleError, VerificationError
-from .matrix import RingMatrix, _block_mul
+from .matrix import RingMatrix, _block_mul, _matrix_json
 from .ring import QQ
 from .words import reduced_walk
 
@@ -205,23 +220,36 @@ class TrivialTau(TauOracle):
 
 class InnerTau(TauOracle):
     """Phi generator i acts on G as conjugation by G generator i; a Phi-word
-    maps to the same word evaluated over the G generators."""
+    maps to the same word evaluated over the G generators.
+
+    The memo holds kernel matrices (ints for integral generators),
+    multiplied by matrix._block_mul; tau_pair converts a memo entry to
+    RingMatrix over QQ when it returns it.  A miss recurses through
+    tau_pair, so a wrapper of tau_pair sees every memo miss as a nested
+    call."""
 
     def __init__(self, g_gens: MatrixGroupGens):
         self.g_gens = g_gens
-        ident = RingMatrix.identity(QQ, g_gens.degree)
+        self._gens = tuple(
+            (_kernel_matrix(mat), _kernel_matrix(inv)) for mat, inv in g_gens.pairs
+        )
+        ident = _kernel_identity(g_gens.degree)
         self._memo = {(): (ident, ident)}
 
     def tau_pair(self, phi_word):
         phi_word = tuple(phi_word)
         if phi_word not in self._memo:
-            val_prev, inv_prev = self.tau_pair(phi_word[:-1])
+            self.tau_pair(phi_word[:-1])
+            val_prev, inv_prev = self._memo[phi_word[:-1]]
             idx, sign = phi_word[-1]
-            mat, inv = self.g_gens.pairs[idx]
+            mat, inv = self._gens[idx]
             if sign == -1:
                 mat, inv = inv, mat
-            self._memo[phi_word] = (val_prev * mat, inv * inv_prev)
-        return self._memo[phi_word]
+            self._memo[phi_word] = (
+                _block_mul(val_prev, mat, 0), _block_mul(inv, inv_prev, 0)
+            )
+        val, inv = self._memo[phi_word]
+        return _qq_matrix(val), _qq_matrix(inv)
 
 
 def semidirect_identity(phi_degree: int, g_degree: int) -> SemidirectElement:
@@ -329,6 +357,13 @@ def _sparse_mul(a, b):
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: v for j, v in acc.items() if v})
     return tuple(out)
+
+
+def _integer_vector(values):
+    """(den, integer list) for ints and Fractions: den is the lcm of their
+    denominators and the integers are den * values."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def _integer_rows(rows):
@@ -490,8 +525,7 @@ def _row_basis(rows):
     for idx, row in enumerate(rows):
         if not null:
             break
-        den = lcm(*(x.denominator for x in row))
-        row = [x.numerator * (den // x.denominator) for x in row]
+        _, row = _integer_vector(row)
         piv = next(((k, p) for k, v in enumerate(null)
                     if (p := sum(map(mul, row, v)))), None)
         if piv is None:
@@ -508,17 +542,26 @@ def _row_basis(rows):
     return picked
 
 
+def _shift_coefficients(coord, shift, m: int):
+    """(offset, coefficients) of the shifted coordinate y -> coord(shift *
+    y): its value at a point is the dot product of the coefficients with
+    the point's kernel row from offset on.  The Phi coordinate (i, j) is row
+    i of shift.phi against column j of y.phi, and the G coordinate (p, q)
+    is the flattened shift.g against the H_{p k1 k2 q}(y), k1 and k2 in
+    order."""
+    kind, i, j = coord
+    if kind == "phi":
+        return j * m, shift.phi[i]
+    n = len(shift.g)
+    return m * m + (i * n + j) * n * n, [x for row in shift.g for x in row]
+
+
 class _Sample:
     """Evaluation points, given as (word, kernel element) pairs, pruned to
     the points whose kernel rows (_kernel_row) raise the rank, in order
-    (_row_basis); words holds the kept points' words.  A linear relation
-    among shifted coordinates holds on the kept points exactly when it
-    holds on all of them.
-
-    A shifted coordinate is one dot product per kept point: at a point y
-    and for the shift x, the Phi coordinate (i, j) is row i of x.phi times
-    column j of y.phi, and the G coordinate (p, q) is the sum over k1, k2
-    of x.g[k1][k2] * H_{p k1 k2 q}(y)."""
+    (_row_basis); words and rows hold the kept points' words and kernel
+    rows.  A linear relation among shifted coordinates holds on the kept
+    points exactly when it holds on all of them."""
 
     def __init__(self, kernel: _Kernel, points):
         words, rows = [], []
@@ -527,23 +570,20 @@ class _Sample:
             rows.append(_kernel_row(kernel, el))
         keep = _row_basis(rows)
         self.words = [words[i] for i in keep]
-        rows = [rows[i] for i in keep]
-        m, n = len(kernel.identity.phi), len(kernel.identity.g)
-        self._phi_cols = [[r[j * m:(j + 1) * m] for r in rows] for j in range(m)]
-        self._h = {}
-        for p in range(n):
-            for q in range(n):
-                start = m * m + (p * n + q) * n * n
-                self._h[p, q] = [r[start:start + n * n] for r in rows]
+        self.rows = [rows[i] for i in keep]
+        self.m = m = len(kernel.identity.phi)
+        n = len(kernel.identity.g)
+        blocks = [(j * m, m) for j in range(m)]
+        blocks += [(m * m + k * n * n, n * n) for k in range(n * n)]
+        self._blocks = {
+            off: [r[off:off + size] for r in self.rows] for off, size in blocks
+        }
 
     def values(self, coord, shift: _Element):
         """The shifted coordinate y -> coord(shift * y) at every point."""
-        kind, i, j = coord
-        if kind == "phi":
-            row = [_exact(x) for x in shift.phi[i]]
-            return [sum(map(mul, row, col)) for col in self._phi_cols[j]]
-        flat = [_exact(x) for row in shift.g for x in row]
-        return [sum(map(mul, flat, h)) for h in self._h[i, j]]
+        off, coeffs = _shift_coefficients(coord, shift, self.m)
+        coeffs = [_exact(x) for x in coeffs]
+        return [sum(map(mul, coeffs, block)) for block in self._blocks[off]]
 
 
 class _Span:
@@ -561,8 +601,7 @@ class _Span:
         """(residual, combo, scale), all integers with scale > 0, such that
         scale * vec - sum_k combo[k] * b_k == residual and the residual is
         zero at every pivot.  The entries of vec may be ints or Fractions."""
-        scale = lcm(*(x.denominator for x in vec))
-        vec = [x.numerator * (scale // x.denominator) for x in vec]
+        scale, vec = _integer_vector(vec)
         combo = {}
         for row, rcombo, piv in self.rows:
             c = vec[piv]
@@ -600,8 +639,9 @@ class SplittableRep:
 
     The engine's own data are sparse: `action_rows` maps a letter name to
     the rows {column: coefficient} of its action matrix, and `expansions`
-    maps a coordinate id to {basis index: coefficient}; the checks read
-    these.  `actions` is the Fraction view of the action rows."""
+    maps a coordinate id to {basis index: coefficient}; the checks and
+    to_json read these.  `basis` and `actions`, the Fraction views of the
+    basis and of the action rows, are built on first access."""
 
     def __init__(self, phi_gens, g_gens, tau, kernel, basis, action_rows,
                  expansions, sample_len, letters):
@@ -612,20 +652,27 @@ class SplittableRep:
         self.letters = tuple(letters)
         self._kernel = kernel
         self._shifts = tuple(basis)  # (coord id, kernel shift element)
-        self.basis = tuple(
-            ShiftedCoordinate(coord, kernel.public(shift)) for coord, shift in basis
-        )
         self.action_rows = action_rows
         self.expansions = expansions
+
+    @cached_property
+    def basis(self):
+        return tuple(
+            ShiftedCoordinate(coord, self._kernel.public(shift))
+            for coord, shift in self._shifts
+        )
+
+    @cached_property
+    def actions(self):
         d = self.dimension
-        self.actions = {
+        return {
             name: _qq_matrix(_dense_rows(rows, d))
-            for name, rows in action_rows.items()
+            for name, rows in self.action_rows.items()
         }
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self._shifts)
 
     @property
     def m_degree(self) -> int:
@@ -661,16 +708,21 @@ class SplittableRep:
         )
 
     def to_json(self):
+        """The document, with the action matrices written straight from
+        action_rows: str of an int or a Fraction is QQ's scalar text."""
+        d = self.dimension
         return {
             "mDegree": self.m_degree,
             "nDegree": self.n_degree,
-            "dimension": self.dimension,
+            "dimension": d,
             "basis": [
-                {"coordId": coord_name(b.coord), "shiftWord": b.shift.word_str()}
-                for b in self.basis
+                {"coordId": coord_name(coord), "shiftWord": word_str(shift.word)}
+                for coord, shift in self._shifts
             ],
             "actions": {
-                name: mat.to_json() for name, mat in sorted(self.actions.items())
+                name: _matrix_json(QQ, [[str(x) for x in row]
+                                        for row in _dense_rows(rows, d)])
+                for name, rows in sorted(self.action_rows.items())
             },
         }
 
@@ -694,10 +746,7 @@ class _Recovery:
             (shift.phi if coord[0] == "phi" else shift.g)[coord[1]][coord[2]]
             for coord, shift in rep._shifts
         ]
-        idv_den = lcm(*(x.denominator for x in idv))
-        self.identity_values = [
-            x.numerator * (idv_den // x.denominator) for x in idv
-        ]
+        idv_den, self.identity_values = _integer_vector(idv)
         exp_den, self.expansions = _integer_rows(
             [rep.expansions[c] for c in self.coords])
         self.scale = idv_den * exp_den
@@ -809,6 +858,127 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     return rep
 
 
+# --- Packed slots ------------------------------------------------------------
+#
+# A vector of signed ints v_0, .., v_{K-1} packs into the one int
+# sum_k v_k 2^(W k), slot k holding v_k (Kronecker substitution).  When
+# every |v_k| < 2^(W-1) the slots are balanced digits in base 2^W, and the
+# packing is unique: a packed int is 0 exactly when every slot is 0, and
+# its 2-adic valuation lies in its lowest nonzero slot.  Packs of one width
+# add and multiply by ints slot by slot, so a linear identity that holds
+# at every point holds for the packs, and the packed difference of two
+# sides names the first point where they differ.
+
+
+def _slot_width(bound: int) -> int:
+    """The slot width W for packs whose slots, and the differences of two
+    such slots, have absolute value at most bound and 2 * bound: 2 * bound
+    < 2^(W-1)."""
+    return bound.bit_length() + 2
+
+
+def _pack(values, width: int) -> int:
+    packed = 0
+    for v in reversed(values):
+        packed = (packed << width) + v
+    return packed
+
+
+def _slot(packed: int, k: int, width: int) -> int:
+    """Slot k of a pack of the given width.  The slots below k sum to less
+    than 2^(W k - 1) in absolute value, so adding 2^(W k - 1) and shifting
+    right by W k leaves the slots from k on; the balanced digit is read off
+    their low W bits."""
+    rest = (packed + ((1 << width * k) >> 1)) >> width * k
+    v = rest & ((1 << width) - 1)
+    return v - (1 << width) if v >> (width - 1) else v
+
+
+def _first_slot(packed: int, width: int) -> int:
+    """The lowest nonzero slot of a nonzero pack."""
+    return ((packed & -packed).bit_length() - 1) // width
+
+
+class _PackedPoints:
+    """A _Sample's kept points and the basis functions of a representation,
+    in packed form, for checking combinations of basis functions.
+
+    Every value at a point y is linear in y's kernel row, so scaling the
+    row by a positive factor s_y scales them all and keeps every per-point
+    equality.  Each kept row is scaled to integers by s_y, the lcm of its
+    denominators, and each kernel column, its entries over the points, is
+    one pack.  A shifted coordinate with integer coefficients (its shift's
+    coefficients times their lcm e) is then the dot product of the
+    coefficients with its block of column packs: its slot at y is
+    e * s_y * value(y).  The basis functions' packs are scaled to
+    integers by one common factor D, the lcm of their shifts' e: basis
+    function j's slot at y is D * s_y * b_j(y).
+
+    check(coord, shift, combo, den) compares den * coord(shift * y) with
+    sum_j combo[j] * b_j(y) at every point as one equation of packs,
+    den * D * direct == e * total, both sides with slot y equal to
+    e * D * s_y times the two sides at y.  The call bounds the slots of
+    both sides from the largest entry of the columns and of the basis
+    packs and the 1-norms of its coefficients, and repacks wider when that
+    bound needs a wider slot than the packs have, so no slot ever
+    overflows."""
+
+    def __init__(self, sample: _Sample, shifts):
+        self.words = sample.words
+        self.m = sample.m
+        self.scales, rows = [], []
+        for row in sample.rows:
+            scale, row = _integer_vector(row)
+            self.scales.append(scale)
+            rows.append(row)
+        self._columns = [list(col) for col in zip(*rows)]
+        self._col_max = max((abs(x) for r in rows for x in r), default=0)
+        self._basis = []  # (offset, e, integer coefficients)
+        for coord, shift in shifts:
+            off, coeffs = _shift_coefficients(coord, shift, self.m)
+            self._basis.append((off, *_integer_vector(coeffs)))
+        self.basis_den = lcm(*(e for _, e, _ in self._basis))
+        # A basis pack's slot is at most D / e * |e c|_1 * (largest entry).
+        self._basis_max = self._col_max * max(
+            ((self.basis_den // e) * sum(map(abs, c)) for _, e, c in self._basis),
+            default=0,
+        )
+        self.width = 0  # nothing packed until the first check
+
+    def _repack(self, width: int):
+        self.width = width
+        self._packed_columns = [_pack(col, width) for col in self._columns]
+        self._packed_basis = [
+            (self.basis_den // e) * self._direct(off, c) for off, e, c in self._basis
+        ]
+
+    def _direct(self, off, coeffs):
+        return sum(map(mul, coeffs, self._packed_columns[off:off + len(coeffs)]))
+
+    def check(self, coord, shift, combo, den):
+        off, coeffs = _shift_coefficients(coord, shift, self.m)
+        e, coeffs = _integer_vector(coeffs)
+        lhs_scale = den * self.basis_den
+        bound = max(lhs_scale * sum(map(abs, coeffs)) * self._col_max,
+                    e * sum(map(abs, combo.values())) * self._basis_max)
+        width = _slot_width(bound)
+        if width > self.width:
+            # Half as much again, so that growing bounds repack rarely.
+            self._repack(width + width // 2)
+        direct = self._direct(off, coeffs)
+        basis = self._packed_basis
+        total = sum(c * basis[j] for j, c in combo.items())
+        diff = lhs_scale * direct - e * total
+        if not diff:
+            return None
+        width = self.width
+        k = _first_slot(diff, width)
+        s = self.scales[k]
+        return (f"at fresh word {word_str(self.words[k])}: direct value "
+                f"{Fraction(_slot(direct, k, width), e * s)}, combination "
+                f"{Fraction(_slot(total, k, width), lhs_scale * s)}")
+
+
 def _fresh_points(rep: SplittableRep, words):
     """A checker on the fresh evaluation points kernel.eval_word(w), w in
     words.
@@ -820,21 +990,20 @@ def _fresh_points(rep: SplittableRep, words):
     and otherwise names the first differing point: "at fresh word w: direct
     value v, combination c".  The points are pruned to a row basis as the
     build sample is (_Sample), which keeps the verdict and the first
-    differing point."""
+    differing point.
+
+    A check is one equation of packs (_PackedPoints): at most max(m, n^2) +
+    len(combo) big-int multiply-adds and one comparison, whatever the
+    number of points.  Rational data are scaled to integers by a positive
+    factor per point, one factor for the basis values and one per call for
+    the shift's coefficients, which keeps every per-point equality; the
+    slot width comes from a per-call bound on both sides and grows when the
+    bound needs it.  The first differing point is the lowest nonzero slot
+    of the packed difference, and the witness values are read back from
+    that slot and divided by the scale factors."""
     kernel = rep._kernel
     sample = _Sample(kernel, ((w, kernel.eval_word(w)) for w in words))
-    basis_vals = [sample.values(coord, shift) for coord, shift in rep._shifts]
-
-    def check(coord, shift, combo, den):
-        terms = [(basis_vals[j], c) for j, c in combo.items()]
-        for k, value in enumerate(sample.values(coord, shift)):
-            total = sum(c * vals[k] for vals, c in terms)
-            if total != value * den:
-                return (f"at fresh word {word_str(sample.words[k])}: direct value "
-                        f"{value}, combination {Fraction(total, den)}")
-        return None
-
-    return check
+    return _PackedPoints(sample, rep._shifts).check
 
 
 def _fresh_sample_check(rep: SplittableRep, count: int = 40):

@@ -354,6 +354,23 @@ class TestExport:
         doc = G_RANK2.to_json()
         assert MatrixGroupGens.from_json(doc).to_json() == doc
 
+    @pytest.mark.parametrize("name", ["inner-rational", "trivial-rational",
+                                      "inner-23", "trivial-group"])
+    def test_written_from_the_engine_data(self, name):
+        # to_json reads the action rows and the kernel shifts; its document
+        # is the one the Fraction views give, and it builds neither view.
+        rep = BUILDS[name]()
+        verify_rep(rep, max_len=1, pairs=2)
+        doc = rep.to_json()
+        assert "actions" not in vars(rep) and "basis" not in vars(rep)
+        assert doc["actions"] == {
+            name: mat.to_json() for name, mat in rep.actions.items()
+        }
+        assert doc["basis"] == [
+            {"coordId": coord_name(b.coord), "shiftWord": b.shift.word_str()}
+            for b in rep.basis
+        ]
+
 
 class TestMatrixGroupGens:
     def test_bad_inverse_rejected(self):
@@ -767,6 +784,66 @@ class TestIntegerVerify:
         report = verify_rep(rep, max_len=2, pairs=8)
         assert report.ok
         assert report == reference_verify(rep, max_len=2, pairs=8)
+
+    @pytest.mark.parametrize("bumped", [False, True])
+    def test_rational_inner(self, bumped):
+        # Kernel rows, shifts and basis values with denominators: the packed
+        # check scales each to integers and the witness divides back.  With
+        # seed 3 the first failing fresh point's kernel row has denominator
+        # 2, and the combination there is not an integer.
+        rep = int_g_rep(G_RATIONAL, sample_len=3)
+        if bumped:
+            _bump(rep, "phi0", rep.dimension - 1, 0, 1)
+        report = verify_rep(rep, max_len=1, pairs=20, seed=3)
+        assert report.ok is not bumped
+        if bumped:
+            assert re.match(r"homomorphism failure .* combination -?\d+/2$",
+                            report.witness), report.witness
+        assert report == reference_verify(rep, max_len=1, pairs=20, seed=3)
+
+    @pytest.mark.parametrize("bumped", [False, True])
+    def test_large_entries(self, monkeypatch, bumped):
+        # Entries of about 2^80 grow past the slot width of the first
+        # check, so a later call's bound repacks wider.
+        widths = []
+        repack = splittable._PackedPoints._repack
+
+        def recording_repack(points, width):
+            widths.append(width)
+            repack(points, width)
+
+        monkeypatch.setattr(splittable._PackedPoints, "_repack", recording_repack)
+        rep = int_g_rep(sl2_pair(2**80, 3), sample_len=3)
+        if bumped:
+            _bump(rep, "g1", rep.dimension - 1, 0, 1)
+        widths.clear()
+        report = verify_rep(rep, max_len=1, pairs=20)
+        assert len(widths) > 1 and widths == sorted(widths)
+        assert report.ok is not bumped
+        if bumped:
+            assert report.witness.startswith("homomorphism failure")
+        assert report == reference_verify(rep, max_len=1, pairs=20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_packed_slots(self, data):
+        # Two signed vectors with a common prefix: their packs at the width
+        # of their bound compare as the vectors do, the lowest nonzero slot
+        # of the difference is the first differing index, and every slot
+        # reads back its entry.
+        entry = st.one_of(st.integers(-3, 3), st.integers(-2**100, 2**100))
+        a = data.draw(st.lists(entry, min_size=1, max_size=12))
+        k = data.draw(st.integers(0, len(a)))
+        b = a[:k] + data.draw(st.lists(entry, min_size=len(a) - k,
+                                       max_size=len(a) - k))
+        width = splittable._slot_width(max(abs(x) for x in a + b))
+        pa, pb = splittable._pack(a, width), splittable._pack(b, width)
+        assert [splittable._slot(pa, i, width) for i in range(len(a))] == a
+        assert [splittable._slot(pb, i, width) for i in range(len(b))] == b
+        assert (pa == pb) == (a == b)
+        if a != b:
+            first = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+            assert splittable._first_slot(pa - pb, width) == first
 
     def test_public_views_read_the_action_rows(self):
         rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
