@@ -14,6 +14,13 @@ exact by construction.  The builders work on blocks throughout, JSON output
 included; dense matrices appear only at the display boundary (image(),
 eval()).
 
+Words are evaluated in batches (Representation.block_eval_many) that walk
+their prefix trie.  sigma's one 2 x 2 block is walked over the integers in
+every mode and read back exactly (_integer_eval): over Q_p the numerators
+of entries with k = 0, and symbolically the graded entries evaluated at
+lam = 2^W, mu = 1, with W from a 1-norm bound on the coefficients of the
+call's words.  Other images are walked over their ring.
+
 Everything is verified at construction: the defining relations
 t^-1 x t = phi(x), the canonical relation w_m, and the displayed block
 shapes.  The relations are certified on the ring-free word skeleton of the
@@ -40,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import chain, permutations
 
 from .errors import VerificationError
-from .matrix import BlockMonomial, RingMatrix, conjugate, det_bareiss
+from .matrix import BlockMonomial, RingMatrix, _block_mul, conjugate, det_bareiss
 from .ring import INT, LAURENT, LaurentPoly, QpRing, ring_from_descriptor
 from .words import (
     HnnSpec,
@@ -150,27 +157,22 @@ class Representation:
         The words are visited in sorted order, which walks their prefix trie
         depth first: a stack holds the images of the current word's
         prefixes, so a prefix that several words share is multiplied once,
-        and nothing but the results outlives the call.
+        and nothing but the results outlives the call.  One 2 x 2 block
+        over Laurent polynomials or Q_p is walked over the integers when
+        its entries allow it (_integer_eval); otherwise over the ring.
         """
         words = [tuple(self.letters(item)) for item in items]
         for name in {name for w in words for name, _ in w}:
             if name not in self.images:
                 raise ValueError(f"unknown generator {name!r}")
+        order = sorted(range(len(words)), key=words.__getitem__)
         first = next(iter(self.images.values()))[0]
-        stack = [BlockMonomial.identity(self.ring, first.block_degree, len(first.perm))]
-        out = [None] * len(words)
-        path = ()
-        for idx in sorted(range(len(words)), key=words.__getitem__):
-            word = words[idx]
-            common = 0
-            while common < min(len(word), len(path)) and word[common] == path[common]:
-                common += 1
-            del stack[common + 1:]
-            for name, sign in word[common:]:
-                stack.append(stack[-1] * self.images[name][sign != 1])
-            out[idx] = stack[-1]
-            path = word
-        return out
+        if first.block_degree == 2 and len(first.perm) == 1:
+            out = _integer_eval(self.ring, self.images, words, order)
+            if out is not None:
+                return out
+        ident = BlockMonomial.identity(self.ring, first.block_degree, len(first.perm))
+        return _trie_walk(words, order, ident, self.images, BlockMonomial.__mul__)
 
     def eval(self, item) -> RingMatrix:
         """Image of a word: the product of generator images."""
@@ -232,6 +234,76 @@ class Representation:
             f"Representation({self.group or 'unnamed'}, degree {self.degree}, "
             f"generators {', '.join(self.gen_names)})"
         )
+
+
+def _trie_walk(words, order, ident, images, mul):
+    """The products of the words' images (images[name][0] for sign 1, [1]
+    otherwise) under mul, visiting the words in the given sorted order so
+    that shared prefixes are multiplied once."""
+    stack = [ident]
+    out = [None] * len(words)
+    path = ()
+    for idx in order:
+        word = words[idx]
+        common = 0
+        while common < min(len(word), len(path)) and word[common] == path[common]:
+            common += 1
+        del stack[common + 1:]
+        for name, sign in word[common:]:
+            stack.append(mul(stack[-1], images[name][sign != 1]))
+        out[idx] = stack[-1]
+        path = word
+    return out
+
+
+def _integer_eval(ring, images, words, order):
+    """block_eval_many of one 2 x 2 block over the integers, or None when
+    the entries do not allow it.
+
+    Q_p: when every entry has k = 0, the numerators are walked and read
+    back with ring.from_int.
+
+    Laurent: every image must be graded, entry (r, c) a sum of monomials
+    lam^a mu^(a + c - r) s^0, as sigma's are: sigma(lam e^-1, mu e) is
+    sigma conjugated by diag(1, e), and products keep the grading.  A
+    graded entry is fixed by its lam-exponents, so it is evaluated at
+    lam = 2^W, mu = 1 and read back from the balanced base-2^W digits
+    (LaurentPoly.from_graded_int).  That is exact when every coefficient
+    is below 2^(W - 2) in absolute value.  The sum of the absolute values
+    of an entry's coefficients is sub-multiplicative, so the same words
+    walked on those sums (the images at lam = mu = 1 of the entrywise
+    1-norms) bound every coefficient by their largest entry N, and
+    W = bits(N) + 2, rounded up to whole bytes.
+    """
+    blocks = {name: (img.blocks[0], inv.blocks[0]) for name, (img, inv) in images.items()}
+
+    def walk(scalar):
+        ints = {name: tuple(tuple(tuple(map(scalar, row)) for row in blk) for blk in pair)
+                for name, pair in blocks.items()}
+        return _trie_walk(words, order, ((1, 0), (0, 1)), ints,
+                          lambda a, b: _block_mul(a, b, 0))
+
+    def wrap(blk, decode):
+        return BlockMonomial(ring, (0,), (tuple(
+            tuple(decode(v, c - r) for c, v in enumerate(row)) for r, row in enumerate(blk)),))
+
+    entries = [(x, c - r) for pair in blocks.values() for blk in pair
+               for r, row in enumerate(blk) for c, x in enumerate(row)]
+    if ring.kind == "qp":
+        if any(x.k for x, _ in entries):
+            return None
+        return [wrap(blk, lambda v, d: ring.from_int(v))
+                for blk in walk(lambda x: x.num)]
+    if ring.kind != "laurent" or any(
+            s or b != a + d for x, d in entries for a, b, s in x.terms):
+        return None
+    norms = walk(lambda x: sum(map(abs, x.terms.values())))
+    bound = max((v for blk in norms for row in blk for v in row), default=0)
+    width = (bound.bit_length() + 9) // 8
+    shift = 8 * width
+    values = walk(lambda x: sum(k << shift * a for (a, _, _), k in x.terms.items()))
+    return [wrap(blk, lambda v, d: LaurentPoly.from_graded_int(v, width, d))
+            for blk in values]
 
 
 def _common_blocks(mats, k):

@@ -117,6 +117,18 @@ class LaurentPoly:
             num += coeff * lam0**a * mu0**b * prime ** (c + shift)
         return QpScalar(num, shift, prime)
 
+    @classmethod
+    def from_graded_int(cls, v: int, width: int, d: int) -> "LaurentPoly":
+        """The polynomial sum_a k_a lam^a mu^(a + d) whose value at
+        lam = 2^(8 width), mu = 1 is v, given |k_a| < 2^(8 width - 2) for
+        every a: its coefficients are the balanced base-2^(8 width) digits
+        of v, and it has at most bits(v) / (8 width) + 1 of them."""
+        n = abs(v).bit_length() // (8 * width) + 1
+        result = cls()
+        result.terms = {(a, a + d, 0): k for a, k in
+                        enumerate(_balanced_digits(v, width, n)) if k}
+        return result
+
     def to_json(self):
         return [[a, b, c, str(k)] for (a, b, c), k in sorted(self.terms.items())]
 
@@ -215,17 +227,24 @@ def _packed_product(xs, ys):
                 v = (v << shift * (lo - base)) + (ov << shift * (olo - base))
                 lo, hi = base, max(hi, ohi)
             acc[key] = (lo, hi, v)
-    half = 1 << (shift - 1)
-    half_slot = half.to_bytes(width, "little")
     out = {}
     for (d, c), (lo, hi, v) in acc.items():
-        n = hi - lo
-        buf = (v + int.from_bytes(half_slot * n, "little")).to_bytes(n * width, "little")
-        for i in range(n):
-            k = int.from_bytes(buf[i * width:(i + 1) * width], "little") - half
+        for i, k in enumerate(_balanced_digits(v, width, hi - lo)):
             if k:
                 out[(lo + i, lo + i + d, c)] = k
     return out
+
+
+def _balanced_digits(v, width, n):
+    """The digits k_0, .., k_(n-1) of v = sum k_i 2^(8 width i), lowest
+    first, each in [-2^(8 width - 1), 2^(8 width - 1)).  Adding half the
+    slot range to every slot makes all slots non-negative, so they are read
+    back with one to_bytes; OverflowError if v needs more than n digits."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    buf = (v + offset).to_bytes(n * width, "little")
+    return [int.from_bytes(buf[i:i + width], "little") - half
+            for i in range(0, n * width, width)]
 
 
 def _pack_classes(terms, shift):

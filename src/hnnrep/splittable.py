@@ -162,7 +162,7 @@ def _rows_to_json(m: RingMatrix):
 def _rows_from_json(rows) -> RingMatrix:
     if not isinstance(rows, list) or not all(
         isinstance(row, list)
-        and all(isinstance(x, (int, float, str)) and not isinstance(x, bool)
+        and all(isinstance(x, (int, float, Fraction, str)) and not isinstance(x, bool)
                 for x in row)
         for row in rows
     ):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,21 @@ class TestSplittableCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: sample_len must be at least 0")
         assert not out.exists()
+
+    def test_decimal_entries_are_read_exactly(self, capsys, tmp_path):
+        # 1.00000000000000001 rounds to the float 1.0, but it is not 1, so
+        # [[1, 0], [-1, 1]] is not its pair's inverse.
+        gens = tmp_path / "g.json"
+        gens.write_text('{"degree": 2, "generators": [{"matrix": '
+                        '[[1, 0], [1.00000000000000001, 1]], '
+                        '"inverse": [[1, 0], [-1, 1]]}]}')
+        code = main(["splittable", "--g", str(gens), "--out", str(tmp_path / "rep.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: generator pair does not multiply to identity\n")
+        gens.write_text('{"degree": 2, "generators": [{"matrix": '
+                        '[[1, 0], [0.5, 1]], "inverse": [[1, 0], [-5e-1, 1]]}]}')
+        assert cli._load_gens(str(gens)).pairs[0][0].rows[1][0] == Fraction(1, 2)
 
     def test_bad_inverse_in_file(self, capsys, tmp_path):
         gens = tmp_path / "g.json"

@@ -1243,3 +1243,103 @@ def test_builds_without_certificate_are_identical(monkeypatch, m, mode):
     assert cli._json_text(off.to_json()) == cli._json_text(on.to_json())
     assert off.relation_reports == on.relation_reports
     assert reps.matrix_relation_reports(on) == on.relation_reports
+
+
+def _left_to_right(rep, letters):
+    """The block image of a word as BlockMonomial products, left to right,
+    with no prefix sharing and no integer walk."""
+    first = rep.images[rep.gen_names[0]][0]
+    out = BlockMonomial.identity(rep.ring, first.block_degree, len(first.perm))
+    for name, sign in rep.letters(letters):
+        out = out * rep.images[name][sign != 1]
+    return out
+
+
+def _sigmas(rank, basis="conjugated"):
+    """sigma over the Laurent ring and over Q_5 at lam = 2, mu = 3."""
+    return sigma_symbolic(rank, basis), sigma_qp(rank, 2, 3, 5, basis)
+
+
+def _takes_integer_walk(rep, words):
+    letters = [tuple(rep.letters(w)) for w in words]
+    order = sorted(range(len(letters)), key=letters.__getitem__)
+    return reps._integer_eval(rep.ring, rep.images, letters, order) is not None
+
+
+class TestIntegerWalk:
+    """block_eval_many walks one 2 x 2 Laurent or Q_p block over the
+    integers; its results are the left-to-right ring products."""
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    def test_orbit_and_corner_words(self, m):
+        spec = artin_spec(m)
+        words = list(dict.fromkeys(
+            w for sym in [*((i, 1) for i in range(spec.rank)), (T_GEN, 1)]
+            for _, w in spec.skeleton[sym].cells))
+        if m % 2:
+            words.append(spec.w0.inverse() * spec.phi.apply(Word.gen(0)))
+        for sigma in _sigmas(spec.rank, reps.artin_sigma_basis(m)):
+            assert _takes_integer_walk(sigma, words)
+            got = sigma.block_eval_many(words)
+            assert got == [_left_to_right(sigma, w) for w in words]
+
+    def test_random_reduced_words(self):
+        rng = random.Random(17)
+        for rank in range(1, 9):
+            bases = ["conjugated"] + (["rank2-mixed"] if rank == 2 else [])
+            for sigma in (s for basis in bases for s in _sigmas(rank, basis)):
+                words = []
+                for _ in range(12):
+                    syms = []
+                    for _ in range(rng.randint(0, 60)):
+                        syms.append(rng.choice([
+                            (g, e) for g in range(rank) for e in (1, -1)
+                            if not syms or syms[-1] != (g, -e)]))
+                    words.append(Word(tuple(syms)))
+                assert _takes_integer_walk(sigma, words)
+                got = sigma.block_eval_many(words)
+                assert got == [_left_to_right(sigma, w) for w in words]
+
+    def test_empty_batch_and_repeated_words(self):
+        for sigma in _sigmas(3):
+            assert sigma.block_eval_many([]) == []
+            words = ["x0 x1^-1 x2", "", "x0 x1^-1 x2", "x0"]
+            assert sigma.block_eval_many(words) == [
+                _left_to_right(sigma, w) for w in words]
+
+    @pytest.mark.parametrize("entry", ["s term", "off grade", "qp k > 0"])
+    def test_other_entries_take_the_ring_walk(self, entry):
+        if entry == "qp k > 0":
+            ring = QpRing(5)
+            c = ring.unit_inverse(ring.from_int(5))  # 1/5, k = 1
+        else:
+            ring = LAURENT
+            c = LAM * S if entry == "s term" else LAM
+        one, zero = ring.one, ring.zero
+        if entry == "off grade":  # [[1, lam], [0, 1]]: lam sits at mu^0, not mu^2
+            a, a_inv = ((one, c), (zero, one)), ((one, -c), (zero, one))
+        else:
+            a, a_inv = ((one, zero), (c, one)), ((one, zero), (-c, one))
+        sigma = _sigmas(2)[ring.kind == "qp"]
+        x1, x1_inv = sigma.images["x1"]
+        rep = Representation(ring, [
+            ("x0", BlockMonomial(ring, (0,), (a,)), BlockMonomial(ring, (0,), (a_inv,))),
+            ("x1", x1, x1_inv),
+        ])
+        rng = random.Random(entry)
+        words = [_random_letters(rng, rep.gen_names, rng.randint(0, 12)) for _ in range(10)]
+        assert not _takes_integer_walk(rep, words)
+        assert rep.block_eval_many(words) == [_left_to_right(rep, w) for w in words]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 9])
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_decode_extreme_digits(self, width, d):
+        top = (1 << (8 * width - 2)) - 1  # the largest |coefficient| allowed
+        rng = random.Random(f"{width}:{d}")
+        for digits in ([-top], [top], [0, -1], [5, 0, -top], [top, -top] * 3,
+                       [-top] * 7, [rng.choice((top, -top, 0, 1, -1)) for _ in range(40)]):
+            v = sum(k << (8 * width * a) for a, k in enumerate(digits))
+            want = {(a, a + d, 0): k for a, k in enumerate(digits) if k}
+            got = reps.LaurentPoly.from_graded_int(v, width, d)
+            assert got.terms == want, digits
+        assert reps.LaurentPoly.from_graded_int(0, width, d) == ZERO
