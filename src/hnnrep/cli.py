@@ -3,6 +3,11 @@ suites, decide word equality, and run the splittable engine.
 
 Exit codes: 0 success, 1 verification failure (report on stdout), 2 bad
 arguments or input validation.
+
+Every JSON document is written by matrix._json_text, as the text of
+json.dumps(doc, indent=2, sort_keys=True) plus a newline.  build writes the
+representation's text rendered from its blocks
+(Representation.to_json_text), with no dense document in between.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import VerificationError
+from .matrix import _json_text
 from .reps import (
     artin_even,
     artin_odd,
@@ -95,76 +101,30 @@ def _hnn_rep(m: int, args):
     return hnn_induced_rep(*_mode_inputs(m, args))
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-_MISSING = object()
-
-
-def _json_text(obj, indent=""):
-    """The text of json.dumps(obj, indent=2, sort_keys=True) at nesting
-    prefix indent, for dicts with str keys, lists, str, int, bool and None;
-    TypeError for anything else (a float, a tuple, a non-str key).
-
-    Inside a list, an item that is the same object as the one before it
-    reuses its text, which depends only on the object and the indent, so a
-    run of shared zero entries in a matrix row is encoded once.  Identity,
-    not equality, decides: 1 == True, but their texts differ."""
-    if isinstance(obj, str):
-        return _ESCAPE(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        brackets = "[]"
-        parts = []
-        prev = text = _MISSING
-        for item in obj:
-            if item is not prev:
-                prev, text = item, _json_text(item, inner)
-            parts.append(text)
-    elif isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        brackets = "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-        parts = [
-            _ESCAPE(key) + ": " + _json_text(value, inner)
-            for key, value in sorted(obj.items())
-        ]
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts)
-            + f"\n{indent}{brackets[1]}")
-
-
 def _report_stream(path):
     """stderr when the JSON document goes to stdout (path "-"), else stdout."""
     return sys.stderr if path == "-" else sys.stdout
 
 
-def _dump_json(doc, path):
-    text = _json_text(doc)
+def _dump_text(text, path):
+    """Write text and a newline to path, or to stdout when path is "-"."""
     if path == "-":
         print(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
+
+
+def _dump_json(doc, path):
+    _dump_text(_json_text(doc), path)
 
 
 def cmd_build(args) -> int:
     if args.group != "artin":
         raise CliError(f"unknown group {args.group!r}")
     rep = _build_artin(args.m, args)
-    _dump_json(rep.to_json(), args.out)
+    _dump_text(rep.to_json_text(), args.out)
     print(f"wrote {rep.group or 'representation'} of degree {rep.degree} to {args.out}",
           file=_report_stream(args.out))
     return 0

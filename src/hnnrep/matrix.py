@@ -1,13 +1,20 @@
 """Dense square matrices over an exact scalar ring, block-monomial matrices,
-block assembly, and fraction-free determinants.
+block assembly, fraction-free determinants, and the JSON writer.
 
 There is deliberately no general matrix inversion.  A built representation
 image is block-monomial with 2 x 2 blocks of unit determinant, and its
 inverse is the block adjugate (BlockMonomial.inverse); every other inverse
 is given with its matrix and checked.
+
+_json_text writes every JSON document the CLI prints or saves.  A
+BlockMonomial inside a document is written as its dense matrix document,
+rendered from the blocks: each distinct block's rows are encoded once per
+document, and the zeros around them are runs built by string repetition.
 """
 
 from __future__ import annotations
+
+import json
 
 from .ring import INT, ring_from_descriptor
 
@@ -104,6 +111,77 @@ def _matrix_json(ring, rows):
     return {"degree": len(rows), "ring": ring.descriptor(), "rows": rows}
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent=""):
+    """The text of json.dumps(obj, indent=2, sort_keys=True) at nesting
+    prefix indent, for dicts with str keys, lists, str, int, bool and None,
+    where a BlockMonomial stands for its dense document
+    (to_matrix().to_json()); TypeError for anything else (a float, a tuple,
+    a non-str key).  The fragments go into one list, joined once."""
+    out = []
+    _write_json(obj, indent, out, {})
+    return "".join(out)
+
+
+def _write_json(obj, indent, out, memo):
+    """Append the fragments of _json_text(obj, indent) to out; memo is the
+    document's cache for BlockMonomial.write_json."""
+    if isinstance(obj, str):
+        out.append(_ESCAPE(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, BlockMonomial):
+        obj.write_json(indent, out, memo)
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        lead, sep = "[\n" + inner, ",\n" + inner
+        if all(type(x) is str for x in obj):
+            # A row of strings, such as a matrix row, is one fragment, not
+            # one per entry.
+            out.append(lead + sep.join(map(_ESCAPE, obj)) + "\n" + indent + "]")
+            return
+        for item in obj:
+            out.append(lead)
+            lead = sep
+            _write_json(item, inner, out, memo)
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        inner = indent + "  "
+        lead, sep = "{\n" + inner, ",\n" + inner
+        for key, value in sorted(obj.items()):
+            out.append(lead + _ESCAPE(key) + ": ")
+            lead = sep
+            _write_json(value, inner, out, memo)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _zero_run(memo, piece, n):
+    """piece repeated n times, built once per document."""
+    run = memo.get((piece, n))
+    if run is None:
+        run = memo[piece, n] = piece * n
+    return run
+
+
 def _block_mul(a, b, zero):
     """Product of two square blocks given as tuples of row tuples."""
     if len(a) == 2:
@@ -138,7 +216,7 @@ class BlockMonomial:
     tuples of row tuples of ring scalars; the generic kernel starts each
     dot product from ring.zero, so plain ints work with INT.  Dense
     matrices enter through the checked from_matrix and leave through
-    to_matrix; to_json writes the dense document without a dense matrix.
+    to_matrix; write_json writes the dense document's text from the blocks.
     A degree-m matrix is the one-block case k = 1.  Both factors
     of a product must have the same k and m.
     """
@@ -242,18 +320,44 @@ class BlockMonomial:
         return RingMatrix(self.ring, rows)
 
     def to_json(self):
-        """The document of to_matrix().to_json(), written from the blocks:
-        each row is its block row's encoded entries between runs of zeros,
-        and every zero entry is one shared object, the zero scalar encoded
-        once."""
+        """The dense document, to_matrix().to_json()."""
+        return self.to_matrix().to_json()
+
+    def write_json(self, indent, out, memo):
+        """Append the text of to_json() at nesting prefix indent to out,
+        rendered from the blocks.  A dense row is its block row's text
+        between runs of zeros built by string repetition.  memo is one
+        document's cache: the encoded zero, the zero runs, and each block's
+        row texts by id(block), so a block that several images share is
+        encoded once (the blocks outlive the document)."""
+        ring = self.ring
         m, k = self.block_degree, len(self.perm)
-        enc = self.ring.scalar_to_json
-        zero = enc(self.ring.zero)
-        rows = []
+        inner = indent + "  "
+        row = inner + "  "
+        entry = row + "  "
+        sep = ",\n" + entry
+        key = (id(ring), entry)
+        zero = memo.get(key)
+        if zero is None:
+            zero = memo[key] = _json_text(ring.scalar_to_json(ring.zero), entry)
+        out.append(f'{{\n{inner}"degree": {m * k},\n{inner}"ring": ')
+        _write_json(ring.descriptor(), inner, out, memo)
+        lead = f',\n{inner}"rows": [\n{row}[\n{entry}'
+        between = f"\n{row}],\n{row}[\n{entry}"
         for j, blk in zip(self.perm, self.blocks):
-            left, right = [zero] * (j * m), [zero] * ((k - 1 - j) * m)
-            rows += [left + [enc(x) if x else zero for x in r] + right for r in blk]
-        return _matrix_json(self.ring, rows)
+            texts = memo.get((id(blk), key))
+            if texts is None:
+                texts = memo[id(blk), key] = [
+                    sep.join(_json_text(ring.scalar_to_json(x), entry) if x else zero
+                             for x in r)
+                    for r in blk
+                ]
+            left = _zero_run(memo, zero + sep, j * m)
+            right = _zero_run(memo, sep + zero, (k - 1 - j) * m)
+            for text in texts:
+                out += (lead, left, text, right)
+                lead = between
+        out.append(f"\n{row}]\n{inner}]\n{indent}}}")
 
     def map_entries(self, ring, fn) -> "BlockMonomial":
         """Same shape with fn applied to every block entry, over ring."""

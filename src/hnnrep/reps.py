@@ -21,6 +21,10 @@ of entries with k = 0, and symbolically the graded entries evaluated at
 lam = 2^W, mu = 1, with W from a 1-norm bound on the coefficients of the
 call's words.  Other images are walked over their ring.
 
+The written document is dense, but its text is rendered from the blocks
+(Representation.to_json_text): each distinct block is encoded once, and the
+zeros around it are string runs.
+
 Everything is verified at construction: the defining relations
 t^-1 x t = phi(x), the canonical relation w_m, and the displayed block
 shapes.  The relations are certified on the ring-free word skeleton of the
@@ -47,7 +51,14 @@ from dataclasses import dataclass, field
 from itertools import chain, permutations
 
 from .errors import VerificationError
-from .matrix import BlockMonomial, RingMatrix, _block_mul, conjugate, det_bareiss
+from .matrix import (
+    BlockMonomial,
+    RingMatrix,
+    _block_mul,
+    _json_text,
+    conjugate,
+    det_bareiss,
+)
 from .ring import INT, LAURENT, LaurentPoly, QpRing, ring_from_descriptor
 from .words import (
     HnnSpec,
@@ -178,24 +189,28 @@ class Representation:
         """Image of a word: the product of generator images."""
         return self.block_eval_many([item])[0].to_matrix()
 
-    def to_json(self):
-        """The document from_json reads.  Each image is laid out as the
-        dense RingMatrix document, written from its blocks
-        (BlockMonomial.to_json), so zero entries may be one shared
-        object."""
+    def _document(self, matrix):
+        """The document's layout, with matrix(image) for each image and
+        inverse."""
         return {
             "group": self.group,
             "degree": self.degree,
             "ring": self.ring.descriptor(),
             "generators": [
-                {
-                    "name": name,
-                    "image": image.to_json(),
-                    "imageInverse": inverse.to_json(),
-                }
+                {"name": name, "image": matrix(image), "imageInverse": matrix(inverse)}
                 for name, (image, inverse) in self.images.items()
             ],
         }
+
+    def to_json(self):
+        """The document from_json reads: each image and inverse is the dense
+        RingMatrix document."""
+        return self._document(BlockMonomial.to_json)
+
+    def to_json_text(self):
+        """The text of json.dumps(self.to_json(), indent=2, sort_keys=True),
+        written from the blocks with no dense document (_json_text)."""
+        return _json_text(self._document(lambda image: image))
 
     @classmethod
     def from_json(cls, doc) -> "Representation":

@@ -246,6 +246,21 @@ def test_dash_output_puts_the_document_alone_on_stdout(capsys, monkeypatch,
     assert to_file.err == ""
 
 
+@pytest.mark.parametrize("flags", [
+    [], ["--lambda", "2", "--mu", "3", "--s", "5"], ["--integer"],
+], ids=["symbolic", "numeric", "integer"])
+def test_build_prints_the_bytes_it_writes(tmp_path, flags):
+    src = str(Path(hnnrep.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "hnnrep", "build", "--m", "7", *flags, "--out"]
+    env = {**os.environ, "PYTHONPATH": src}
+    printed = subprocess.run([*argv, "-"], capture_output=True, timeout=120,
+                             check=True, env=env).stdout
+    subprocess.run([*argv, str(tmp_path / "doc.json")], capture_output=True,
+                   timeout=120, check=True, env=env)
+    assert printed == (tmp_path / "doc.json").read_bytes()
+    assert printed.endswith(b"\n}\n")
+
+
 class TestSplittableCommand:
     def test_trivial_phi(self, capsys, tmp_path):
         gens = tmp_path / "g.json"

@@ -1,8 +1,7 @@
 """JSON readers: bit-exact round trips of `build` output, and ValueError
 (never KeyError or TypeError) on malformed matrix and representation
-documents.  The CLI's writer: the text of json.dumps(indent=2,
-sort_keys=True), and build documents written from blocks equal to the
-dense layout."""
+documents.  The writer: the text of json.dumps(indent=2, sort_keys=True),
+and build documents rendered from blocks equal to the dense layout."""
 
 import contextlib
 import copy
@@ -18,9 +17,9 @@ from hypothesis import strategies as st
 from hnnrep import cli
 from hnnrep.cli import main
 from hnnrep.errors import VerificationError
-from hnnrep.matrix import RingMatrix
+from hnnrep.matrix import BlockMonomial, RingMatrix, _json_text
 from hnnrep.reps import Representation
-from hnnrep.ring import QP_MAX_JSON_EXPONENT
+from hnnrep.ring import INT, LAURENT, QP_MAX_JSON_EXPONENT, QQ, LaurentPoly, QpRing, QpScalar
 
 MODE_FLAGS = {
     "symbolic": [],
@@ -286,7 +285,7 @@ def test_qp_exponent_at_bound_accepted():
         RingMatrix.from_json(_qp_entry(QP_MAX_JSON_EXPONENT + 1))
 
 
-# The CLI writer against json.dumps(indent=2, sort_keys=True).
+# The writer against json.dumps(indent=2, sort_keys=True).
 
 TEXT = st.one_of(
     st.text(st.characters(blacklist_categories=()), max_size=8),
@@ -323,13 +322,13 @@ WRITER_TREES = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(WRITER_TREES)
 def test_writer_matches_json_dumps(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-def test_writer_reuses_text_only_for_the_same_object():
+def test_writer_writes_shared_objects_like_any_other():
     row = ["0", "1"]
     doc = {"a": [row, row, [], row], "b": [1, True, 1, None, False, 0]}
-    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("doc", [
@@ -338,7 +337,7 @@ def test_writer_reuses_text_only_for_the_same_object():
 ])
 def test_writer_rejects_what_it_does_not_write(doc):
     with pytest.raises(TypeError):
-        cli._json_text(doc)
+        _json_text(doc)
 
 
 def _dense_document(rep):
@@ -357,10 +356,87 @@ def _dense_document(rep):
 
 @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
 @pytest.mark.parametrize("m", range(3, 13))
-def test_block_document_equals_dense_document(m, mode):
-    args = cli.build_parser().parse_args(
-        ["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"])
-    rep = cli._build_artin(m, args)
+def test_block_document_equals_dense_document(m, mode, capsys, monkeypatch):
+    built = []
+    real = cli._build_artin
+    monkeypatch.setattr(cli, "_build_artin",
+                        lambda m, args: built.append(real(m, args)) or built[-1])
+    assert main(["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"]) == 0
+    (rep,) = built
     doc = rep.to_json()
     assert doc == _dense_document(rep)
-    assert cli._json_text(doc) == dump(doc)
+    assert _json_text(doc) == dump(doc)
+    assert capsys.readouterr().out == dump(_dense_document(rep)) + "\n"
+
+
+# The block renderer on random block-monomial matrices over every ring.
+
+P = 5
+RINGS = {"laurent": LAURENT, "qp": QpRing(P), "integer": INT, "rational": QQ}
+SCALARS_OF = {
+    "laurent": st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)),
+        st.integers(-(10**20), 10**20), max_size=3,
+    ).map(LaurentPoly),
+    # num * p^e / p^k: negative and positive valuations.
+    "qp": st.builds(lambda u, e, k: QpScalar(u * P**e, k, P),
+                    st.integers(-(10**6), 10**6), st.integers(0, 3), st.integers(0, 3)),
+    "integer": st.integers(-(10**30), 10**30),
+    "rational": st.fractions(max_denominator=10**6),
+}
+
+
+def _entries(name):
+    """Scalars of the ring, zero often."""
+    return st.one_of(st.just(RINGS[name].zero), SCALARS_OF[name])
+
+
+def _block_monomial(data, name, k, m, unit=False):
+    """A random k-block matrix with m x m blocks, zero entries included.
+    With unit set, m = 2 and each block is [[1 + xy, x], [y, 1]], of
+    determinant 1."""
+    ring, entries = RINGS[name], _entries(name)
+    perm = tuple(data.draw(st.permutations(range(k))))
+    if unit:
+        xy = [(data.draw(entries), data.draw(entries)) for _ in range(k)]
+        blocks = tuple(((ring.one + x * y, x), (y, ring.one)) for x, y in xy)
+    else:
+        row = st.tuples(*[entries] * m)
+        blocks = tuple(data.draw(st.tuples(*[row] * m)) for _ in range(k))
+    return BlockMonomial(ring, perm, blocks)
+
+
+def _sharing(a, b):
+    """b with its first block replaced by a's first block object."""
+    return BlockMonomial(b.ring, b.perm, (a.blocks[0], *b.blocks[1:]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(RINGS)), k=st.integers(1, 6),
+       m=st.integers(1, 3), data=st.data())
+def test_block_renderer_writes_the_dense_document(name, k, m, data):
+    # One block object in two matrices, and one matrix at two depths.
+    a = _block_monomial(data, name, k, m)
+    b = _sharing(a, _block_monomial(data, name, k, m))
+    doc = {"image": a, "pair": [b, {"again": a}], "name": "x"}
+    dense = {"image": a.to_matrix().to_json(),
+             "pair": [b.to_matrix().to_json(), {"again": a.to_matrix().to_json()}],
+             "name": "x"}
+    assert _json_text(doc) == dump(dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(RINGS)), k=st.integers(1, 6),
+       count=st.integers(1, 3), data=st.data())
+def test_block_representation_text_reads_back(name, k, count, data):
+    images = [_block_monomial(data, name, k, 2, unit=True) for _ in range(count)]
+    if count > 1:
+        images[1] = _sharing(images[0], images[1])
+    rep = Representation(RINGS[name], [(f"g{i}", image, None)
+                                       for i, image in enumerate(images)],
+                         group="random")
+    text = rep.to_json_text()
+    assert text == dump(_dense_document(rep))
+    again = Representation.from_json(json.loads(text))
+    assert all(len(image.perm) == 1 for image, _ in again.images.values())
+    assert again.to_json_text() == text

@@ -1240,7 +1240,7 @@ def test_builds_without_certificate_are_identical(monkeypatch, m, mode):
     assert on.gen_words is not None
     _no_certificate(monkeypatch)
     off = _built.__wrapped__(m, mode)
-    assert cli._json_text(off.to_json()) == cli._json_text(on.to_json())
+    assert off.to_json_text() == on.to_json_text()
     assert off.relation_reports == on.relation_reports
     assert reps.matrix_relation_reports(on) == on.relation_reports
 
