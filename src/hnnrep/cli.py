@@ -206,7 +206,7 @@ def cmd_check(args) -> int:
         lines.append(f"words checked (reduced, length <= {args.max_len}): "
                      f"{report.words_checked}")
         lines.append(f"identity evaluations: {report.identity_count}")
-        lines.append(f"counterexamples: {len(report.counterexamples)}")
+        lines.append(f"counterexamples: {report.counterexample_count}")
         for w in report.counterexamples[:10]:
             lines.append(f"  counterexample: {w}")
         return _report_lines(lines, report.ok, args.json_report, args.suite)

@@ -46,9 +46,10 @@ representation (Representation.relation_reports).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import chain, count, permutations
 
 from .errors import VerificationError
 from .matrix import (
@@ -59,7 +60,7 @@ from .matrix import (
     conjugate,
     det_bareiss,
 )
-from .ring import INT, LAURENT, LaurentPoly, QpRing, ring_from_descriptor
+from .ring import INT, LAURENT, LaurentPoly, QpRing, _digit_width, ring_from_descriptor
 from .words import (
     HnnSpec,
     MixedWord,
@@ -287,8 +288,8 @@ def _integer_eval(ring, images, words, order):
     is below 2^(W - 2) in absolute value.  The sum of the absolute values
     of an entry's coefficients is sub-multiplicative, so the same words
     walked on those sums (the images at lam = mu = 1 of the entrywise
-    1-norms) bound every coefficient by their largest entry N, and
-    W = bits(N) + 2, rounded up to whole bytes.
+    1-norms) bound every coefficient by their largest entry N, and W is
+    8 times the width ring._digit_width(N) in bytes: 2 N < 2^(W - 1).
     """
     blocks = {name: (img.blocks[0], inv.blocks[0]) for name, (img, inv) in images.items()}
 
@@ -314,7 +315,7 @@ def _integer_eval(ring, images, words, order):
         return None
     norms = walk(lambda x: sum(map(abs, x.terms.values())))
     bound = max((v for blk in norms for row in blk for v in row), default=0)
-    width = (bound.bit_length() + 9) // 8
+    width = _digit_width(bound)
     shift = 8 * width
     values = walk(lambda x: sum(k << shift * a for (a, _, _), k in x.terms.items()))
     return [wrap(blk, lambda v, d: LaurentPoly.from_graded_int(v, width, d))
@@ -789,16 +790,22 @@ def b3_explicit(sigma: Representation = None, s=None):
 # --- faithfulness probe --------------------------------------------------------
 
 
+# A failing probe lists at most this many counterexamples, the first in walk
+# order; counterexample_count counts them all.
+MAX_COUNTEREXAMPLES = 20_000
+
+
 @dataclass
 class ProbeReport:
     max_len: int
     words_checked: int = 0
     identity_count: int = 0
     counterexamples: list = field(default_factory=list)
+    counterexample_count: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return not self.counterexample_count
 
 
 def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
@@ -822,10 +829,11 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
       letters;
     - the counterexamples are the words a * c^-1 of length at most max_len
       whose halves share a class in one partition and not in the other.
-      They are listed in the depth-first order of reduced_walk, which is
-      the lexicographic order of the letter indices in the flattened
-      pairs, a prefix first.  When the partitions agree there are none,
-      and nothing is enumerated.
+      counterexample_count counts them all, and the first
+      MAX_COUNTEREXAMPLES of them are listed in the depth-first order of
+      reduced_walk, which is the lexicographic order of the letter indices
+      in the flattened pairs, a prefix first.  When the partitions agree
+      there are none, and nothing is enumerated.
 
     Images are multiplied as the representation's stored block-monomial
     images (a coset permutation and one m x m block per coset, see
@@ -860,33 +868,38 @@ def probe_faithfulness(rep: Representation, max_len: int) -> ProbeReport:
     )
     size = 2 * len(pairs)
     words = sum(size * (size - 1) ** (n - 1) for n in range(1, max_len + 1))
-    return ProbeReport(max_len, words, identities,
-                       _probe_counterexamples(cells, pairs, max_len))
+    listed, total = _probe_counterexamples(cells, pairs, max_len)
+    return ProbeReport(max_len, words, identities, listed, total)
 
 
 def _probe_counterexamples(cells, pairs, max_len):
-    """The words a * c^-1 of length at most max_len with a and c in
-    different cells of one image class or of one normal-form class, as
-    strings in depth-first walk order.  (a is never empty: the empty word
-    is alone in its cell.)"""
+    """(the first MAX_COUNTEREXAMPLES counterexamples as strings, in
+    depth-first walk order, and their number): the words a * c^-1 of
+    length at most max_len with a and c in different cells of one image
+    class or of one normal-form class.  Only the listed words are kept.
+    (a is never empty: the empty word is alone in its cell.)"""
     images, forms = {key for key, _ in cells}, {nf for _, nf in cells}
     if len(images) == len(cells) == len(forms):
-        return []  # the partitions agree
+        return [], 0  # the partitions agree
     by_image, by_form = defaultdict(list), defaultdict(list)
     for (key, nf), cell in cells.items():
         by_image[key].append(cell)
         by_form[nf].append(cell)
-    found = [
+    found = (
         a + tuple((g, -s) for g, s in reversed(c))
         for classes in chain(by_image.values(), by_form.values())
         for a_cell, c_cell in permutations(classes, 2)
         for a in a_cell for c in c_cell
         if 0 <= len(a) - len(c) <= 1 and len(a) + len(c) <= max_len
         and (not c or a[-1] != c[-1])
-    ]
+    )
     index = {sym: i for i, sym in enumerate(chain.from_iterable(pairs))}
-    found.sort(key=lambda w: [index[sym] for sym in w])
-    return [syms_str(w) for w in found]
+    # zip stops at the end of found before it draws from tally, so tally's
+    # next value is the number of words found.
+    tally = count()
+    kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, (w for w, _ in zip(found, tally)),
+                           key=lambda w: [index[sym] for sym in w])
+    return [syms_str(w) for w in kept], next(tally)
 
 
 def _probe_steps(rep: Representation, max_len: int):

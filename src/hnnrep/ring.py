@@ -10,6 +10,19 @@ engine.
 Each ring has a small descriptor object carrying zero/one, integer
 embedding, a unit test with the unit inverse, and a bit-exact JSON encoding
 of its scalars.
+
+Packed products (LaurentPoly products, _integer_eval in reps, the
+splittable engine's fresh-point checks) share one format.  Signed ints
+k_0, .., k_(n-1) pack into the one int v = sum k_i 2^(8 w i), digit i
+holding k_i (Kronecker substitution, _pack_digits), w a width in bytes.
+When every digit lies in [-2^(8 w - 1), 2^(8 w - 1)) they are the balanced
+base-2^(8 w) digits of v, and the packing is unique: v is 0 exactly when
+every digit is, its lowest nonzero digit is the first nonzero entry, and
+_balanced_digits reads the digits back.  Packs of one width add and
+multiply by ints digit by digit, so an identity that holds entrywise holds
+for the packs as long as every digit of the result stays balanced.  One
+rule picks the width (_digit_width): digits of absolute value at most a
+bound, and the differences of two of them, stay balanced.
 """
 
 from __future__ import annotations
@@ -193,26 +206,21 @@ def _packed_product(xs, ys):
 
     A term (a, b, c) lies in the class (b - a, c) at position a, and class
     products add both the class and the position, so each class is a
-    polynomial in a.  Its coefficients go into one int, one slot of `width`
-    bytes per position; a class pair costs one big-int product, and the
-    products landing in one class are summed in packed form.  Each result
-    coefficient is a sum of at most min(len(xs), len(ys)) products of
-    coefficients, so its absolute value stays below a quarter of the slot
-    range: adding half the range to every slot makes all slots
-    non-negative, and they are read back exactly with to_bytes/from_bytes.
-    Exact for every input; falls back to the schoolbook loop when an
-    operand's classes span more than twice as many positions as it has
-    terms, where empty slots would cost more than they save.
+    polynomial in a.  Its coefficients are packed as balanced digits, one
+    per position (_pack_digits); a class pair costs one big-int product,
+    and the products landing in one class are summed in packed form.  Each
+    result coefficient is a sum of at most min(len(xs), len(ys)) products
+    of coefficients, so max|x| * max|y| * min(len(xs), len(ys)) bounds it,
+    and digits of _digit_width of that bound read it back exactly.  Exact
+    for every input; falls back to the schoolbook loop when an operand's
+    classes span more than twice as many positions as it has terms, where
+    empty slots would cost more than they save.
     """
-    bits = (
-        max(map(abs, xs.values())).bit_length()
-        + max(map(abs, ys.values())).bit_length()
-        + min(len(xs), len(ys)).bit_length()
-        + 2
-    )
-    width = (bits + 7) // 8
+    bound = (max(map(abs, xs.values())) * max(map(abs, ys.values()))
+             * min(len(xs), len(ys)))
+    width = _digit_width(bound)
     shift = 8 * width
-    px, py = _pack_classes(xs, shift), _pack_classes(ys, shift)
+    px, py = _pack_classes(xs, width), _pack_classes(ys, width)
     if px is None or py is None:
         return _schoolbook_product(xs, ys)
     acc = {}
@@ -235,11 +243,28 @@ def _packed_product(xs, ys):
     return out
 
 
+def _digit_width(bound):
+    """The least width w, in bytes, with 2 * bound < 2^(8 w - 1): digits of
+    absolute value at most bound, and the differences of two of them, are
+    balanced at that width."""
+    return ((2 * bound).bit_length() + 8) // 8
+
+
+def _pack_digits(digits, width):
+    """sum k_i 2^(8 width i) for the digits k_0, k_1, .., lowest first."""
+    shift = 8 * width
+    v = 0
+    for k in reversed(digits):
+        v = (v << shift) + k
+    return v
+
+
 def _balanced_digits(v, width, n):
     """The digits k_0, .., k_(n-1) of v = sum k_i 2^(8 width i), lowest
     first, each in [-2^(8 width - 1), 2^(8 width - 1)).  Adding half the
-    slot range to every slot makes all slots non-negative, so they are read
-    back with one to_bytes; OverflowError if v needs more than n digits."""
+    digit range to every digit makes all digits non-negative, so they are
+    read back with one to_bytes; OverflowError if v needs more than n
+    digits, so reading one digit of a pack takes its full digit count."""
     half = 1 << (8 * width - 1)
     offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
     buf = (v + offset).to_bytes(n * width, "little")
@@ -247,8 +272,8 @@ def _balanced_digits(v, width, n):
             for i in range(0, n * width, width)]
 
 
-def _pack_classes(terms, shift):
-    """[(b - a, c, lowest a, slot count, packed int)] per class, or None
+def _pack_classes(terms, width):
+    """[(b - a, c, lowest a, digit count, packed int)] per class, or None
     when the classes span more than 2 * len(terms) positions in all."""
     classes = {}
     for (a, b, c), k in terms.items():
@@ -263,10 +288,8 @@ def _pack_classes(terms, shift):
     out = []
     for (d, c), cls in classes.items():
         lo, hi = spans[(d, c)]
-        v = 0
-        for a in range(hi, lo - 1, -1):
-            v = (v << shift) + cls.get(a, 0)
-        out.append((d, c, lo, hi - lo + 1, v))
+        digits = [cls.get(a, 0) for a in range(lo, hi + 1)]
+        out.append((d, c, lo, hi - lo + 1, _pack_digits(digits, width)))
     return out
 
 

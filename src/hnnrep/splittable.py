@@ -21,22 +21,20 @@ vectors on S exactly when it holds on any subset of S whose kernel rows
 span the row space of K_S.  The build therefore decides spans on the
 points that raise the rank, in walk order (26 of 457 for Int(G).G of a
 rank-2 SL_2(Z) pair at sample length 3): the same basis, expansions and
-action matrices as the whole sample gives.  The fresh points are pruned
-the same way (_Sample), with the same verdicts and witnesses: a mismatch
-at a point is linear in its kernel row, so the first failing point is
-outside the span of the points before it, and it is kept.
+action matrices as the whole sample gives.
 
-The fresh points are checked in packed form (_fresh_points,
-_PackedPoints).  Each kept kernel row is scaled to integers by a positive
-factor, each kernel column's entries over the points become one big int
-with one balanced W-bit slot per point, and each basis function's values
-are packed the same way, scaled by one common factor.  Checking a shifted
-coordinate against a combination of basis functions is then one equation
-of big ints: at most max(m, n^2) + (terms of the combination) multiply-adds
-and one comparison.  W comes from a per-call bound on the slots of both
-sides, and the packs are rebuilt wider when a call needs it, so no slot
-overflows.  The lowest nonzero slot of the packed difference is the first
-differing point, and the witness reads its values back from that slot.
+Every fresh point is checked, in packed form (_fresh_points,
+_PackedPoints), in the balanced-digit format of ring.py.  Each kernel row
+is scaled to integers by a positive factor, each kernel column's entries
+over the points become one big int with one digit per point, and each
+basis function's values are packed the same way, scaled by one common
+factor.  Checking a shifted coordinate against a combination of basis
+functions is then one equation of big ints: at most max(m, n^2) + (terms
+of the combination) multiply-adds and one comparison.  The digit width
+comes from a per-call bound on the digits of both sides, and the packs
+are rebuilt wider when a call needs it, so no digit overflows.  The
+lowest nonzero digit of the packed difference is the first differing
+point, and the witness reads its values back from that digit.
 
 The engine computes on an exact kernel: its matrices are tuples of row
 tuples, ints for integer inputs and ints and Fractions, some of them
@@ -73,7 +71,7 @@ from operator import mul
 
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix, _block_mul, _matrix_json
-from .ring import QQ
+from .ring import QQ, _balanced_digits, _digit_width, _pack_digits
 from .words import reduced_walk
 
 # A letter of the semidirect product alphabet: (kind, generator index, sign).
@@ -557,26 +555,20 @@ def _shift_coefficients(coord, shift, m: int):
 
 
 class _Sample:
-    """Evaluation points, given as (word, kernel element) pairs, pruned to
+    """The build's evaluation points, given as kernel elements, pruned to
     the points whose kernel rows (_kernel_row) raise the rank, in order
-    (_row_basis); words and rows hold the kept points' words and kernel
-    rows.  A linear relation among shifted coordinates holds on the kept
-    points exactly when it holds on all of them."""
+    (_row_basis).  A linear relation among shifted coordinates holds on the
+    kept points exactly when it holds on all of them."""
 
     def __init__(self, kernel: _Kernel, points):
-        words, rows = [], []
-        for word, el in points:
-            words.append(word)
-            rows.append(_kernel_row(kernel, el))
-        keep = _row_basis(rows)
-        self.words = [words[i] for i in keep]
-        self.rows = [rows[i] for i in keep]
+        rows = [_kernel_row(kernel, el) for el in points]
+        rows = [rows[i] for i in _row_basis(rows)]
         self.m = m = len(kernel.identity.phi)
         n = len(kernel.identity.g)
         blocks = [(j * m, m) for j in range(m)]
         blocks += [(m * m + k * n * n, n * n) for k in range(n * n)]
         self._blocks = {
-            off: [r[off:off + size] for r in self.rows] for off, size in blocks
+            off: [r[off:off + size] for r in rows] for off, size in blocks
         }
 
     def values(self, coord, shift: _Element):
@@ -808,7 +800,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     # Relations among shifted coordinates on the sample are relations among
     # their coefficient vectors modulo the null space of the kernel rows,
     # so a row basis of the sample decides them exactly as the whole does.
-    sample = _Sample(kernel, chain([((), kernel.identity)], words))
+    sample = _Sample(kernel, chain([kernel.identity], (el for _, el in words)))
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
@@ -858,87 +850,48 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     return rep
 
 
-# --- Packed slots ------------------------------------------------------------
-#
-# A vector of signed ints v_0, .., v_{K-1} packs into the one int
-# sum_k v_k 2^(W k), slot k holding v_k (Kronecker substitution).  When
-# every |v_k| < 2^(W-1) the slots are balanced digits in base 2^W, and the
-# packing is unique: a packed int is 0 exactly when every slot is 0, and
-# its 2-adic valuation lies in its lowest nonzero slot.  Packs of one width
-# add and multiply by ints slot by slot, so a linear identity that holds
-# at every point holds for the packs, and the packed difference of two
-# sides names the first point where they differ.
-
-
-def _slot_width(bound: int) -> int:
-    """The slot width W for packs whose slots, and the differences of two
-    such slots, have absolute value at most bound and 2 * bound: 2 * bound
-    < 2^(W-1)."""
-    return bound.bit_length() + 2
-
-
-def _pack(values, width: int) -> int:
-    packed = 0
-    for v in reversed(values):
-        packed = (packed << width) + v
-    return packed
-
-
-def _slot(packed: int, k: int, width: int) -> int:
-    """Slot k of a pack of the given width.  The slots below k sum to less
-    than 2^(W k - 1) in absolute value, so adding 2^(W k - 1) and shifting
-    right by W k leaves the slots from k on; the balanced digit is read off
-    their low W bits."""
-    rest = (packed + ((1 << width * k) >> 1)) >> width * k
-    v = rest & ((1 << width) - 1)
-    return v - (1 << width) if v >> (width - 1) else v
-
-
-def _first_slot(packed: int, width: int) -> int:
-    """The lowest nonzero slot of a nonzero pack."""
-    return ((packed & -packed).bit_length() - 1) // width
-
-
 class _PackedPoints:
-    """A _Sample's kept points and the basis functions of a representation,
-    in packed form, for checking combinations of basis functions.
+    """Evaluation points, given by their words and kernel rows, and the
+    basis functions of a representation, in packed form (ring.py's
+    balanced digits, one digit per point), for checking combinations of
+    basis functions.
 
     Every value at a point y is linear in y's kernel row, so scaling the
     row by a positive factor s_y scales them all and keeps every per-point
-    equality.  Each kept row is scaled to integers by s_y, the lcm of its
+    equality.  Each row is scaled to integers by s_y, the lcm of its
     denominators, and each kernel column, its entries over the points, is
     one pack.  A shifted coordinate with integer coefficients (its shift's
     coefficients times their lcm e) is then the dot product of the
-    coefficients with its block of column packs: its slot at y is
+    coefficients with its block of column packs: its digit at y is
     e * s_y * value(y).  The basis functions' packs are scaled to
     integers by one common factor D, the lcm of their shifts' e: basis
-    function j's slot at y is D * s_y * b_j(y).
+    function j's digit at y is D * s_y * b_j(y).
 
     check(coord, shift, combo, den) compares den * coord(shift * y) with
     sum_j combo[j] * b_j(y) at every point as one equation of packs,
-    den * D * direct == e * total, both sides with slot y equal to
-    e * D * s_y times the two sides at y.  The call bounds the slots of
+    den * D * direct == e * total, both sides with digit y equal to
+    e * D * s_y times the two sides at y.  The call bounds the digits of
     both sides from the largest entry of the columns and of the basis
     packs and the 1-norms of its coefficients, and repacks wider when that
-    bound needs a wider slot than the packs have, so no slot ever
-    overflows."""
+    bound needs a wider digit than the packs have (ring._digit_width), so
+    no digit ever overflows."""
 
-    def __init__(self, sample: _Sample, shifts):
-        self.words = sample.words
-        self.m = sample.m
-        self.scales, rows = [], []
-        for row in sample.rows:
+    def __init__(self, words, rows, m, shifts):
+        self.words = words
+        self.m = m
+        self.scales, int_rows = [], []
+        for row in rows:
             scale, row = _integer_vector(row)
             self.scales.append(scale)
-            rows.append(row)
-        self._columns = [list(col) for col in zip(*rows)]
-        self._col_max = max((abs(x) for r in rows for x in r), default=0)
+            int_rows.append(row)
+        self._columns = [list(col) for col in zip(*int_rows)]
+        self._col_max = max((abs(x) for r in int_rows for x in r), default=0)
         self._basis = []  # (offset, e, integer coefficients)
         for coord, shift in shifts:
-            off, coeffs = _shift_coefficients(coord, shift, self.m)
+            off, coeffs = _shift_coefficients(coord, shift, m)
             self._basis.append((off, *_integer_vector(coeffs)))
         self.basis_den = lcm(*(e for _, e, _ in self._basis))
-        # A basis pack's slot is at most D / e * |e c|_1 * (largest entry).
+        # A basis pack's digit is at most D / e * |e c|_1 * (largest entry).
         self._basis_max = self._col_max * max(
             ((self.basis_den // e) * sum(map(abs, c)) for _, e, c in self._basis),
             default=0,
@@ -947,7 +900,7 @@ class _PackedPoints:
 
     def _repack(self, width: int):
         self.width = width
-        self._packed_columns = [_pack(col, width) for col in self._columns]
+        self._packed_columns = [_pack_digits(col, width) for col in self._columns]
         self._packed_basis = [
             (self.basis_den // e) * self._direct(off, c) for off, e, c in self._basis
         ]
@@ -961,7 +914,7 @@ class _PackedPoints:
         lhs_scale = den * self.basis_den
         bound = max(lhs_scale * sum(map(abs, coeffs)) * self._col_max,
                     e * sum(map(abs, combo.values())) * self._basis_max)
-        width = _slot_width(bound)
+        width = _digit_width(bound)
         if width > self.width:
             # Half as much again, so that growing bounds repack rarely.
             self._repack(width + width // 2)
@@ -971,12 +924,13 @@ class _PackedPoints:
         diff = lhs_scale * direct - e * total
         if not diff:
             return None
-        width = self.width
-        k = _first_slot(diff, width)
+        n, width = len(self.words), self.width
+        k = next(k for k, x in enumerate(_balanced_digits(diff, width, n)) if x)
+        direct, total = (_balanced_digits(v, width, n)[k] for v in (direct, total))
         s = self.scales[k]
         return (f"at fresh word {word_str(self.words[k])}: direct value "
-                f"{Fraction(_slot(direct, k, width), e * s)}, combination "
-                f"{Fraction(_slot(total, k, width), lhs_scale * s)}")
+                f"{Fraction(direct, e * s)}, combination "
+                f"{Fraction(total, lhs_scale * s)}")
 
 
 def _fresh_points(rep: SplittableRep, words):
@@ -988,22 +942,15 @@ def _fresh_points(rep: SplittableRep, words):
     (basis function j), for integer coefficients combo[j], at each point,
     in the order of words.  It returns None when they agree everywhere,
     and otherwise names the first differing point: "at fresh word w: direct
-    value v, combination c".  The points are pruned to a row basis as the
-    build sample is (_Sample), which keeps the verdict and the first
-    differing point.
+    value v, combination c".
 
-    A check is one equation of packs (_PackedPoints): at most max(m, n^2) +
-    len(combo) big-int multiply-adds and one comparison, whatever the
-    number of points.  Rational data are scaled to integers by a positive
-    factor per point, one factor for the basis values and one per call for
-    the shift's coefficients, which keeps every per-point equality; the
-    slot width comes from a per-call bound on both sides and grows when the
-    bound needs it.  The first differing point is the lowest nonzero slot
-    of the packed difference, and the witness values are read back from
-    that slot and divided by the scale factors."""
+    Every point is packed with its kernel row (_PackedPoints), so a check
+    is one equation of packs, whatever the number of points; digits are
+    read back only when it fails, from the lowest nonzero digit of the
+    packed difference."""
     kernel = rep._kernel
-    sample = _Sample(kernel, ((w, kernel.eval_word(w)) for w in words))
-    return _PackedPoints(sample, rep._shifts).check
+    rows = [_kernel_row(kernel, kernel.eval_word(w)) for w in words]
+    return _PackedPoints(words, rows, len(kernel.identity.phi), rep._shifts).check
 
 
 def _fresh_sample_check(rep: SplittableRep, count: int = 40):

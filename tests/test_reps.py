@@ -575,6 +575,7 @@ def _walk_report(rep, max_len):
         report.identity_count += is_id
         if is_id != (l == 0 and not f.syms):
             report.counterexamples.append(str(MixedWord(word)))
+    report.counterexample_count = len(report.counterexamples)
     return report
 
 
@@ -742,6 +743,7 @@ class TestProbeDifferential:
         elapsed = time.perf_counter() - start
         assert (report.words_checked, report.identity_count,
                 len(report.counterexamples)) == (14_648_436, 0, 12_480)
+        assert report.counterexample_count == 12_480
         assert report.counterexamples[0] == (
             "x0 x0 x0 x0 t^-1 x1^-1 x1^-1 x1^-1 x1^-1 t")
         digest = hashlib.sha256(
@@ -749,6 +751,22 @@ class TestProbeDifferential:
         assert digest == (
             "dfb7e17f087d200e44d97294a4379df74803a2a5f6433846c0db84a2a0562885")
         assert elapsed < 10.0, f"failing L = 10 probe took {elapsed:.1f}s"
+
+    def test_counterexample_list_is_capped(self):
+        # sigma at lam = mu = 0 sends many words to the identity: A(3) over
+        # Q_5 has more counterexamples to length 7 than the report lists.
+        # The count is the walk's, and the list is the walk's first words.
+        spec = artin_spec(3)
+        sigma = sigma_qp(spec.rank, 0, 0, 5, basis=reps.artin_sigma_basis(3))
+        rep = hnn_induced_rep(spec, sigma, QpRing(5).from_int(5))
+        report = probe_faithfulness(rep, 7)
+        walk = _walk_report(rep, 7)
+        cap = reps.MAX_COUNTEREXAMPLES
+        assert report.counterexample_count == walk.counterexample_count == 24_840
+        assert len(report.counterexamples) == cap < 24_840
+        assert report.counterexamples == walk.counterexamples[:cap]
+        assert (report.words_checked, report.identity_count, report.ok) == (
+            walk.words_checked, walk.identity_count, False)
 
     def test_certificate_needs_no_walk(self, monkeypatch):
         depths = []

@@ -177,6 +177,49 @@ class TestProduct:
         assert calls
 
 
+class TestBalancedDigits:
+    """The one packed format: _pack_digits, _balanced_digits and the width
+    rule _digit_width."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_codec_at_the_rule_width(self, data):
+        # Entries up to the bound, the bound itself and its negation (so a
+        # negative top digit occurs), and differences of two entries: each
+        # pack reads back whole, digit by digit, and its lowest nonzero digit
+        # is its first nonzero entry.
+        bound = data.draw(st.one_of(st.integers(0, 300), st.integers(0, 2**130)))
+        entry = st.integers(-bound, bound)
+        a = data.draw(st.lists(entry, min_size=1, max_size=12))
+        a[-1] = data.draw(st.sampled_from([a[-1], -bound, bound]))
+        b = data.draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+        width = ring_module._digit_width(bound)
+        assert 2 * bound < 2 ** (8 * width - 1)
+        if width > 1:
+            assert 2 * bound >= 2 ** (8 * width - 9)  # the least such width
+        for vec in (a, b, [x - y for x, y in zip(a, b)]):
+            packed = ring_module._pack_digits(vec, width)
+            digits = ring_module._balanced_digits(packed, width, len(vec))
+            assert digits == vec
+            assert (packed == 0) == (not any(vec))
+            if any(vec):
+                low = next(i for i, x in enumerate(digits) if x)
+                assert low == next(i for i, x in enumerate(vec) if x)
+                assert ((packed & -packed).bit_length() - 1) // (8 * width) == low
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_single_digit_reads_need_the_full_count(self, width):
+        half = 1 << (8 * width - 1)
+        vec = [3, -half, half - 1, 0, -1]  # a negative top digit
+        packed = ring_module._pack_digits(vec, width)
+        assert packed < 0
+        for k, x in enumerate(vec):
+            assert ring_module._balanced_digits(packed, width, len(vec))[k] == x
+        with pytest.raises(OverflowError):
+            ring_module._balanced_digits(packed, width, len(vec) - 1)
+        assert ring_module._balanced_digits(0, width, 0) == []
+
+
 class TestSpecialize:
     def test_value(self):
         p = ONE - LAM * MU + LAM * LAM * MU * MU

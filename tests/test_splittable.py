@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hnnrep import splittable
 from hnnrep.errors import OracleError, VerificationError
 from hnnrep.matrix import RingMatrix
-from hnnrep.ring import QQ
+from hnnrep.ring import QQ, _balanced_digits, _digit_width, _pack_digits
 from hnnrep.splittable import (
     InnerTau,
     MatrixGroupGens,
@@ -639,9 +639,9 @@ class TestRowBasis:
     ])
     def test_samples_pruned_to_row_bases(
             self, monkeypatch, name, points, fresh, rank):
-        # (points, points kept) of each _Sample: the build sample, then the
-        # fresh points of the build's fresh-sample check.
-        sizes = []
+        # (points, points kept) of the build sample, the one _Sample; the
+        # fresh-sample check packs every fresh point.
+        sizes, packed = [], []
         row_basis = splittable._row_basis
 
         def recording_row_basis(rows):
@@ -649,9 +649,16 @@ class TestRowBasis:
             sizes.append((len(rows), len(kept)))
             return kept
 
+        class RecordingPoints(splittable._PackedPoints):
+            def __init__(self, words, rows, m, shifts):
+                packed.append((len(words), len(rows)))
+                super().__init__(words, rows, m, shifts)
+
         monkeypatch.setattr(splittable, "_row_basis", recording_row_basis)
+        monkeypatch.setattr(splittable, "_PackedPoints", RecordingPoints)
         BUILDS[name]()
-        assert sizes == [(points, rank), (fresh, rank)]
+        assert sizes == [(points, rank)]
+        assert packed == [(fresh, fresh)]
 
 
 def _dense(rows, d):
@@ -827,23 +834,25 @@ class TestIntegerVerify:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_packed_slots(self, data):
-        # Two signed vectors with a common prefix: their packs at the width
-        # of their bound compare as the vectors do, the lowest nonzero slot
-        # of the difference is the first differing index, and every slot
-        # reads back its entry.
+        # Two signed vectors with a common prefix, packed as ring.py's
+        # balanced digits at the width of their bound: the packs compare as
+        # the vectors do, the lowest nonzero digit of the difference is the
+        # first differing index, and every digit reads back its entry.
         entry = st.one_of(st.integers(-3, 3), st.integers(-2**100, 2**100))
         a = data.draw(st.lists(entry, min_size=1, max_size=12))
         k = data.draw(st.integers(0, len(a)))
         b = a[:k] + data.draw(st.lists(entry, min_size=len(a) - k,
                                        max_size=len(a) - k))
-        width = splittable._slot_width(max(abs(x) for x in a + b))
-        pa, pb = splittable._pack(a, width), splittable._pack(b, width)
-        assert [splittable._slot(pa, i, width) for i in range(len(a))] == a
-        assert [splittable._slot(pb, i, width) for i in range(len(b))] == b
+        width = _digit_width(max(abs(x) for x in a + b))
+        pa, pb = _pack_digits(a, width), _pack_digits(b, width)
+        assert _balanced_digits(pa, width, len(a)) == a
+        assert _balanced_digits(pb, width, len(b)) == b
         assert (pa == pb) == (a == b)
         if a != b:
             first = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-            assert splittable._first_slot(pa - pb, width) == first
+            diff = _balanced_digits(pa - pb, width, len(a))
+            assert next(i for i, x in enumerate(diff) if x) == first
+            assert diff == [x - y for x, y in zip(a, b)]
 
     def test_public_views_read_the_action_rows(self):
         rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
@@ -853,3 +862,127 @@ class TestIntegerVerify:
         assert action == dense["g0"] * dense["g1^-1"] * dense["g0"]
         element = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
         assert rep.recover(action) == (element.phi_mat, element.g_mat)
+
+
+# --- Packed fresh points against the per-point reference --------------------
+
+
+def reference_fresh_points(rep, words):
+    """_fresh_points(rep, words) as a per-point loop over the Fraction
+    reference API: check(coord, shift, combo, den), for a public shift
+    element, names the first word where coord(shift * y) differs from
+    sum_j combo[j] / den * b_j(y)."""
+    tau = rep.tau
+    points = [(w, eval_word(w, rep.phi_gens, rep.g_gens, tau)) for w in words]
+    values = {}
+
+    def basis_value(j, k):
+        if (j, k) not in values:
+            b = rep.basis[j]
+            values[j, k] = coordinate_value(
+                b.coord, semidirect_mul(b.shift, points[k][1], tau))
+        return values[j, k]
+
+    def check(coord, shift, combo, den):
+        for k, (w, y) in enumerate(points):
+            el = semidirect_mul(shift, y, tau) if shift.word else y
+            direct = coordinate_value(coord, el)
+            comb = sum((Fraction(c, den) * basis_value(j, k)
+                        for j, c in combo.items()), Fraction(0))
+            if direct != comb:
+                return (f"at fresh word {word_str(w)}: direct value {direct}, "
+                        f"combination {comb}")
+        return None
+
+    return check
+
+
+def fresh_checks(rep):
+    """The identities of the fresh-sample check, in its order, as (what,
+    coord, kernel shift, public shift, integer combo, den)."""
+    kernel = rep._kernel
+    identity = semidirect_identity(rep.m_degree, rep.n_degree)
+    for coord, combo in rep.expansions.items():
+        den, (combo,) = splittable._integer_rows((combo,))
+        yield (f"coordinate {coord_name(coord)}", coord, kernel.identity, identity,
+               combo, den)
+    for letter, (den, rows) in rep._integer_actions().items():
+        gen = generator_element(letter, rep.phi_gens, rep.g_gens)
+        for i, (coord, shift) in enumerate(rep._shifts):
+            yield (f"basis {i} under {letter_name(letter)}", coord,
+                   kernel.mul(shift, kernel.gens[letter]),
+                   semidirect_mul(rep.basis[i].shift, gen, rep.tau), rows[i], den)
+
+
+def build_fresh_inputs(monkeypatch, build):
+    """(rep, fresh words) that build's fresh-sample check hands to
+    _fresh_points, and the VerificationError it raised, or None."""
+    seen = []
+    real = splittable._fresh_points
+
+    def recording(rep, words):
+        seen.append((rep, list(words)))
+        return real(rep, words)
+
+    monkeypatch.setattr(splittable, "_fresh_points", recording)
+    try:
+        build()
+        error = None
+    except VerificationError as err:
+        error = err
+    ((rep, words),) = seen
+    return rep, words, error
+
+
+class TestFreshPoints:
+    @pytest.mark.parametrize("name", ["inner-23", "trivial-32", "inner-rational",
+                                      "trivial-rational"])
+    def test_matches_the_per_point_reference(self, monkeypatch, name):
+        rep, words, error = build_fresh_inputs(monkeypatch, BUILDS[name])
+        assert error is None and len(words) > 1
+        packed = splittable._fresh_points(rep, words)
+        reference = reference_fresh_points(rep, words)
+        for _, coord, shift, public, combo, den in fresh_checks(rep):
+            assert packed(coord, shift, combo, den) is None
+            assert reference(coord, public, combo, den) is None
+
+    @pytest.mark.parametrize("name", ["inner-23", "trivial-32", "inner-rational",
+                                      "trivial-rational"])
+    def test_perturbed_expansion_names_the_same_word(self, monkeypatch, name):
+        # One coefficient of an expansion moves by 1/den.  Perturbing a basis
+        # function that vanishes at the first fresh word puts the first
+        # failure at a later word; the inner builds have such functions.
+        rep, words, _ = build_fresh_inputs(monkeypatch, BUILDS[name])
+        packed = splittable._fresh_points(rep, words)
+        reference = reference_fresh_points(rep, words)
+        at_first = f"at fresh word {word_str(words[0])}:"
+        # b_j against 2 b_j fails where b_j is nonzero.
+        late = [j for j, b in enumerate(rep.basis)
+                if not (reference(b.coord, b.shift, {j: 2}, 1) or at_first)
+                .startswith(at_first)]
+        later = 0
+        for _, coord, shift, public, combo, den in fresh_checks(rep):
+            for j in {0, rep.dimension - 1, *late[:2]}:
+                bumped = {**combo, j: combo.get(j, 0) + 1}
+                want = reference(coord, public, bumped, den)
+                assert packed(coord, shift, bumped, den) == want
+                later += want is not None and not want.startswith(at_first)
+        assert bool(late) == bool(later) == name.startswith("inner")
+
+    def test_degree3_failure(self, monkeypatch):
+        # sample_len = 2 is too short for the degree-3 group: the packed
+        # check and the reference fail at the same identity, word and
+        # values, and the first failing word is not the first fresh word.
+        rep, words, error = build_fresh_inputs(
+            monkeypatch, lambda: int_g_rep(G_DEGREE3, sample_len=2))
+        packed = splittable._fresh_points(rep, words)
+        reference = reference_fresh_points(rep, words)
+        for what, coord, shift, public, combo, den in fresh_checks(rep):
+            want = reference(coord, public, combo, den)
+            assert packed(coord, shift, combo, den) == want
+            if want is not None:
+                break
+        assert str(error) == f"fresh-sample check failed for {what} {want}"
+        assert want == ("at fresh word phi0^-1 phi1 phi0 phi2^-1: direct value "
+                        "-48, combination 0")
+        assert not want.startswith(f"at fresh word {word_str(words[0])}:")
