@@ -64,15 +64,15 @@ def _numeric_mode(args):
     return all(provided) and not args.integer
 
 
-def _mode_inputs(m: int, args, integer=False):
+def _mode_inputs(m: int, args):
     """(spec, sigma, s) for index m in the requested mode: the Artin HNN
-    spec, the free-group images and the corner unit.  The integer mode is
-    taken only when integer is set; numeric (Q_p) mode needs all of
-    --lambda, --mu and a prime --s; symbolic mode is the default."""
+    spec, the free-group images and the corner unit.  Integer mode is
+    --integer; numeric (Q_p) mode needs all of --lambda, --mu and a prime
+    --s; symbolic mode is the default."""
     spec = artin_spec(m)
     basis = artin_sigma_basis(m)
     numeric = _numeric_mode(args)
-    if integer:
+    if args.integer:
         lam = 2 if args.lam is None else args.lam
         mu = 2 if args.mu is None else args.mu
         s = 1 if args.s is None else args.s
@@ -89,7 +89,7 @@ def _mode_inputs(m: int, args, integer=False):
 
 def _build_artin(m: int, args):
     """Canonical Artin representation for index m in the requested mode."""
-    _, sigma, s = _mode_inputs(m, args, integer=args.integer)
+    _, sigma, s = _mode_inputs(m, args)
     if args.integer:
         return integer_artin(m, sigma, s)
     n, odd = divmod(m, 2)
@@ -332,9 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Integers of any size are read and written: CPython 3.10.7 and later
+    # limit int <-> decimal string conversion, so the limit is lifted for
+    # this call and the caller's restored, since main also runs in-process.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -345,6 +350,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}")
         return 1
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,15 @@ Each ring has a small descriptor object carrying zero/one, integer
 embedding, a unit test with the unit inverse, and a bit-exact JSON encoding
 of its scalars.
 
+Every LaurentPoly the builders make is homogeneous: its terms
+lam^a mu^b s^c share one class (b - a, c).  sigma(lam e^-1, mu e) is sigma
+conjugated by diag(1, e), so sigma's entry (r, c) lies in the class
+(c - r, 0); the corner z adds one s power per block, and block products,
+adjugates and the Artin conjugations keep one class per entry.
+_packed_product relies on it: it packs an operand only after checking that
+it has one class and is dense along a, and any other operand takes the
+schoolbook loop, so every product stays exact.
+
 Packed products (LaurentPoly products, _integer_eval in reps, the
 splittable engine's fresh-point checks) share one format.  Signed ints
 k_0, .., k_(n-1) pack into the one int v = sum k_i 2^(8 w i), digit i
@@ -204,43 +213,45 @@ def _schoolbook_product(xs, ys):
 def _packed_product(xs, ys):
     """Product of two term dicts by Kronecker substitution.
 
-    A term (a, b, c) lies in the class (b - a, c) at position a, and class
-    products add both the class and the position, so each class is a
-    polynomial in a.  Its coefficients are packed as balanced digits, one
-    per position (_pack_digits); a class pair costs one big-int product,
-    and the products landing in one class are summed in packed form.  Each
-    result coefficient is a sum of at most min(len(xs), len(ys)) products
-    of coefficients, so max|x| * max|y| * min(len(xs), len(ys)) bounds it,
-    and digits of _digit_width of that bound read it back exactly.  Exact
-    for every input; falls back to the schoolbook loop when an operand's
-    classes span more than twice as many positions as it has terms, where
-    empty slots would cost more than they save.
+    A term (a, b, c) lies in the class (b - a, c) at position a, and a
+    product adds both the class and the position.  When each operand has
+    one class and is dense, spanning at most twice as many positions as it
+    has terms, it packs from its lowest a as balanced digits, one per
+    position (_pack_digits), and the product is one big-int product whose
+    digits are the coefficients of the product's one class.  Each result
+    coefficient is a sum of at most min(len(xs), len(ys)) products of
+    coefficients, so max|x| * max|y| * min(len(xs), len(ys)) bounds it, and
+    digits of _digit_width of that bound read it back exactly.  A
+    multi-class operand, or a sparse one whose empty slots would cost more
+    than they save, takes the schoolbook loop, so the result is exact for
+    every input.
     """
+    px, py = _dense_class(xs), _dense_class(ys)
+    if px is None or py is None:
+        return _schoolbook_product(xs, ys)
+    (d1, c1, lo1, digits1), (d2, c2, lo2, digits2) = px, py
     bound = (max(map(abs, xs.values())) * max(map(abs, ys.values()))
              * min(len(xs), len(ys)))
     width = _digit_width(bound)
-    shift = 8 * width
-    px, py = _pack_classes(xs, width), _pack_classes(ys, width)
-    if px is None or py is None:
-        return _schoolbook_product(xs, ys)
-    acc = {}
-    for d1, c1, lo1, n1, v1 in px:
-        for d2, c2, lo2, n2, v2 in py:
-            key = (d1 + d2, c1 + c2)
-            lo, hi, v = lo1 + lo2, lo1 + lo2 + n1 + n2 - 1, v1 * v2
-            old = acc.get(key)
-            if old is not None:
-                olo, ohi, ov = old
-                base = min(lo, olo)
-                v = (v << shift * (lo - base)) + (ov << shift * (olo - base))
-                lo, hi = base, max(hi, ohi)
-            acc[key] = (lo, hi, v)
-    out = {}
-    for (d, c), (lo, hi, v) in acc.items():
-        for i, k in enumerate(_balanced_digits(v, width, hi - lo)):
-            if k:
-                out[(lo + i, lo + i + d, c)] = k
-    return out
+    v = _pack_digits(digits1, width) * _pack_digits(digits2, width)
+    lo, d, c = lo1 + lo2, d1 + d2, c1 + c2
+    n = len(digits1) + len(digits2) - 1
+    return {(lo + i, lo + i + d, c): k
+            for i, k in enumerate(_balanced_digits(v, width, n)) if k}
+
+
+def _dense_class(terms):
+    """(b - a, c, lowest a, coefficients by a from the lowest) of terms
+    that all lie in one class (b - a, c) and span at most 2 * len(terms)
+    positions, else None."""
+    a0, b0, c = next(iter(terms))
+    d = b0 - a0
+    if any(b - a != d or s != c for a, b, s in terms):
+        return None
+    lo, hi = min(a for a, _, _ in terms), max(a for a, _, _ in terms)
+    if hi - lo >= 2 * len(terms):
+        return None
+    return d, c, lo, [terms.get((a, a + d, c), 0) for a in range(lo, hi + 1)]
 
 
 def _digit_width(bound):
@@ -270,27 +281,6 @@ def _balanced_digits(v, width, n):
     buf = (v + offset).to_bytes(n * width, "little")
     return [int.from_bytes(buf[i:i + width], "little") - half
             for i in range(0, n * width, width)]
-
-
-def _pack_classes(terms, width):
-    """[(b - a, c, lowest a, digit count, packed int)] per class, or None
-    when the classes span more than 2 * len(terms) positions in all."""
-    classes = {}
-    for (a, b, c), k in terms.items():
-        cls = classes.get((b - a, c))
-        if cls is None:
-            classes[(b - a, c)] = {a: k}
-        else:
-            cls[a] = k
-    spans = {key: (min(cls), max(cls)) for key, cls in classes.items()}
-    if sum(hi - lo + 1 for lo, hi in spans.values()) > 2 * len(terms):
-        return None
-    out = []
-    for (d, c), cls in classes.items():
-        lo, hi = spans[(d, c)]
-        digits = [cls.get(a, 0) for a in range(lo, hi + 1)]
-        out.append((d, c, lo, hi - lo + 1, _pack_digits(digits, width)))
-    return out
 
 
 class QpScalar:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -259,6 +260,51 @@ def test_build_prints_the_bytes_it_writes(tmp_path, flags):
                    timeout=120, check=True, env=env)
     assert printed == (tmp_path / "doc.json").read_bytes()
     assert printed.endswith(b"\n}\n")
+
+
+def _str_digit_limit():
+    """CPython's int <-> str digit limit, or None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu", "3", "--s", "5"], ["--integer", "--mu", "3", "--s", "5"],
+], ids=["numeric", "integer"])
+def test_build_writes_integers_past_the_str_digit_limit(capsys, tmp_path, flags):
+    # A 2,200-digit lambda gives entries of 4,402 (numeric) and 6,602
+    # (integer) digits, past CPython's default limit of 4,300 on int <-> str
+    # conversion.  Every scalar is written as a string, so the file reads
+    # back under the limit.
+    before = _str_digit_limit()
+    path = tmp_path / "big.json"
+    code, _ = run(capsys, "build", "--m", "3", "--lambda", "7" * 2200, *flags,
+                  "--out", str(path))
+    assert code == 0
+    assert _str_digit_limit() == before
+    text = path.read_text()
+    assert max(map(len, re.findall(r"\d+", text))) > 4300
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.skipif(_str_digit_limit() is None,
+                    reason="this Python has no int <-> str digit limit")
+@pytest.mark.parametrize("argv, code", [
+    (["word", "--op", "normal-form", "--m", "4", "--word", "x0"], 0),
+    (["word", "--op", "normal-form", "--m", "4", "--word", "x7"], 2),
+    (["word", "--op", "reverse", "--m", "4", "--word", "x0"], None),
+], ids=["exit-0", "exit-2", "usage-error"])
+def test_main_restores_the_str_digit_limit(capsys, argv, code):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        if code is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class TestSplittableCommand:

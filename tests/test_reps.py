@@ -974,7 +974,7 @@ def _mode_inputs(m, mode):
     args = cli.build_parser().parse_args(
         ["build", "--m", str(m), *MODE_FLAGS[mode], "--out", "-"]
     )
-    return cli._mode_inputs(m, args, integer=mode == "integer")
+    return cli._mode_inputs(m, args)
 
 
 def _induced(m, mode):
@@ -1361,3 +1361,24 @@ class TestIntegerWalk:
             got = reps.LaurentPoly.from_graded_int(v, width, d)
             assert got.terms == want, digits
         assert reps.LaurentPoly.from_graded_int(0, width, d) == ZERO
+
+
+def _one_class(x):
+    """Whether every term lam^a mu^b s^c of x has one class (b - a, c)."""
+    return len({(b - a, c) for a, b, c in x.terms}) <= 1
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_symbolic_entries_are_homogeneous(m):
+    # ring._packed_product packs only single-class operands, and relies on
+    # every entry the builders make being one (see ring.py's docstring).
+    for rep in (_built(m, "symbolic"), _induced(m, "symbolic")):
+        for image, inverse in rep.images.values():
+            for mat in (image, inverse):
+                assert all(_one_class(x) for blk in mat.blocks
+                           for row in blk for x in row), (rep.group, m)
+
+
+def test_b3_pair_is_homogeneous():
+    for mat in b3_explicit():
+        assert all(_one_class(x) for row in mat.rows for x in row)

@@ -1,5 +1,6 @@
 """Laurent polynomial and prime-power-denominator arithmetic."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -96,9 +97,9 @@ def schoolbook(xs, ys):
     return {mono: k for mono, k in out.items() if k}
 
 
-# Terms (a, b, c) with b - a in {-1, 0, 1} and c in {-2, .., 1}: few classes,
-# dense along a, as in the builders' entries.  The sparse strategy spreads
-# terms over many classes with gaps along a.
+# Terms (a, b, c) with b - a in {-1, 0, 1} and c in {-2, .., 1}: up to 12
+# classes, dense along a.  The sparse strategy spreads terms over many
+# classes with gaps along a.
 DENSE_MONO = st.tuples(st.integers(0, 24), st.integers(-1, 1), st.integers(-2, 1)).map(
     lambda t: (t[0] + 1, t[0] + 1 + t[1], t[2])
 )
@@ -110,29 +111,55 @@ def polys(mono):
     return st.dictionaries(mono, COEFF, max_size=40).map(LaurentPoly)
 
 
-POLYS = st.one_of(polys(DENSE_MONO), polys(SPARSE_MONO))
+# One class (b - a, c), dense along a from a position lo, as every entry the
+# builders make: the only operands the packed product packs.  The length is
+# drawn uniformly, so that most pairs reach the packing thresholds.
+HOMOGENEOUS = st.builds(
+    lambda d, c, lo, coeffs: LaurentPoly(
+        {(lo + i, lo + i + d, c): k for i, k in enumerate(coeffs)}),
+    st.integers(-1, 1), st.integers(-2, 1), st.integers(1, 5),
+    st.integers(0, 40).flatmap(lambda n: st.lists(COEFF, min_size=n, max_size=n)),
+)
+# A sum of two homogeneous polynomials has up to two classes, each dense
+# along a: operands a wrong class check would pack.
+POLYS = st.one_of(polys(DENSE_MONO), polys(SPARSE_MONO), HOMOGENEOUS,
+                  st.builds(operator.add, HOMOGENEOUS, HOMOGENEOUS))
+PAIRS = st.one_of(st.tuples(POLYS, POLYS), st.tuples(HOMOGENEOUS, HOMOGENEOUS))
+
+ONE_CLASS = ((-1, -1),)
+# Three classes (b - a, c) that differ in b - a, and three that differ only
+# in the s power.
+THREE_CLASSES = (((-1, -1), (0, -1), (1, -1)), ((-1, -1), (-1, -2), (-1, 0)))
 
 
-def dense_poly(rng, n, bits=84):
-    """n terms in three classes, contiguous along a, with big coefficients."""
+def dense_poly(rng, n, classes=ONE_CLASS, bits=84):
+    """n terms dealt in turn to the classes (b - a, c), contiguous along a
+    in each, with big coefficients."""
     terms = {}
     for i in range(n):
-        q, r = divmod(i, 3)
-        terms[(q + 1, q + r, -1)] = rng.choice((-1, 1)) * rng.getrandbits(bits) | 1
+        q, r = divmod(i, len(classes))
+        d, c = classes[r]
+        terms[(q + 1, q + 1 + d, c)] = rng.choice((-1, 1)) * rng.getrandbits(bits) | 1
     return LaurentPoly(terms)
+
+
+def unused(*args):
+    raise AssertionError("wrong product path")
 
 
 class TestProduct:
     @settings(max_examples=300, deadline=None)
-    @given(POLYS, POLYS)
-    def test_matches_schoolbook(self, x, y):
+    @given(PAIRS)
+    def test_matches_schoolbook(self, pair):
+        x, y = pair
         want = schoolbook(x.terms, y.terms)
         assert (x * y).terms == want
         assert (y * x).terms == want
 
     @settings(max_examples=200, deadline=None)
-    @given(POLYS, POLYS)
-    def test_packed_product_exact_for_any_shape(self, x, y):
+    @given(PAIRS)
+    def test_packed_product_exact_for_any_shape(self, pair):
+        x, y = pair
         if x and y:
             assert ring_module._packed_product(x.terms, y.terms) == schoolbook(
                 x.terms, y.terms
@@ -153,14 +180,31 @@ class TestProduct:
         rng = random.Random(n1 * 100 + n2)
         x, y = dense_poly(rng, n1), dense_poly(rng, n2)
         want = schoolbook(x.terms, y.terms)
-
-        def unused(xs, ys):
-            raise AssertionError("wrong product path")
-
         other = "_schoolbook_product" if packed else "_packed_product"
         monkeypatch.setattr(ring_module, other, unused)
         assert (x * y).terms == want
         assert (y * x).terms == want
+
+    @pytest.mark.parametrize("classes", THREE_CLASSES, ids=["b-a", "s"])
+    @pytest.mark.parametrize("n1,n2,one_class", [
+        (4, 16, False), (8, 8, False), (33, 33, False), (8, 33, True),
+    ])
+    def test_multi_class_operands_take_schoolbook(self, monkeypatch, classes,
+                                                  n1, n2, one_class):
+        rng = random.Random(n1 * 100 + n2)
+        x = dense_poly(rng, n1, ONE_CLASS if one_class else classes)
+        y = dense_poly(rng, n2, classes)
+        want = schoolbook(x.terms, y.terms)
+        calls = []
+        real = ring_module._schoolbook_product
+        monkeypatch.setattr(
+            ring_module, "_schoolbook_product",
+            lambda xs, ys: calls.append(1) or real(xs, ys),
+        )
+        monkeypatch.setattr(ring_module, "_pack_digits", unused)
+        assert (x * y).terms == want
+        assert (y * x).terms == want
+        assert len(calls) == 2
 
     def test_sparse_operands_fall_back_to_schoolbook(self, monkeypatch):
         rng = random.Random(3)
