@@ -43,19 +43,22 @@ pairs and once per Phi-word from the tau pairs, and multiplied by
 matrix._block_mul.  Span membership is decided fraction-free over Z, and
 the action matrices are kept as sparse rows {column: coefficient}.  The
 checks read them once per call as (den, integer rows), den the lcm of the
-denominators, and multiply ints; recovery and the identity test compare
-against den times the element and den times I, and a Fraction appears
-only in a witness.  InnerTau keeps its memo in kernel form too.  RingMatrix
-over QQ (Fraction entries) appears only at the API: the tau pairs an
-oracle returns, `basis` and `actions` (built on first access),
-`action_of_word` and `recover`; `to_json` writes the action rows as they
-are.
+denominators, and compute on packs, every width from a proven bound.
+verify_rep's exhaustive walk keeps den * A(w) as one pack per column and
+appends a letter as integer combinations of the columns; recovery reads
+one pack, the columns against the identity values, and the identity test
+compares each column with den at its digit.  Each homomorphism pair
+transforms the fresh points' kernel columns once by its element and
+applies its letters right to left to the basis packs
+(_PackedPoints.check_product).  A Fraction appears only in a witness.
+RingMatrix over QQ appears only at the API: the tau pairs an oracle
+returns (InnerTau's are views of its kernel memo), and, with Fraction
+entries, `basis` and `actions` (built on first access), `action_of_word`
+(the product of the letters' QQ matrices) and `recover`; `to_json` writes
+the action rows as they are.
 
-`semidirect_identity`, `generator_element`, `semidirect_mul`, `eval_word`,
-`coordinate_value` and `h_eval` are the public Fraction reference API: they
-compute semidirect products, coordinates and the splitting kernel on
-RingMatrix over QQ straight from the definitions, for checking the kernel
-against.
+The generator pairs, the tau oracles and the Fraction reference API live
+in semidirect.py; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -64,267 +67,43 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix, _block_mul, _matrix_json
 from .ring import QQ, _balanced_digits, _digit_width, _pack_digits
+from .semidirect import (  # the reference API and tau oracles, re-exported
+    InnerTau,
+    MatrixGroupGens,
+    SemidirectElement,
+    TauOracle,
+    TrivialTau,
+    _exact,
+    _kernel_identity,
+    _kernel_matrix,
+    coord_name,
+    coordinate_value,
+    eval_word,
+    generator_element,
+    h_eval,
+    letter_name,
+    semidirect_identity,
+    semidirect_mul,
+    word_str,
+)
 from .words import reduced_walk
-
-# A letter of the semidirect product alphabet: (kind, generator index, sign).
-Letter = "tuple[str, int, int]"
-# A coordinate function id: (kind, row, col), 0-based.
-CoordId = "tuple[str, int, int]"
-
-
-def letter_name(letter) -> str:
-    kind, idx, sign = letter
-    return f"{kind}{idx}" + ("" if sign == 1 else "^-1")
-
-
-def word_str(word) -> str:
-    return " ".join(letter_name(l) for l in word) if word else "ε"
-
-
-def coord_name(coord) -> str:
-    kind, i, j = coord
-    return f"{'Phi' if kind == 'phi' else 'G'}({i + 1},{j + 1})"
-
-
-@dataclass(frozen=True)
-class MatrixGroupGens:
-    """Generators of a matrix group, each paired with its inverse.
-
-    A pair (A, B) is checked one-sided, A B = I.  That suffices: A and B
-    are square over Q, so A B = I gives det A det B = 1, A is invertible,
-    and B = A^-1, so B A = I as well."""
-
-    degree: int
-    pairs: tuple
-
-    def __post_init__(self):
-        ident = RingMatrix.identity(QQ, self.degree)
-        for mat, inv in self.pairs:
-            if mat.degree != self.degree or inv.degree != self.degree:
-                raise ValueError("generator degree mismatch")
-            if mat * inv != ident:
-                raise ValueError("generator pair does not multiply to identity")
-
-    @classmethod
-    def trivial(cls) -> "MatrixGroupGens":
-        return cls(0, ())
-
-    @classmethod
-    def from_int_rows(cls, degree, gens) -> "MatrixGroupGens":
-        pairs = tuple(
-            (RingMatrix.from_ints(QQ, mat), RingMatrix.from_ints(QQ, inv))
-            for mat, inv in gens
-        )
-        return cls(degree, pairs)
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "generators": [
-                {"matrix": _rows_to_json(m), "inverse": _rows_to_json(i)}
-                for m, i in self.pairs
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "MatrixGroupGens":
-        """Read {"degree": int, "generators": [{"matrix": rows, "inverse":
-        rows}, ..]}; a document of another shape raises ValueError."""
-        if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
-            raise ValueError('document must be an object with a "generators" list')
-        degree = doc.get("degree")
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-            raise ValueError('"degree" must be a non-negative integer')
-        pairs = []
-        for g in doc["generators"]:
-            if not isinstance(g, dict):
-                raise ValueError("each generator must be an object")
-            pairs.append(
-                (_rows_from_json(g.get("matrix")), _rows_from_json(g.get("inverse")))
-            )
-        return cls(degree, tuple(pairs))
-
-
-def _rows_to_json(m: RingMatrix):
-    return [[QQ.scalar_to_json(x) for x in row] for row in m.rows]
-
-
-def _rows_from_json(rows) -> RingMatrix:
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list)
-        and all(isinstance(x, (int, float, Fraction, str)) and not isinstance(x, bool)
-                for x in row)
-        for row in rows
-    ):
-        raise ValueError(
-            '"matrix" and "inverse" must be lists of rows of numbers or strings'
-        )
-    try:
-        entries = tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
-    except ZeroDivisionError:
-        raise ValueError("matrix entry with a zero denominator") from None
-    return RingMatrix(QQ, entries)
-
-
-@dataclass(frozen=True)
-class SemidirectElement:
-    """Element (phi, g) of the semidirect product, with the generator word
-    it was built from.
-
-    The phi component of a product of generators is the product of the phi
-    letters in order, so phi_word is the phi-letter subsequence of word.  The
-    g component is twisted by tau, so its matrix is authoritative.
-    """
-
-    word: tuple
-    phi_mat: RingMatrix
-    g_mat: RingMatrix
-
-    @property
-    def phi_word(self):
-        return tuple((idx, sign) for kind, idx, sign in self.word if kind == "phi")
-
-    def word_str(self) -> str:
-        return word_str(self.word)
-
-
-class TauOracle:
-    """Maps Phi-words to (g_phi, g_phi^-1) realizing the action on G."""
-
-    def tau_pair(self, phi_word):
-        raise NotImplementedError
-
-
-class TrivialTau(TauOracle):
-    """Oracle for a trivial Phi: only the empty word occurs."""
-
-    def __init__(self, n_degree: int):
-        ident = RingMatrix.identity(QQ, n_degree)
-        self._pair = (ident, ident)
-
-    def tau_pair(self, phi_word):
-        if phi_word:
-            raise OracleError("trivial Phi has no nonempty words")
-        return self._pair
-
-
-class InnerTau(TauOracle):
-    """Phi generator i acts on G as conjugation by G generator i; a Phi-word
-    maps to the same word evaluated over the G generators.
-
-    The memo holds kernel matrices (ints for integral generators),
-    multiplied by matrix._block_mul; tau_pair converts a memo entry to
-    RingMatrix over QQ when it returns it.  A miss recurses through
-    tau_pair, so a wrapper of tau_pair sees every memo miss as a nested
-    call."""
-
-    def __init__(self, g_gens: MatrixGroupGens):
-        self.g_gens = g_gens
-        self._gens = tuple(
-            (_kernel_matrix(mat), _kernel_matrix(inv)) for mat, inv in g_gens.pairs
-        )
-        ident = _kernel_identity(g_gens.degree)
-        self._memo = {(): (ident, ident)}
-
-    def tau_pair(self, phi_word):
-        phi_word = tuple(phi_word)
-        if phi_word not in self._memo:
-            self.tau_pair(phi_word[:-1])
-            val_prev, inv_prev = self._memo[phi_word[:-1]]
-            idx, sign = phi_word[-1]
-            mat, inv = self._gens[idx]
-            if sign == -1:
-                mat, inv = inv, mat
-            self._memo[phi_word] = (
-                _block_mul(val_prev, mat, 0), _block_mul(inv, inv_prev, 0)
-            )
-        val, inv = self._memo[phi_word]
-        return _qq_matrix(val), _qq_matrix(inv)
-
-
-def semidirect_identity(phi_degree: int, g_degree: int) -> SemidirectElement:
-    return SemidirectElement(
-        (), RingMatrix.identity(QQ, phi_degree), RingMatrix.identity(QQ, g_degree)
-    )
-
-
-def generator_element(letter, phi_gens, g_gens) -> SemidirectElement:
-    kind, idx, sign = letter
-    phi = RingMatrix.identity(QQ, phi_gens.degree)
-    g = RingMatrix.identity(QQ, g_gens.degree)
-    if kind == "phi":
-        phi = phi_gens.pairs[idx][sign != 1]
-    elif kind == "g":
-        g = g_gens.pairs[idx][sign != 1]
-    else:
-        raise ValueError(f"unknown letter kind {kind!r}")
-    return SemidirectElement(((kind, idx, sign),), phi, g)
-
-
-def semidirect_mul(e1: SemidirectElement, e2: SemidirectElement,
-                   tau: TauOracle) -> SemidirectElement:
-    """(phi1, g1)(phi2, g2) = (phi1 phi2, tau(phi2)^-1 g1 tau(phi2) g2)."""
-    t_val, t_inv = tau.tau_pair(e2.phi_word)
-    return SemidirectElement(
-        e1.word + e2.word,
-        e1.phi_mat * e2.phi_mat,
-        t_inv * e1.g_mat * t_val * e2.g_mat,
-    )
-
-
-def eval_word(letters, phi_gens, g_gens, tau) -> SemidirectElement:
-    out = semidirect_identity(phi_gens.degree, g_gens.degree)
-    for letter in letters:
-        out = semidirect_mul(out, generator_element(letter, phi_gens, g_gens), tau)
-    return out
-
-
-def coordinate_value(coord, element: SemidirectElement) -> Fraction:
-    kind, i, j = coord
-    mat = element.phi_mat if kind == "phi" else element.g_mat
-    return mat.rows[i][j]
-
-
-def h_eval(p, k1, k2, q, element: SemidirectElement, tau: TauOracle) -> Fraction:
-    """The splitting kernel H_{p k1 k2 q} at (phi2, g2): the sum over k3 of
-    entries (g_phi2^-1)[p][k1] * (g_phi2)[k2][k3] * (g2)[k3][q]."""
-    t_val, t_inv = tau.tau_pair(element.phi_word)
-    n = element.g_mat.degree
-    total = Fraction(0)
-    for k3 in range(n):
-        total += t_inv.rows[p][k1] * t_val.rows[k2][k3] * element.g_mat.rows[k3][q]
-    return total
-
 
 # --- The exact kernel ------------------------------------------------------
 #
 # A kernel matrix is a tuple of row tuples of exact numbers (ints, and
 # Fractions for rational inputs, integral ones included); Python's numeric
-# tower picks the arithmetic.  Kernel rows and shifts are read through
-# _exact, so the sample's dot products stay in ints where they can.  Sparse
-# rows are dicts {column: coefficient} with no zero coefficient, so two
-# sparse matrices are equal exactly when their rows compare equal.
-
-
-def _exact(x):
-    """x as a kernel scalar: an int when integral, else the Fraction."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _kernel_matrix(mat: RingMatrix):
-    return tuple(tuple(_exact(x) for x in row) for row in mat.rows)
-
-
-def _kernel_identity(d: int):
-    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+# tower picks the arithmetic (_exact, _kernel_matrix and _kernel_identity
+# are in semidirect.py).  Kernel rows and shifts are read through _exact,
+# so the sample's dot products stay in ints where they can.  Sparse rows
+# are dicts {column: coefficient} with no zero coefficient.
 
 
 def _qq_matrix(rows, den=1) -> RingMatrix:
@@ -333,28 +112,8 @@ def _qq_matrix(rows, den=1) -> RingMatrix:
     return RingMatrix(QQ, tuple(tuple(Fraction(x, den) for x in row) for row in rows))
 
 
-def _sparse_rows(rows):
-    return tuple({j: _exact(x) for j, x in enumerate(row) if x} for row in rows)
-
-
-def _sparse_identity(d: int):
-    return tuple({i: 1} for i in range(d))
-
-
 def _dense_rows(rows, d: int):
     return tuple(tuple(row.get(j, 0) for j in range(d)) for row in rows)
-
-
-def _sparse_mul(a, b):
-    """Product of two matrices given as sparse rows."""
-    out = []
-    for row in a:
-        acc = {}
-        for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, v in acc.items() if v})
-    return tuple(out)
 
 
 def _integer_vector(values):
@@ -374,18 +133,13 @@ def _integer_rows(rows):
     )
 
 
-def _word_rows(actions, letters, d: int):
-    """(den, integer rows) of the action of a word, from actions mapping a
-    letter to its (den, integer rows): the product folded from the first
-    letter, with the dens multiplied.  The empty word gives the identity."""
-    if not letters:
-        return 1, _sparse_identity(d)
-    den, rows = actions[letters[0]]
-    for letter in letters[1:]:
-        l_den, l_rows = actions[letter]
-        den *= l_den
-        rows = _sparse_mul(rows, l_rows)
-    return den, rows
+def _pairs(rows):
+    """Sparse rows as (indices, coefficients) pairs."""
+    return [(tuple(row), tuple(row.values())) for row in rows]
+
+
+def _norm(row):
+    return sum(map(abs, row.values()))
 
 
 class _Element:
@@ -681,17 +435,20 @@ class SplittableRep:
                 for l in self.letters}
 
     def action_of_word(self, letters) -> RingMatrix:
+        """The product of the letters' action matrices over QQ, read from
+        action_rows at the time of the call."""
         d = self.dimension
-        den, rows = _word_rows(self._integer_actions(), tuple(letters), d)
-        return _qq_matrix(_dense_rows(rows, d), den)
+        return reduce(mul, (_qq_matrix(_dense_rows(
+            self.action_rows[letter_name(l)], d)) for l in letters),
+            RingMatrix.identity(QQ, d))
 
     def recover(self, action: RingMatrix):
         """Matrices (phi, g) read off an action matrix through the coordinate
         expansions evaluated at the identity."""
-        den, rows = _integer_rows(_sparse_rows(action.rows))
         recovery = _Recovery(self)
-        values = recovery.read(rows)
-        den *= recovery.scale
+        idv = recovery.identity_values
+        values = recovery.read([sum(map(mul, row, idv)) for row in action.rows])
+        den = recovery.scale
         m, n = self.m_degree, self.n_degree
         return (
             _qq_matrix([values[i * m:(i + 1) * m] for i in range(m)], den),
@@ -726,9 +483,10 @@ class _Recovery:
     functions is the value at the identity of basis function i shifted by
     the element, and a coordinate of the element is its expansion applied
     to those values.  The identity values and the expansions are scaled to
-    integers by one common factor, so read(rows) for integer action rows
-    den * A gives the coordinates of the element of A times den * scale:
-    the Phi entries row by row, then the G entries (the order of coords)."""
+    integers by one common factor, so read(y), for y the integer action
+    matrix den * A applied to identity_values, gives the coordinates of the
+    element of A times den * scale: the Phi entries row by row, then the G
+    entries (the order of coords)."""
 
     def __init__(self, rep: SplittableRep):
         m, n = rep.m_degree, rep.n_degree
@@ -739,16 +497,14 @@ class _Recovery:
             for coord, shift in rep._shifts
         ]
         idv_den, self.identity_values = _integer_vector(idv)
-        exp_den, self.expansions = _integer_rows(
+        exp_den, expansions = _integer_rows(
             [rep.expansions[c] for c in self.coords])
+        self.expansions = [(tuple(e), tuple(e.values())) for e in expansions]
         self.scale = idv_den * exp_den
-        self.rows_read = sorted(set().union(*self.expansions))
 
-    def read(self, rows):
-        idv = self.identity_values
-        y = {i: sum(c * idv[j] for j, c in rows[i].items())
-             for i in self.rows_read}
-        return [sum(c * y[i] for i, c in e.items()) for e in self.expansions]
+    def read(self, y):
+        get = y.__getitem__
+        return [sum(map(mul, c, map(get, k))) for k, c in self.expansions]
 
 
 def _letter_pairs(phi_gens, g_gens):
@@ -870,11 +626,12 @@ class _PackedPoints:
     check(coord, shift, combo, den) compares den * coord(shift * y) with
     sum_j combo[j] * b_j(y) at every point as one equation of packs,
     den * D * direct == e * total, both sides with digit y equal to
-    e * D * s_y times the two sides at y.  The call bounds the digits of
-    both sides from the largest entry of the columns and of the basis
-    packs and the 1-norms of its coefficients, and repacks wider when that
-    bound needs a wider digit than the packs have (ring._digit_width), so
-    no digit ever overflows."""
+    e * D * s_y times the two sides at y.  check_product checks every
+    basis function shifted by one element (see there).  Each comparison
+    bounds the digits of both sides from the largest entry of the columns
+    and of the basis packs and the 1-norms of its coefficients, and
+    repacks wider when that bound needs a wider digit than the packs have
+    (ring._digit_width), so no digit ever overflows."""
 
     def __init__(self, words, rows, m, shifts):
         self.words = words
@@ -891,22 +648,31 @@ class _PackedPoints:
             off, coeffs = _shift_coefficients(coord, shift, m)
             self._basis.append((off, *_integer_vector(coeffs)))
         self.basis_den = lcm(*(e for _, e, _ in self._basis))
-        # A basis pack's digit is at most D / e * |e c|_1 * (largest entry).
-        self._basis_max = self._col_max * max(
-            ((self.basis_den // e) * sum(map(abs, c)) for _, e, c in self._basis),
-            default=0,
-        )
+        # Basis pack j's digits are at most D / e * |e c|_1 * (largest entry).
+        self._basis_bounds = [self.basis_den // e * sum(map(abs, c)) * self._col_max
+                              for _, e, c in self._basis]
+        self._basis_max = max(self._basis_bounds, default=0)
         self.width = 0  # nothing packed until the first check
 
     def _repack(self, width: int):
         self.width = width
         self._packed_columns = [_pack_digits(col, width) for col in self._columns]
-        self._packed_basis = [
-            (self.basis_den // e) * self._direct(off, c) for off, e, c in self._basis
-        ]
+        self._packed_basis = self._basis_packs(self._packed_columns)
 
-    def _direct(self, off, coeffs):
-        return sum(map(mul, coeffs, self._packed_columns[off:off + len(coeffs)]))
+    def _basis_packs(self, columns):
+        return [self.basis_den // e * sum(map(mul, c, columns[off:]))
+                for off, e, c in self._basis]
+
+    def _witness(self, lhs, rhs, scale):
+        """The first point where the packs lhs and rhs differ, and their
+        digits there divided by scale * s_y: the direct value and the
+        combination."""
+        n, width = len(self.words), self.width
+        k = next(k for k, x in enumerate(_balanced_digits(lhs - rhs, width, n)) if x)
+        direct, total = (_balanced_digits(v, width, n)[k] for v in (lhs, rhs))
+        s = self.scales[k] * scale
+        return (f"at fresh word {word_str(self.words[k])}: direct value "
+                f"{Fraction(direct, s)}, combination {Fraction(total, s)}")
 
     def check(self, coord, shift, combo, den):
         off, coeffs = _shift_coefficients(coord, shift, self.m)
@@ -918,24 +684,94 @@ class _PackedPoints:
         if width > self.width:
             # Half as much again, so that growing bounds repack rarely.
             self._repack(width + width // 2)
-        direct = self._direct(off, coeffs)
         basis = self._packed_basis
-        total = sum(c * basis[j] for j, c in combo.items())
-        diff = lhs_scale * direct - e * total
-        if not diff:
-            return None
-        n, width = len(self.words), self.width
-        k = next(k for k, x in enumerate(_balanced_digits(diff, width, n)) if x)
-        direct, total = (_balanced_digits(v, width, n)[k] for v in (direct, total))
-        s = self.scales[k]
-        return (f"at fresh word {word_str(self.words[k])}: direct value "
-                f"{Fraction(direct, e * s)}, combination "
-                f"{Fraction(total, lhs_scale * s)}")
+        lhs = lhs_scale * sum(map(mul, coeffs, self._packed_columns[off:]))
+        rhs = e * sum(c * basis[j] for j, c in combo.items())
+        return None if lhs == rhs else self._witness(lhs, rhs, e * lhs_scale)
+
+    def check_product(self, phi, t_inv, r, actions):
+        """Check that each basis function b_i shifted by an element E is
+        sum_j A[i][j] b_j at every point, A the action of a word of E: None
+        when all agree, else (i, witness) for the first i that differs.
+
+        phi is E.phi, (t_val, t_inv) = tau(E.phi_word), r = t_val E.g, and
+        actions holds the word's letters in order as (den, rows, norm):
+        rows are the rows of the integer matrix L = den * A(letter) as
+        (columns, coefficients), and norm is the largest row 1-norm of L.
+
+        The direct side reassociates: b_i(E y) = coord_i(shift_i (E y)),
+        and the kernel row of E y is y's transformed by E.  Column block j
+        of y.phi becomes phi times it, and the G block (p, q), the n x n
+        matrix H(y) of the H_{p k1 k2 q}(y), becomes t_inv^T H(y) r^T.  With
+        the transform scaled to integers by f, basis pack i taken against
+        the transformed column packs has digit D f s_y b_i(E y).  The other
+        side applies the letters right to left to the basis packs, V' = L V
+        for each letter's integer rows L, so that V_i has digit
+        D s_y (den A)[i] . b(y), den the product of the letters' dens.  The
+        check is den B'_i == f V_i.
+
+        Digit bounds: a transformed column is at most a row 1-norm of the
+        transform (phi's, or t_inv^T's times r's) times the largest column
+        entry, and V_i at most the product of the letters' norms times the
+        largest basis digit.  When those do not fit the packs, V_i is
+        bounded by (|L_1| .. |L_k| u)_i, u the bounds of the basis digits,
+        and the width is fitted per basis function, in basis order; a
+        repack recomputes both sides at the new width."""
+        # f scales t_inv and r to integers, so f^2 scales the transform.
+        f = lcm(*(x.denominator for mat in (phi, t_inv, r) for row in mat for x in row))
+        phi = [[(x * f * f).numerator for x in row] for row in phi]
+        t_cols = [[(x * f).numerator for x in col] for col in zip(*t_inv)]
+        r = [[(x * f).numerator for x in row] for row in r]
+        f *= f
+        phi_norm, t_norm, r_norm = (max([sum(map(abs, row)) for row in mat] or [0])
+                                    for mat in (phi, t_cols, r))
+        grow = max(phi_norm, t_norm * r_norm)
+        den = prod(a[0] for a in actions)
+        lhs = [den * b * grow for b in self._basis_bounds]
+        rhs = [f * prod(a[2] for a in actions) * self._basis_max] * len(lhs)
+        if _digit_width(max(lhs + rhs + [0])) > self.width:
+            rhs = [f * v for v in _apply(actions, self._basis_bounds, abs)]
+        packs = None
+        for i, bound in enumerate(map(max, lhs, rhs)):
+            width = _digit_width(bound)
+            if width > self.width:
+                self._repack(width + width // 2)
+                packs = None
+            if packs is None:
+                packs = (self._transform(phi, t_cols, r),
+                         _apply(actions, self._packed_basis))
+            left, right = den * packs[0][i], f * packs[1][i]
+            if left != right:
+                return i, self._witness(left, right, den * f * self.basis_den)
+        return None
+
+    def _transform(self, phi, t_cols, r):
+        """The basis packs against the column packs transformed by an
+        element (see check_product)."""
+        cols, m, n = self._packed_columns, self.m, len(r)
+        y = tuple(zip(*(cols[j * m:j * m + m] for j in range(m))))
+        out = [x for col in zip(*_block_mul(phi, y, 0)) for x in col]
+        for o in range(m * m, len(cols), max(1, n * n)):
+            h = tuple(cols[k:k + n] for k in range(o, o + n * n, n))
+            out += chain(*_block_mul(_block_mul(t_cols, h, 0), tuple(zip(*r)), 0))
+        return self._basis_packs(out)
+
+    __call__ = check
+
+
+def _apply(actions, values, key=None):
+    """values with the letters' integer rows applied right to left, each
+    coefficient mapped by key if given."""
+    for _, rows, _ in reversed(actions):
+        get = values.__getitem__
+        values = [sum(map(mul, map(key, c) if key else c, map(get, k)))
+                  for k, c in rows]
+    return values
 
 
 def _fresh_points(rep: SplittableRep, words):
     """A checker on the fresh evaluation points kernel.eval_word(w), w in
-    words.
+    words: their _PackedPoints, called as check.
 
     check(coord, shift, combo, den) compares the shifted coordinate
     y -> coord(shift * y) with the combination sum_j combo[j] / den *
@@ -950,7 +786,7 @@ def _fresh_points(rep: SplittableRep, words):
     packed difference."""
     kernel = rep._kernel
     rows = [_kernel_row(kernel, kernel.eval_word(w)) for w in words]
-    return _PackedPoints(words, rows, len(kernel.identity.phi), rep._shifts).check
+    return _PackedPoints(words, rows, len(kernel.identity.phi), rep._shifts)
 
 
 def _fresh_sample_check(rep: SplittableRep, count: int = 40):
@@ -1037,8 +873,16 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     directly computed element coordinates, for every enumerated word.
     Homomorphism: for random word pairs (u, v), the matrix action(u)action(v)
     must shift the basis functions exactly like the element of u v, checked
-    by evaluation on fresh sample points.  A max_len below 1 raises
-    ValueError.
+    by evaluation on fresh sample points (_PackedPoints.check_product).  A
+    max_len below 1 raises ValueError.
+
+    The walk keeps den * A(w) as d column packs, column j with digit i the
+    entry (i, j), and appends a letter with integer matrix L = den_l * A(l)
+    as new column j = sum_k L[k][j] * column k.  An entry of a product of
+    integer matrices is at most the product of their largest column
+    1-norms, a recovery digit (den * A(w) applied to the identity values)
+    at most that times the 1-norm of the identity values, and den at most
+    the product of the letters' dens, so one width fits the whole walk.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -1046,19 +890,32 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     kernel = rep._kernel
     letters = rep.letters
     d = rep.dimension
-    # Every action is den * A as integer rows, so the walk multiplies ints.
-    actions = rep._integer_actions()
     recovery = _Recovery(rep)
+    idv = recovery.identity_values
     identity = kernel.identity
+    # Each letter's integer matrix den * A, read now: its rows as (columns,
+    # coefficients) with its largest row 1-norm for the pairs, and its
+    # columns as (rows, coefficients) for the walk.
+    rows, columns, norm = {}, {}, 1
+    for letter, (den, int_rows) in rep._integer_actions().items():
+        int_cols = [{} for _ in range(d)]
+        for k, row in enumerate(int_rows):
+            for j, x in row.items():
+                int_cols[j][k] = x
+        rows[letter] = den, _pairs(int_rows), max(map(_norm, int_rows), default=0)
+        columns[letter] = den, _pairs(int_cols)
+        norm = max(norm, den, *map(_norm, int_cols))
+    width = _digit_width(norm**max_len * max(1, sum(map(abs, idv))))
+    units = [1 << (8 * width * j) for j in range(d)]
 
     def note(message):
         if report.witness is None:
             report.witness = message
 
-    def check(element, den, rows):
+    def check(element, den, cols):
         report.words_checked += 1
         scale = den * recovery.scale
-        got = recovery.read(rows)
+        got = recovery.read(_balanced_digits(sum(map(mul, idv, cols)), width, d))
         values = [x for mat in (element.phi, element.g) for row in mat for x in row]
         if got != [x * scale for x in values]:
             report.recovery_failures += 1
@@ -1066,19 +923,20 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
             note(f"recovery failure at word {word_str(element.word)}: "
                  f"{coord_name(recovery.coords[k])} reads "
                  f"{Fraction(got[k], scale)}, the element has {values[k]}")
-        if all(row == {i: den} for i, row in enumerate(rows)):
+        if all(col == den * unit for col, unit in zip(cols, units)):
             report.identity_actions += 1
             if element.phi != identity.phi or element.g != identity.g:
                 report.injectivity_failures += 1
                 note(f"identity action at word {word_str(element.word)}")
 
     def step(state, letter):
-        element, den, rows = state
-        l_den, l_rows = actions[letter]
+        element, den, cols = state
+        l_den, l_cols = columns[letter]
+        get = cols.__getitem__
         return (kernel.mul(element, kernel.gens[letter]), den * l_den,
-                _sparse_mul(rows, l_rows))
+                [sum(map(mul, c, map(get, k))) for k, c in l_cols])
 
-    root = (identity, *_word_rows(actions, (), d))
+    root = (identity, 1, units)
     check(*root)
     alphabet = _letter_pairs(rep.phi_gens, rep.g_gens)
     for _, state in reduced_walk(alphabet, max_len, root, step):
@@ -1089,21 +947,17 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     fresh_words = [
         _random_reduced_word(rng, letters, max_len + 2) for _ in range(20)
     ] if letters else []
-    mismatch = _fresh_points(rep, fresh_words)
+    points = _fresh_points(rep, fresh_words)
     for _ in range(pairs if letters else 0):
         u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         element = kernel.eval_word(u + v)
-        (u_den, u_rows), (v_den, v_rows) = (
-            _word_rows(actions, w, d) for w in (u, v))
-        rows = _sparse_mul(u_rows, v_rows)
+        t_val, t_inv = kernel.tau_pair(element.phi_word)
         report.pairs_checked += 1
-        for i, (coord, shift) in enumerate(rep._shifts):
-            bad = mismatch(coord, kernel.mul(shift, element), rows[i],
-                           u_den * v_den)
-            if bad is not None:
-                report.homomorphism_failures += 1
-                note(f"homomorphism failure for u = {word_str(u)}, "
-                     f"v = {word_str(v)}: basis {i} {bad}")
-                break
+        bad = points.check_product(element.phi, t_inv, _block_mul(t_val, element.g, 0),
+                                   [rows[letter] for letter in u + v])
+        if bad is not None:
+            report.homomorphism_failures += 1
+            note(f"homomorphism failure for u = {word_str(u)}, "
+                 f"v = {word_str(v)}: basis {bad[0]} {bad[1]}")
     return report

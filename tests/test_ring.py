@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hnnrep import ring as ring_module
@@ -147,8 +147,13 @@ def unused(*args):
     raise AssertionError("wrong product path")
 
 
+# Shrinking the big-coefficient Laurent examples of a failing product test
+# takes minutes; the failing example is reported as drawn.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
+
+
 class TestProduct:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
     @given(PAIRS)
     def test_matches_schoolbook(self, pair):
         x, y = pair
@@ -156,7 +161,7 @@ class TestProduct:
         assert (x * y).terms == want
         assert (y * x).terms == want
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
     @given(PAIRS)
     def test_packed_product_exact_for_any_shape(self, pair):
         x, y = pair

@@ -864,6 +864,52 @@ class TestIntegerVerify:
         assert rep.recover(action) == (element.phi_mat, element.g_mat)
 
 
+class TestPackedVerify:
+    """The column-pack walk and the packed homomorphism pairs of verify_rep
+    give the report of Fraction action matrices (reference_verify)."""
+
+    @pytest.mark.parametrize("name, max_len, pairs", [
+        *((f"inner-{a}{b}", 3, 12) for a in (2, 3) for b in (2, 3)),
+        *((f"trivial-{a}{b}", 4, 100) for a in (2, 3) for b in (2, 3)),
+    ])
+    def test_benchmark_pairs(self, name, max_len, pairs):
+        rep = BUILDS[name]()
+        report = verify_rep(rep, max_len=max_len, pairs=pairs)
+        assert report.ok and report.identity_actions == 1
+        assert report == reference_verify(rep, max_len=max_len, pairs=pairs)
+
+    @pytest.mark.parametrize("gens", ["rank2", "rational"])
+    @pytest.mark.parametrize("kind", ["phi", "g"])
+    def test_corrupted_basis_row(self, gens, kind):
+        # Row i of g1's action, for the last basis function of a Phi or a G
+        # coordinate: the pairs transform that function's column block.
+        rep = int_g_rep({"rank2": G_RANK2, "rational": G_RATIONAL}[gens],
+                        sample_len=3)
+        i = max(i for i, b in enumerate(rep.basis) if b.coord[0] == kind)
+        _bump(rep, "g1", i, 0, 1)
+        report = verify_rep(rep, max_len=1, pairs=20)
+        assert report.homomorphism_failures
+        assert report == reference_verify(rep, max_len=1, pairs=20)
+
+    def test_large_entries_to_length_three(self):
+        rep = int_g_rep(sl2_pair(2**80, 3), sample_len=3)
+        report = verify_rep(rep, max_len=3, pairs=12)
+        assert report.ok and report.words_checked == 457
+        assert report == reference_verify(rep, max_len=3, pairs=12)
+
+    def test_walk_digits_at_the_bound(self):
+        # g0 acting as c I with c = 2^80 makes den * A(g0 g0 g0) = c^3 I, so
+        # recovery digits of c^3 = 2^240 against the walk's bound
+        # c^3 * |idv|_1 = 2^241: a width one byte narrower than the bound's
+        # cannot hold them.
+        rep = build_rep(*trivial_setup())
+        assert splittable._Recovery(rep).identity_values == [1, 0, 0, 1]
+        rep.action_rows["g0"] = tuple({i: 2**80} for i in range(rep.dimension))
+        report = verify_rep(rep, max_len=3, pairs=20)
+        assert report.recovery_failures
+        assert report == reference_verify(rep, max_len=3, pairs=20)
+
+
 # --- Packed fresh points against the per-point reference --------------------
 
 
