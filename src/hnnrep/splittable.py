@@ -40,22 +40,28 @@ The engine computes on an exact kernel: its matrices are tuples of row
 tuples, ints for integer inputs and ints and Fractions, some of them
 integral, for rational ones.  They are converted once from the generator
 pairs and once per Phi-word from the tau pairs, and multiplied by
-matrix._block_mul.  Span membership is decided fraction-free over Z, and
-the action matrices are kept as sparse rows {column: coefficient}.  The
+matrix._block_mul.  Every product of an element by a generator goes
+through _Kernel.step, one step per letter that reads the letter's tau
+factors once and drops the identity factor: a G letter keeps the
+element's phi, a Phi letter multiplies no G matrix by the identity, and
+tau of the empty word is skipped when it is the identity.  Span membership
+is decided fraction-free over Z by packed.py's Gauss-Jordan _Span, and the
+action matrices are kept as sparse rows {column: coefficient}.  The
 checks read them once per call as (den, integer rows), den the lcm of the
-denominators, and compute on packs, every width from a proven bound.
-verify_rep's exhaustive walk keeps den * A(w) as one pack per column and
-appends a letter as integer combinations of the columns; recovery reads
-one pack, the columns against the identity values, and the identity test
-compares each column with den at its digit.  Each homomorphism pair
-transforms the fresh points' kernel columns once by its element and
-applies its letters right to left to the basis packs
-(_PackedPoints.check_product).  A Fraction appears only in a witness.
-RingMatrix over QQ appears only at the API: the tau pairs an oracle
-returns (InnerTau's are views of its kernel memo), and, with Fraction
-entries, `basis` and `actions` (built on first access), `action_of_word`
-(the product of the letters' QQ matrices) and `recover`; `to_json` writes
-the action rows as they are.
+denominators, compile each fixed integer map they apply into straight-line
+code (packed._integer_map), and compute on packs, every width from a
+proven bound.  verify_rep's exhaustive walk keeps den * A(w) as one pack
+per column and appends a letter by its compiled column map; recovery reads
+one pack, the columns against the identity values, through the compiled
+expansions, and the identity test compares each column with den at its
+digit.  Each homomorphism pair transforms the fresh points' kernel columns
+once by its element and applies its letters' compiled row maps right to
+left to the basis packs (_PackedPoints.check_product).  A Fraction appears
+only in a witness.  RingMatrix over QQ appears only at the API: the tau
+pairs an oracle returns (InnerTau's are views of its kernel memo), and,
+with Fraction entries, `basis` and `actions` (built on first access),
+`action_of_word` (the product of the letters' QQ matrices) and `recover`;
+`to_json` writes the action rows as they are.
 
 The generator pairs, the tau oracles and the Fraction reference API live
 in semidirect.py; this module re-exports them.
@@ -74,6 +80,7 @@ from operator import mul
 
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix, _block_mul, _matrix_json
+from .packed import _integer_map, _integer_vector, _Span
 from .ring import QQ, _balanced_digits, _digit_width, _pack_digits
 from .semidirect import (  # the reference API and tau oracles, re-exported
     InnerTau,
@@ -116,13 +123,6 @@ def _dense_rows(rows, d: int):
     return tuple(tuple(row.get(j, 0) for j in range(d)) for row in rows)
 
 
-def _integer_vector(values):
-    """(den, integer list) for ints and Fractions: den is the lcm of their
-    denominators and the integers are den * values."""
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 def _integer_rows(rows):
     """(den, integer rows) for sparse rows of ints and Fractions: den is the
     lcm of their denominators and the integer rows are den * rows."""
@@ -131,11 +131,6 @@ def _integer_rows(rows):
         {j: x.numerator * (den // x.denominator) for j, x in row.items()}
         for row in rows
     )
-
-
-def _pairs(rows):
-    """Sparse rows as (indices, coefficients) pairs."""
-    return [(tuple(row), tuple(row.values())) for row in rows]
 
 
 def _norm(row):
@@ -156,26 +151,22 @@ class _Element:
 
 
 class _Kernel:
-    """(Phi, G, tau) in kernel form: the generator elements, built once from
-    the generator pairs, and the tau pairs, converted once per Phi-word."""
+    """(Phi, G, tau) in kernel form: the generator matrices by letter,
+    converted once from the generator pairs, and the tau pairs, converted
+    once per Phi-word."""
 
     def __init__(self, phi_gens, g_gens, tau):
         self.tau = tau
         self._tau_pairs = {}
-        phi_id = _kernel_identity(phi_gens.degree)
-        g_id = _kernel_identity(g_gens.degree)
-        self.identity = _Element((), (), phi_id, g_id)
-        self.gens = {}
-        for kind, gens in (("phi", phi_gens), ("g", g_gens)):
-            for idx, pair in enumerate(gens.pairs):
-                for sign, mat in zip((1, -1), pair):
-                    letter = (kind, idx, sign)
-                    mat = _kernel_matrix(mat)
-                    self.gens[letter] = (
-                        _Element((letter,), ((idx, sign),), mat, g_id)
-                        if kind == "phi" else
-                        _Element((letter,), (), phi_id, mat)
-                    )
+        self.identity = _Element((), (), _kernel_identity(phi_gens.degree),
+                                 _kernel_identity(g_gens.degree))
+        self.mats = {
+            (kind, idx, sign): _kernel_matrix(mat)
+            for kind, gens in (("phi", phi_gens), ("g", g_gens))
+            for idx, pair in enumerate(gens.pairs)
+            for sign, mat in zip((1, -1), pair)
+        }
+        self._steps = {}
 
     def tau_pair(self, phi_word):
         pair = self._tau_pairs.get(phi_word)
@@ -185,20 +176,43 @@ class _Kernel:
             self._tau_pairs[phi_word] = pair
         return pair
 
-    def mul(self, e1: _Element, e2: _Element) -> _Element:
-        """(phi1, g1)(phi2, g2) = (phi1 phi2, tau(phi2)^-1 g1 tau(phi2) g2)."""
-        t_val, t_inv = self.tau_pair(e2.phi_word)
-        return _Element(
-            e1.word + e2.word,
-            e1.phi_word + e2.phi_word,
-            _block_mul(e1.phi, e2.phi, 0),
-            _block_mul(_block_mul(t_inv, e1.g, 0), _block_mul(t_val, e2.g, 0), 0),
-        )
+    def step(self, el: _Element, letter) -> _Element:
+        """el times the generator of letter, by the product (phi1, g1)(phi2,
+        g2) = (phi1 phi2, tau(phi2)^-1 g1 tau(phi2) g2) with one identity
+        factor dropped: a Phi letter with matrix P gives (phi P, t^-1 g t),
+        t = tau(letter), and a G letter with matrix M gives (phi, t^-1 g t
+        M), t = tau of the empty word, or (phi, g M) when t is the identity.
+        Each letter's step reads its tau factors once, on its first use."""
+        step = self._steps.get(letter)
+        if step is None:
+            step = self._steps[letter] = self._letter_step(letter)
+        return step(el)
+
+    def _letter_step(self, letter):
+        kind, idx, sign = letter
+        mat, word = self.mats[letter], (letter,)
+        if kind == "phi":
+            phi_word = ((idx, sign),)
+            t_val, t_inv = self.tau_pair(phi_word)
+            # Row i of phi P is row i of phi times the columns of P.
+            times = _integer_map([dict(enumerate(col)) for col in zip(*mat)])
+            return lambda el: _Element(
+                el.word + word, el.phi_word + phi_word,
+                tuple(map(tuple, map(times, el.phi))),
+                _block_mul(_block_mul(t_inv, el.g, 0), t_val, 0))
+        t_val, t_inv = self.tau_pair(())
+        ident = self.identity.g
+        if t_val == ident and t_inv == ident:
+            return lambda el: _Element(el.word + word, el.phi_word, el.phi,
+                                       _block_mul(el.g, mat, 0))
+        t_mat = _block_mul(t_val, mat, 0)
+        return lambda el: _Element(el.word + word, el.phi_word, el.phi,
+                                   _block_mul(_block_mul(t_inv, el.g, 0), t_mat, 0))
 
     def eval_word(self, letters) -> _Element:
         out = self.identity
         for letter in letters:
-            out = self.mul(out, self.gens[letter])
+            out = self.step(out, letter)
         return out
 
     def public(self, el: _Element) -> SemidirectElement:
@@ -220,7 +234,7 @@ def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
     tau pairs of the Phi-words of length at most word_len."""
     kernel = _Kernel(phi_gens, g_gens, tau)
     ident = kernel.identity.g
-    g_mats = tuple(kernel.gens[("g", idx, 1)].g for idx in range(len(g_gens.pairs)))
+    g_mats = tuple(kernel.mats[("g", idx, 1)] for idx in range(len(g_gens.pairs)))
     pairs = [((idx, 1), (idx, -1)) for idx in range(len(phi_gens.pairs))]
     # A Phi-word's state: the G generators conjugated by its letters one at
     # a time, the expected word-level conjugates.
@@ -332,52 +346,6 @@ class _Sample:
         return [sum(map(mul, coeffs, block)) for block in self._blocks[off]]
 
 
-class _Span:
-    """Fraction-free echelon form over Z of the basis value vectors b_k.
-
-    A row is an integer vector r with a positive pivot entry and its
-    combination R, so that r = sum_k R[k] * b_k.  Reduction eliminates the
-    pivots Bareiss style, scaling by the pivot entry instead of dividing by
-    it, and divides out the common factor after every step."""
-
-    def __init__(self):
-        self.rows = []  # (integer vector, combination dict, pivot column)
-
-    def reduce(self, vec):
-        """(residual, combo, scale), all integers with scale > 0, such that
-        scale * vec - sum_k combo[k] * b_k == residual and the residual is
-        zero at every pivot.  The entries of vec may be ints or Fractions."""
-        scale, vec = _integer_vector(vec)
-        combo = {}
-        for row, rcombo, piv in self.rows:
-            c = vec[piv]
-            if not c:
-                continue
-            p = row[piv]
-            vec = [p * v - c * r for v, r in zip(vec, row)]
-            combo = {k: p * v for k, v in combo.items()}
-            for k, v in rcombo.items():
-                combo[k] = combo.get(k, 0) + c * v
-            scale *= p
-            g = gcd(scale, *combo.values())
-            if g > 1:
-                g = gcd(g, *vec)
-                if g > 1:
-                    vec = [v // g for v in vec]
-                    combo = {k: v // g for k, v in combo.items()}
-                    scale //= g
-        return vec, {k: v for k, v in combo.items() if v}, scale
-
-    def add(self, residual, combo, scale, index):
-        """Add the row of basis vector b_index from its nonzero residual:
-        residual = scale * b_index - sum_k combo[k] * b_k."""
-        piv = next(i for i, v in enumerate(residual) if v)
-        sign = 1 if residual[piv] > 0 else -1
-        rcombo = {k: -sign * v for k, v in combo.items()}
-        rcombo[index] = sign * scale
-        self.rows.append(([sign * v for v in residual], rcombo, piv))
-
-
 class SplittableRep:
     """Result of the orbit closure: a basis of shifted coordinates, one
     action matrix per generator letter, and the expansion of every original
@@ -486,7 +454,8 @@ class _Recovery:
     integers by one common factor, so read(y), for y the integer action
     matrix den * A applied to identity_values, gives the coordinates of the
     element of A times den * scale: the Phi entries row by row, then the G
-    entries (the order of coords)."""
+    entries (the order of coords), by the compiled map of the expansions
+    (packed._integer_map)."""
 
     def __init__(self, rep: SplittableRep):
         m, n = rep.m_degree, rep.n_degree
@@ -499,12 +468,8 @@ class _Recovery:
         idv_den, self.identity_values = _integer_vector(idv)
         exp_den, expansions = _integer_rows(
             [rep.expansions[c] for c in self.coords])
-        self.expansions = [(tuple(e), tuple(e.values())) for e in expansions]
+        self.read = _integer_map(expansions)
         self.scale = idv_den * exp_den
-
-    def read(self, y):
-        get = y.__getitem__
-        return [sum(map(mul, c, map(get, k))) for k, c in self.expansions]
 
 
 def _letter_pairs(phi_gens, g_gens):
@@ -551,8 +516,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     # The engine consults tau on phi-words as long as the fresh sample, so
     # the oracle contract is sampled to that depth.
     kernel = validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
-    words = reduced_walk(pairs, sample_len, kernel.identity,
-                         lambda el, l: kernel.mul(el, kernel.gens[l]))
+    words = reduced_walk(pairs, sample_len, kernel.identity, kernel.step)
     # Relations among shifted coordinates on the sample are relations among
     # their coefficient vectors modulo the null space of the kernel rows,
     # so a row basis of the sample decides them exactly as the whole does.
@@ -589,9 +553,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     while pending:
         i, letter = pending.popleft()
         coord, shift = basis[i]
-        action_rows[letter][i] = expand(
-            coord, kernel.mul(shift, kernel.gens[letter])
-        )
+        action_rows[letter][i] = expand(coord, kernel.step(shift, letter))
 
     d = len(basis)
     rows = {
@@ -641,13 +603,20 @@ class _PackedPoints:
             scale, row = _integer_vector(row)
             self.scales.append(scale)
             int_rows.append(row)
-        self._columns = [list(col) for col in zip(*int_rows)]
+        # One column per kernel row entry, m^2 + n^4, also with no points.
+        n = len(shifts[0][1].g) if shifts else 0
+        self._columns = [[row[j] for row in int_rows] for j in range(m * m + n**4)]
         self._col_max = max((abs(x) for r in int_rows for x in r), default=0)
         self._basis = []  # (offset, e, integer coefficients)
         for coord, shift in shifts:
             off, coeffs = _shift_coefficients(coord, shift, m)
             self._basis.append((off, *_integer_vector(coeffs)))
         self.basis_den = lcm(*(e for _, e, _ in self._basis))
+        # Basis pack j is D / e times the dot product of its coefficients
+        # with its block of columns.
+        self._basis_packs = _integer_map([
+            {off + t: self.basis_den // e * c for t, c in enumerate(coeffs)}
+            for off, e, coeffs in self._basis])
         # Basis pack j's digits are at most D / e * |e c|_1 * (largest entry).
         self._basis_bounds = [self.basis_den // e * sum(map(abs, c)) * self._col_max
                               for _, e, c in self._basis]
@@ -658,10 +627,6 @@ class _PackedPoints:
         self.width = width
         self._packed_columns = [_pack_digits(col, width) for col in self._columns]
         self._packed_basis = self._basis_packs(self._packed_columns)
-
-    def _basis_packs(self, columns):
-        return [self.basis_den // e * sum(map(mul, c, columns[off:]))
-                for off, e, c in self._basis]
 
     def _witness(self, lhs, rhs, scale):
         """The first point where the packs lhs and rhs differ, and their
@@ -695,9 +660,9 @@ class _PackedPoints:
         when all agree, else (i, witness) for the first i that differs.
 
         phi is E.phi, (t_val, t_inv) = tau(E.phi_word), r = t_val E.g, and
-        actions holds the word's letters in order as (den, rows, norm):
-        rows are the rows of the integer matrix L = den * A(letter) as
-        (columns, coefficients), and norm is the largest row 1-norm of L.
+        actions holds the word's letters in order as _LetterRows: the
+        integer matrix L = den * A(letter), its rows and their compiled map,
+        and its largest row 1-norm.
 
         The direct side reassociates: b_i(E y) = coord_i(shift_i (E y)),
         and the kernel row of E y is y's transformed by E.  Column block j
@@ -726,11 +691,15 @@ class _PackedPoints:
         phi_norm, t_norm, r_norm = (max([sum(map(abs, row)) for row in mat] or [0])
                                     for mat in (phi, t_cols, r))
         grow = max(phi_norm, t_norm * r_norm)
-        den = prod(a[0] for a in actions)
+        den = prod(a.den for a in actions)
         lhs = [den * b * grow for b in self._basis_bounds]
-        rhs = [f * prod(a[2] for a in actions) * self._basis_max] * len(lhs)
+        rhs = [f * prod(a.norm for a in actions) * self._basis_max] * len(lhs)
         if _digit_width(max(lhs + rhs + [0])) > self.width:
-            rhs = [f * v for v in _apply(actions, self._basis_bounds, abs)]
+            # A bound, run a few times per call: not worth compiling |L|.
+            rhs = self._basis_bounds
+            for a in reversed(actions):
+                rhs = [sum(abs(x) * rhs[j] for j, x in row.items()) for row in a.rows]
+            rhs = [f * v for v in rhs]
         packs = None
         for i, bound in enumerate(map(max, lhs, rhs)):
             width = _digit_width(bound)
@@ -738,8 +707,10 @@ class _PackedPoints:
                 self._repack(width + width // 2)
                 packs = None
             if packs is None:
-                packs = (self._transform(phi, t_cols, r),
-                         _apply(actions, self._packed_basis))
+                combined = self._packed_basis
+                for a in reversed(actions):
+                    combined = a.apply(combined)
+                packs = self._transform(phi, t_cols, r), combined
             left, right = den * packs[0][i], f * packs[1][i]
             if left != right:
                 return i, self._witness(left, right, den * f * self.basis_den)
@@ -759,14 +730,16 @@ class _PackedPoints:
     __call__ = check
 
 
-def _apply(actions, values, key=None):
-    """values with the letters' integer rows applied right to left, each
-    coefficient mapped by key if given."""
-    for _, rows, _ in reversed(actions):
-        get = values.__getitem__
-        values = [sum(map(mul, map(key, c) if key else c, map(get, k)))
-                  for k, c in rows]
-    return values
+class _LetterRows:
+    """A letter's integer action matrix L = den * A(letter): its sparse rows,
+    apply(v) = L v compiled (packed._integer_map), and norm, the largest row
+    1-norm of L."""
+
+    def __init__(self, den, rows):
+        self.den = den
+        self.rows = rows
+        self.norm = max(map(_norm, rows), default=0)
+        self.apply = _integer_map(rows)
 
 
 def _fresh_points(rep: SplittableRep, words):
@@ -812,7 +785,7 @@ def _fresh_sample_check(rep: SplittableRep, count: int = 40):
     for letter, (den, rows) in rep._integer_actions().items():
         for i, (coord, shift) in enumerate(rep._shifts):
             check(f"basis {i} under {letter_name(letter)}", coord,
-                  kernel.mul(shift, kernel.gens[letter]), rows[i], den)
+                  kernel.step(shift, letter), rows[i], den)
 
 
 def conjugation_matrix(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -893,17 +866,16 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     recovery = _Recovery(rep)
     idv = recovery.identity_values
     identity = kernel.identity
-    # Each letter's integer matrix den * A, read now: its rows as (columns,
-    # coefficients) with its largest row 1-norm for the pairs, and its
-    # columns as (rows, coefficients) for the walk.
+    # Each letter's integer matrix den * A, read now: its rows for the
+    # pairs, and the map of its columns for the walk.
     rows, columns, norm = {}, {}, 1
     for letter, (den, int_rows) in rep._integer_actions().items():
         int_cols = [{} for _ in range(d)]
         for k, row in enumerate(int_rows):
             for j, x in row.items():
                 int_cols[j][k] = x
-        rows[letter] = den, _pairs(int_rows), max(map(_norm, int_rows), default=0)
-        columns[letter] = den, _pairs(int_cols)
+        rows[letter] = _LetterRows(den, int_rows)
+        columns[letter] = den, _integer_map(int_cols)
         norm = max(norm, den, *map(_norm, int_cols))
     width = _digit_width(norm**max_len * max(1, sum(map(abs, idv))))
     units = [1 << (8 * width * j) for j in range(d)]
@@ -932,9 +904,7 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     def step(state, letter):
         element, den, cols = state
         l_den, l_cols = columns[letter]
-        get = cols.__getitem__
-        return (kernel.mul(element, kernel.gens[letter]), den * l_den,
-                [sum(map(mul, c, map(get, k))) for k, c in l_cols])
+        return kernel.step(element, letter), den * l_den, l_cols(cols)
 
     root = (identity, 1, units)
     check(*root)

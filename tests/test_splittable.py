@@ -4,12 +4,14 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnnrep import splittable
+from hnnrep import packed, splittable
 from hnnrep.errors import OracleError, VerificationError
 from hnnrep.matrix import RingMatrix
 from hnnrep.ring import QQ, _balanced_digits, _digit_width, _pack_digits
@@ -208,6 +210,43 @@ class TestValidateTau:
 INNER_PHI = MatrixGroupGens(4, tuple(
     (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in G_RANK2.pairs
 ))
+
+
+_SHEAR = RingMatrix.from_ints(QQ, ((1, 1), (0, 1)))
+_SHEAR_INV = RingMatrix.from_ints(QQ, ((1, -1), (0, 1)))
+
+
+class ShearedTau(TauOracle):
+    """InnerTau times a shear on the right: tau of the empty word is the
+    shear, which is not the identity, so a G letter's step keeps it."""
+
+    def __init__(self, g_gens):
+        self.inner = InnerTau(g_gens)
+
+    def tau_pair(self, phi_word):
+        val, inv = self.inner.tau_pair(phi_word)
+        return val * _SHEAR, _SHEAR_INV * inv
+
+
+class TestKernelStep:
+    @pytest.mark.parametrize("tau", [InnerTau, ShearedTau])
+    @pytest.mark.parametrize("gens", ["rank2", "rational"])
+    def test_steps_match_the_reference_product(self, tau, gens):
+        # The kernel's letter steps are the product's definition for any
+        # tau pairs, checked by validate_tau or not.
+        g_gens = {"rank2": G_RANK2, "rational": G_RATIONAL}[gens]
+        phi_gens = MatrixGroupGens(4, tuple(
+            (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in g_gens.pairs
+        ))
+        tau = tau(g_gens)
+        kernel = splittable._Kernel(phi_gens, g_gens, tau)
+        letters = [l for pair in splittable._letter_pairs(phi_gens, g_gens) for l in pair]
+        rng = random.Random(3)
+        for length in (0, 1, 2, 5):
+            word = _random_reduced_word(rng, letters, length)
+            el = kernel.eval_word(word)
+            assert el.word == word
+            assert kernel.public(el) == eval_word(word, phi_gens, g_gens, tau)
 
 
 class CountingTau(TauOracle):
@@ -489,6 +528,120 @@ class TestFractionFreeSpan:
                 assert expansion == reference
 
 
+def span_sequence(vectors, check=None):
+    """Reduce the vectors in order into one _Span, adding those outside the
+    span, with TestFractionFreeSpan's assertions; check(span) runs after
+    every add."""
+    span, basis = _Span(), []
+    for vec in vectors:
+        residual, combo, scale = span.reduce(vec)
+        assert scale > 0
+        for i, f in enumerate(vec):
+            assert residual[i] == scale * f - sum(c * basis[k][i] for k, c in combo.items())
+        reference = reference_expansion(basis, vec)
+        if reference is None:
+            assert any(residual)
+            span.add(residual, combo, scale, len(basis))
+            basis.append(vec)
+            if check:
+                check(span)
+        else:
+            assert not any(residual)
+            assert [Fraction(combo.get(k, 0), scale) for k in range(len(basis))] == reference
+    return span
+
+
+def gauss_jordan_form(span):
+    for i, (row, piv) in enumerate(zip(span.rows, span.pivots)):
+        assert row[piv] > 0
+        assert all(not row[p] for j, p in enumerate(span.pivots) if j != i)
+        assert span._packs[i] == _pack_digits(row, span.width)
+
+
+_BIG = 2**200
+
+
+class TestPackedSpan:
+    """The packed Gauss-Jordan form of _Span, on fixed vectors, so that a
+    broken digit bound fails at once."""
+
+    def test_gauss_jordan_after_every_add(self):
+        rng = random.Random(7)
+        for length in (1, 3, 6):
+            vectors = []
+            for _ in range(10):
+                if vectors and rng.random() < 0.4:
+                    coeffs = [rng.randint(-3, 3) for _ in vectors]
+                    vectors.append([sum(c * v[i] for c, v in zip(coeffs, vectors))
+                                    for i in range(length)])
+                else:
+                    vectors.append([rng.choice([0, 0, 1, -2, 5, Fraction(3, 4)])
+                                    for _ in range(length)])
+            span_sequence(vectors, gauss_jordan_form)
+
+    @pytest.mark.parametrize("vectors", [
+        # The vector's own entry past the rows': L |v| bounds the residual.
+        [[1, 0], [1, _BIG], [3, 2 * _BIG]],
+        # A row's entry past the vector's: the rows' norms bound it.
+        [[1, _BIG], [1, 0], [2, _BIG]],
+        # A row's combination past its values: a Fraction input makes the
+        # scale 2^200, and the row norm must count the combination.
+        [[Fraction(1, _BIG), 0], [1, 0], [0, 1], [5, 7]],
+        # The same at the edge of a one-byte digit.
+        [[1, 0], [1, 128], [Fraction(1, 128), 1], [1, 1]],
+        # Entries growing past each width in turn.
+        [[1, 0, 0], [0, 1, 2], [1, 1, 2], [3, _BIG, 2 * _BIG],
+         [Fraction(1, 3), _BIG**2, 1], [1, 2, 3]],
+    ])
+    def test_wide_entries_repack(self, monkeypatch, vectors):
+        widths = []
+        repack = _Span._repack
+
+        def recording_repack(span, width):
+            widths.append(width)
+            repack(span, width)
+
+        monkeypatch.setattr(_Span, "_repack", recording_repack)
+        span_sequence(vectors, gauss_jordan_form)
+        assert widths and widths == sorted(widths)
+        largest = max(abs(Fraction(x).numerator) for vec in vectors for x in vec)
+        assert widths[-1] >= _digit_width(largest)
+
+
+class TestIntegerMap:
+    """ring-format packs go through maps compiled by packed._integer_map;
+    they must give the generic comprehension's values."""
+
+    @staticmethod
+    def generic(rows, v):
+        return [sum(map(mul, row.values(), map(v.__getitem__, row))) for row in rows]
+
+    def test_matches_the_comprehension(self):
+        rng = random.Random(11)
+        big = [2**200, 10**12 + 7, 3 * 2**64 + 1]
+        for width in (1, 7, 40):
+            rows = [{} for _ in range(3)]  # empty rows
+            for _ in range(30):
+                rows.append({j: rng.choice([1, -1, 1, *big, *(-c for c in big)])
+                             for j in rng.sample(range(width), rng.randint(1, width))})
+            rng.shuffle(rows)
+            v = [rng.choice([0, 1, -1, rng.getrandbits(300) - 2**299]) for _ in range(width)]
+            assert packed._integer_map(rows)(v) == self.generic(rows, v)
+            source, namespace = packed._map_source(rows)
+            assert set(namespace.values()) <= set(big)
+            for c in big:
+                assert str(c) not in source
+
+    def test_long_row(self):
+        # One + chain of 5,000 terms would exceed CPython's compiler
+        # recursion; the map groups its terms.
+        rng = random.Random(12)
+        rows = [{j: rng.choice([1, -1, 2**200, -(10**12)]) for j in range(5000)}, {}]
+        v = [rng.getrandbits(64) - 2**63 for _ in range(5000)]
+        assert packed._integer_map(rows)(v) == self.generic(rows, v)
+        assert "1000000000000" not in packed._map_source(rows)[0]
+
+
 class TestWitness:
     def test_corrupted_action_names_the_fresh_word(self):
         rep = build_rep(*trivial_setup())
@@ -667,6 +820,26 @@ def _dense(rows, d):
     ))
 
 
+def fresh_point(y, tau):
+    """The point y with the factors of the G coordinates of s y
+    (coordinate_at): tau(y)^-1 and tau(y) y.g."""
+    t_val, t_inv = tau.tau_pair(y.phi_word)
+    return y, t_inv, t_val * y.g_mat
+
+
+def coordinate_at(coord, s, point):
+    """coordinate_value(coord, semidirect_mul(s, y, tau)) from the product's
+    definition, for point = fresh_point(y, tau): a Phi coordinate (i, j) is
+    row i of s.phi against column j of y.phi, and a G coordinate (p, q) is
+    row p of tau(y)^-1 s.g against column q of tau(y) y.g."""
+    kind, i, j = coord
+    y, t_inv, right = point
+    if kind == "phi":
+        return sum(x * row[j] for x, row in zip(s.phi_mat.rows[i], y.phi_mat.rows))
+    left = [sum(map(mul, t_inv.rows[i], col)) for col in zip(*s.g_mat.rows)]
+    return sum(x * row[j] for x, row in zip(left, right.rows))
+
+
 def reference_verify(rep, max_len, pairs=100, seed=0):
     """verify_rep on Fraction action matrices read from action_rows, with
     elements, coordinates and shifts from the Fraction reference API."""
@@ -695,13 +868,12 @@ def reference_verify(rep, max_len, pairs=100, seed=0):
             report.witness = message
 
     pairs_of_letters = list(zip(letters[::2], letters[1::2]))
-    words = [()] + [w for w, _ in reduced_walk(pairs_of_letters, max_len, None,
-                                               lambda s, l: None)]
+    walk = reduced_walk(pairs_of_letters, max_len, ident, lambda a, l: a * actions[l])
     identity = element(())
-    for word in words:
-        el, a = element(word), action(word)
+    for word, a in chain([((), ident)], walk):
+        el = element(word)
         report.words_checked += 1
-        y = [sum(a.rows[i][j] * idv[j] for j in range(d)) for i in range(d)]
+        y = [sum(x * v for x, v in zip(row, idv) if x) for row in a.rows]
         for coord in coords:
             read = sum(c * y[i] for i, c in rep.expansions[coord].items())
             if read != coordinate_value(coord, el):
@@ -718,9 +890,10 @@ def reference_verify(rep, max_len, pairs=100, seed=0):
 
     rng = random.Random(seed)
     fresh = [_random_reduced_word(rng, letters, max_len + 2) for _ in range(20)]
-    fresh_el = [element(w) for w in fresh]
-    basis_vals = [[coordinate_value(b.coord, semidirect_mul(b.shift, y, tau))
-                   for y in fresh_el] for b in rep.basis]
+    points = [fresh_point(element(w), tau) for w in fresh]
+    # The basis functions' values at each point.
+    point_vals = [[coordinate_at(b.coord, b.shift, y) for b in rep.basis]
+                  for y in points]
     for _ in range(pairs):
         u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
@@ -728,10 +901,11 @@ def reference_verify(rep, max_len, pairs=100, seed=0):
         report.pairs_checked += 1
         for i, b in enumerate(rep.basis):
             shifted = semidirect_mul(b.shift, el, tau)
+            row = [(j, x) for j, x in enumerate(a.rows[i]) if x]
             bad = [
-                (w, direct, comb) for w, y, vals in zip(fresh, fresh_el, zip(*basis_vals))
-                if (direct := coordinate_value(b.coord, semidirect_mul(shifted, y, tau)))
-                != (comb := sum(x * val for x, val in zip(a.rows[i], vals)))
+                (w, direct, comb) for w, y, vals in zip(fresh, points, point_vals)
+                if (direct := coordinate_at(b.coord, shifted, y))
+                != (comb := sum((x * vals[j] for j, x in row), Fraction(0)))
             ]
             if bad:
                 w, direct, comb = bad[0]
@@ -869,7 +1043,7 @@ class TestPackedVerify:
     give the report of Fraction action matrices (reference_verify)."""
 
     @pytest.mark.parametrize("name, max_len, pairs", [
-        *((f"inner-{a}{b}", 3, 12) for a in (2, 3) for b in (2, 3)),
+        *((f"inner-{a}{b}", 3, 100) for a in (2, 3) for b in (2, 3)),
         *((f"trivial-{a}{b}", 4, 100) for a in (2, 3) for b in (2, 3)),
     ])
     def test_benchmark_pairs(self, name, max_len, pairs):
@@ -893,9 +1067,26 @@ class TestPackedVerify:
 
     def test_large_entries_to_length_three(self):
         rep = int_g_rep(sl2_pair(2**80, 3), sample_len=3)
-        report = verify_rep(rep, max_len=3, pairs=12)
+        report = verify_rep(rep, max_len=3)
         assert report.ok and report.words_checked == 457
-        assert report == reference_verify(rep, max_len=3, pairs=12)
+        assert report == reference_verify(rep, max_len=3)
+
+    @pytest.mark.parametrize("name", ["inner-23", "inner-rational", "trivial-32"])
+    def test_entrywise_coordinates(self, name):
+        # reference_verify's pairs read coord(s y) through coordinate_at;
+        # it must agree with the Fraction product semidirect_mul.
+        rep = BUILDS[name]()
+        m, n = rep.m_degree, rep.n_degree
+        coords = [("phi", i, j) for i in range(m) for j in range(m)]
+        coords += [("g", p, q) for p in range(n) for q in range(n)]
+        rng = random.Random(5)
+        for _ in range(4):
+            s, y = (eval_word(_random_reduced_word(rng, rep.letters, 4),
+                              rep.phi_gens, rep.g_gens, rep.tau) for _ in range(2))
+            product = semidirect_mul(s, y, rep.tau)
+            for coord in coords:
+                assert coordinate_at(coord, s, fresh_point(y, rep.tau)) == \
+                    coordinate_value(coord, product)
 
     def test_walk_digits_at_the_bound(self):
         # g0 acting as c I with c = 2^80 makes den * A(g0 g0 g0) = c^3 I, so
@@ -956,7 +1147,7 @@ def fresh_checks(rep):
         gen = generator_element(letter, rep.phi_gens, rep.g_gens)
         for i, (coord, shift) in enumerate(rep._shifts):
             yield (f"basis {i} under {letter_name(letter)}", coord,
-                   kernel.mul(shift, kernel.gens[letter]),
+                   kernel.step(shift, letter),
                    semidirect_mul(rep.basis[i].shift, gen, rep.tau), rows[i], den)
 
 
