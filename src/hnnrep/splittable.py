@@ -16,12 +16,15 @@ bound is enforced as a hard error.
 Each sample point y has a kernel row: its m^2 entries y.phi[k][j] and its
 n^4 splitting-kernel values H_{p k1 k2 q}(y).  A shifted coordinate's
 values on a sample S are K_S c, for the kernel rows K_S and a coefficient
-vector c read off the shift, so a linear relation holds among value
-vectors on S exactly when it holds on any subset of S whose kernel rows
-span the row space of K_S.  The build therefore decides spans on the
-points that raise the rank, in walk order (26 of 457 for Int(G).G of a
-rank-2 SL_2(Z) pair at sample length 3): the same basis, expansions and
-action matrices as the whole sample gives.
+vector c in Q^(m^2 + n^4) read off the shift, so a linear relation holds
+among value vectors on S exactly when the same relation among the
+coefficient vectors lies in the null space of K_S.  The build therefore
+decides spans in kernel coordinates: its _Span is seeded with an integer
+basis of that null space (_null_basis; 6 vectors for Int(G).G of a rank-2
+SL_2(Z) pair at sample length 3, from 457 points) as relations, and
+reduces each candidate's coefficient vector modulo them, which gives the
+basis, expansions and action matrices that value vectors on the whole
+sample give.
 
 Every fresh point is checked, in packed form (_fresh_points,
 _PackedPoints), in the balanced-digit format of ring.py.  Each kernel row
@@ -108,9 +111,8 @@ from .words import reduced_walk
 # A kernel matrix is a tuple of row tuples of exact numbers (ints, and
 # Fractions for rational inputs, integral ones included); Python's numeric
 # tower picks the arithmetic (_exact, _kernel_matrix and _kernel_identity
-# are in semidirect.py).  Kernel rows and shifts are read through _exact,
-# so the sample's dot products stay in ints where they can.  Sparse rows
-# are dicts {column: coefficient} with no zero coefficient.
+# are in semidirect.py).  Sparse rows are dicts {column: coefficient} with
+# no zero coefficient.
 
 
 def _qq_matrix(rows, den=1) -> RingMatrix:
@@ -266,29 +268,28 @@ def _kernel_row(kernel: _Kernel, y: _Element):
     H_{p k1 k2 q}(y) = tau(y.phi)^-1[p][k1] * (tau(y.phi) y.g)[k2][q], for
     (p, q) at m^2 + (p n + q) n^2 and k1, k2 in order.  Every shifted
     coordinate is a fixed linear combination of these entries (see
-    _Sample)."""
+    _shift_coefficients)."""
     t_val, t_inv = kernel.tau_pair(y.phi_word)
     b_cols = tuple(zip(*_block_mul(t_val, y.g, 0)))
     n = len(b_cols)
     row = [x for col in zip(*y.phi) for x in col]
     row += [t * b for p in range(n) for q in range(n)
             for t in t_inv[p] for b in b_cols[q]]
-    return [_exact(x) for x in row]
+    return row
 
 
-def _row_basis(rows):
-    """Indices, in order, of the rows that are not in the span of the rows
-    before them: a row basis of the row space.
+def _null_basis(rows, width: int):
+    """An integer basis of the null space of the rows, an iterable of
+    vectors of the given width: the v with row . v == 0 for every row.
 
-    The null space of the rows picked so far is kept as a basis of integer
-    vectors.  A row outside the span of the picked rows has a nonzero dot
-    product with one of them, the pivot; the others are then made
-    orthogonal to the row fraction-free, p * u - (row . u) * v for the
-    pivot v with p = row . v, and divided by their content."""
-    width = len(rows[0]) if rows else 0
+    The basis starts as the unit vectors and stays a basis of the null
+    space of the rows read so far.  A row outside the span of the rows
+    before it has a nonzero dot product with one of the vectors, the pivot,
+    which leaves the basis; the others are then made orthogonal to the row
+    fraction-free, p * u - (row . u) * v for the pivot v with p = row . v,
+    and divided by their content."""
     null = [[int(i == j) for j in range(width)] for i in range(width)]
-    picked = []
-    for idx, row in enumerate(rows):
+    for row in rows:
         if not null:
             break
         _, row = _integer_vector(row)
@@ -296,7 +297,6 @@ def _row_basis(rows):
                     if (p := sum(map(mul, row, v)))), None)
         if piv is None:
             continue
-        picked.append(idx)
         k, p = piv
         v = null.pop(k)
         for k, u in enumerate(null[k:], k):
@@ -305,7 +305,7 @@ def _row_basis(rows):
                 u = [p * a - c * b for a, b in zip(u, v)]
                 g = gcd(*u)
                 null[k] = [a // g for a in u] if g > 1 else u
-    return picked
+    return null
 
 
 def _shift_coefficients(coord, shift, m: int):
@@ -320,30 +320,6 @@ def _shift_coefficients(coord, shift, m: int):
         return j * m, shift.phi[i]
     n = len(shift.g)
     return m * m + (i * n + j) * n * n, [x for row in shift.g for x in row]
-
-
-class _Sample:
-    """The build's evaluation points, given as kernel elements, pruned to
-    the points whose kernel rows (_kernel_row) raise the rank, in order
-    (_row_basis).  A linear relation among shifted coordinates holds on the
-    kept points exactly when it holds on all of them."""
-
-    def __init__(self, kernel: _Kernel, points):
-        rows = [_kernel_row(kernel, el) for el in points]
-        rows = [rows[i] for i in _row_basis(rows)]
-        self.m = m = len(kernel.identity.phi)
-        n = len(kernel.identity.g)
-        blocks = [(j * m, m) for j in range(m)]
-        blocks += [(m * m + k * n * n, n * n) for k in range(n * n)]
-        self._blocks = {
-            off: [r[off:off + size] for r in rows] for off, size in blocks
-        }
-
-    def values(self, coord, shift: _Element):
-        """The shifted coordinate y -> coord(shift * y) at every point."""
-        off, coeffs = _shift_coefficients(coord, shift, self.m)
-        coeffs = [_exact(x) for x in coeffs]
-        return [sum(map(mul, coeffs, block)) for block in self._blocks[off]]
 
 
 class SplittableRep:
@@ -510,7 +486,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     if sample_len < 0:
         raise ValueError("sample_len must be at least 0")
     m, n = phi_gens.degree, g_gens.degree
-    bound = m * m + n**4
+    bound = m * m + n**4  # also the width of a coefficient vector
     pairs = _letter_pairs(phi_gens, g_gens)
     letters = tuple(letter for pair in pairs for letter in pair)
     # The engine consults tau on phi-words as long as the fresh sample, so
@@ -519,14 +495,14 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     words = reduced_walk(pairs, sample_len, kernel.identity, kernel.step)
     # Relations among shifted coordinates on the sample are relations among
     # their coefficient vectors modulo the null space of the kernel rows,
-    # so a row basis of the sample decides them exactly as the whole does.
-    sample = _Sample(kernel, chain([kernel.identity], (el for _, el in words)))
+    # so the span starts from that null space.
+    points = chain([kernel.identity], (el for _, el in words))
+    span = _Span(_null_basis((_kernel_row(kernel, el) for el in points), bound))
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
 
     basis = []  # (coord id, kernel shift element)
-    span = _Span()
     expansions = {}
     action_rows = {letter: {} for letter in letters}
     pending = deque()
@@ -534,7 +510,10 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     def expand(coord, shift):
         """The sparse expansion of coord shifted by shift in the basis; a
         function outside the span becomes the next basis function."""
-        residual, combo, scale = span.reduce(sample.values(coord, shift))
+        off, coeffs = _shift_coefficients(coord, shift, m)
+        vec = [0] * bound
+        vec[off:off + len(coeffs)] = coeffs
+        residual, combo, scale = span.reduce(vec)
         if not any(residual):
             return {k: _exact(Fraction(v, scale)) for k, v in combo.items()}
         idx = len(basis)
@@ -762,14 +741,15 @@ def _fresh_points(rep: SplittableRep, words):
     return _PackedPoints(words, rows, len(kernel.identity.phi), rep._shifts)
 
 
-def _fresh_sample_check(rep: SplittableRep, count: int = 40):
+def _fresh_sample_check(rep: SplittableRep):
     """Re-verify every extracted expansion identity on fresh elements,
-    disjoint (as words) from the build sample."""
+    disjoint (as words) from the build sample: the distinct words among 40
+    random ones of each of the two lengths past it."""
     rng = random.Random(271828)
     words = sorted({
         _random_reduced_word(rng, rep.letters, length)
         for length in (rep.sample_len + 1, rep.sample_len + 2)
-        for _ in range(count if rep.letters else 0)
+        for _ in range(40 if rep.letters else 0)
     })
     kernel = rep._kernel
     mismatch = _fresh_points(rep, words)

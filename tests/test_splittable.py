@@ -608,6 +608,56 @@ class TestPackedSpan:
         assert widths[-1] >= _digit_width(largest)
 
 
+class TestSeededSpan:
+    """A _Span seeded with relations decides vectors modulo them; the
+    relations carry no basis index."""
+
+    RELATIONS = [[2, 1, 0, 1, 0], [1, 0, 1, 0, 3], [3, 1, 1, 1, 3]]  # r2 = r0 + r1
+    VECTORS = [
+        [1, 0, 0, 0, 0],  # nonzero at relation row 0's pivot
+        [0, 1, 0, 0, 0],
+        [Fraction(1, 2), 3, 0, 3, 0],  # 3 r0 - 11/2 b0
+        [0, 0, 0, 0, 1],
+        [0, 0, 1, 0, 0],  # r1 - b0 - 3 b2
+        [7, -1, 2, 5, 6],
+    ]
+
+    def test_relations_reduce_and_leave_no_index(self):
+        span = _Span(self.RELATIONS)
+        gauss_jordan_form(span)
+        assert len(span.rows) == 2 and span._indices == []
+        relations = self.RELATIONS[:2]
+        assert self.VECTORS[0][span.pivots[0]]
+        basis, in_span = [], []
+        for vec in self.VECTORS:
+            residual, combo, scale = span.reduce(vec)
+            assert scale > 0 and set(combo) <= set(range(len(basis)))
+            assert not any(residual[p] for p in span.pivots)
+            rest = [scale * f - sum(c * basis[k][i] for k, c in combo.items()) - residual[i]
+                    for i, f in enumerate(vec)]
+            assert reference_expansion(relations, rest) is not None
+            reference = reference_expansion(basis + relations, vec)
+            if reference is None:
+                assert any(residual)
+                span.add(residual, combo, scale, len(basis))
+                basis.append(vec)
+                gauss_jordan_form(span)
+            else:
+                assert not any(residual)
+                in_span.append(len(basis))
+                assert [Fraction(combo.get(k, 0), scale)
+                        for k in range(len(basis))] == reference[:len(basis)]
+        assert span._indices == list(range(len(basis))) == [0, 1, 2]
+        assert len(span.rows) == 2 + len(basis) and in_span == [2, 3, 3]
+
+    @pytest.mark.parametrize("name", ["inner-22", "trivial-22"])
+    def test_build_reads_basis_indices_only(self, name):
+        rep = BUILDS[name]()
+        d = rep.dimension
+        rows = [*rep.expansions.values(), *chain(*rep.action_rows.values())]
+        assert rows and all(set(row) <= set(range(d)) for row in rows)
+
+
 class TestIntegerMap:
     """ring-format packs go through maps compiled by packed._integer_map;
     they must give the generic comprehension's values."""
@@ -704,7 +754,7 @@ class TestWitness:
         assert Fraction(match.group(6)) != direct
 
 
-# --- Row-basis build and integer verification ------------------------------
+# --- Null-basis build and integer verification ------------------------------
 
 
 def sl2_pair(a, b):
@@ -748,28 +798,57 @@ def rep_data(rep):
             rep.action_rows)
 
 
-def greedy_row_basis(rows):
-    """Reference: the indices of the rows outside the span of the rows
-    picked before them, by Fraction Gauss-Jordan elimination."""
+def fraction_rank(rows):
+    """Reference: the rank of the rows, by Fraction Gauss-Jordan
+    elimination."""
     picked = []
-    for idx, row in enumerate(rows):
-        if reference_expansion([rows[i] for i in picked], row) is None:
-            picked.append(idx)
-    return picked
+    for row in rows:
+        if reference_expansion(picked, row) is None:
+            picked.append(row)
+    return len(picked)
+
+
+class WholeSampleSpan(_Span):
+    """Reference for the build's seeded span: handed the kernel rows of the
+    whole sample in place of their null basis, it decides spans on the
+    value vectors K_S c of the coefficient vectors c, one value per sample
+    point, with no relations."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.points = list(rows)
+
+    def reduce(self, vec):
+        terms = [(j, x) for j, x in enumerate(vec) if x]
+        return super().reduce([sum(row[j] * x for j, x in terms) for row in self.points])
+
+
+def whole_sample(monkeypatch):
+    """Make build_rep decide its spans on value vectors over the whole
+    sample (WholeSampleSpan)."""
+    monkeypatch.setattr(splittable, "_null_basis", lambda rows, width: rows)
+    monkeypatch.setattr(splittable, "_Span", WholeSampleSpan)
 
 
 class TestRowBasis:
+    """The sample's kernel rows reach the build only through the null space
+    of their row space (_null_basis), which seeds its span."""
+
     @pytest.mark.parametrize("kind", sorted(_ENTRIES))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_fraction_reference(self, kind, data):
         rows = data.draw(vector_sequences(kind))
-        assert splittable._row_basis(rows) == greedy_row_basis(rows)
+        width = len(rows[0])
+        null = splittable._null_basis(rows, width)
+        assert all(len(v) == width and all(isinstance(x, int) for x in v) for v in null)
+        assert all(sum(map(mul, row, v)) == 0 for row in rows for v in null)
+        assert fraction_rank(null) == len(null) == width - fraction_rank(rows)
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
     def test_same_rep_as_the_full_sample(self, monkeypatch, name):
         rep = BUILDS[name]()
-        monkeypatch.setattr(splittable, "_row_basis", lambda rows: range(len(rows)))
+        whole_sample(monkeypatch)
         full = BUILDS[name]()
         assert rep_data(rep) == rep_data(full)
         assert rep.to_json() == full.to_json()
@@ -777,40 +856,40 @@ class TestRowBasis:
     def test_same_failure_as_the_full_sample(self, monkeypatch):
         # sample_len = 2 is too short for the degree-3 group: the fresh
         # sample rejects the closure, with the same witness either way.
-        with pytest.raises(VerificationError) as pruned:
+        with pytest.raises(VerificationError) as seeded:
             int_g_rep(G_DEGREE3, sample_len=2)
-        monkeypatch.setattr(splittable, "_row_basis", lambda rows: range(len(rows)))
+        whole_sample(monkeypatch)
         with pytest.raises(VerificationError) as full:
             int_g_rep(G_DEGREE3, sample_len=2)
-        assert str(pruned.value) == str(full.value)
-        assert str(pruned.value).startswith(
+        assert str(seeded.value) == str(full.value)
+        assert str(seeded.value) == (
             "fresh-sample check failed for coordinate Phi(1,8) at fresh word "
             "phi0^-1 phi1 phi0 phi2^-1: direct value -48, combination 0")
 
-    @pytest.mark.parametrize("name, points, fresh, rank", [
-        ("inner-22", 457, 80, 26), ("trivial-22", 161, 78, 4),
+    @pytest.mark.parametrize("name, points, fresh, nullity", [
+        ("inner-22", 457, 80, 6), ("trivial-22", 161, 78, 12),
     ])
-    def test_samples_pruned_to_row_bases(
-            self, monkeypatch, name, points, fresh, rank):
-        # (points, points kept) of the build sample, the one _Sample; the
-        # fresh-sample check packs every fresh point.
+    def test_sample_null_spaces(self, monkeypatch, name, points, fresh, nullity):
+        # (points, null dimension) of the build sample, the one null basis;
+        # the fresh-sample check packs every fresh point.
         sizes, packed = [], []
-        row_basis = splittable._row_basis
+        null_basis = splittable._null_basis
 
-        def recording_row_basis(rows):
-            kept = row_basis(rows)
-            sizes.append((len(rows), len(kept)))
-            return kept
+        def recording_null_basis(rows, width):
+            rows = list(rows)
+            null = null_basis(rows, width)
+            sizes.append((len(rows), len(null)))
+            return null
 
         class RecordingPoints(splittable._PackedPoints):
             def __init__(self, words, rows, m, shifts):
                 packed.append((len(words), len(rows)))
                 super().__init__(words, rows, m, shifts)
 
-        monkeypatch.setattr(splittable, "_row_basis", recording_row_basis)
+        monkeypatch.setattr(splittable, "_null_basis", recording_null_basis)
         monkeypatch.setattr(splittable, "_PackedPoints", RecordingPoints)
         BUILDS[name]()
-        assert sizes == [(points, rank)]
+        assert sizes == [(points, nullity)]
         assert packed == [(fresh, fresh)]
 
 
