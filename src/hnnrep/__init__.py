@@ -57,9 +57,7 @@ from .words import (
     holomorph_conjugation_check,
     inner_endomorphism,
     normal_form,
-    parse_base_word,
     parse_word,
-    psi_inverse_power_x0,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,8 @@
 """Integer linear algebra for the splittable engine's packed checks.
 
-_integer_map compiles a fixed sparse integer matrix into straight-line code,
-as dataclasses generates its methods, so that applying it to a list of ints
-(packs among them) costs one multiply-add per term.  _Span is the build's
+_integer_map compiles a fixed sparse integer matrix once into the source of
+one list expression, so that applying it to a list of ints (packs among
+them) costs one multiply-add per term.  _Span is the build's
 fraction-free Gauss-Jordan span of coefficient vectors modulo relations,
 its rows kept as packs in ring.py's balanced-digit format.
 """

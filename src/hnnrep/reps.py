@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import chain, count, permutations
 
+from ._record import Record
 from .errors import VerificationError
 from .matrix import (
     BlockMonomial,
@@ -514,17 +514,24 @@ def defining_relations(spec: HnnSpec):
     return out
 
 
-@dataclass(frozen=True)
-class RelationResult:
-    lhs: str
-    rhs: str
-    ok: bool
-    mismatch: tuple = None  # (row, col, left entry, right entry)
+class RelationResult(Record, frozen=True):
+    """One relation's verdict, its sides as text; mismatch is (row, col,
+    left entry, right entry) of the first differing entry, or None."""
+
+    _fields = ("lhs", "rhs", "ok", "mismatch")
+
+    def __init__(self, lhs: str, rhs: str, ok: bool, mismatch: tuple = None):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "mismatch", mismatch)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    results: tuple
+class RelationReport(Record, frozen=True):
+    _fields = ("results",)
+
+    def __init__(self, results: tuple):
+        object.__setattr__(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -795,13 +802,18 @@ def b3_explicit(sigma: Representation = None, s=None):
 MAX_COUNTEREXAMPLES = 20_000
 
 
-@dataclass
-class ProbeReport:
-    max_len: int
-    words_checked: int = 0
-    identity_count: int = 0
-    counterexamples: list = field(default_factory=list)
-    counterexample_count: int = 0
+class ProbeReport(Record):
+    _fields = ("max_len", "words_checked", "identity_count", "counterexamples",
+               "counterexample_count")
+
+    def __init__(self, max_len: int, words_checked: int = 0,
+                 identity_count: int = 0, counterexamples: list = None,
+                 counterexample_count: int = 0):
+        self.max_len = max_len
+        self.words_checked = words_checked
+        self.identity_count = identity_count
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.counterexample_count = counterexample_count
 
     @property
     def ok(self) -> bool:

@@ -13,9 +13,9 @@ InnerTau keeps in its memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import OracleError
 from .matrix import RingMatrix, _block_mul
 from .ring import QQ
@@ -52,24 +52,24 @@ def coord_name(coord) -> str:
     return f"{'Phi' if kind == 'phi' else 'G'}({i + 1},{j + 1})"
 
 
-@dataclass(frozen=True)
-class MatrixGroupGens:
+class MatrixGroupGens(Record, frozen=True):
     """Generators of a matrix group, each paired with its inverse.
 
     A pair (A, B) is checked one-sided, A B = I.  That suffices: A and B
     are square over Q, so A B = I gives det A det B = 1, A is invertible,
     and B = A^-1, so B A = I as well."""
 
-    degree: int
-    pairs: tuple
+    _fields = ("degree", "pairs")
 
-    def __post_init__(self):
-        ident = RingMatrix.identity(QQ, self.degree)
-        for mat, inv in self.pairs:
-            if mat.degree != self.degree or inv.degree != self.degree:
+    def __init__(self, degree: int, pairs: tuple):
+        ident = RingMatrix.identity(QQ, degree)
+        for mat, inv in pairs:
+            if mat.degree != degree or inv.degree != degree:
                 raise ValueError("generator degree mismatch")
             if mat * inv != ident:
                 raise ValueError("generator pair does not multiply to identity")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def trivial(cls) -> "MatrixGroupGens":
@@ -132,8 +132,7 @@ def _rows_from_json(rows) -> RingMatrix:
     return RingMatrix(QQ, entries)
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(Record, frozen=True):
     """Element (phi, g) of the semidirect product, with the generator word
     it was built from.
 
@@ -142,9 +141,12 @@ class SemidirectElement:
     g component is twisted by tau, so its matrix is authoritative.
     """
 
-    word: tuple
-    phi_mat: RingMatrix
-    g_mat: RingMatrix
+    _fields = ("word", "phi_mat", "g_mat")
+
+    def __init__(self, word: tuple, phi_mat: RingMatrix, g_mat: RingMatrix):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "phi_mat", phi_mat)
+        object.__setattr__(self, "g_mat", g_mat)
 
     @property
     def phi_word(self):

@@ -74,13 +74,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 
+from ._record import Record
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix, _block_mul, _matrix_json
 from .packed import _integer_map, _integer_vector, _Span
@@ -254,12 +254,14 @@ def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
     return kernel
 
 
-@dataclass(frozen=True)
-class ShiftedCoordinate:
+class ShiftedCoordinate(Record, frozen=True):
     """The function y -> coordinate(shift * y)."""
 
-    coord: tuple
-    shift: SemidirectElement
+    _fields = ("coord", "shift")
+
+    def __init__(self, coord: tuple, shift: SemidirectElement):
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "shift", shift)
 
 
 def _kernel_row(kernel: _Kernel, y: _Element):
@@ -477,8 +479,11 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     """Close the coordinate functions under shifts by the generators and
     extract the action matrices.
 
-    Raises DimensionBoundError if the closure exceeds m^2 + n^4 (an
-    inconsistent oracle) and VerificationError if an extracted expansion
+    The dimension stays within m^2 + n^4 by construction: the seeded span
+    has at most m^2 + n^4 rows, one per null vector of the sample and one
+    per basis function, so the basis has at most m^2 + n^4 less the null
+    dimension functions.  The DimensionBoundError check states that bound
+    and cannot fire.  Raises VerificationError if an extracted expansion
     fails on the disjoint fresh sample (insufficient sample_len).  A
     negative sample_len, whose fresh sample is the identity alone, raises
     ValueError.
@@ -795,17 +800,25 @@ def int_g_rep(g_gens: MatrixGroupGens, sample_len: int = 4) -> SplittableRep:
     return build_rep(phi_gens, g_gens, tau, sample_len)
 
 
-@dataclass
-class SplittableReport:
-    max_len: int
-    words_checked: int = 0
-    identity_actions: int = 0
-    pairs_checked: int = 0
-    injectivity_failures: int = 0
-    recovery_failures: int = 0
-    homomorphism_failures: int = 0
-    # The first failure found, naming its word and the differing values.
-    witness: str | None = None
+class SplittableReport(Record):
+    _fields = (
+        "max_len", "words_checked", "identity_actions", "pairs_checked",
+        "injectivity_failures", "recovery_failures", "homomorphism_failures",
+        "witness")
+
+    def __init__(self, max_len: int, words_checked: int = 0,
+                 identity_actions: int = 0, pairs_checked: int = 0,
+                 injectivity_failures: int = 0, recovery_failures: int = 0,
+                 homomorphism_failures: int = 0, witness: str | None = None):
+        self.max_len = max_len
+        self.words_checked = words_checked
+        self.identity_actions = identity_actions
+        self.pairs_checked = pairs_checked
+        self.injectivity_failures = injectivity_failures
+        self.recovery_failures = recovery_failures
+        self.homomorphism_failures = homomorphism_failures
+        # The first failure found, naming its word and the differing values.
+        self.witness = witness
 
     @property
     def ok(self) -> bool:

@@ -15,10 +15,10 @@ stored as written and only reduced through the normal form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
 
+from ._record import Record
 from .errors import VerificationError
 
 # Symbol ids: base generators are 0..rank-1, the stable letter is T_GEN.
@@ -59,16 +59,16 @@ def _check_syms(syms, allow_t):
             raise ValueError(f"bad generator id {gen!r}")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record, frozen=True):
     """Freely reduced word over the base generators only."""
 
-    syms: tuple = ()
+    _fields = ("syms",)
 
-    def __post_init__(self):
-        _check_syms(self.syms, allow_t=False)
-        if self.syms != _reduce(self.syms):
+    def __init__(self, syms: tuple = ()):
+        _check_syms(syms, allow_t=False)
+        if syms != _reduce(syms):
             raise ValueError("word is not freely reduced; use Word.make")
+        object.__setattr__(self, "syms", syms)
 
     @staticmethod
     def _reduced(syms: tuple) -> "Word":
@@ -128,14 +128,14 @@ class Word:
         return syms_str(self.syms)
 
 
-@dataclass(frozen=True)
-class MixedWord:
+class MixedWord(Record, frozen=True):
     """Word over the base generators and the stable letter, stored unreduced."""
 
-    syms: tuple = ()
+    _fields = ("syms",)
 
-    def __post_init__(self):
-        _check_syms(self.syms, allow_t=True)
+    def __init__(self, syms: tuple = ()):
+        _check_syms(syms, allow_t=True)
+        object.__setattr__(self, "syms", syms)
 
     @staticmethod
     def gen(i: int, sign: int = 1) -> "MixedWord":
@@ -201,13 +201,6 @@ def parse_word(text: str) -> MixedWord:
             raise ValueError(f"word expands to more than {MAX_WORD_LETTERS} letters")
         syms.extend([(gen, sign)] * abs(exp))
     return MixedWord(tuple(syms))
-
-
-def parse_base_word(text: str) -> Word:
-    w = parse_word(text)
-    if any(g == T_GEN for g, _ in w.syms):
-        raise ValueError("base word cannot contain the stable letter t")
-    return Word.make(w.syms)
 
 
 def reduced_walk(pairs, max_len, root, step):
@@ -288,21 +281,21 @@ def _images_after(outer, inner) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(Record, frozen=True):
     """Free-group endomorphism given by generator images.
 
     If inverse_images is present the map is an automorphism; the pair of
     tables is validated by substituting one into the other on every
-    generator.
+    generator.  The per-symbol table is derived from the images, so it
+    takes no part in equality, hash or repr.
     """
 
-    rank: int
-    images: tuple
-    inverse_images: tuple = None
-    table: dict = field(init=False, repr=False, compare=False)
+    _fields = ("rank", "images", "inverse_images")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, images: tuple, inverse_images: tuple = None):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "inverse_images", inverse_images)
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if len(self.images) != self.rank:
@@ -413,8 +406,7 @@ def _shift_automorphism(rank: int, head: Word) -> Endomorphism:
     return Endomorphism(rank, images, inverse)
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(Record, frozen=True):
     """A ring-free image in the wreath product (F x <z>) wr S_k.
 
     Block row i holds z^e * sigma(w) in block column perm[i], for the pair
@@ -425,8 +417,11 @@ class Skeleton:
     concatenate and the exponents add.
     """
 
-    perm: tuple
-    cells: tuple
+    _fields = ("perm", "cells")
+
+    def __init__(self, perm: tuple, cells: tuple):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "cells", cells)
 
     @staticmethod
     def identity(k: int) -> "Skeleton":
@@ -448,20 +443,20 @@ class Skeleton:
             (-self.cells[i][0], self.cells[i][1].inverse()) for i in rows))
 
 
-@dataclass(frozen=True)
-class HnnSpec:
+class HnnSpec(Record, frozen=True):
     """Data (rank, phi, n, w0) of an HNN extension with phi^n inner.
 
     phi^n(x) = w0 x w0^-1 is checked on every generator.  Minimality of n is
     trusted, not decided; the built-in Artin specs satisfy it.
     """
 
-    rank: int
-    phi: Endomorphism
-    n: int
-    w0: Word
+    _fields = ("rank", "phi", "n", "w0")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, phi: Endomorphism, n: int, w0: Word):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w0", w0)
         if self.n < 1:
             raise ValueError("inner power must be positive")
         if self.phi.rank != self.rank:
@@ -530,10 +525,14 @@ class HnnSpec:
         return gens
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    l: int
-    f: Word
+class NormalForm(Record, frozen=True):
+    """The normal form t^l * f of a mixed word (see normal_form)."""
+
+    _fields = ("l", "f")
+
+    def __init__(self, l: int, f: Word):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "f", f)
 
     @property
     def trivial(self) -> bool:
@@ -624,18 +623,6 @@ def artin_odd_spec(n: int) -> HnnSpec:
     return HnnSpec(rank=rank, phi=psi, n=2 * (2 * n + 1), w0=sigma)
 
 
-def psi_inverse_power_x0(n: int, i: int) -> Word:
-    """Closed form of psi^-i(x0) for the odd spec: x_i while the shift lasts
-    (i <= 2n-1), then Sigma^-1 psi^{4n+2-i}(x0) Sigma."""
-    if not 1 <= i <= 4 * n + 1:
-        raise ValueError(f"i must lie in [1, {4 * n + 1}]")
-    if i <= 2 * n - 1:
-        return Word.gen(i)
-    spec = artin_odd_spec(n)
-    w = spec.phi.power(4 * n + 2 - i).apply(Word.gen(0))
-    return spec.w0.inverse() * w * spec.w0
-
-
 def artin_spec(m: int) -> HnnSpec:
     """The HNN spec of the Artin group A(m), m >= 3: the even spec of rank
     m/2 for even m, the odd spec of rank m - 1 for odd m."""
@@ -675,10 +662,15 @@ def artin_canonical(m: int):
     return letters["x"], letters["y"], (lhs, rhs)
 
 
-@dataclass(frozen=True)
-class HolomorphCheck:
-    ok: bool
-    convention: str = None
+class HolomorphCheck(Record, frozen=True):
+    """Result of holomorph_conjugation_check: whether it verified, and by
+    which convention."""
+
+    _fields = ("ok", "convention")
+
+    def __init__(self, ok: bool, convention: str = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "convention", convention)
 
     def __bool__(self):
         return self.ok

@@ -216,6 +216,20 @@ def test_parser_built_on_first_use_then_shared():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every CLI call pays this import: the package's value records are
+    # plain classes, so start-up loads neither module.  -S keeps site's
+    # .pth hooks out of the count.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import hnnrep.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(hnnrep.__file__).resolve().parents[1])
+    shown = subprocess.run(
+        [sys.executable, "-S", "-c", probe, src], capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert shown.stdout.strip() == "[]"
+
+
 GENS_RANK2 = {
     "degree": 2,
     "generators": [

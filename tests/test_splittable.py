@@ -892,6 +892,24 @@ class TestRowBasis:
         assert sizes == [(points, nullity)]
         assert packed == [(fresh, fresh)]
 
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_dimension_bound_holds_by_construction(self, monkeypatch, name):
+        # The seeded span holds one row per null vector and one per basis
+        # function, all independent in m^2 + n^4 coordinates, so build_rep's
+        # DimensionBoundError check cannot fire.
+        nullities = []
+        null_basis = splittable._null_basis
+
+        def recording_null_basis(rows, width):
+            null = null_basis(rows, width)
+            nullities.append(len(null))
+            return null
+
+        monkeypatch.setattr(splittable, "_null_basis", recording_null_basis)
+        rep = BUILDS[name]()
+        (nullity,) = nullities
+        assert len(rep.basis) + nullity <= rep.m_degree**2 + rep.n_degree**4
+
 
 def _dense(rows, d):
     return RingMatrix(QQ, tuple(

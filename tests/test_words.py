@@ -24,14 +24,31 @@ from hnnrep.words import (
     holomorph_conjugation_check,
     inner_endomorphism,
     normal_form,
-    parse_base_word,
     parse_word,
-    psi_inverse_power_x0,
     reduced_walk,
 )
 
 x0 = Word.gen(0)
 x1 = Word.gen(1)
+
+
+def parse_base_word(text: str) -> Word:
+    w = parse_word(text)
+    if any(g == T_GEN for g, _ in w.syms):
+        raise ValueError("base word cannot contain the stable letter t")
+    return Word.make(w.syms)
+
+
+def psi_inverse_power_x0(n: int, i: int) -> Word:
+    """Closed form of psi^-i(x0) for the odd spec: x_i while the shift lasts
+    (i <= 2n-1), then Sigma^-1 psi^{4n+2-i}(x0) Sigma."""
+    if not 1 <= i <= 4 * n + 1:
+        raise ValueError(f"i must lie in [1, {4 * n + 1}]")
+    if i <= 2 * n - 1:
+        return Word.gen(i)
+    spec = artin_odd_spec(n)
+    w = spec.phi.power(4 * n + 2 - i).apply(Word.gen(0))
+    return spec.w0.inverse() * w * spec.w0
 
 
 def W(text):
