@@ -326,7 +326,8 @@ class BlockMonomial:
     def write_json(self, indent, out, memo):
         """Append the text of to_json() at nesting prefix indent to out,
         rendered from the blocks.  A dense row is its block row's text
-        between runs of zeros built by string repetition.  memo is one
+        between runs of zeros built by string repetition, and each entry's
+        text comes from its ring in one step (scalar_json_text).  memo is one
         document's cache: the encoded zero, the zero runs, and each block's
         row texts by id(block), so a block that several images share is
         encoded once (the blocks outlive the document)."""
@@ -336,10 +337,11 @@ class BlockMonomial:
         row = inner + "  "
         entry = row + "  "
         sep = ",\n" + entry
+        encode = ring.scalar_json_text
         key = (id(ring), entry)
         zero = memo.get(key)
         if zero is None:
-            zero = memo[key] = _json_text(ring.scalar_to_json(ring.zero), entry)
+            zero = memo[key] = encode(ring.zero, entry)
         out.append(f'{{\n{inner}"degree": {m * k},\n{inner}"ring": ')
         _write_json(ring.descriptor(), inner, out, memo)
         lead = f',\n{inner}"rows": [\n{row}[\n{entry}'
@@ -348,8 +350,7 @@ class BlockMonomial:
             texts = memo.get((id(blk), key))
             if texts is None:
                 texts = memo[id(blk), key] = [
-                    sep.join(_json_text(ring.scalar_to_json(x), entry) if x else zero
-                             for x in r)
+                    sep.join(encode(x, entry) if x else zero for x in r)
                     for r in blk
                 ]
             left = _zero_run(memo, zero + sep, j * m)
@@ -451,8 +452,9 @@ class BlockMonomial:
         B = u^-1 adj A, then A B = u^-1 (A adj A) = u^-1 det A I = I.  The
         certificate costs 2 products of block entries instead of 8; the
         products with u^-1 are cheap, as units are monomials (+-s^c, +-p^e,
-        +-1).  Blocks of any other degree, such as the one block of a dense
-        matrix read from JSON, are multiplied out.
+        +-1), and for u = +-1 there are none (_adjugate_inverse).  Blocks
+        of any other degree, such as the one block of a dense matrix read
+        from JSON, are multiplied out.
         """
         m = self.block_degree
         if len(other.perm) != len(self.perm) or other.block_degree != m:
@@ -478,6 +480,13 @@ def _adjugate_inverse(ring, blk):
     det = a * d - b * c
     if not ring.is_unit(det):
         return None
+    # Every sigma block and every integer block has det 1 or -1, where
+    # u^-1 adj A is adj A or -adj A with no products.
+    one = ring.one
+    if det == one:
+        return ((d, -b), (-c, a))
+    if det == -one:
+        return ((-d, b), (c, -a))
     u = ring.unit_inverse(det)
     return ((u * d, -(u * b)), (-(u * c), u * a))
 

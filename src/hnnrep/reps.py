@@ -357,16 +357,17 @@ def sigma_free(rank, ring, lam, mu, basis="conjugated") -> Representation:
     x0_inv = _mat2(ring, one, zero, -lam, one)
     v = _mat2(ring, one, mu, zero, one)
     v_inv = _mat2(ring, one, -mu, zero, one)
-    gens = []
+    gens = [("x0", x0, x0_inv)]
     if basis == "conjugated":
-        for i in range(rank):
-            vp = v**i
-            vn = v_inv**i
-            gens.append((f"x{i}", vn * x0 * vp, vn * x0_inv * vp))
+        # x_i = v^-1 x_(i-1) v: each generator conjugates the one before.
+        img, inv = x0, x0_inv
+        for i in range(1, rank):
+            img, inv = v_inv * img * v, v_inv * inv * v
+            gens.append((f"x{i}", img, inv))
     elif basis == "rank2-mixed":
         if rank != 2:
             raise ValueError("rank2-mixed basis is specific to rank 2")
-        gens = [("x0", x0, x0_inv), ("x1", v, v_inv)]
+        gens.append(("x1", v, v_inv))
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return Representation(

@@ -9,7 +9,8 @@ engine.
 
 Each ring has a small descriptor object carrying zero/one, integer
 embedding, a unit test with the unit inverse, and a bit-exact JSON encoding
-of its scalars.
+of its scalars, both as a document (scalar_to_json) and as the text of that
+document at a given indent (scalar_json_text).
 
 Every LaurentPoly the builders make is homogeneous: its terms
 lam^a mu^b s^c share one class (b - a, c).  sigma(lam e^-1, mu e) is sigma
@@ -130,14 +131,6 @@ class LaurentPoly:
         ((_a, _b, c),) = self.terms.keys()
         (coeff,) = self.terms.values()
         return LaurentPoly({(0, 0, -c): coeff})
-
-    def specialize(self, lam0: int, mu0: int, prime: int) -> "QpScalar":
-        """Evaluate at lam = lam0, mu = mu0, s = prime, landing in Q_p."""
-        shift = max((0,) + tuple(-c for (_, _, c) in self.terms))
-        num = 0
-        for (a, b, c), coeff in self.terms.items():
-            num += coeff * lam0**a * mu0**b * prime ** (c + shift)
-        return QpScalar(num, shift, prime)
 
     @classmethod
     def from_graded_int(cls, v: int, width: int, d: int) -> "LaurentPoly":
@@ -444,6 +437,18 @@ class LaurentRing:
     def scalar_to_json(self, x):
         return x.to_json()
 
+    def scalar_json_text(self, x, indent):
+        """The text of scalar_to_json(x) at nesting prefix indent, as
+        matrix._json_text writes it, made directly: one f-string per term,
+        in sorted order."""
+        if not x.terms:
+            return "[]"
+        a = indent + "  "
+        b = a + "  "
+        return f"[\n{a}" + f",\n{a}".join(
+            f'[\n{b}{p},\n{b}{q},\n{b}{c},\n{b}"{k}"\n{a}]'
+            for (p, q, c), k in sorted(x.terms.items())) + f"\n{indent}]"
+
     def scalar_from_json(self, doc):
         return LaurentPoly.from_json(doc)
 
@@ -492,6 +497,10 @@ class QpRing:
     def scalar_to_json(self, x):
         return x.to_json()
 
+    def scalar_json_text(self, x, indent):
+        a = indent + "  "
+        return f'[\n{a}"{x.num}",\n{a}{x.k}\n{indent}]'
+
     def scalar_from_json(self, doc):
         if not isinstance(doc, list) or len(doc) != 2:
             raise ValueError("Q_p scalar must be [numerator, k]")
@@ -531,6 +540,9 @@ class IntRing:
     def scalar_to_json(self, x):
         return str(x)
 
+    def scalar_json_text(self, x, indent):
+        return f'"{x}"'
+
     def scalar_from_json(self, doc):
         return _json_int(doc, "integer entry")
 
@@ -563,6 +575,9 @@ class FractionRing:
 
     def scalar_to_json(self, x):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    def scalar_json_text(self, x, indent):
+        return f'"{self.scalar_to_json(x)}"'
 
     def scalar_from_json(self, doc):
         if not isinstance(doc, str):

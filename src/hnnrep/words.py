@@ -281,6 +281,16 @@ def _images_after(outer, inner) -> tuple:
     return tuple(out)
 
 
+def _images_power(images, k) -> tuple:
+    """Images of the k-th power, k >= 1, of the map with these generator
+    images: phi^(j+1)(x) is the product over the letters of phi(x) of their
+    phi^j images."""
+    out = images
+    for _ in range(k - 1):
+        out = _images_after(out, images)
+    return out
+
+
 class Endomorphism(Record, frozen=True):
     """Free-group endomorphism given by generator images.
 
@@ -357,19 +367,15 @@ class Endomorphism(Record, frozen=True):
 
     def power(self, k: int) -> "Endomorphism":
         """self^k, built by word products and not checked again: the powers
-        of a checked map are right by construction.  phi^(j+1)(x) is the
-        product over the letters of phi(x) of their phi^j images, and
-        likewise for the inverse images."""
+        of a checked map are right by construction (_images_power)."""
         if k == 0:
             return Endomorphism.identity(self.rank)
         if k < 0:
             return self.inverse().power(-k)
-        images, inverse = self.images, self.inverse_images
-        for _ in range(k - 1):
-            images = _images_after(images, self.images)
-            if inverse is not None:
-                inverse = _images_after(inverse, self.inverse_images)
-        return Endomorphism._trusted(self.rank, images, inverse)
+        inverse = self.inverse_images
+        return Endomorphism._trusted(
+            self.rank, _images_power(self.images, k),
+            None if inverse is None else _images_power(inverse, k))
 
     def same_map(self, other: "Endomorphism") -> bool:
         """Equality as maps: identical images on every generator."""
@@ -414,7 +420,7 @@ class Skeleton(Record, frozen=True):
     through a homomorphism sigma of the free group and an invertible z that
     commutes with its images, products of skeletons are products of the
     block-monomial matrices: the permutations compose, the words
-    concatenate and the exponents add.
+    concatenate and the exponents add (HnnSpec.skeleton_of).
     """
 
     _fields = ("perm", "cells")
@@ -422,19 +428,6 @@ class Skeleton(Record, frozen=True):
     def __init__(self, perm: tuple, cells: tuple):
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "cells", cells)
-
-    @staticmethod
-    def identity(k: int) -> "Skeleton":
-        return Skeleton(tuple(range(k)), ((0, Word()),) * k)
-
-    def __mul__(self, other: "Skeleton") -> "Skeleton":
-        # Block row i of self meets block row perm[i] of other, as in
-        # BlockMonomial.__mul__.
-        return Skeleton(
-            tuple(other.perm[j] for j in self.perm),
-            tuple((e + other.cells[j][0], w * other.cells[j][1])
-                  for (e, w), j in zip(self.cells, self.perm)),
-        )
 
     def inverse(self) -> "Skeleton":
         # Block row j of the inverse is block row i of self with perm[i] = j.
@@ -465,10 +458,11 @@ class HnnSpec(Record, frozen=True):
             raise ValueError("phi must be an automorphism")
         if self.w0.min_rank > self.rank:
             raise ValueError("w0 uses a generator outside the rank")
-        phi_n = self.phi.power(self.n)
+        # Only the images of phi^n are composed: the check needs no inverse
+        # images.
         w0_inv = self.w0.inverse()
-        for i in range(self.rank):
-            if phi_n.apply(Word.gen(i)) != self.w0 * Word.gen(i) * w0_inv:
+        for i, image in enumerate(_images_power(self.phi.images, self.n)):
+            if image != self.w0 * Word.gen(i) * w0_inv:
                 raise ValueError(
                     f"phi^{self.n} is not conjugation by w0 on x{i}"
                 )
@@ -511,11 +505,29 @@ class HnnSpec(Record, frozen=True):
                 for g, sk in gens.items() for s in (1, -1)}
 
     def skeleton_of(self, syms) -> Skeleton:
-        """The skeleton of a mixed word, given by its symbols."""
-        out = Skeleton.identity(self.n)
-        for sym in syms:
-            out = out * self.skeleton[sym]
-        return out
+        """The skeleton of a mixed word, given by its symbols: the product
+        of its letters' skeletons, walked one block row at a time.  Block
+        row i of a product meets block row perm[i] of the next factor, as
+        in BlockMonomial.__mul__, so row i adds up the exponents of the rows
+        it meets and pushes their words onto one reduction stack.  Those
+        words are reduced, so letters cancel only at the junction."""
+        factors = [self.skeleton[sym] for sym in syms]
+        perm, cells = [], []
+        for row in range(self.n):
+            j, e, out = row, 0, []
+            for sk in factors:
+                de, w = sk.cells[j]
+                e += de
+                w, k = w.syms, 0
+                while (k < len(w) and out and out[-1][0] == w[k][0]
+                       and out[-1][1] == -w[k][1]):
+                    out.pop()
+                    k += 1
+                out += w[k:]
+                j = sk.perm[j]
+            perm.append(j)
+            cells.append((e, Word._reduced(tuple(out))))
+        return Skeleton(tuple(perm), tuple(cells))
 
     @property
     def generators(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hnnrep.matrix import (
     BlockMonomial,
     RingMatrix,
+    _adjugate_inverse,
     block_companion,
     block_diag,
     block_grid,
@@ -26,6 +27,8 @@ from hnnrep.reps import (
 )
 from hnnrep.ring import INT, LAURENT, QQ, LaurentPoly, QpRing, QpScalar
 from hnnrep.words import artin_even_spec
+
+from helpers import specialize
 
 LAM = LAURENT.lam()
 MU = LAURENT.mu()
@@ -216,7 +219,7 @@ class TestSpecializationLift:
 
         def spec_matrix(m):
             return RingMatrix(qp, tuple(
-                tuple(x.specialize(2, 3, 5) for x in row) for row in m.rows
+                tuple(specialize(x, 2, 3, 5) for x in row) for row in m.rows
             ))
 
         for _ in range(30):
@@ -471,6 +474,48 @@ class TestBlockInverse:
     def test_blocks_not_2x2_raise(self, m, k):
         with pytest.raises(ValueError, match="2 x 2 blocks"):
             BlockMonomial.identity(INT, m, k).inverse()
+
+
+class TestAdjugateInverse:
+    """_adjugate_inverse gives adj A or -adj A when det A = +-1 and
+    u^-1 adj A for another unit u = det A, and None for a non-unit."""
+
+    @pytest.mark.parametrize("ring,dets", [
+        (INT, [1, -1]),
+        (QpRing(5), [QpScalar(1, 0, 5), QpScalar(-1, 0, 5), QpScalar(25, 0, 5),
+                     QpScalar(-1, 3, 5)]),
+        (LAURENT, [ONE, -ONE, LAURENT.s_power(2), LAURENT.s_power(-3, -1)]),
+    ])
+    def test_equals_the_unit_inverse_times_the_adjugate(self, ring, dets):
+        rng = random.Random(43)
+        ident = ((ring.one, ring.zero), (ring.zero, ring.one))
+        for det in dets:
+            for _ in range(25):
+                (_, q), (r, _) = random_int_matrix(rng, ring, 2).rows
+                if ring is LAURENT:
+                    q, r = q * LAM + MU, r * MU
+                blk = (RingMatrix(ring, ((det, q), (ring.zero, ring.one)))
+                       * RingMatrix(ring, ((ring.one, ring.zero), (r, ring.one)))).rows
+                (a, b), (c, d) = blk
+                assert a * d - b * c == det
+                u = ring.unit_inverse(det)
+                inv = _adjugate_inverse(ring, blk)
+                assert inv == ((u * d, -(u * b)), (-(u * c), u * a))
+                assert _block_product(blk, inv, ring) == ident
+
+    def test_non_unit_determinant_gives_none(self):
+        q5 = QpRing(5)
+        S = LAURENT.s_power(1)
+        for ring, blk in [
+            (INT, ((2, 0), (0, 1))),
+            (INT, ((1, 1), (1, 1))),
+            (q5, ((q5.from_int(3), q5.zero), (q5.zero, q5.one))),
+            (q5, ((q5.zero, q5.zero), (q5.zero, q5.zero))),
+            (LAURENT, ((LAM, ZERO), (ZERO, ONE))),
+            (LAURENT, ((S, ONE), (ONE, ONE))),
+            (LAURENT, ((LAURENT.from_int(2), ZERO), (ZERO, ONE))),
+        ]:
+            assert _adjugate_inverse(ring, blk) is None
 
 
 class TestFlattenedBlocks:

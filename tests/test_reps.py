@@ -55,6 +55,8 @@ from hnnrep.words import (
     reduced_walk,
 )
 
+from helpers import specialize
+
 LAM = LAURENT.lam()
 MU = LAURENT.mu()
 ONE = LAURENT.one
@@ -190,7 +192,7 @@ class TestHnnInducedRep:
 class TestSpecializationCommutes:
     def _specialized(self, qp, m):
         return RingMatrix(qp, tuple(
-            tuple(x.specialize(2, 2, 5) for x in row) for row in m.rows
+            tuple(specialize(x, 2, 2, 5) for x in row) for row in m.rows
         ))
 
     def test_artin_even_entrywise(self):

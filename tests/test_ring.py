@@ -10,6 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hnnrep import ring as ring_module
+from hnnrep.matrix import _json_text
 from hnnrep.ring import (
     INT,
     LAURENT,
@@ -20,6 +21,8 @@ from hnnrep.ring import (
     is_prime,
     ring_from_descriptor,
 )
+
+from helpers import specialize
 
 LAM = LAURENT.lam()
 MU = LAURENT.mu()
@@ -272,18 +275,18 @@ class TestBalancedDigits:
 class TestSpecialize:
     def test_value(self):
         p = ONE - LAM * MU + LAM * LAM * MU * MU
-        assert p.specialize(2, 2, 5) == QpScalar(13, 0, 5)
+        assert specialize(p, 2, 2, 5) == QpScalar(13, 0, 5)
 
     def test_s_inverse_lands_in_denominator(self):
-        assert LAURENT.s_power(-1).specialize(2, 2, 5) == QpScalar(1, 1, 5)
+        assert specialize(LAURENT.s_power(-1), 2, 2, 5) == QpScalar(1, 1, 5)
 
     def test_homomorphism_random(self):
         rng = random.Random(8)
         for _ in range(1000):
             u, v = random_poly(rng, 5), random_poly(rng, 5)
-            su, sv = u.specialize(2, 3, 5), v.specialize(2, 3, 5)
-            assert (u * v).specialize(2, 3, 5) == su * sv
-            assert (u + v).specialize(2, 3, 5) == su + sv
+            su, sv = specialize(u, 2, 3, 5), specialize(v, 2, 3, 5)
+            assert specialize(u * v, 2, 3, 5) == su * sv
+            assert specialize(u + v, 2, 3, 5) == su + sv
 
 
 class TestQpScalar:
@@ -390,4 +393,45 @@ class TestRingDescriptors:
         assert QQ.scalar_to_json(Fraction(5)) == "5"
 
     def test_module_specialize(self):
-        assert S.specialize(2, 2, 5) == QpScalar(5, 0, 5)
+        assert specialize(S, 2, 2, 5) == QpScalar(5, 0, 5)
+
+
+class TestScalarJsonText:
+    """Each ring's scalar_json_text is the text _json_text writes for its
+    scalar_to_json document, at any nesting prefix."""
+
+    INDENTS = ("", "  ", "        ", "          ")
+
+    def _check(self, ring, xs):
+        for x in xs:
+            for indent in self.INDENTS:
+                assert ring.scalar_json_text(x, indent) == _json_text(
+                    ring.scalar_to_json(x), indent), (x, indent)
+
+    def test_laurent(self):
+        rng = random.Random(31)
+        big = 2**300
+        polys = [LAURENT.zero, ONE, -S, LAURENT.s_power(-4, big),
+                 LaurentPoly({(2, 1, -3): -big})]
+        for n in (1, 40):
+            for _ in range(5):
+                monos = set()
+                while len(monos) < n:
+                    monos.add((rng.randrange(6), rng.randrange(6), rng.randrange(-5, 6)))
+                monos = list(monos)
+                rng.shuffle(monos)
+                polys.append(LaurentPoly({mono: rng.choice([1, -1, 7, -5, big, -big - 1])
+                                          for mono in monos}))
+        # Terms in an order other than the sorted one must be written sorted.
+        assert any(list(p.terms) != sorted(p.terms) for p in polys)
+        self._check(LAURENT, polys)
+
+    def test_qp(self):
+        self._check(QpRing(5), [QpScalar(0, 0, 5), QpScalar(25, 0, 5), QpScalar(-3, 0, 5),
+                                QpScalar(7, 3, 5), QpScalar(-(2**300), 1, 5)])
+
+    def test_int(self):
+        self._check(INT, [0, 1, -7, 2**300, -(2**300)])
+
+    def test_fraction(self):
+        self._check(QQ, [Fraction(0), Fraction(-5), Fraction(3, 4), Fraction(-(2**300), 7)])

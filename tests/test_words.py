@@ -15,6 +15,7 @@ from hnnrep.words import (
     T_GEN,
     Endomorphism,
     MixedWord,
+    Skeleton,
     Word,
     artin_canonical,
     artin_even_spec,
@@ -49,6 +50,22 @@ def psi_inverse_power_x0(n: int, i: int) -> Word:
     spec = artin_odd_spec(n)
     w = spec.phi.power(4 * n + 2 - i).apply(Word.gen(0))
     return spec.w0.inverse() * w * spec.w0
+
+
+def skeleton_identity(k: int) -> Skeleton:
+    return Skeleton(tuple(range(k)), ((0, Word()),) * k)
+
+
+def skeleton_mul(a: Skeleton, b: Skeleton) -> Skeleton:
+    """The product a * b of two skeletons, one factor at a time: the
+    reference that HnnSpec.skeleton_of's row walk is checked against."""
+    # Block row i of a meets block row perm[i] of b, as in
+    # BlockMonomial.__mul__.
+    return Skeleton(
+        tuple(b.perm[j] for j in a.perm),
+        tuple((e + b.cells[j][0], w * b.cells[j][1])
+              for (e, w), j in zip(a.cells, a.perm)),
+    )
 
 
 def W(text):
@@ -405,8 +422,36 @@ class TestSkeleton:
     def test_inverse(self):
         spec = artin_odd_spec(1)
         for sym, sk in spec.skeleton.items():
-            assert sk * spec.skeleton[sym[0], -sym[1]] == words.Skeleton.identity(spec.n)
+            assert skeleton_mul(sk, spec.skeleton[sym[0], -sym[1]]) == skeleton_identity(spec.n)
             assert sk.inverse() == spec.skeleton[sym[0], -sym[1]]
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    def test_row_walk_is_the_product_fold(self, m):
+        # skeleton_of walks each block row through the letters; the
+        # reference multiplies the letters' skeletons one at a time.
+        spec = words.artin_spec(m)
+        rng = random.Random(f"skeleton rows {m}")
+        letters = [(g, s) for g in [*range(spec.rank), T_GEN] for s in (1, -1)]
+        t, t_inv = (T_GEN, 1), (T_GEN, -1)
+        inverse = lambda seq: [(g, -s) for g, s in reversed(seq)]
+        seqs = [[]]
+        for _ in range(12):
+            seq = [rng.choice(letters) for _ in range(rng.randint(1, 14))]
+            # the sequence alone, followed by its inverse (which cancels
+            # completely), and cancelling partly around a middle letter
+            seqs += [seq, seq + inverse(seq), seq + [rng.choice(letters)] + inverse(seq)]
+            # runs of t^1 and t^-1 past the corner, with base letters among them
+            k = rng.randint(1, 2 * spec.n + 1)
+            seqs += [[t] * k, [t_inv] * k, [t] * k + seq + [t_inv] * rng.randint(0, k),
+                     seq + [t_inv] * k + seq]
+        identity = skeleton_identity(spec.n)
+        for seq in seqs:
+            want = reduce(skeleton_mul, [spec.skeleton[sym] for sym in seq], identity)
+            assert spec.skeleton_of(seq) == want, seq
+            assert spec.skeleton_of(iter(seq)) == want
+        assert spec.skeleton_of([]) == identity
+        assert spec.skeleton_of([t] * spec.n) == Skeleton(
+            tuple(range(spec.n)), ((1, spec.f),) * spec.n)
 
 
 class TestArtinCanonical:
