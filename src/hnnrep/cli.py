@@ -268,6 +268,8 @@ def cmd_splittable(args) -> int:
     print(f"injectivity failures: {report.injectivity_failures}, "
           f"recovery failures: {report.recovery_failures}, "
           f"homomorphism failures: {report.homomorphism_failures}", file=out)
+    if report.well_definedness_failures:
+        print(f"well-definedness failures: {report.well_definedness_failures}", file=out)
     if report.witness is not None:
         print(f"first failure: {report.witness}", file=out)
     _dump_json(rep.to_json(), args.out)
@@ -323,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--g", required=True, help="G generators JSON")
     p_split.add_argument("--phi", default=None, help="Phi generators JSON")
     p_split.add_argument("--tau", default="trivial", choices=["trivial", "inner"])
-    p_split.add_argument("--sample-len", type=int, default=4)
+    p_split.add_argument("--sample-len", type=int, default=4,
+                         help="fresh-sample gate at word lengths N + 1 and N + 2")
     p_split.add_argument("--max-len", type=int, default=3)
     p_split.add_argument("--out", required=True)
     p_split.set_defaults(func=cmd_splittable)

@@ -263,15 +263,20 @@ def _pack_digits(digits, width):
     return v
 
 
-def _balanced_digits(v, width, n):
+def _digit_offset(width, n):
+    """Half the digit range at each of n digits of the given width."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
+
+
+def _balanced_digits(v, width, n, offset=None):
     """The digits k_0, .., k_(n-1) of v = sum k_i 2^(8 width i), lowest
-    first, each in [-2^(8 width - 1), 2^(8 width - 1)).  Adding half the
-    digit range to every digit makes all digits non-negative, so they are
-    read back with one to_bytes; OverflowError if v needs more than n
-    digits, so reading one digit of a pack takes its full digit count."""
+    first, each in [-2^(8 width - 1), 2^(8 width - 1)).  Adding the offset
+    _digit_offset(width, n), which a caller reading many packs of one shape
+    passes in, makes all digits non-negative, so they are read back with
+    one to_bytes; OverflowError if v needs more than n digits, so reading
+    one digit of a pack takes its full digit count."""
     half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    buf = (v + offset).to_bytes(n * width, "little")
+    buf = (v + (offset or _digit_offset(width, n))).to_bytes(n * width, "little")
     return [int.from_bytes(buf[i:i + width], "little") - half
             for i in range(0, n * width, width)]
 

@@ -157,14 +157,21 @@ class SemidirectElement(Record, frozen=True):
 
 
 class TauOracle:
-    """Maps Phi-words to (g_phi, g_phi^-1) realizing the action on G."""
+    """Maps Phi-words to (g_phi, g_phi^-1) realizing the action on G.  A
+    letterwise one is a product over letters by construction, and
+    validate_tau checks its letters only; others are sampled black boxes."""
+
+    letterwise = False
 
     def tau_pair(self, phi_word):
         raise NotImplementedError
 
 
 class TrivialTau(TauOracle):
-    """Oracle for a trivial Phi: only the empty word occurs."""
+    """Oracle for a trivial Phi: letterwise with no letters, so only the
+    empty word occurs."""
+
+    letterwise = True
 
     def __init__(self, n_degree: int):
         ident = RingMatrix.identity(QQ, n_degree)
@@ -178,7 +185,8 @@ class TrivialTau(TauOracle):
 
 class InnerTau(TauOracle):
     """Phi generator i acts on G as conjugation by G generator i; a Phi-word
-    maps to the same word evaluated over the G generators.
+    maps to the same word evaluated over the G generators, letter by letter,
+    so tau is letterwise.
 
     The memo holds, per Phi-word, the kernel matrices (ints for integral
     generators), multiplied by matrix._block_mul, next to the RingMatrix
@@ -186,6 +194,8 @@ class InnerTau(TauOracle):
     per word, so their entries are the kernel's ints and Fractions.  A miss
     recurses through tau_pair, so a wrapper of tau_pair sees every memo
     miss as a nested call."""
+
+    letterwise = True
 
     def __init__(self, g_gens: MatrixGroupGens):
         self.g_gens = g_gens

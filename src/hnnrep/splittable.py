@@ -7,64 +7,33 @@ the Phi part and of the G part) under the shift action f^x(y) = f(x y) and
 reads off a matrix representation of Phi x| G of dimension at most
 m^2 + n^4.
 
-Span membership is decided by exact linear algebra on a deterministic
-evaluation sample (all reduced generator words up to a given length).
-Sampling cannot prove a function lies in a span, so every extracted
-expansion is re-verified on a disjoint fresh sample, and the dimension
-bound is enforced as a hard error.
+Each element y has a kernel row k(y): its m^2 entries y.phi[k][j] and its
+n^4 splitting-kernel values H_{p k1 k2 q}(y).  A shifted coordinate is
+y -> c . k(y) for a coefficient vector c in Q^(m^2 + n^4) read off the
+shift, so the linear relations among shifted coordinates are the c in
+K^perp, K the span of the kernel rows of the whole group.  The build rests
+on one hypothesis, that tau is letterwise (a product over letters, as the
+built-in oracles are by construction): then k(y l) = R_l k(y) for one fixed
+matrix R_l per letter, and a breadth-first Krylov walk from the identity
+that extends only the words with a new row spans K exactly (_krylov_walk:
+rank 26 from 184 rows for Int(G).G of a rank-2 SL_2(Z) pair, 6 relations).
+The build's _Span is seeded with that integer basis of K^perp as
+relations and reduces each candidate's coefficient vector modulo them, so
+membership is decided exactly, with no evaluation sample.  Every extracted
+expansion is still re-verified on a fresh sample of random words, a gate
+that catches a tau breaking the letterwise contract, and the dimension
+bound is checked.
 
-Each sample point y has a kernel row: its m^2 entries y.phi[k][j] and its
-n^4 splitting-kernel values H_{p k1 k2 q}(y).  A shifted coordinate's
-values on a sample S are K_S c, for the kernel rows K_S and a coefficient
-vector c in Q^(m^2 + n^4) read off the shift, so a linear relation holds
-among value vectors on S exactly when the same relation among the
-coefficient vectors lies in the null space of K_S.  The build therefore
-decides spans in kernel coordinates: its _Span is seeded with an integer
-basis of that null space (_null_basis; 6 vectors for Int(G).G of a rank-2
-SL_2(Z) pair at sample length 3, from 457 points) as relations, and
-reduces each candidate's coefficient vector modulo them, which gives the
-basis, expansions and action matrices that value vectors on the whole
-sample give.
-
-Every fresh point is checked, in packed form (_fresh_points,
-_PackedPoints), in the balanced-digit format of ring.py.  Each kernel row
-is scaled to integers by a positive factor, each kernel column's entries
-over the points become one big int with one digit per point, and each
-basis function's values are packed the same way, scaled by one common
-factor.  Checking a shifted coordinate against a combination of basis
-functions is then one equation of big ints: at most max(m, n^2) + (terms
-of the combination) multiply-adds and one comparison.  The digit width
-comes from a per-call bound on the digits of both sides, and the packs
-are rebuilt wider when a call needs it, so no digit overflows.  The
-lowest nonzero digit of the packed difference is the first differing
-point, and the witness reads its values back from that digit.
-
-The engine computes on an exact kernel: its matrices are tuples of row
-tuples, ints for integer inputs and ints and Fractions, some of them
-integral, for rational ones.  They are converted once from the generator
-pairs and once per Phi-word from the tau pairs, and multiplied by
-matrix._block_mul.  Every product of an element by a generator goes
-through _Kernel.step, one step per letter that reads the letter's tau
-factors once and drops the identity factor: a G letter keeps the
-element's phi, a Phi letter multiplies no G matrix by the identity, and
-tau of the empty word is skipped when it is the identity.  Span membership
-is decided fraction-free over Z by packed.py's Gauss-Jordan _Span, and the
-action matrices are kept as sparse rows {column: coefficient}.  The
-checks read them once per call as (den, integer rows), den the lcm of the
-denominators, compile each fixed integer map they apply into straight-line
-code (packed._integer_map), and compute on packs, every width from a
-proven bound.  verify_rep's exhaustive walk keeps den * A(w) as one pack
-per column and appends a letter by its compiled column map; recovery reads
-one pack, the columns against the identity values, through the compiled
-expansions, and the identity test compares each column with den at its
-digit.  Each homomorphism pair transforms the fresh points' kernel columns
-once by its element and applies its letters' compiled row maps right to
-left to the basis packs (_PackedPoints.check_product).  A Fraction appears
-only in a witness.  RingMatrix over QQ appears only at the API: the tau
-pairs an oracle returns (InnerTau's are views of its kernel memo), and,
-with Fraction entries, `basis` and `actions` (built on first access),
-`action_of_word` (the product of the letters' QQ matrices) and `recover`;
-`to_json` writes the action rows as they are.
+The engine computes on an exact kernel: matrices are tuples of row tuples
+of ints and Fractions, converted once from the generator pairs and once per
+Phi-word from the tau pairs, and every product of an element by a
+generator is one _Kernel.step.  Action matrices are sparse rows {column:
+coefficient}.  The fresh-sample check and verify_rep read them as (den,
+integer rows), compile each fixed integer map (packed._integer_map) and
+compute on packs in ring.py's balanced digits, every width from a proven
+bound (_PackedPoints, verify_rep); a Fraction appears only in a witness,
+and RingMatrix over QQ only at the API: tau pairs, `basis`, `actions` and
+`recover`.
 
 The generator pairs, the tau oracles and the Fraction reference API live
 in semidirect.py; this module re-exports them.
@@ -75,7 +44,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
@@ -84,7 +53,7 @@ from ._record import Record
 from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix, _block_mul, _matrix_json
 from .packed import _integer_map, _integer_vector, _Span
-from .ring import QQ, _balanced_digits, _digit_width, _pack_digits
+from .ring import QQ, _balanced_digits, _digit_offset, _digit_width, _pack_digits
 from .semidirect import (  # the reference API and tau oracles, re-exported
     InnerTau,
     MatrixGroupGens,
@@ -231,9 +200,12 @@ def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
     and word-level conjugation agrees with letter-by-letter conjugation.
     The inverse is checked one-sided, tau(w) tau(w)^-1 = I, which for
     square matrices over Q gives the other side too (see MatrixGroupGens).
+    A letterwise tau (TauOracle) is a product over letters by
+    construction, so only its words of length at most 1 are checked.
 
     Returns the kernel form of (Phi, G, tau) that was checked, holding the
     tau pairs of the Phi-words of length at most word_len."""
+    word_len = 1 if getattr(tau, "letterwise", False) else word_len
     kernel = _Kernel(phi_gens, g_gens, tau)
     ident = kernel.identity.g
     g_mats = tuple(kernel.mats[("g", idx, 1)] for idx in range(len(g_gens.pairs)))
@@ -280,34 +252,49 @@ def _kernel_row(kernel: _Kernel, y: _Element):
     return row
 
 
-def _null_basis(rows, width: int):
-    """An integer basis of the null space of the rows, an iterable of
-    vectors of the given width: the v with row . v == 0 for every row.
+def _null_update(null, row) -> bool:
+    """Make the integer vectors null a basis of the null space of one more
+    row, in place: whether the row was outside the span of the rows before
+    it.  Such a row has a nonzero dot product with one of the vectors, the
+    pivot, which leaves the basis; the others are then made orthogonal to
+    the row fraction-free, p * u - (row . u) * v for the pivot v with p =
+    row . v, and divided by their content."""
+    _, row = _integer_vector(row)
+    piv = next(((k, p) for k, v in enumerate(null) if (p := sum(map(mul, row, v)))), None)
+    if piv is None:
+        return False
+    k, p = piv
+    v = null.pop(k)
+    for k, u in enumerate(null[k:], k):
+        c = sum(map(mul, row, u))
+        if c:
+            u = [p * a - c * b for a, b in zip(u, v)]
+            g = gcd(*u)
+            null[k] = [a // g for a in u] if g > 1 else u
+    return True
 
-    The basis starts as the unit vectors and stays a basis of the null
-    space of the rows read so far.  A row outside the span of the rows
-    before it has a nonzero dot product with one of the vectors, the pivot,
-    which leaves the basis; the others are then made orthogonal to the row
-    fraction-free, p * u - (row . u) * v for the pivot v with p = row . v,
-    and divided by their content."""
+
+def _krylov_walk(kernel: _Kernel, letters, width: int):
+    """(null, rows): an integer basis of K^perp, for K the span of the
+    kernel rows of every element, and the number of rows the walk read.
+
+    tau is letterwise, so k(y l) = R_l k(y) for one fixed matrix R_l per
+    letter l, and K is the least subspace that holds k(1) and is stable
+    under every R_l.  The walk goes breadth first from the identity over
+    reduced words and extends only the words whose row is new
+    (_null_update).  Every row read lies in the span N of the new rows, and
+    R_l maps a new row of a word w to the row of w l, which is read, or of
+    w's parent when l undoes w's last letter.  So N is R-stable and holds
+    k(1): N = K, and the walk ends after rank K <= width new rows."""
     null = [[int(i == j) for j in range(width)] for i in range(width)]
-    for row in rows:
-        if not null:
-            break
-        _, row = _integer_vector(row)
-        piv = next(((k, p) for k, v in enumerate(null)
-                    if (p := sum(map(mul, row, v)))), None)
-        if piv is None:
-            continue
-        k, p = piv
-        v = null.pop(k)
-        for k, u in enumerate(null[k:], k):
-            c = sum(map(mul, row, u))
-            if c:
-                u = [p * a - c * b for a, b in zip(u, v)]
-                g = gcd(*u)
-                null[k] = [a // g for a in u] if g > 1 else u
-    return null
+    queue, rows = deque([kernel.identity]), 0
+    while queue and null:
+        el = queue.popleft()
+        rows += 1
+        if _null_update(null, _kernel_row(kernel, el)):
+            back = _inverse_letter(el.word[-1]) if el.word else None
+            queue.extend(kernel.step(el, l) for l in letters if l != back)
+    return null, rows
 
 
 def _shift_coefficients(coord, shift, m: int):
@@ -336,11 +323,13 @@ class SplittableRep:
     basis and of the action rows, are built on first access."""
 
     def __init__(self, phi_gens, g_gens, tau, kernel, basis, action_rows,
-                 expansions, sample_len, letters):
+                 expansions, sample_len, letters, walk):
         self.phi_gens = phi_gens
         self.g_gens = g_gens
         self.tau = tau
         self.sample_len = sample_len
+        # The Krylov walk's rank K and the number of kernel rows it read.
+        self.walk_rank, self.walk_rows = walk
         self.letters = tuple(letters)
         self._kernel = kernel
         self._shifts = tuple(basis)  # (coord id, kernel shift element)
@@ -379,14 +368,6 @@ class SplittableRep:
         action_rows at the time of the call."""
         return {l: _integer_rows(self.action_rows[letter_name(l)])
                 for l in self.letters}
-
-    def action_of_word(self, letters) -> RingMatrix:
-        """The product of the letters' action matrices over QQ, read from
-        action_rows at the time of the call."""
-        d = self.dimension
-        return reduce(mul, (_qq_matrix(_dense_rows(
-            self.action_rows[letter_name(l)], d)) for l in letters),
-            RingMatrix.identity(QQ, d))
 
     def recover(self, action: RingMatrix):
         """Matrices (phi, g) read off an action matrix through the coordinate
@@ -467,7 +448,7 @@ def _inverse_letter(letter):
 def _random_reduced_word(rng, letters, length):
     word = []
     while len(word) < length:
-        letter = letters[rng.randrange(len(letters))]
+        letter = rng.choice(letters)
         if word and letter == _inverse_letter(word[-1]):
             continue
         word.append(letter)
@@ -479,14 +460,18 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     """Close the coordinate functions under shifts by the generators and
     extract the action matrices.
 
+    The relations among shifted coordinates are exactly K^perp, which the
+    Krylov walk finds if tau is letterwise (_krylov_walk).  sample_len sets
+    the word lengths of the fresh-sample gate, sample_len + 1 and + 2,
+    which raises VerificationError if an expansion fails there (a tau
+    breaking that contract), and the depth to which validate_tau walks a
+    black-box tau, sample_len + 2.  A negative sample_len, whose fresh
+    sample is the identity alone, raises ValueError.
+
     The dimension stays within m^2 + n^4 by construction: the seeded span
-    has at most m^2 + n^4 rows, one per null vector of the sample and one
-    per basis function, so the basis has at most m^2 + n^4 less the null
-    dimension functions.  The DimensionBoundError check states that bound
-    and cannot fire.  Raises VerificationError if an extracted expansion
-    fails on the disjoint fresh sample (insufficient sample_len).  A
-    negative sample_len, whose fresh sample is the identity alone, raises
-    ValueError.
+    has at most m^2 + n^4 rows, one per null vector and one per basis
+    function.  The DimensionBoundError check states that bound and cannot
+    fire.
     """
     if sample_len < 0:
         raise ValueError("sample_len must be at least 0")
@@ -494,15 +479,9 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     bound = m * m + n**4  # also the width of a coefficient vector
     pairs = _letter_pairs(phi_gens, g_gens)
     letters = tuple(letter for pair in pairs for letter in pair)
-    # The engine consults tau on phi-words as long as the fresh sample, so
-    # the oracle contract is sampled to that depth.
     kernel = validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
-    words = reduced_walk(pairs, sample_len, kernel.identity, kernel.step)
-    # Relations among shifted coordinates on the sample are relations among
-    # their coefficient vectors modulo the null space of the kernel rows,
-    # so the span starts from that null space.
-    points = chain([kernel.identity], (el for _, el in words))
-    span = _Span(_null_basis((_kernel_row(kernel, el) for el in points), bound))
+    null, walk_rows = _krylov_walk(kernel, letters, bound)
+    span = _Span(null)  # spans are decided modulo the relations K^perp
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
@@ -546,7 +525,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     }
     rep = SplittableRep(
         phi_gens, g_gens, tau, kernel, basis, rows, expansions,
-        sample_len, letters,
+        sample_len, letters, (bound - len(null), walk_rows),
     )
     _fresh_sample_check(rep)
     return rep
@@ -747,9 +726,8 @@ def _fresh_points(rep: SplittableRep, words):
 
 
 def _fresh_sample_check(rep: SplittableRep):
-    """Re-verify every extracted expansion identity on fresh elements,
-    disjoint (as words) from the build sample: the distinct words among 40
-    random ones of each of the two lengths past it."""
+    """Re-verify every extracted expansion identity on fresh elements: the
+    distinct words among 40 random ones of lengths sample_len + 1 and + 2."""
     rng = random.Random(271828)
     words = sorted({
         _random_reduced_word(rng, rep.letters, length)
@@ -775,16 +753,10 @@ def _fresh_sample_check(rep: SplittableRep):
 
 def conjugation_matrix(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """Matrix of M -> a M b on n x n matrices in the row-major basis."""
-    n = a.degree
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = []
-            for k in range(n):
-                for l in range(n):
-                    row.append(a.rows[i][k] * b.rows[l][j])
-            rows.append(tuple(row))
-    return RingMatrix(QQ, tuple(rows))
+    n, a, b = a.degree, a.rows, b.rows
+    return RingMatrix(QQ, tuple(
+        tuple(a[i][k] * b[l][j] for k in range(n) for l in range(n))
+        for i in range(n) for j in range(n)))
 
 
 def int_g_rep(g_gens: MatrixGroupGens, sample_len: int = 4) -> SplittableRep:
@@ -804,12 +776,13 @@ class SplittableReport(Record):
     _fields = (
         "max_len", "words_checked", "identity_actions", "pairs_checked",
         "injectivity_failures", "recovery_failures", "homomorphism_failures",
-        "witness")
+        "well_definedness_failures", "witness")
 
     def __init__(self, max_len: int, words_checked: int = 0,
                  identity_actions: int = 0, pairs_checked: int = 0,
                  injectivity_failures: int = 0, recovery_failures: int = 0,
-                 homomorphism_failures: int = 0, witness: str | None = None):
+                 homomorphism_failures: int = 0, well_definedness_failures: int = 0,
+                 witness: str | None = None):
         self.max_len = max_len
         self.words_checked = words_checked
         self.identity_actions = identity_actions
@@ -817,16 +790,15 @@ class SplittableReport(Record):
         self.injectivity_failures = injectivity_failures
         self.recovery_failures = recovery_failures
         self.homomorphism_failures = homomorphism_failures
+        # Walked words whose pair is the identity but whose action is not.
+        self.well_definedness_failures = well_definedness_failures
         # The first failure found, naming its word and the differing values.
         self.witness = witness
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.injectivity_failures
-            or self.recovery_failures
-            or self.homomorphism_failures
-        )
+        return not (self.injectivity_failures or self.recovery_failures
+                    or self.homomorphism_failures or self.well_definedness_failures)
 
 
 def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
@@ -835,6 +807,8 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     check that products of action matrices act like the product elements.
 
     Injectivity: an identity action matrix must recover the identity pair.
+    Well-definedness: a word whose pair is the identity must act as the
+    identity, so the action is a function of the pair on the walked words.
     Recovery: the coordinates read off the action matrix must equal the
     directly computed element coordinates, for every enumerated word.
     Homomorphism: for random word pairs (u, v), the matrix action(u)action(v)
@@ -871,6 +845,7 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
         columns[letter] = den, _integer_map(int_cols)
         norm = max(norm, den, *map(_norm, int_cols))
     width = _digit_width(norm**max_len * max(1, sum(map(abs, idv))))
+    offset = _digit_offset(width, d)
     units = [1 << (8 * width * j) for j in range(d)]
 
     def note(message):
@@ -880,7 +855,7 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     def check(element, den, cols):
         report.words_checked += 1
         scale = den * recovery.scale
-        got = recovery.read(_balanced_digits(sum(map(mul, idv, cols)), width, d))
+        got = recovery.read(_balanced_digits(sum(map(mul, idv, cols)), width, d, offset))
         values = [x for mat in (element.phi, element.g) for row in mat for x in row]
         if got != [x * scale for x in values]:
             report.recovery_failures += 1
@@ -888,11 +863,16 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
             note(f"recovery failure at word {word_str(element.word)}: "
                  f"{coord_name(recovery.coords[k])} reads "
                  f"{Fraction(got[k], scale)}, the element has {values[k]}")
+        identity_pair = element.phi == identity.phi and element.g == identity.g
         if all(col == den * unit for col, unit in zip(cols, units)):
             report.identity_actions += 1
-            if element.phi != identity.phi or element.g != identity.g:
+            if not identity_pair:
                 report.injectivity_failures += 1
                 note(f"identity action at word {word_str(element.word)}")
+        elif identity_pair:
+            report.well_definedness_failures += 1
+            note(f"identity pair at word {word_str(element.word)} acts as a "
+                 "non-identity matrix")
 
     def step(state, letter):
         element, den, cols = state

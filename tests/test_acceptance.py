@@ -49,7 +49,7 @@ from hnnrep.words import (
     normal_form,
 )
 
-from helpers import specialize
+from helpers import DEGREE3_JSON_SHA256, specialize
 
 S = LAURENT.s_power(1)
 
@@ -302,14 +302,6 @@ def _e3(i, j, k):
         tuple(int(r == c) + (k if (r, c) == (i, j) else 0) for c in range(3))
         for r in range(3)
     )
-
-
-# SHA-256 of json.dumps(rep.to_json(), sort_keys=True) for the degree-3
-# Int(G).G below, recorded from the build that decided spans on the whole
-# sample of 1,597 points.
-DEGREE3_JSON_SHA256 = (
-    "4d39dc9bf594471e95da5bbbfaa18df25c3d190d857580b8303566450c96ede3"
-)
 
 
 def test_criterion_11_degree3_int_g_rep():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hnnrep
-from hnnrep import cli, reps
+from hnnrep import cli, reps, splittable
 from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
@@ -361,17 +361,68 @@ class TestSplittableCommand:
                       "--out", str(out))
         assert code == 2
 
-    def test_insufficient_sample_reported(self, capsys, tmp_path):
-        # A one-element-deep sample cannot support the span; the disjoint
-        # fresh-sample guard trips and the command reports failure.
+    def test_short_sample_length_builds_the_same_rep(self, capsys, tmp_path):
+        # The relations come from the Krylov walk, exact at any sample
+        # length: --sample-len only sets the fresh-sample gate's words.
+        gens = tmp_path / "g.json"
+        gens.write_text(json.dumps(GENS_RANK2))
+        docs = []
+        for sample_len in ("0", "1", "3"):
+            out = tmp_path / f"rep{sample_len}.json"
+            code, text = run(capsys, "splittable", "--g", str(gens),
+                             "--tau", "inner", "--sample-len", sample_len,
+                             "--max-len", "2", "--out", str(out))
+            assert code == 0 and text.startswith("dimension 26 (bound 32)\n")
+            assert text.endswith("PASS\n")
+            docs.append(out.read_text())
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_fresh_sample_failure_reported(self, capsys, monkeypatch, tmp_path):
+        # The gate forced to fail: relations read off the identity's kernel
+        # row alone merge functions that differ elsewhere; the disjoint
+        # fresh-sample guard trips and the command names the witness.
+        def identity_row_only(kernel, letters, width):
+            null = [[int(i == j) for j in range(width)] for i in range(width)]
+            splittable._null_update(null, splittable._kernel_row(kernel, kernel.identity))
+            return null, 1
+
+        monkeypatch.setattr(splittable, "_krylov_walk", identity_row_only)
         gens = tmp_path / "g.json"
         gens.write_text(json.dumps(GENS_RANK2))
         out = tmp_path / "rep.json"
         code, text = run(capsys, "splittable", "--g", str(gens),
                          "--tau", "inner", "--sample-len", "1",
                          "--max-len", "2", "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert re.fullmatch(
+            r"verification failure: fresh-sample check failed for "
+            r"(coordinate \S+|basis \d+ under \S+) at fresh word [^:]+: "
+            r"direct value \S+, combination \S+\n", text), text
+
+    def test_identity_pair_acting_as_a_non_identity_fails(self, capsys, tmp_path):
+        # Phi given as two 1 x 1 identities is trivial, but InnerTau
+        # conjugates by the G generators, so phi0 is the identity pair and
+        # does not act as the identity: the action is not a function of
+        # the pair.  Phi-words and g_i phi_i^+-1 g_i^-1 give 52 + 8 such
+        # words to length 3.
+        gens = tmp_path / "g.json"
+        gens.write_text(json.dumps(GENS_RANK2))
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"degree": 1, "generators": [
+            {"matrix": [[1]], "inverse": [[1]]}] * 2}))
+        code, text = run(capsys, "splittable", "--g", str(gens),
+                         "--phi", str(phi), "--tau", "inner",
+                         "--sample-len", "3", "--max-len", "3",
+                         "--out", str(tmp_path / "rep.json"))
         assert code == 1
-        assert "at fresh word " in text and "direct value" in text
+        assert text == (
+            "dimension 17 (bound 17)\n"
+            "words checked: 457, identity actions: 1\n"
+            "injectivity failures: 0, recovery failures: 0, "
+            "homomorphism failures: 0\n"
+            "well-definedness failures: 60\n"
+            "first failure: identity pair at word phi0 acts as a non-identity matrix\n"
+            "FAIL\n")
 
     def test_negative_sample_len_is_a_usage_error(self, capsys, tmp_path):
         # A negative length leaves a fresh sample of the identity alone;

@@ -57,7 +57,7 @@ MUTABLE = [
     (SplittableReport(max_len=2), (
         "max_len", "words_checked", "identity_actions", "pairs_checked",
         "injectivity_failures", "recovery_failures", "homomorphism_failures",
-        "witness")),
+        "well_definedness_failures", "witness")),
 ]
 IDS = [type(x).__name__ for x, _ in FROZEN + MUTABLE]
 
@@ -116,7 +116,7 @@ def test_repr_texts():
     assert repr(SplittableReport(max_len=2)) == (
         "SplittableReport(max_len=2, words_checked=0, identity_actions=0, "
         "pairs_checked=0, injectivity_failures=0, recovery_failures=0, "
-        "homomorphism_failures=0, witness=None)")
+        "homomorphism_failures=0, well_definedness_failures=0, witness=None)")
 
 
 def test_endomorphism_table_takes_no_part():

@@ -1,9 +1,12 @@
 """Splittable-coordinates engine: products, kernels, closure, verification."""
 
+import hashlib
+import json
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import mul
 
@@ -41,6 +44,8 @@ from hnnrep.splittable import (
 )
 from hnnrep.words import reduced_walk
 
+from helpers import DEGREE3_JSON_SHA256
+
 G_RANK2 = MatrixGroupGens.from_int_rows(2, [
     (((1, 0), (2, 1)), ((1, 0), (-2, 1))),
     (((1, 2), (0, 1)), ((1, -2), (0, 1))),
@@ -56,6 +61,15 @@ _C_INV = RingMatrix(QQ, ((Fraction(1), Fraction(-1, 2)), (Fraction(0), Fraction(
 G_RATIONAL = MatrixGroupGens(2, tuple(
     (_C * m * _C_INV, _C * i * _C_INV) for m, i in G_RANK2.pairs
 ))
+
+
+def action_of_word(rep, letters) -> RingMatrix:
+    """The product of the letters' action matrices over QQ, read from
+    action_rows at the time of the call."""
+    d = rep.dimension
+    return reduce(mul, (splittable._qq_matrix(splittable._dense_rows(
+        rep.action_rows[letter_name(l)], d)) for l in letters),
+        RingMatrix.identity(QQ, d))
 
 
 def trivial_setup():
@@ -198,6 +212,33 @@ class TestValidateTau:
             assert kernel.tau_pair(w) == (
                 tuple(map(tuple, val.rows)), tuple(map(tuple, inv.rows)))
 
+    @pytest.mark.parametrize("tau", ["inner", "trivial"])
+    def test_letterwise_tau_is_checked_per_letter(self, tau):
+        # A letterwise tau is a product over letters by construction: the
+        # check asks for the empty word and each letter once, at any depth,
+        # and a black-box oracle is still walked to word_len.
+        class Counting(InnerTau if tau == "inner" else TrivialTau):
+            calls = Counter()
+
+            def tau_pair(self, phi_word):
+                self.calls[tuple(phi_word)] += 1
+                return super().tau_pair(phi_word)
+
+        oracle = Counting(G_RANK2 if tau == "inner" else 2)
+        phi_gens = INNER_PHI if tau == "inner" else TRIVIAL_PHI
+        validate_tau(phi_gens, G_RANK2, oracle, word_len=6)
+        letters = [((i, s),) for i in range(len(phi_gens.pairs)) for s in (1, -1)]
+        # InnerTau's memo recursion asks for each letter's prefix, ().
+        assert set(oracle.calls) == {(), *letters}
+        assert all(oracle.calls[w] == 1 for w in letters)
+        black_box = CountingTau(InnerTau(G_RANK2))
+        validate_tau(INNER_PHI, G_RANK2, black_box, word_len=3)
+        assert len(black_box.calls) == 1 + 4 + 12 + 36
+
+    def test_trivial_tau_rejects_a_phi_letter(self):
+        with pytest.raises(OracleError, match="trivial Phi has no nonempty words"):
+            validate_tau(INNER_PHI, G_RANK2, TrivialTau(2))
+
     def test_build_asks_tau_once_per_phi_word(self):
         # build_rep works on the kernel validate_tau checked, so no tau pair
         # is fetched and converted twice.
@@ -318,7 +359,7 @@ class TestIntGRep:
         rep = int_g_rep(G_RANK2, sample_len=3)
         word = [("phi", 0, 1), ("g", 0, -1)]
         element = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
-        action = rep.action_of_word(word)
+        action = action_of_word(rep, word)
         phi, g = rep.recover(action)
         assert phi == element.phi_mat
         assert g == element.g_mat
@@ -436,7 +477,7 @@ class TestRationalGenerators:
         assert verify_rep(rep, max_len=2, pairs=20).ok
         word = [("phi", 1, -1), ("g", 0, 1), ("g", 1, 1)]
         element = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
-        assert rep.recover(rep.action_of_word(word)) == (
+        assert rep.recover(action_of_word(rep, word)) == (
             element.phi_mat, element.g_mat
         )
 
@@ -754,6 +795,48 @@ class TestWitness:
         assert Fraction(match.group(6)) != direct
 
 
+class TestRandomWords:
+    def test_draws_are_pinned(self, monkeypatch):
+        # Every random word the fresh-sample check and verify_rep draw for
+        # Int(G).G of G_RANK2, in order, recorded from the draws made with
+        # letters[rng.randrange(len(letters))]: rng.choice(letters) draws
+        # the same _randbelow(len(letters)).
+        draws = []
+        real = splittable._random_reduced_word
+
+        def recording(rng, letters, length):
+            word = real(rng, letters, length)
+            draws.append(word_str(word))
+            return word
+
+        monkeypatch.setattr(splittable, "_random_reduced_word", recording)
+        rep = int_g_rep(G_RANK2, sample_len=3)
+        assert len(draws) == 80
+        assert draws[:2] == ["phi1 phi0^-1 g1 phi0", "phi1 phi0 phi1 phi0"]
+        verify_rep(rep, max_len=3)
+        assert len(draws) == 80 + 20 + 200
+        assert draws[80:82] == ["g1 g1 phi0 g0 g1^-1", "g1 g0 g1^-1 g0^-1 phi1^-1"]
+        assert hashlib.sha256("\n".join(draws).encode()).hexdigest() == (
+            "4230953abf01d5efca33dbb5b6f12af087a7fc15b4738adcc883d98524b21bb2")
+
+
+class TestWellDefinedness:
+    def test_identity_pair_with_a_non_identity_action(self):
+        # Phi trivial as two 1 x 1 identities, but InnerTau conjugating by
+        # the G generators: the word phi0 is the identity pair and does not
+        # act as the identity, so the action is no function of the pair.
+        phi_gens = MatrixGroupGens.from_int_rows(1, [(((1,),), ((1,),))] * 2)
+        rep = build_rep(phi_gens, G_RANK2, InnerTau(G_RANK2), sample_len=3)
+        report = verify_rep(rep, max_len=2, pairs=20)
+        assert not report.ok
+        assert report.well_definedness_failures == 4 + 12  # the Phi-words
+        assert not (report.injectivity_failures or report.recovery_failures
+                    or report.homomorphism_failures)
+        assert report.witness == "identity pair at word phi0 acts as a non-identity matrix"
+        assert report == reference_verify(rep, max_len=2, pairs=20)
+        assert verify_rep(rep, max_len=3).well_definedness_failures == 60
+
+
 # --- Null-basis build and integer verification ------------------------------
 
 
@@ -810,9 +893,9 @@ def fraction_rank(rows):
 
 class WholeSampleSpan(_Span):
     """Reference for the build's seeded span: handed the kernel rows of the
-    whole sample in place of their null basis, it decides spans on the
-    value vectors K_S c of the coefficient vectors c, one value per sample
-    point, with no relations."""
+    whole sample in place of a null basis, it decides spans on the value
+    vectors K_S c of the coefficient vectors c, one value per sample point,
+    with no relations."""
 
     def __init__(self, rows):
         super().__init__()
@@ -823,73 +906,126 @@ class WholeSampleSpan(_Span):
         return super().reduce([sum(row[j] * x for j, x in terms) for row in self.points])
 
 
-def whole_sample(monkeypatch):
+def unit_vectors(width):
+    return [[int(i == j) for j in range(width)] for i in range(width)]
+
+
+def sample_walk(sample_len, whole=False):
+    """A stand-in for _krylov_walk that reads the kernel rows of every
+    reduced word of length at most sample_len, the sample the build read
+    before the walk: (their null basis, the number of rows), or with whole
+    the rows themselves, for WholeSampleSpan."""
+
+    def walk(kernel, letters, width):
+        pairs = list(zip(letters[::2], letters[1::2]))
+        words = reduced_walk(pairs, sample_len, kernel.identity, kernel.step)
+        rows = [splittable._kernel_row(kernel, el)
+                for el in chain([kernel.identity], (el for _, el in words))]
+        if whole:
+            return rows, len(rows)
+        null = unit_vectors(width)
+        for row in rows:
+            splittable._null_update(null, row)
+        return null, len(rows)
+
+    return walk
+
+
+def whole_sample(monkeypatch, sample_len):
     """Make build_rep decide its spans on value vectors over the whole
-    sample (WholeSampleSpan)."""
-    monkeypatch.setattr(splittable, "_null_basis", lambda rows, width: rows)
+    sample of words of length at most sample_len (WholeSampleSpan)."""
+    monkeypatch.setattr(splittable, "_krylov_walk", sample_walk(sample_len, whole=True))
     monkeypatch.setattr(splittable, "_Span", WholeSampleSpan)
 
 
+def recorded_walks(monkeypatch):
+    """A list that gets (null, rows) of every _krylov_walk call."""
+    walks = []
+    real = splittable._krylov_walk
+
+    def recording(kernel, letters, width):
+        walks.append(real(kernel, letters, width))
+        return walks[-1]
+
+    monkeypatch.setattr(splittable, "_krylov_walk", recording)
+    return walks
+
+
 class TestRowBasis:
-    """The sample's kernel rows reach the build only through the null space
-    of their row space (_null_basis), which seeds its span."""
+    """The kernel rows reach the build only through an integer basis of
+    K^perp, K the least letter-stable span of the rows, which the Krylov
+    walk finds row by row (_null_update) and which seeds the span."""
 
     @pytest.mark.parametrize("kind", sorted(_ENTRIES))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_fraction_reference(self, kind, data):
+        # Row by row: the update says whether the row is new, and the
+        # vectors stay an integer basis of the null space of the rows so far.
         rows = data.draw(vector_sequences(kind))
         width = len(rows[0])
-        null = splittable._null_basis(rows, width)
-        assert all(len(v) == width and all(isinstance(x, int) for x in v) for v in null)
-        assert all(sum(map(mul, row, v)) == 0 for row in rows for v in null)
-        assert fraction_rank(null) == len(null) == width - fraction_rank(rows)
+        null = unit_vectors(width)
+        for k, row in enumerate(rows):
+            new = splittable._null_update(null, row)
+            assert new == (reference_expansion(rows[:k], row) is None)
+            assert all(len(v) == width and all(isinstance(x, int) for x in v)
+                       for v in null)
+            assert all(sum(map(mul, r, v)) == 0 for r in rows[:k + 1] for v in null)
+            assert fraction_rank(null) == len(null) == width - fraction_rank(rows[:k + 1])
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
     def test_same_rep_as_the_full_sample(self, monkeypatch, name):
+        # The walk's exact relations give the representation that value
+        # vectors over every word to the build's sample length give.
         rep = BUILDS[name]()
-        whole_sample(monkeypatch)
+        whole_sample(monkeypatch, rep.sample_len)
         full = BUILDS[name]()
         assert rep_data(rep) == rep_data(full)
         assert rep.to_json() == full.to_json()
 
-    def test_same_failure_as_the_full_sample(self, monkeypatch):
-        # sample_len = 2 is too short for the degree-3 group: the fresh
-        # sample rejects the closure, with the same witness either way.
-        with pytest.raises(VerificationError) as seeded:
-            int_g_rep(G_DEGREE3, sample_len=2)
-        whole_sample(monkeypatch)
+    def test_degree3_needs_no_sample_length(self, monkeypatch):
+        # Value vectors over the words to length 2 merge functions that
+        # differ, and the fresh sample rejects that closure; the walk's
+        # relations are exact at any sample length, so sample_len = 2
+        # builds the document that the whole sample of 1,597 words to
+        # length 3 gives (DEGREE3_JSON_SHA256).  The walk reads 1 + 12 + 75
+        # * 11 rows over the 12 letters.
+        walks = recorded_walks(monkeypatch)
+        short = int_g_rep(G_DEGREE3, sample_len=2)
+        assert short.dimension == 58 and (short.walk_rank, short.walk_rows) == (76, 838)
+        assert [len(null) for null, _ in walks] == [162 - 76]
+        assert json.dumps(short.to_json()) == json.dumps(
+            int_g_rep(G_DEGREE3, sample_len=3).to_json())
+        assert hashlib.sha256(json.dumps(short.to_json(), sort_keys=True).encode()
+                              ).hexdigest() == DEGREE3_JSON_SHA256
+        assert verify_rep(short, max_len=2, pairs=20).ok
+        whole_sample(monkeypatch, 2)
         with pytest.raises(VerificationError) as full:
             int_g_rep(G_DEGREE3, sample_len=2)
-        assert str(seeded.value) == str(full.value)
-        assert str(seeded.value) == (
+        assert str(full.value) == (
             "fresh-sample check failed for coordinate Phi(1,8) at fresh word "
             "phi0^-1 phi1 phi0 phi2^-1: direct value -48, combination 0")
 
-    @pytest.mark.parametrize("name, points, fresh, nullity", [
-        ("inner-22", 457, 80, 6), ("trivial-22", 161, 78, 12),
+    @pytest.mark.parametrize("name, rank, rows, fresh, nullity", [
+        ("inner-22", 26, 184, 80, 6), ("trivial-22", 4, 14, 78, 12),
     ])
-    def test_sample_null_spaces(self, monkeypatch, name, points, fresh, nullity):
-        # (points, null dimension) of the build sample, the one null basis;
-        # the fresh-sample check packs every fresh point.
-        sizes, packed = [], []
-        null_basis = splittable._null_basis
-
-        def recording_null_basis(rows, width):
-            rows = list(rows)
-            null = null_basis(rows, width)
-            sizes.append((len(rows), len(null)))
-            return null
+    def test_walk_null_spaces(self, monkeypatch, name, rank, rows, fresh, nullity):
+        # The walk's (rank, rows read) and the one null basis: 1 + 8 + 25 * 7
+        # rows for Int(G).G over 8 letters, 1 + 4 + 3 * 3 for trivial tau
+        # over 4; the fresh-sample check packs every fresh point.
+        walks, packed = recorded_walks(monkeypatch), []
 
         class RecordingPoints(splittable._PackedPoints):
             def __init__(self, words, rows, m, shifts):
                 packed.append((len(words), len(rows)))
                 super().__init__(words, rows, m, shifts)
 
-        monkeypatch.setattr(splittable, "_null_basis", recording_null_basis)
         monkeypatch.setattr(splittable, "_PackedPoints", RecordingPoints)
-        BUILDS[name]()
-        assert sizes == [(points, nullity)]
+        rep = BUILDS[name]()
+        assert (rep.walk_rank, rep.walk_rows) == (rank, rows)
+        ((null, walked),) = walks
+        assert walked == rows and len(null) == nullity
+        assert rank + nullity == rep.m_degree**2 + rep.n_degree**4
         assert packed == [(fresh, fresh)]
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
@@ -897,18 +1033,26 @@ class TestRowBasis:
         # The seeded span holds one row per null vector and one per basis
         # function, all independent in m^2 + n^4 coordinates, so build_rep's
         # DimensionBoundError check cannot fire.
-        nullities = []
-        null_basis = splittable._null_basis
-
-        def recording_null_basis(rows, width):
-            null = null_basis(rows, width)
-            nullities.append(len(null))
-            return null
-
-        monkeypatch.setattr(splittable, "_null_basis", recording_null_basis)
+        walks = recorded_walks(monkeypatch)
         rep = BUILDS[name]()
-        (nullity,) = nullities
-        assert len(rep.basis) + nullity <= rep.m_degree**2 + rep.n_degree**4
+        ((null, _),) = walks
+        width = rep.m_degree**2 + rep.n_degree**4
+        assert len(null) == width - rep.walk_rank
+        assert len(rep.basis) + len(null) <= width
+
+    @pytest.mark.parametrize("name", ["inner-23", "trivial-32", "inner-rational",
+                                      "inner-cyclic"])
+    def test_walk_spans_the_rows_of_every_word(self, monkeypatch, name):
+        # K is letter-stable: every kernel row of the words to length 4 is
+        # orthogonal to the walk's null basis.
+        walks = recorded_walks(monkeypatch)
+        rep = BUILDS[name]()
+        ((null, _),) = walks
+        kernel = rep._kernel
+        pairs = list(zip(rep.letters[::2], rep.letters[1::2]))
+        for _, el in reduced_walk(pairs, 4, kernel.identity, kernel.step):
+            row = splittable._kernel_row(kernel, el)
+            assert all(sum(map(mul, row, v)) == 0 for v in null)
 
 
 def _dense(rows, d):
@@ -979,11 +1123,15 @@ def reference_verify(rep, max_len, pairs=100, seed=0):
                      f"{coord_name(coord)} reads {read}, the element has "
                      f"{coordinate_value(coord, el)}")
                 break
+        identity_pair = (el.phi_mat, el.g_mat) == (identity.phi_mat, identity.g_mat)
         if a == ident:
             report.identity_actions += 1
-            if (el.phi_mat, el.g_mat) != (identity.phi_mat, identity.g_mat):
+            if not identity_pair:
                 report.injectivity_failures += 1
                 note(f"identity action at word {word_str(word)}")
+        elif identity_pair:
+            report.well_definedness_failures += 1
+            note(f"identity pair at word {word_str(word)} acts as a non-identity matrix")
 
     rng = random.Random(seed)
     fresh = [_random_reduced_word(rng, letters, max_len + 2) for _ in range(20)]
@@ -1128,7 +1276,7 @@ class TestIntegerVerify:
     def test_public_views_read_the_action_rows(self):
         rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
         word = [("g", 0, 1), ("g", 1, -1), ("g", 0, 1)]
-        action = rep.action_of_word(word)
+        action = action_of_word(rep, word)
         dense = {name: _dense(rows, 4) for name, rows in rep.action_rows.items()}
         assert action == dense["g0"] * dense["g1^-1"] * dense["g0"]
         element = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
@@ -1304,9 +1452,11 @@ class TestFreshPoints:
         assert bool(late) == bool(later) == name.startswith("inner")
 
     def test_degree3_failure(self, monkeypatch):
-        # sample_len = 2 is too short for the degree-3 group: the packed
-        # check and the reference fail at the same identity, word and
+        # The gate forced to fail: relations read off the words to length 2
+        # in place of the walk's are too many for the degree-3 group.  The
+        # packed check and the reference fail at the same identity, word and
         # values, and the first failing word is not the first fresh word.
+        monkeypatch.setattr(splittable, "_krylov_walk", sample_walk(2))
         rep, words, error = build_fresh_inputs(
             monkeypatch, lambda: int_g_rep(G_DEGREE3, sample_len=2))
         packed = splittable._fresh_points(rep, words)
