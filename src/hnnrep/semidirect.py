@@ -6,9 +6,9 @@ Fraction reference products.
 `coordinate_value` and `h_eval` are the public Fraction reference API: they
 compute semidirect products, coordinates and the splitting kernel on
 RingMatrix over QQ straight from the definitions, for checking the
-splittable engine's exact kernel against.  `_exact`, `_kernel_matrix` and
-`_kernel_identity` make the kernel's matrices (see splittable.py), which
-InnerTau keeps in its memo.
+splittable engine's exact kernel against.  The engine (splittable.py) asks
+a tau oracle for the empty word and for each Phi letter only, and converts
+those pairs to its kernel format itself.
 """
 
 from __future__ import annotations
@@ -17,21 +17,8 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import OracleError
-from .matrix import RingMatrix, _block_mul
+from .matrix import RingMatrix
 from .ring import QQ
-
-
-def _exact(x):
-    """x as a kernel scalar: an int when integral, else the Fraction."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _kernel_matrix(mat: RingMatrix):
-    return tuple(tuple(_exact(x) for x in row) for row in mat.rows)
-
-
-def _kernel_identity(d: int):
-    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 # A letter of the semidirect product alphabet is (kind, generator index,
@@ -157,9 +144,13 @@ class SemidirectElement(Record, frozen=True):
 
 
 class TauOracle:
-    """Maps Phi-words to (g_phi, g_phi^-1) realizing the action on G.  A
-    letterwise one is a product over letters by construction, and
-    validate_tau checks its letters only; others are sampled black boxes."""
+    """Maps Phi-words to (g_phi, g_phi^-1) realizing the action on G.
+
+    The engine builds with tau(w) as the product of its letters' pairs, and
+    requires tau of the empty word to be (I, I).  A letterwise oracle is
+    such a product by construction, so validate_tau checks its letters
+    only; any other is a black box, whose words validate_tau samples
+    against the letter products."""
 
     letterwise = False
 
@@ -188,36 +179,27 @@ class InnerTau(TauOracle):
     maps to the same word evaluated over the G generators, letter by letter,
     so tau is letterwise.
 
-    The memo holds, per Phi-word, the kernel matrices (ints for integral
-    generators), multiplied by matrix._block_mul, next to the RingMatrix
-    pair over QQ that tau_pair returns: views of the same rows, made once
-    per word, so their entries are the kernel's ints and Fractions.  A miss
-    recurses through tau_pair, so a wrapper of tau_pair sees every memo
-    miss as a nested call."""
+    The memo holds each Phi-word's pair, built from its prefix's pair and
+    its last letter's generators.  A miss recurses through tau_pair, so a
+    wrapper of tau_pair sees every memo miss as a nested call."""
 
     letterwise = True
 
     def __init__(self, g_gens: MatrixGroupGens):
         self.g_gens = g_gens
-        self._gens = tuple(
-            (_kernel_matrix(mat), _kernel_matrix(inv)) for mat, inv in g_gens.pairs
-        )
-        ident = _kernel_identity(g_gens.degree)
-        view = RingMatrix(QQ, ident)
-        self._memo = {(): (ident, ident, view, view)}
+        ident = RingMatrix.identity(QQ, g_gens.degree)
+        self._memo = {(): (ident, ident)}
 
     def tau_pair(self, phi_word):
         phi_word = tuple(phi_word)
         if phi_word not in self._memo:
-            self.tau_pair(phi_word[:-1])
-            val_prev, inv_prev, *_ = self._memo[phi_word[:-1]]
+            val_prev, inv_prev = self.tau_pair(phi_word[:-1])
             idx, sign = phi_word[-1]
-            mat, inv = self._gens[idx]
+            mat, inv = self.g_gens.pairs[idx]
             if sign == -1:
                 mat, inv = inv, mat
-            pair = _block_mul(val_prev, mat, 0), _block_mul(inv, inv_prev, 0)
-            self._memo[phi_word] = (*pair, *(RingMatrix(QQ, m) for m in pair))
-        return self._memo[phi_word][2:]
+            self._memo[phi_word] = val_prev * mat, inv * inv_prev
+        return self._memo[phi_word]
 
 
 def semidirect_identity(phi_degree: int, g_degree: int) -> SemidirectElement:

@@ -11,29 +11,29 @@ Each element y has a kernel row k(y): its m^2 entries y.phi[k][j] and its
 n^4 splitting-kernel values H_{p k1 k2 q}(y).  A shifted coordinate is
 y -> c . k(y) for a coefficient vector c in Q^(m^2 + n^4) read off the
 shift, so the linear relations among shifted coordinates are the c in
-K^perp, K the span of the kernel rows of the whole group.  The build rests
-on one hypothesis, that tau is letterwise (a product over letters, as the
-built-in oracles are by construction): then k(y l) = R_l k(y) for one fixed
-matrix R_l per letter, and a breadth-first Krylov walk from the identity
-that extends only the words with a new row spans K exactly (_krylov_walk:
-rank 26 from 184 rows for Int(G).G of a rank-2 SL_2(Z) pair, 6 relations).
-The build's _Span is seeded with that integer basis of K^perp as
-relations and reduces each candidate's coefficient vector modulo them, so
-membership is decided exactly, with no evaluation sample.  Every extracted
-expansion is still re-verified on a fresh sample of random words, a gate
-that catches a tau breaking the letterwise contract, and the dimension
-bound is checked.
+K^perp, K the span of the kernel rows of the whole group.  tau(empty) must
+be (I, I), and every element carries the pair (tau(w), tau(w)^-1) of its
+Phi-word w as the product of its letters' pairs, so tau is multiplicative
+by construction: k(y l) = R_l k(y) for one fixed matrix R_l per letter,
+and a breadth-first Krylov walk from the identity that extends only the
+words with a new row spans K exactly (_krylov_walk: rank 26 from 184 rows
+for Int(G).G of a rank-2 SL_2(Z) pair, 6 relations).  The build's _Span is
+seeded with that integer basis of K^perp as relations and reduces each
+candidate's coefficient vector modulo them, so membership is decided
+exactly, with no evaluation sample.  Every extracted expansion is still
+re-verified on a fresh sample of random words, and the dimension bound is
+checked.
 
-The engine computes on an exact kernel: matrices are tuples of row tuples
-of ints and Fractions, converted once from the generator pairs and once per
-Phi-word from the tau pairs, and every product of an element by a
-generator is one _Kernel.step.  Action matrices are sparse rows {column:
-coefficient}.  The fresh-sample check and verify_rep read them as (den,
-integer rows), compile each fixed integer map (packed._integer_map) and
-compute on packs in ring.py's balanced digits, every width from a proven
-bound (_PackedPoints, verify_rep); a Fraction appears only in a witness,
-and RingMatrix over QQ only at the API: tau pairs, `basis`, `actions` and
-`recover`.
+The engine computes on an exact kernel, a format only this module knows:
+matrices are tuples of row tuples of ints and Fractions, converted once
+from the generator pairs and the tau pairs of the Phi letters, and every
+product of an element by a generator is one _Kernel.step.  Action matrices
+are sparse rows {column: coefficient}.  The fresh-sample check and
+verify_rep read them as (den, integer rows), compile each fixed integer map
+(packed._integer_map) and compute on packs in ring.py's balanced digits,
+every width from a proven bound (_PackedPoints, verify_rep); a Fraction
+appears only in a witness, and RingMatrix over QQ only at the API: tau
+pairs, `basis`, `actions` and `recover`.
 
 The generator pairs, the tau oracles and the Fraction reference API live
 in semidirect.py; this module re-exports them.
@@ -60,9 +60,6 @@ from .semidirect import (  # the reference API and tau oracles, re-exported
     SemidirectElement,
     TauOracle,
     TrivialTau,
-    _exact,
-    _kernel_identity,
-    _kernel_matrix,
     coord_name,
     coordinate_value,
     eval_word,
@@ -79,9 +76,21 @@ from .words import reduced_walk
 #
 # A kernel matrix is a tuple of row tuples of exact numbers (ints, and
 # Fractions for rational inputs, integral ones included); Python's numeric
-# tower picks the arithmetic (_exact, _kernel_matrix and _kernel_identity
-# are in semidirect.py).  Sparse rows are dicts {column: coefficient} with
-# no zero coefficient.
+# tower picks the arithmetic.  Sparse rows are dicts {column: coefficient}
+# with no zero coefficient.
+
+
+def _exact(x):
+    """x as a kernel scalar: an int when integral, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _kernel_matrix(mat: RingMatrix):
+    return tuple(tuple(_exact(x) for x in row) for row in mat.rows)
+
+
+def _kernel_identity(d: int):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 def _qq_matrix(rows, den=1) -> RingMatrix:
@@ -109,76 +118,78 @@ def _norm(row):
 
 
 class _Element:
-    """A semidirect element in kernel form: its letter word, the Phi-letter
-    subsequence as (index, sign) pairs, and the phi and g kernel matrices."""
+    """A semidirect element in kernel form: its letter word, the kernel pair
+    tau = (tau(w), tau(w)^-1) of its Phi-letter subsequence w, and the phi
+    and g kernel matrices."""
 
-    __slots__ = ("word", "phi_word", "phi", "g")
+    __slots__ = ("word", "tau", "phi", "g")
 
-    def __init__(self, word, phi_word, phi, g):
+    def __init__(self, word, tau, phi, g):
         self.word = word
-        self.phi_word = phi_word
+        self.tau = tau
         self.phi = phi
         self.g = g
 
 
+def _checked_pair(tau, word, ident):
+    """tau's pair for a word of Phi letters in kernel form, checked
+    one-sided: tau(w) tau(w)^-1 = I, which over Q gives the other side too
+    (see MatrixGroupGens)."""
+    t_val, t_inv = map(_kernel_matrix, tau.tau_pair(tuple((i, s) for _, i, s in word)))
+    if _block_mul(t_val, t_inv, 0) != ident:
+        raise OracleError(f"tau inverse wrong on {word_str(word)}")
+    return t_val, t_inv
+
+
 class _Kernel:
-    """(Phi, G, tau) in kernel form: the generator matrices by letter,
-    converted once from the generator pairs, and the tau pairs, converted
-    once per Phi-word."""
+    """(Phi, G, tau) in kernel form: the generator matrices by letter and
+    the tau pair of each Phi letter, converted once.  tau is asked for the
+    empty word and for each Phi letter only, and raises OracleError unless
+    tau of the empty word is (I, I) and each letter's pair multiplies to I;
+    an element's tau pair is then the product of its letters' pairs."""
 
     def __init__(self, phi_gens, g_gens, tau):
-        self.tau = tau
-        self._tau_pairs = {}
-        self.identity = _Element((), (), _kernel_identity(phi_gens.degree),
-                                 _kernel_identity(g_gens.degree))
+        ident = _kernel_identity(g_gens.degree)
+        if tuple(map(_kernel_matrix, tau.tau_pair(()))) != (ident, ident):
+            raise OracleError(
+                f"tau of the empty word {word_str(())} is not the identity pair")
+        self.identity = _Element((), (ident, ident),
+                                 _kernel_identity(phi_gens.degree), ident)
         self.mats = {
             (kind, idx, sign): _kernel_matrix(mat)
             for kind, gens in (("phi", phi_gens), ("g", g_gens))
             for idx, pair in enumerate(gens.pairs)
             for sign, mat in zip((1, -1), pair)
         }
+        self.tau_letters = {l: _checked_pair(tau, (l,), ident)
+                            for l in self.mats if l[0] == "phi"}
         self._steps = {}
-
-    def tau_pair(self, phi_word):
-        pair = self._tau_pairs.get(phi_word)
-        if pair is None:
-            val, inv = self.tau.tau_pair(phi_word)
-            pair = (_kernel_matrix(val), _kernel_matrix(inv))
-            self._tau_pairs[phi_word] = pair
-        return pair
 
     def step(self, el: _Element, letter) -> _Element:
         """el times the generator of letter, by the product (phi1, g1)(phi2,
         g2) = (phi1 phi2, tau(phi2)^-1 g1 tau(phi2) g2) with one identity
-        factor dropped: a Phi letter with matrix P gives (phi P, t^-1 g t),
-        t = tau(letter), and a G letter with matrix M gives (phi, t^-1 g t
-        M), t = tau of the empty word, or (phi, g M) when t is the identity.
-        Each letter's step reads its tau factors once, on its first use."""
+        factor dropped: a Phi letter with matrix P and pair (t, t^-1) gives
+        (phi P, t^-1 g t) and multiplies the pair on as (tau(w) t, t^-1
+        tau(w)^-1), and a G letter with matrix M gives (phi, g M) and keeps
+        the pair."""
         step = self._steps.get(letter)
         if step is None:
             step = self._steps[letter] = self._letter_step(letter)
         return step(el)
 
     def _letter_step(self, letter):
-        kind, idx, sign = letter
         mat, word = self.mats[letter], (letter,)
-        if kind == "phi":
-            phi_word = ((idx, sign),)
-            t_val, t_inv = self.tau_pair(phi_word)
-            # Row i of phi P is row i of phi times the columns of P.
-            times = _integer_map([dict(enumerate(col)) for col in zip(*mat)])
-            return lambda el: _Element(
-                el.word + word, el.phi_word + phi_word,
-                tuple(map(tuple, map(times, el.phi))),
-                _block_mul(_block_mul(t_inv, el.g, 0), t_val, 0))
-        t_val, t_inv = self.tau_pair(())
-        ident = self.identity.g
-        if t_val == ident and t_inv == ident:
-            return lambda el: _Element(el.word + word, el.phi_word, el.phi,
+        if letter[0] == "g":
+            return lambda el: _Element(el.word + word, el.tau, el.phi,
                                        _block_mul(el.g, mat, 0))
-        t_mat = _block_mul(t_val, mat, 0)
-        return lambda el: _Element(el.word + word, el.phi_word, el.phi,
-                                   _block_mul(_block_mul(t_inv, el.g, 0), t_mat, 0))
+        t_val, t_inv = self.tau_letters[letter]
+        # Row i of phi P is row i of phi times the columns of P.
+        times = _integer_map([dict(enumerate(col)) for col in zip(*mat)])
+        return lambda el: _Element(
+            el.word + word,
+            (_block_mul(el.tau[0], t_val, 0), _block_mul(t_inv, el.tau[1], 0)),
+            tuple(map(tuple, map(times, el.phi))),
+            _block_mul(_block_mul(t_inv, el.g, 0), t_val, 0))
 
     def eval_word(self, letters) -> _Element:
         out = self.identity
@@ -190,39 +201,27 @@ class _Kernel:
         return SemidirectElement(el.word, _qq_matrix(el.phi), _qq_matrix(el.g))
 
 
-def _conjugate_by_letter(kernel, mat, letter):
-    lv, linv = kernel.tau_pair((letter,))
-    return _block_mul(_block_mul(linv, mat, 0), lv, 0)
-
-
 def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
-    """Check the oracle contract on short Phi-words: tau inverts correctly
-    and word-level conjugation agrees with letter-by-letter conjugation.
-    The inverse is checked one-sided, tau(w) tau(w)^-1 = I, which for
-    square matrices over Q gives the other side too (see MatrixGroupGens).
-    A letterwise tau (TauOracle) is a product over letters by
-    construction, so only its words of length at most 1 are checked.
-
-    Returns the kernel form of (Phi, G, tau) that was checked, holding the
-    tau pairs of the Phi-words of length at most word_len."""
-    word_len = 1 if getattr(tau, "letterwise", False) else word_len
+    """The kernel form of (Phi, G, tau), checked.  _Kernel checks tau of the
+    empty word and of each letter.  A letterwise tau (TauOracle) is the
+    product of its letters' pairs, as the engine uses it, so nothing more
+    is asked of it.  A black box is walked over the Phi-words of length 2
+    to word_len, each checked against the letter product p(w) the kernel
+    carries: its inverse (_checked_pair), and that tau(w) conjugates G as
+    p(w) does, that is tau(w) p(w)^-1 commutes with each G generator.  A
+    failure raises OracleError naming the word."""
     kernel = _Kernel(phi_gens, g_gens, tau)
+    if getattr(tau, "letterwise", False):
+        return kernel
     ident = kernel.identity.g
     g_mats = tuple(kernel.mats[("g", idx, 1)] for idx in range(len(g_gens.pairs)))
-    pairs = [((idx, 1), (idx, -1)) for idx in range(len(phi_gens.pairs))]
-    # A Phi-word's state: the G generators conjugated by its letters one at
-    # a time, the expected word-level conjugates.
-    words = reduced_walk(pairs, word_len, g_mats, lambda expected, l: tuple(
-        _conjugate_by_letter(kernel, e, l) for e in expected))
-    for w, expected in chain([((), g_mats)], words):
-        t_val, t_inv = kernel.tau_pair(w)
-        if _block_mul(t_val, t_inv, 0) != ident:
-            raise OracleError(f"tau inverse wrong on {w}")
-        for g_mat, exp in zip(g_mats, expected):
-            if _block_mul(_block_mul(t_inv, g_mat, 0), t_val, 0) != exp:
+    pairs = [(("phi", idx, 1), ("phi", idx, -1)) for idx in range(len(phi_gens.pairs))]
+    for w, el in reduced_walk(pairs, word_len, kernel.identity, kernel.step):
+        if len(w) > 1:
+            z = _block_mul(_checked_pair(tau, w, ident)[0], el.tau[1], 0)
+            if any(_block_mul(z, g, 0) != _block_mul(g, z, 0) for g in g_mats):
                 raise OracleError(
-                    f"tau({w}) does not realize the letterwise action"
-                )
+                    f"tau({word_str(w)}) does not realize the letterwise action")
     return kernel
 
 
@@ -243,7 +242,7 @@ def _kernel_row(kernel: _Kernel, y: _Element):
     (p, q) at m^2 + (p n + q) n^2 and k1, k2 in order.  Every shifted
     coordinate is a fixed linear combination of these entries (see
     _shift_coefficients)."""
-    t_val, t_inv = kernel.tau_pair(y.phi_word)
+    t_val, t_inv = y.tau
     b_cols = tuple(zip(*_block_mul(t_val, y.g, 0)))
     n = len(b_cols)
     row = [x for col in zip(*y.phi) for x in col]
@@ -278,8 +277,9 @@ def _krylov_walk(kernel: _Kernel, letters, width: int):
     """(null, rows): an integer basis of K^perp, for K the span of the
     kernel rows of every element, and the number of rows the walk read.
 
-    tau is letterwise, so k(y l) = R_l k(y) for one fixed matrix R_l per
-    letter l, and K is the least subspace that holds k(1) and is stable
+    Each element carries tau of its Phi-word as the product of its letters'
+    pairs, so k(y l) = R_l k(y) for one fixed matrix R_l per letter l, by
+    construction, and K is the least subspace that holds k(1) and is stable
     under every R_l.  The walk goes breadth first from the identity over
     reduced words and extends only the words whose row is new
     (_null_update).  Every row read lies in the span N of the new rows, and
@@ -461,12 +461,13 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     extract the action matrices.
 
     The relations among shifted coordinates are exactly K^perp, which the
-    Krylov walk finds if tau is letterwise (_krylov_walk).  sample_len sets
+    Krylov walk finds (_krylov_walk): the kernel that validate_tau checked
+    builds tau of every Phi-word from its letters' pairs.  sample_len sets
     the word lengths of the fresh-sample gate, sample_len + 1 and + 2,
-    which raises VerificationError if an expansion fails there (a tau
-    breaking that contract), and the depth to which validate_tau walks a
-    black-box tau, sample_len + 2.  A negative sample_len, whose fresh
-    sample is the identity alone, raises ValueError.
+    which raises VerificationError if an expansion fails there, and the
+    depth to which validate_tau walks a black-box tau, sample_len + 2.  A
+    tau that fails validate_tau raises OracleError.  A negative sample_len,
+    whose fresh sample is the identity alone, raises ValueError.
 
     The dimension stays within m^2 + n^4 by construction: the seeded span
     has at most m^2 + n^4 rows, one per null vector and one per basis
@@ -622,10 +623,10 @@ class _PackedPoints:
         sum_j A[i][j] b_j at every point, A the action of a word of E: None
         when all agree, else (i, witness) for the first i that differs.
 
-        phi is E.phi, (t_val, t_inv) = tau(E.phi_word), r = t_val E.g, and
-        actions holds the word's letters in order as _LetterRows: the
-        integer matrix L = den * A(letter), its rows and their compiled map,
-        and its largest row 1-norm.
+        phi is E.phi, (t_val, t_inv) = E.tau, E's carried pair, r = t_val
+        E.g, and actions holds the word's letters in order as _LetterRows:
+        the integer matrix L = den * A(letter), its rows and their compiled
+        map, and its largest row 1-norm.
 
         The direct side reassociates: b_i(E y) = coord_i(shift_i (E y)),
         and the kernel row of E y is y's transformed by E.  Column block j
@@ -727,7 +728,9 @@ def _fresh_points(rep: SplittableRep, words):
 
 def _fresh_sample_check(rep: SplittableRep):
     """Re-verify every extracted expansion identity on fresh elements: the
-    distinct words among 40 random ones of lengths sample_len + 1 and + 2."""
+    distinct words among 40 random ones of lengths sample_len + 1 and + 2.
+    The relations are exact for the kernel's tau by construction, so this
+    gate guards the engine itself."""
     rng = random.Random(271828)
     words = sorted({
         _random_reduced_word(rng, rep.letters, length)
@@ -895,7 +898,7 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
         u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         element = kernel.eval_word(u + v)
-        t_val, t_inv = kernel.tau_pair(element.phi_word)
+        t_val, t_inv = element.tau
         report.pairs_checked += 1
         bad = points.check_product(element.phi, t_inv, _block_mul(t_val, element.g, 0),
                                    [rows[letter] for letter in u + v])

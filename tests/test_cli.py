@@ -422,7 +422,22 @@ class TestSplittableCommand:
             "homomorphism failures: 0\n"
             "well-definedness failures: 60\n"
             "first failure: identity pair at word phi0 acts as a non-identity matrix\n"
+            "well-definedness: checked on the walked words only\n"
             "FAIL\n")
+
+    def test_g_acting_on_itself_passes_on_the_walk(self, capsys, tmp_path):
+        # --phi as the G matrices themselves: G x| G, whose pairs are well
+        # defined, but only the walked words say so.
+        gens = tmp_path / "g.json"
+        gens.write_text(json.dumps(GENS_RANK2))
+        code, text = run(capsys, "splittable", "--g", str(gens),
+                         "--phi", str(gens), "--tau", "inner",
+                         "--sample-len", "3", "--max-len", "2",
+                         "--out", str(tmp_path / "rep.json"))
+        assert code == 0
+        assert text.startswith("dimension 20 (bound 20)\n")
+        assert text.endswith("\nwell-definedness: checked on the walked words only\n"
+                             "PASS\n")
 
     def test_negative_sample_len_is_a_usage_error(self, capsys, tmp_path):
         # A negative length leaves a fresh sample of the identity alone;

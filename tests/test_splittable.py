@@ -191,7 +191,7 @@ class TestValidateTau:
 
     def test_wrong_inverse_on_one_word_fails(self):
         # tau(w)^-1 is wrong on one length-2 Phi-word only; the one-sided
-        # inverse check names that word.
+        # inverse check names that word with its letter names.
         bad = ((0, 1), (1, 1))
 
         class WrongInverse(TauOracle):
@@ -202,15 +202,41 @@ class TestValidateTau:
                 val, inv = self.inner.tau_pair(phi_word)
                 return (val, val) if tuple(phi_word) == bad else (val, inv)
 
-        with pytest.raises(OracleError, match=re.escape(f"tau inverse wrong on {bad}")):
+        with pytest.raises(OracleError, match="^tau inverse wrong on phi0 phi1$"):
             validate_tau(INNER_PHI, G_RANK2, WrongInverse(G_RANK2), word_len=2)
 
-    def test_returns_the_checked_kernel(self):
-        kernel = validate_tau(INNER_PHI, G_RANK2, InnerTau(G_RANK2), word_len=2)
-        for w in [(), ((0, 1),), ((1, -1), (0, 1))]:
-            val, inv = InnerTau(G_RANK2).tau_pair(w)
-            assert kernel.tau_pair(w) == (
-                tuple(map(tuple, val.rows)), tuple(map(tuple, inv.rows)))
+    @pytest.mark.parametrize("gens", ["rank2", "rational"])
+    def test_carried_pairs_are_the_word_pairs(self, gens):
+        # Each element carries its Phi-word's pair as the product of its
+        # letters' pairs: the pair InnerTau gives the whole Phi-word.
+        g_gens = {"rank2": G_RANK2, "rational": G_RATIONAL}[gens]
+        phi_gens = MatrixGroupGens(4, tuple(
+            (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in g_gens.pairs
+        ))
+        kernel = validate_tau(phi_gens, g_gens, InnerTau(g_gens))
+        reference = InnerTau(g_gens)
+        pairs = splittable._letter_pairs(phi_gens, g_gens)
+        walked = chain([((), kernel.identity)],
+                       reduced_walk(pairs, 4, kernel.identity, kernel.step))
+        for n, (word, el) in enumerate(walked, 1):
+            phi_word = tuple((i, s) for kind, i, s in word if kind == "phi")
+            assert el.tau == tuple(map(splittable._kernel_matrix,
+                                       reference.tau_pair(phi_word)))
+        assert n == 1 + 8 + 56 + 392 + 2744
+
+    @pytest.mark.parametrize("gens", ["rank2", "rational"])
+    def test_sheared_empty_word_is_rejected(self, gens):
+        # tau of the empty word is a shear: the engine builds tau(w) from
+        # its letters and so needs tau(empty) = (I, I), and says so.
+        g_gens = {"rank2": G_RANK2, "rational": G_RATIONAL}[gens]
+        phi_gens = MatrixGroupGens(4, tuple(
+            (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in g_gens.pairs
+        ))
+        empty = "^tau of the empty word ε is not the identity pair$"
+        with pytest.raises(OracleError, match=empty):
+            validate_tau(phi_gens, g_gens, ShearedTau(g_gens))
+        with pytest.raises(OracleError, match=empty):
+            build_rep(phi_gens, g_gens, ShearedTau(g_gens), sample_len=1)
 
     @pytest.mark.parametrize("tau", ["inner", "trivial"])
     def test_letterwise_tau_is_checked_per_letter(self, tau):
@@ -247,6 +273,24 @@ class TestValidateTau:
         assert verify_rep(rep, max_len=2, pairs=20).ok
         assert tau.calls and max(tau.calls.values()) == 1
 
+    def test_letterwise_builds_ask_words_of_length_at_most_one(self, monkeypatch):
+        # The engine asks a letterwise tau for the empty word and its
+        # letters, and multiplies the letters' pairs for every longer word:
+        # in int_g_rep, in verify_rep and in the trivial-tau build.
+        asked = set()
+        for cls in (InnerTau, TrivialTau):
+            def counting(self, phi_word, _tau_pair=cls.tau_pair):
+                asked.add(tuple(phi_word))
+                return _tau_pair(self, phi_word)
+            monkeypatch.setattr(cls, "tau_pair", counting)
+        rep = int_g_rep(G_RANK2, sample_len=3)
+        assert verify_rep(rep, max_len=3).ok
+        assert asked == {(), ((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),)}
+        asked.clear()
+        rep = build_rep(*trivial_setup(), sample_len=3)
+        assert verify_rep(rep, max_len=3).ok
+        assert asked == {()}
+
 
 INNER_PHI = MatrixGroupGens(4, tuple(
     (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in G_RANK2.pairs
@@ -259,7 +303,7 @@ _SHEAR_INV = RingMatrix.from_ints(QQ, ((1, -1), (0, 1)))
 
 class ShearedTau(TauOracle):
     """InnerTau times a shear on the right: tau of the empty word is the
-    shear, which is not the identity, so a G letter's step keeps it."""
+    shear, which is not the identity, so the engine rejects it."""
 
     def __init__(self, g_gens):
         self.inner = InnerTau(g_gens)
@@ -270,11 +314,10 @@ class ShearedTau(TauOracle):
 
 
 class TestKernelStep:
-    @pytest.mark.parametrize("tau", [InnerTau, ShearedTau])
+    @pytest.mark.parametrize("tau", [InnerTau])
     @pytest.mark.parametrize("gens", ["rank2", "rational"])
     def test_steps_match_the_reference_product(self, tau, gens):
-        # The kernel's letter steps are the product's definition for any
-        # tau pairs, checked by validate_tau or not.
+        # The kernel's letter steps are the product's definition.
         g_gens = {"rank2": G_RANK2, "rational": G_RATIONAL}[gens]
         phi_gens = MatrixGroupGens(4, tuple(
             (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in g_gens.pairs
