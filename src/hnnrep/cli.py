@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .errors import VerificationError
@@ -235,9 +234,10 @@ def cmd_word(args) -> int:
 
 def _load_gens(path) -> MatrixGroupGens:
     """Read a --g / --phi document; a number with a fraction or an exponent
-    is read as its exact decimal value, not rounded to a float."""
+    keeps its text, which MatrixGroupGens.from_json reads as its exact
+    decimal value, not rounded to a float."""
     with open(path) as fh:
-        doc = json.load(fh, parse_float=Fraction)
+        doc = json.load(fh, parse_float=str)
     return MatrixGroupGens.from_json(doc)
 
 

@@ -2,15 +2,17 @@
 
 _integer_map compiles a fixed sparse integer matrix once into the source of
 one list expression, so that applying it to a list of ints (packs among
-them) costs one multiply-add per term.  _Span is the build's
-fraction-free Gauss-Jordan span of coefficient vectors modulo relations,
-its rows kept as packs in ring.py's balanced-digit format.
+them) costs one multiply-add per term.  _Span is the splittable engine's
+one fraction-free Gauss-Jordan form, of the kernel rows in the Krylov walk
+and of the candidates' values on those rows in the build, its rows kept
+as packs in ring.py's balanced-digit format.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 
 from .ring import _balanced_digits, _digit_width, _pack_digits
 
@@ -51,24 +53,23 @@ def _integer_map(rows):
 def _integer_vector(values):
     """(den, integer list) for ints and Fractions: den is the lcm of their
     denominators and the integers are den * values."""
+    if set(map(type, values)) <= {int}:
+        return 1, list(values)
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 class _Span:
-    """Fraction-free Gauss-Jordan form over Z of vectors b_k modulo the span
-    of some relation vectors.
+    """Fraction-free Gauss-Jordan form over Z of the span of some vectors.
 
-    _Span(relations) starts from the rows of the relations, which carry no
-    basis index: a vector and its combination over the basis are decided
-    modulo them.  Row i is an integer vector r_i, positive at its pivot
-    column and zero at every other row's pivot, followed by its combination
-    R_i over the basis, r_i = sum_k R_i[k] b_k modulo the relations, one
-    entry per basis vector added so far (entry j for the basis vector of the
-    j-th add; a relation row has none until an add eliminates it).  Each row
-    is also one pack in ring.py's balanced digits, values then combination,
-    at `width`: the exact sum of r 2^(8 width j) over its entries r, so the
-    integer steps that change a row change its pack alike.
+    insert(v) adds a row with no basis index (the Krylov walk's rows), and
+    add(...) the row of the next basis vector b_k (the build's).  Row i is
+    an integer vector r_i, positive at its pivot column and zero at every
+    other row's pivot, followed by its combination R_i over the basis, r_i
+    = sum_k R_i[k] b_k modulo the rows with no index, entry k for the k-th
+    add.  Each row is also one pack in ring.py's balanced digits, values
+    then combination, at `width`: the exact sum of r 2^(8 width j) over its
+    entries r, so the integer steps that change a row change its pack alike.
 
     reduce(v) eliminates every pivot at once.  With L the lcm of the pivot
     entries a_i of the rows whose pivot column is nonzero in v, and c_i =
@@ -81,17 +82,13 @@ class _Span:
     updates only the rows that are nonzero at its pivot, and every row it
     makes is divided by its content."""
 
-    def __init__(self, relations=()):
+    def __init__(self):
         self.rows = []  # integer lists, values then combination
         self.pivots = []
         self._norms = []  # largest absolute entry of each row
         self._packs = []  # each row packed at self.width
-        self._indices = []  # the basis index of each combination entry
+        self.adds = 0  # basis vectors added, the length of a combination
         self.width = 0
-        for vec in relations:
-            residual, _, _ = self.reduce(vec)
-            if any(residual):
-                self._insert(residual)
 
     def _repack(self, width: int):
         self.width = width
@@ -100,44 +97,53 @@ class _Span:
     def reduce(self, vec):
         """(residual, combo, scale), all integers with scale > 0, such that
         scale * vec - sum_k combo[k] * b_k - residual is in the span of the
-        relations and the residual is zero at every pivot.  The entries of
-        vec may be ints or Fractions."""
+        rows with no index and the residual is zero at every pivot.  The
+        entries of vec may be ints or Fractions."""
         scale, vec = _integer_vector(vec)
-        rows = self.rows
-        hits = [(rows[i][p], x, i) for i, p in enumerate(self.pivots) if (x := vec[p])]
-        if not hits:
+        rows, pivots = self.rows, self.pivots
+        hit = [i for i, p in enumerate(pivots) if vec[p]]
+        if not hit:
             return vec, {}, scale
-        lead = lcm(*(a for a, _, _ in hits))
-        hits = [(lead // a * x, i) for a, x, i in hits]
-        bound = lead * max(map(abs, vec)) + sum(abs(c) * self._norms[i] for c, i in hits)
+        heads = [rows[i][pivots[i]] for i in hit]
+        lead = lcm(*heads)
+        coeffs = [lead // a * vec[pivots[i]] for a, i in zip(heads, hit)]
+        norms = map(self._norms.__getitem__, hit)
+        bound = lead * max(map(abs, vec)) + sum(map(mul, map(abs, coeffs), norms))
         width = _digit_width(bound)
         if width > self.width:
             # Half as much again, so that growing bounds repack rarely.
             self._repack(width + width // 2)
-        width, n, packs = self.width, len(vec), self._packs
-        indices = self._indices
-        total = sum(c * packs[i] for c, i in hits) - lead * _pack_digits(vec, width)
+        width, n, d = self.width, len(vec), self.adds
+        total = sum(map(mul, coeffs, map(self._packs.__getitem__, hit)))
+        total -= lead * _pack_digits(vec, width)
         if total & ((1 << (8 * width * n)) - 1):
-            digits = _balanced_digits(total, width, n + len(indices))
+            digits = _balanced_digits(total, width, n + d)
             residual = [-x for x in digits[:n]]
             digits = digits[n:]
         else:
             residual = [0] * n
-            digits = _balanced_digits(total >> (8 * width * n), width, len(indices))
-        return residual, {indices[j]: x for j, x in enumerate(digits) if x}, scale * lead
+            digits = _balanced_digits(total >> (8 * width * n), width, d)
+        return residual, {k: x for k, x in enumerate(digits) if x}, scale * lead
 
-    def add(self, residual, combo, scale, index):
-        """Add the row of basis vector b_index from its nonzero residual:
-        residual = scale * b_index - sum_k combo[k] * b_k modulo the
-        relations."""
-        n, position = len(residual), {k: j for j, k in enumerate(self._indices)}
-        row = list(residual) + [0] * len(position) + [scale]
+    def insert(self, vec) -> bool:
+        """Whether vec is outside the span; its row, with no basis index,
+        is added when it is."""
+        residual, _, _ = self.reduce(vec)
+        if any(residual):
+            self._append(residual)
+        return any(residual)
+
+    def add(self, residual, combo, scale):
+        """Add the row of the next basis vector b_d, d = self.adds, from its
+        nonzero residual: residual = scale * b_d - sum_k combo[k] * b_k
+        modulo the rows with no index."""
+        row = list(residual) + [0] * self.adds + [scale]
         for k, v in combo.items():
-            row[n + position[k]] = -v
-        self._indices.append(index)
-        self._insert(row)
+            row[len(residual) + k] = -v
+        self.adds += 1
+        self._append(row)
 
-    def _insert(self, row):
+    def _append(self, row):
         """Append a row whose values are nonzero and zero at every pivot:
         its pivot is its first nonzero entry, made positive, and the other
         rows are eliminated there."""

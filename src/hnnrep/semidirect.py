@@ -102,6 +102,23 @@ def _rows_to_json(m: RingMatrix):
     return [[QQ.scalar_to_json(x) for x in row] for row in m.rows]
 
 
+# Largest |e| of a decimal exponent (1e5) in a generator document: entries
+# are exact, and 1e2000000 would build a two-million-digit integer.
+MAX_DECIMAL_EXPONENT = 10_000
+
+
+def _exact_entry(x) -> Fraction:
+    """The exact value of a matrix entry's text, its decimal exponent
+    checked against MAX_DECIMAL_EXPONENT first (ValueError)."""
+    text = str(x)
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                               or int(digits) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"matrix entry {text[:40]!r} has a decimal exponent "
+                         f"past {MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
+
+
 def _rows_from_json(rows) -> RingMatrix:
     if not isinstance(rows, list) or not all(
         isinstance(row, list)
@@ -113,7 +130,7 @@ def _rows_from_json(rows) -> RingMatrix:
             '"matrix" and "inverse" must be lists of rows of numbers or strings'
         )
     try:
-        entries = tuple(tuple(Fraction(str(x)) for x in row) for row in rows)
+        entries = tuple(tuple(map(_exact_entry, row)) for row in rows)
     except ZeroDivisionError:
         raise ValueError("matrix entry with a zero denominator") from None
     return RingMatrix(QQ, entries)

@@ -9,20 +9,14 @@ m^2 + n^4.
 
 Each element y has a kernel row k(y): its m^2 entries y.phi[k][j] and its
 n^4 splitting-kernel values H_{p k1 k2 q}(y).  A shifted coordinate is
-y -> c . k(y) for a coefficient vector c in Q^(m^2 + n^4) read off the
-shift, so the linear relations among shifted coordinates are the c in
-K^perp, K the span of the kernel rows of the whole group.  tau(empty) must
-be (I, I), and every element carries the pair (tau(w), tau(w)^-1) of its
-Phi-word w as the product of its letters' pairs, so tau is multiplicative
-by construction: k(y l) = R_l k(y) for one fixed matrix R_l per letter,
-and a breadth-first Krylov walk from the identity that extends only the
-words with a new row spans K exactly (_krylov_walk: rank 26 from 184 rows
-for Int(G).G of a rank-2 SL_2(Z) pair, 6 relations).  The build's _Span is
-seeded with that integer basis of K^perp as relations and reduces each
-candidate's coefficient vector modulo them, so membership is decided
-exactly, with no evaluation sample.  Every extracted expansion is still
-re-verified on a fresh sample of random words, and the dimension bound is
-checked.
+y -> c . k(y) for a coefficient vector c read off the shift, so the linear
+relations among shifted coordinates are K^perp, K the span of the kernel
+rows of the whole group.  tau(empty) must be (I, I), and every element
+carries the tau pair of its Phi-word as the product of its letters' pairs,
+so a Krylov walk finds K's Gauss-Jordan rows R exactly (_krylov_walk), and
+the build decides each candidate c by its values R c (build_rep), with no
+evaluation sample.  Every extracted expansion is still re-verified on a
+fresh sample of random words, and the dimension bound is checked.
 
 The engine computes on an exact kernel, a format only this module knows:
 matrices are tuples of row tuples of ints and Fractions, converted once
@@ -46,7 +40,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from ._record import Record
@@ -251,50 +245,27 @@ def _kernel_row(kernel: _Kernel, y: _Element):
     return row
 
 
-def _null_update(null, row) -> bool:
-    """Make the integer vectors null a basis of the null space of one more
-    row, in place: whether the row was outside the span of the rows before
-    it.  Such a row has a nonzero dot product with one of the vectors, the
-    pivot, which leaves the basis; the others are then made orthogonal to
-    the row fraction-free, p * u - (row . u) * v for the pivot v with p =
-    row . v, and divided by their content."""
-    _, row = _integer_vector(row)
-    piv = next(((k, p) for k, v in enumerate(null) if (p := sum(map(mul, row, v)))), None)
-    if piv is None:
-        return False
-    k, p = piv
-    v = null.pop(k)
-    for k, u in enumerate(null[k:], k):
-        c = sum(map(mul, row, u))
-        if c:
-            u = [p * a - c * b for a, b in zip(u, v)]
-            g = gcd(*u)
-            null[k] = [a // g for a in u] if g > 1 else u
-    return True
-
-
 def _krylov_walk(kernel: _Kernel, letters, width: int):
-    """(null, rows): an integer basis of K^perp, for K the span of the
-    kernel rows of every element, and the number of rows the walk read.
+    """(rows, read): the Gauss-Jordan rows of K, the span of the kernel rows
+    of every element, and the number of kernel rows the walk read.
 
     Each element carries tau of its Phi-word as the product of its letters'
     pairs, so k(y l) = R_l k(y) for one fixed matrix R_l per letter l, by
     construction, and K is the least subspace that holds k(1) and is stable
     under every R_l.  The walk goes breadth first from the identity over
-    reduced words and extends only the words whose row is new
-    (_null_update).  Every row read lies in the span N of the new rows, and
-    R_l maps a new row of a word w to the row of w l, which is read, or of
-    w's parent when l undoes w's last letter.  So N is R-stable and holds
-    k(1): N = K, and the walk ends after rank K <= width new rows."""
-    null = [[int(i == j) for j in range(width)] for i in range(width)]
-    queue, rows = deque([kernel.identity]), 0
-    while queue and null:
+    reduced words and extends only the words whose row is new to its
+    _Span.  Every row read lies in the span N of the new rows, and R_l maps
+    a new row of a word w to the row of w l, which is read, or of w's
+    parent when l undoes w's last letter.  So N is R-stable and holds k(1):
+    N = K, and the walk ends after rank K <= width new rows."""
+    span, queue, read = _Span(), deque([kernel.identity]), 0
+    while queue and len(span.rows) < width:
         el = queue.popleft()
-        rows += 1
-        if _null_update(null, _kernel_row(kernel, el)):
+        read += 1
+        if span.insert(_kernel_row(kernel, el)):
             back = _inverse_letter(el.word[-1]) if el.word else None
             queue.extend(kernel.step(el, l) for l in letters if l != back)
-    return null, rows
+    return span.rows, read
 
 
 def _shift_coefficients(coord, shift, m: int):
@@ -460,29 +431,31 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     """Close the coordinate functions under shifts by the generators and
     extract the action matrices.
 
-    The relations among shifted coordinates are exactly K^perp, which the
-    Krylov walk finds (_krylov_walk): the kernel that validate_tau checked
-    builds tau of every Phi-word from its letters' pairs.  sample_len sets
-    the word lengths of the fresh-sample gate, sample_len + 1 and + 2,
-    which raises VerificationError if an expansion fails there, and the
-    depth to which validate_tau walks a black-box tau, sample_len + 2.  A
-    tau that fails validate_tau raises OracleError.  A negative sample_len,
-    whose fresh sample is the identity alone, raises ValueError.
+    The relations among shifted coordinates are exactly K^perp, K the span
+    of the Krylov walk's rows R (_krylov_walk, exact for the kernel that
+    validate_tau checked), so f_c = sum_j a_j f_(b_j) exactly when R c =
+    sum_j a_j R b_j: each candidate c is decided by its values R c.
+    sample_len sets the word lengths of the fresh-sample gate, sample_len +
+    1 and + 2, which raises VerificationError if an expansion fails there,
+    and the depth to which validate_tau walks a black-box tau, sample_len +
+    2.  A tau that fails validate_tau raises OracleError.  A negative
+    sample_len, whose fresh sample is the identity alone, raises ValueError.
 
-    The dimension stays within m^2 + n^4 by construction: the seeded span
-    has at most m^2 + n^4 rows, one per null vector and one per basis
-    function.  The DimensionBoundError check states that bound and cannot
-    fire.
+    The dimension stays within m^2 + n^4 by construction: the values R b_j
+    of the basis functions are independent, so basis <= rank K <= m^2 +
+    n^4.  The DimensionBoundError check states that bound and cannot fire.
     """
     if sample_len < 0:
         raise ValueError("sample_len must be at least 0")
     m, n = phi_gens.degree, g_gens.degree
-    bound = m * m + n**4  # also the width of a coefficient vector
+    bound = m * m + n**4  # also the width of a kernel row
     pairs = _letter_pairs(phi_gens, g_gens)
     letters = tuple(letter for pair in pairs for letter in pair)
     kernel = validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
-    null, walk_rows = _krylov_walk(kernel, letters, bound)
-    span = _Span(null)  # spans are decided modulo the relations K^perp
+    k_rows, walk_rows = _krylov_walk(kernel, letters, bound)
+    rank, span = len(k_rows), _Span()
+    # R by columns {row: entry}: R c sums the columns where c is nonzero.
+    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*k_rows)]
 
     coords = [("phi", i, j) for i in range(m) for j in range(m)]
     coords += [("g", p, q) for p in range(n) for q in range(n)]
@@ -496,8 +469,11 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
         """The sparse expansion of coord shifted by shift in the basis; a
         function outside the span becomes the next basis function."""
         off, coeffs = _shift_coefficients(coord, shift, m)
-        vec = [0] * bound
-        vec[off:off + len(coeffs)] = coeffs
+        vec = [0] * rank
+        for x, col in zip(coeffs, columns[off:]):
+            if x:
+                for i, r in col.items():
+                    vec[i] += x * r
         residual, combo, scale = span.reduce(vec)
         if not any(residual):
             return {k: _exact(Fraction(v, scale)) for k, v in combo.items()}
@@ -507,7 +483,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
                 f"closure exceeded the bound m^2 + n^4 = {bound}"
             )
         basis.append((coord, shift))
-        span.add(residual, combo, scale, idx)
+        span.add(residual, combo, scale)
         pending.extend((idx, letter) for letter in letters)
         return {idx: 1}
 
@@ -526,7 +502,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     }
     rep = SplittableRep(
         phi_gens, g_gens, tau, kernel, basis, rows, expansions,
-        sample_len, letters, (bound - len(null), walk_rows),
+        sample_len, letters, (rank, walk_rows),
     )
     _fresh_sample_check(rep)
     return rep

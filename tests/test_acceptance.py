@@ -318,3 +318,17 @@ def test_criterion_11_degree3_int_g_rep():
     assert hashlib.sha256(text.encode()).hexdigest() == DEGREE3_JSON_SHA256
     report(11, "splittable: Int(G)G for <e21(2), e12(2), e23(3)> <= SL_3(Z), "
                "dim 58 <= 162, verified to length 2", t0, "30 s")
+
+
+def test_criterion_12_wide_trivial_closure():
+    # G trivial of degree 8: kernel rows 4,096 wide, and K is the identity's
+    # row alone, so the closure costs rank K = 1, not the 4,095 relations.
+    t0 = time.time()
+    rep = build_rep(MatrixGroupGens.trivial(), MatrixGroupGens(8, ()), TrivialTau(8),
+                    sample_len=4)
+    assert rep.dimension == 1
+    assert (rep.walk_rank, rep.walk_rows) == (1, 1)
+    assert rep.m_degree**2 + rep.n_degree**4 == 4096
+    assert verify_rep(rep, max_len=1).ok
+    report(12, "splittable: trivial closure of the degree-8 trivial group, "
+               "dim 1 <= 4096, walk (1, 1)", t0, "5 s")

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,13 +379,12 @@ class TestSplittableCommand:
         assert docs[0] == docs[1] == docs[2]
 
     def test_fresh_sample_failure_reported(self, capsys, monkeypatch, tmp_path):
-        # The gate forced to fail: relations read off the identity's kernel
-        # row alone merge functions that differ elsewhere; the disjoint
-        # fresh-sample guard trips and the command names the witness.
+        # The gate forced to fail: K taken as the span of the identity's
+        # kernel row alone merges functions that differ elsewhere; the
+        # disjoint fresh-sample guard trips and the command names the
+        # witness.
         def identity_row_only(kernel, letters, width):
-            null = [[int(i == j) for j in range(width)] for i in range(width)]
-            splittable._null_update(null, splittable._kernel_row(kernel, kernel.identity))
-            return null, 1
+            return [splittable._kernel_row(kernel, kernel.identity)], 1
 
         monkeypatch.setattr(splittable, "_krylov_walk", identity_row_only)
         gens = tmp_path / "g.json"
@@ -466,6 +466,22 @@ class TestSplittableCommand:
         gens.write_text('{"degree": 2, "generators": [{"matrix": '
                         '[[1, 0], [0.5, 1]], "inverse": [[1, 0], [-5e-1, 1]]}]}')
         assert cli._load_gens(str(gens)).pairs[0][0].rows[1][0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("entry", ["1e2000000", '"1e2000000"'],
+                             ids=["number", "string"])
+    def test_huge_decimal_exponent_exits_2_promptly(self, capsys, tmp_path, entry):
+        # The exact value of 1e2000000 is a two-million-digit integer; the
+        # exponent is refused before the conversion builds it.
+        gens = tmp_path / "g.json"
+        gens.write_text('{"degree": 1, "generators": [{"matrix": [[%s]], '
+                        '"inverse": [[1]]}]}' % entry)
+        started = time.perf_counter()
+        code = main(["splittable", "--g", str(gens), "--tau", "trivial",
+                     "--max-len", "1", "--out", str(tmp_path / "rep.json")])
+        assert code == 2 and time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err == (
+            "error: matrix entry '1e2000000' has a decimal exponent past 10000\n")
+        assert not (tmp_path / "rep.json").exists()
 
     def test_bad_inverse_in_file(self, capsys, tmp_path):
         gens = tmp_path / "g.json"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -18,6 +19,7 @@ from hnnrep import packed, splittable
 from hnnrep.errors import OracleError, VerificationError
 from hnnrep.matrix import RingMatrix
 from hnnrep.ring import QQ, _balanced_digits, _digit_width, _pack_digits
+from hnnrep.semidirect import MAX_DECIMAL_EXPONENT
 from hnnrep.splittable import (
     InnerTau,
     MatrixGroupGens,
@@ -513,6 +515,40 @@ class TestMatrixGroupGens:
                 tuple(map(tuple, m)) for m in pair)])
 
 
+def one_by_one_gens(matrix, inverse):
+    """The text of a --g document with one 1 x 1 generator pair."""
+    return ('{"degree": 1, "generators": [{"matrix": [[%s]], "inverse": [[%s]]}]}'
+            % (matrix, inverse))
+
+
+class TestDecimalExponents:
+    """Entries are read as exact rationals, so a decimal exponent past
+    MAX_DECIMAL_EXPONENT is refused before its value is built.  The CLI
+    reads a JSON number as its text (json.load with parse_float=str), so
+    both forms reach from_json as text."""
+
+    @pytest.mark.parametrize("entry", ["1e2000000", '"1e2000000"', '"1E+2_000_000"',
+                                       '"-1e-2000000"', "1e10001", '"1e00010001"'],
+                             ids=["number", "string", "underscores", "negative",
+                                  "number-past-bound", "string-past-bound"])
+    def test_exponent_past_the_bound_rejected(self, entry):
+        started = time.perf_counter()
+        doc = json.loads(one_by_one_gens(entry, 1), parse_float=str)
+        with pytest.raises(ValueError, match="has a decimal exponent past 10000$"):
+            MatrixGroupGens.from_json(doc)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("matrix, inverse", [
+        ("1e10000", "1e-10000"), ('"1E+10_000"', '"1e-0010000"'), ("2.5e0", '"0.4"'),
+    ])
+    def test_exponent_at_the_bound_read_exactly(self, matrix, inverse):
+        doc = json.loads(one_by_one_gens(matrix, inverse), parse_float=str)
+        ((mat, inv),) = MatrixGroupGens.from_json(doc).pairs
+        assert mat.rows[0][0] * inv.rows[0][0] == 1
+        assert mat.rows[0][0] in (10**10000, Fraction(5, 2))
+        assert MAX_DECIMAL_EXPONENT == 10_000
+
+
 class TestRationalGenerators:
     def test_inner_tau(self):
         rep = int_g_rep(G_RATIONAL, sample_len=3)
@@ -603,7 +639,7 @@ class TestFractionFreeSpan:
             reference = reference_expansion(basis, vec)
             if reference is None:
                 assert any(residual)
-                span.add(residual, combo, scale, len(basis))
+                span.add(residual, combo, scale)
                 basis.append(vec)
             else:
                 assert not any(residual)
@@ -625,7 +661,7 @@ def span_sequence(vectors, check=None):
         reference = reference_expansion(basis, vec)
         if reference is None:
             assert any(residual)
-            span.add(residual, combo, scale, len(basis))
+            span.add(residual, combo, scale)
             basis.append(vec)
             if check:
                 check(span)
@@ -693,8 +729,9 @@ class TestPackedSpan:
 
 
 class TestSeededSpan:
-    """A _Span seeded with relations decides vectors modulo them; the
-    relations carry no basis index."""
+    """A _Span whose first rows were inserted with no basis index (the
+    walk's path) decides later vectors modulo them; those rows carry no
+    basis index."""
 
     RELATIONS = [[2, 1, 0, 1, 0], [1, 0, 1, 0, 3], [3, 1, 1, 1, 3]]  # r2 = r0 + r1
     VECTORS = [
@@ -707,9 +744,10 @@ class TestSeededSpan:
     ]
 
     def test_relations_reduce_and_leave_no_index(self):
-        span = _Span(self.RELATIONS)
+        span = _Span()
+        assert [span.insert(r) for r in self.RELATIONS] == [True, True, False]
         gauss_jordan_form(span)
-        assert len(span.rows) == 2 and span._indices == []
+        assert len(span.rows) == 2 and span.adds == 0
         relations = self.RELATIONS[:2]
         assert self.VECTORS[0][span.pivots[0]]
         basis, in_span = [], []
@@ -723,7 +761,7 @@ class TestSeededSpan:
             reference = reference_expansion(basis + relations, vec)
             if reference is None:
                 assert any(residual)
-                span.add(residual, combo, scale, len(basis))
+                span.add(residual, combo, scale)
                 basis.append(vec)
                 gauss_jordan_form(span)
             else:
@@ -731,7 +769,7 @@ class TestSeededSpan:
                 in_span.append(len(basis))
                 assert [Fraction(combo.get(k, 0), scale)
                         for k in range(len(basis))] == reference[:len(basis)]
-        assert span._indices == list(range(len(basis))) == [0, 1, 2]
+        assert span.adds == len(basis) == 3
         assert len(span.rows) == 2 + len(basis) and in_span == [2, 3, 3]
 
     @pytest.mark.parametrize("name", ["inner-22", "trivial-22"])
@@ -934,55 +972,30 @@ def fraction_rank(rows):
     return len(picked)
 
 
-class WholeSampleSpan(_Span):
-    """Reference for the build's seeded span: handed the kernel rows of the
-    whole sample in place of a null basis, it decides spans on the value
-    vectors K_S c of the coefficient vectors c, one value per sample point,
-    with no relations."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.points = list(rows)
-
-    def reduce(self, vec):
-        terms = [(j, x) for j, x in enumerate(vec) if x]
-        return super().reduce([sum(row[j] * x for j, x in terms) for row in self.points])
-
-
-def unit_vectors(width):
-    return [[int(i == j) for j in range(width)] for i in range(width)]
-
-
-def sample_walk(sample_len, whole=False):
-    """A stand-in for _krylov_walk that reads the kernel rows of every
+def sample_walk(sample_len):
+    """A stand-in for _krylov_walk that returns the kernel rows of every
     reduced word of length at most sample_len, the sample the build read
-    before the walk: (their null basis, the number of rows), or with whole
-    the rows themselves, for WholeSampleSpan."""
+    before the walk, as K's rows, and their number: the build then decides
+    spans on the candidates' values over the whole sample."""
 
     def walk(kernel, letters, width):
         pairs = list(zip(letters[::2], letters[1::2]))
         words = reduced_walk(pairs, sample_len, kernel.identity, kernel.step)
         rows = [splittable._kernel_row(kernel, el)
                 for el in chain([kernel.identity], (el for _, el in words))]
-        if whole:
-            return rows, len(rows)
-        null = unit_vectors(width)
-        for row in rows:
-            splittable._null_update(null, row)
-        return null, len(rows)
+        return rows, len(rows)
 
     return walk
 
 
 def whole_sample(monkeypatch, sample_len):
     """Make build_rep decide its spans on value vectors over the whole
-    sample of words of length at most sample_len (WholeSampleSpan)."""
-    monkeypatch.setattr(splittable, "_krylov_walk", sample_walk(sample_len, whole=True))
-    monkeypatch.setattr(splittable, "_Span", WholeSampleSpan)
+    sample of words of length at most sample_len."""
+    monkeypatch.setattr(splittable, "_krylov_walk", sample_walk(sample_len))
 
 
 def recorded_walks(monkeypatch):
-    """A list that gets (null, rows) of every _krylov_walk call."""
+    """A list that gets (K's rows, rows read) of every _krylov_walk call."""
     walks = []
     real = splittable._krylov_walk
 
@@ -994,27 +1007,35 @@ def recorded_walks(monkeypatch):
     return walks
 
 
+def walk_span(rows):
+    """A _Span of the rows, each of which must be new: K's rows are
+    independent."""
+    span = _Span()
+    assert all(span.insert(row) for row in rows)
+    return span
+
+
 class TestRowBasis:
-    """The kernel rows reach the build only through an integer basis of
-    K^perp, K the least letter-stable span of the rows, which the Krylov
-    walk finds row by row (_null_update) and which seeds the span."""
+    """The kernel rows reach the build only through the Gauss-Jordan rows
+    of K, the least letter-stable span of the rows, which the Krylov walk
+    finds row by row in one _Span (its no-index path); the build decides
+    each candidate by its values on those rows."""
 
     @pytest.mark.parametrize("kind", sorted(_ENTRIES))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_fraction_reference(self, kind, data):
-        # Row by row: the update says whether the row is new, and the
-        # vectors stay an integer basis of the null space of the rows so far.
+        # Row by row: insert says whether the row is new, the kept rows
+        # have the rank of the rows so far, and every row so far reduces
+        # to zero modulo them.
         rows = data.draw(vector_sequences(kind))
-        width = len(rows[0])
-        null = unit_vectors(width)
+        span = _Span()
         for k, row in enumerate(rows):
-            new = splittable._null_update(null, row)
+            new = span.insert(row)
             assert new == (reference_expansion(rows[:k], row) is None)
-            assert all(len(v) == width and all(isinstance(x, int) for x in v)
-                       for v in null)
-            assert all(sum(map(mul, r, v)) == 0 for r in rows[:k + 1] for v in null)
-            assert fraction_rank(null) == len(null) == width - fraction_rank(rows[:k + 1])
+            assert all(all(isinstance(x, int) for x in r) for r in span.rows)
+            assert fraction_rank(span.rows) == len(span.rows) == fraction_rank(rows[:k + 1])
+            assert all(not any(span.reduce(r)[0]) for r in rows[:k + 1])
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
     def test_same_rep_as_the_full_sample(self, monkeypatch, name):
@@ -1036,7 +1057,7 @@ class TestRowBasis:
         walks = recorded_walks(monkeypatch)
         short = int_g_rep(G_DEGREE3, sample_len=2)
         assert short.dimension == 58 and (short.walk_rank, short.walk_rows) == (76, 838)
-        assert [len(null) for null, _ in walks] == [162 - 76]
+        assert [len(rows) for rows, _ in walks] == [76]
         assert json.dumps(short.to_json()) == json.dumps(
             int_g_rep(G_DEGREE3, sample_len=3).to_json())
         assert hashlib.sha256(json.dumps(short.to_json(), sort_keys=True).encode()
@@ -1053,9 +1074,10 @@ class TestRowBasis:
         ("inner-22", 26, 184, 80, 6), ("trivial-22", 4, 14, 78, 12),
     ])
     def test_walk_null_spaces(self, monkeypatch, name, rank, rows, fresh, nullity):
-        # The walk's (rank, rows read) and the one null basis: 1 + 8 + 25 * 7
-        # rows for Int(G).G over 8 letters, 1 + 4 + 3 * 3 for trivial tau
-        # over 4; the fresh-sample check packs every fresh point.
+        # The walk's (rank, rows read), its rank K rows and the null space
+        # K^perp they leave: 1 + 8 + 25 * 7 rows for Int(G).G over 8
+        # letters, 1 + 4 + 3 * 3 for trivial tau over 4; the fresh-sample
+        # check packs every fresh point.
         walks, packed = recorded_walks(monkeypatch), []
 
         class RecordingPoints(splittable._PackedPoints):
@@ -1066,36 +1088,61 @@ class TestRowBasis:
         monkeypatch.setattr(splittable, "_PackedPoints", RecordingPoints)
         rep = BUILDS[name]()
         assert (rep.walk_rank, rep.walk_rows) == (rank, rows)
-        ((null, walked),) = walks
-        assert walked == rows and len(null) == nullity
+        ((k_rows, walked),) = walks
+        assert walked == rows and len(k_rows) == rank
         assert rank + nullity == rep.m_degree**2 + rep.n_degree**4
         assert packed == [(fresh, fresh)]
 
     @pytest.mark.parametrize("name", sorted(BUILDS))
     def test_dimension_bound_holds_by_construction(self, monkeypatch, name):
-        # The seeded span holds one row per null vector and one per basis
-        # function, all independent in m^2 + n^4 coordinates, so build_rep's
-        # DimensionBoundError check cannot fire.
+        # The basis functions' values on K's rows are independent in
+        # Q^(rank K), so build_rep's DimensionBoundError check cannot fire.
         walks = recorded_walks(monkeypatch)
         rep = BUILDS[name]()
-        ((null, _),) = walks
+        ((k_rows, _),) = walks
         width = rep.m_degree**2 + rep.n_degree**4
-        assert len(null) == width - rep.walk_rank
-        assert len(rep.basis) + len(null) <= width
+        assert len(k_rows) == rep.walk_rank
+        assert all(len(row) == width for row in k_rows)
+        assert rep.dimension <= rep.walk_rank <= width
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_build_reduces_vectors_of_width_rank_k(self, monkeypatch, name):
+        # The walk's span reduces kernel rows, m^2 + n^4 wide; the build's
+        # span, made after it, reduces each candidate's values on K's rows.
+        spans = []
+
+        class RecordingSpan(_Span):
+            def __init__(self):
+                super().__init__()
+                self.widths = []
+                spans.append(self)
+
+            def reduce(self, vec):
+                self.widths.append(len(vec))
+                return super().reduce(vec)
+
+        monkeypatch.setattr(splittable, "_Span", RecordingSpan)
+        rep = BUILDS[name]()
+        build = spans[-1]
+        assert build.widths and set(build.widths) == {rep.walk_rank}
+        assert len(spans) == 2
+        width = rep.m_degree**2 + rep.n_degree**4
+        assert set(spans[0].widths) == {width}
 
     @pytest.mark.parametrize("name", ["inner-23", "trivial-32", "inner-rational",
                                       "inner-cyclic"])
     def test_walk_spans_the_rows_of_every_word(self, monkeypatch, name):
-        # K is letter-stable: every kernel row of the words to length 4 is
-        # orthogonal to the walk's null basis.
+        # K is letter-stable: every kernel row of the words to length 4
+        # reduces to zero modulo the walk's rows.
         walks = recorded_walks(monkeypatch)
         rep = BUILDS[name]()
-        ((null, _),) = walks
+        ((k_rows, _),) = walks
+        span = walk_span(k_rows)
         kernel = rep._kernel
         pairs = list(zip(rep.letters[::2], rep.letters[1::2]))
         for _, el in reduced_walk(pairs, 4, kernel.identity, kernel.step):
-            row = splittable._kernel_row(kernel, el)
-            assert all(sum(map(mul, row, v)) == 0 for v in null)
+            residual, _, _ = span.reduce(splittable._kernel_row(kernel, el))
+            assert not any(residual)
 
 
 def _dense(rows, d):
