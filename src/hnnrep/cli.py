@@ -23,6 +23,7 @@ from .reps import (
     artin_even,
     artin_odd,
     artin_sigma_basis,
+    b3_explicit,
     golden_check,
     hnn_induced_rep,
     integer_artin,
@@ -173,7 +174,15 @@ def cmd_check(args) -> int:
         for key in ("sigma_inv", "psi1_x0", "psi2_x0", "psi3_x0", "psi4_x0"):
             status = "FAIL" if key in mismatches else "ok"
             lines.append(f"golden block {key}: {status}")
-        return _report_lines(lines, not mismatches, args.json_report, args.suite)
+        try:
+            b3_explicit()
+            status = "ok"
+        except VerificationError as exc:
+            status = f"FAIL {exc}"
+        lines.append(f"explicit B3 pair X, Y (12x12), block shapes and "
+                     f"X Y X = Y X Y: {status}")
+        ok = not mismatches and status == "ok"
+        return _report_lines(lines, ok, args.json_report, args.suite)
 
     if args.suite == "center":
         if args.integer:
@@ -351,8 +360,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"verification failure: {exc}")

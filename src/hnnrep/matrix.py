@@ -88,17 +88,22 @@ class RingMatrix:
         match, an unknown ring, a bad scalar) raises ValueError."""
         if not isinstance(doc, dict):
             raise ValueError("matrix document must be an object")
-        ring = ring_from_descriptor(doc.get("ring"))
-        rows = doc.get("rows")
+        mat = cls.from_json_rows(ring_from_descriptor(doc.get("ring")), doc.get("rows"))
+        degree = doc.get("degree")
+        if type(degree) is not int or degree != mat.degree:
+            raise ValueError("degree field does not match row count")
+        return mat
+
+    @classmethod
+    def from_json_rows(cls, ring, rows) -> "RingMatrix":
+        """The square matrix a JSON list of rows of ring scalars gives.  It
+        reads the rows of matrix documents and of the splittable engine's
+        generator documents; ValueError for any other rows, ragged or
+        non-square rows, or a scalar ring.scalar_from_json refuses."""
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("matrix rows must be a list of lists")
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix must be square")
-        degree = doc.get("degree")
-        if type(degree) is not int or degree != len(rows):
-            raise ValueError("degree field does not match row count")
         dec = ring.scalar_from_json
-        return cls(ring, tuple(tuple(dec(x) for x in row) for row in rows))
+        return cls(ring, tuple(tuple(map(dec, row)) for row in rows))
 
     def __repr__(self):
         return "RingMatrix([\n" + "\n".join(

@@ -10,7 +10,8 @@ engine.
 Each ring has a small descriptor object carrying zero/one, integer
 embedding, a unit test with the unit inverse, and a bit-exact JSON encoding
 of its scalars, both as a document (scalar_to_json) and as the text of that
-document at a given indent (scalar_json_text).
+document at a given indent (scalar_json_text), read back by
+scalar_from_json.  QQ.scalar_from_json reads every exact rational in JSON.
 
 Every LaurentPoly the builders make is homogeneous: its terms
 lam^a mu^b s^c share one class (b - a, c).  sigma(lam e^-1, mu e) is sigma
@@ -558,6 +559,11 @@ class IntRing:
         return "IntRing()"
 
 
+# Largest |e| of a decimal exponent (1e5) in a rational JSON entry: entries
+# are exact, and 1e2000000 would build a two-million-digit integer.
+MAX_DECIMAL_EXPONENT = 10_000
+
+
 class FractionRing:
     kind = "rational"
     zero = Fraction(0)
@@ -585,8 +591,18 @@ class FractionRing:
         return f'"{self.scalar_to_json(x)}"'
 
     def scalar_from_json(self, doc):
+        """The exact rational a JSON entry names: a JSON int, or the text of
+        an integer, a fraction "p/q" or a decimal such as "0.25" or
+        "2.5e0".  A decimal exponent past MAX_DECIMAL_EXPONENT is refused
+        before the value is built.  Anything else (a bool, a float, a
+        Fraction, malformed text, a zero denominator) raises ValueError."""
         if not isinstance(doc, str):
             return Fraction(_json_int(doc, "rational entry"))
+        exponent = doc.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > len(str(MAX_DECIMAL_EXPONENT))
+                                     or int(exponent) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"matrix entry {doc[:40]!r} has a decimal exponent "
+                             f"past {MAX_DECIMAL_EXPONENT}")
         try:
             return Fraction(doc)
         except ZeroDivisionError:

@@ -74,7 +74,7 @@ class MatrixGroupGens(Record, frozen=True):
         return {
             "degree": self.degree,
             "generators": [
-                {"matrix": _rows_to_json(m), "inverse": _rows_to_json(i)}
+                {"matrix": m.to_json()["rows"], "inverse": i.to_json()["rows"]}
                 for m, i in self.pairs
             ],
         }
@@ -82,7 +82,9 @@ class MatrixGroupGens(Record, frozen=True):
     @classmethod
     def from_json(cls, doc) -> "MatrixGroupGens":
         """Read {"degree": int, "generators": [{"matrix": rows, "inverse":
-        rows}, ..]}; a document of another shape raises ValueError."""
+        rows}, ..]}, the rows as RingMatrix.from_json_rows reads them over
+        QQ (a float or Fraction entry is refused like any non-JSON value);
+        a document of another shape raises ValueError."""
         if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
             raise ValueError('document must be an object with a "generators" list')
         degree = doc.get("degree")
@@ -92,48 +94,9 @@ class MatrixGroupGens(Record, frozen=True):
         for g in doc["generators"]:
             if not isinstance(g, dict):
                 raise ValueError("each generator must be an object")
-            pairs.append(
-                (_rows_from_json(g.get("matrix")), _rows_from_json(g.get("inverse")))
-            )
+            pairs.append((RingMatrix.from_json_rows(QQ, g.get("matrix")),
+                          RingMatrix.from_json_rows(QQ, g.get("inverse"))))
         return cls(degree, tuple(pairs))
-
-
-def _rows_to_json(m: RingMatrix):
-    return [[QQ.scalar_to_json(x) for x in row] for row in m.rows]
-
-
-# Largest |e| of a decimal exponent (1e5) in a generator document: entries
-# are exact, and 1e2000000 would build a two-million-digit integer.
-MAX_DECIMAL_EXPONENT = 10_000
-
-
-def _exact_entry(x) -> Fraction:
-    """The exact value of a matrix entry's text, its decimal exponent
-    checked against MAX_DECIMAL_EXPONENT first (ValueError)."""
-    text = str(x)
-    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-    if digits.isdecimal() and (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-                               or int(digits) > MAX_DECIMAL_EXPONENT):
-        raise ValueError(f"matrix entry {text[:40]!r} has a decimal exponent "
-                         f"past {MAX_DECIMAL_EXPONENT}")
-    return Fraction(text)
-
-
-def _rows_from_json(rows) -> RingMatrix:
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list)
-        and all(isinstance(x, (int, float, Fraction, str)) and not isinstance(x, bool)
-                for x in row)
-        for row in rows
-    ):
-        raise ValueError(
-            '"matrix" and "inverse" must be lists of rows of numbers or strings'
-        )
-    try:
-        entries = tuple(tuple(map(_exact_entry, row)) for row in rows)
-    except ZeroDivisionError:
-        raise ValueError("matrix entry with a zero denominator") from None
-    return RingMatrix(QQ, entries)
 
 
 class SemidirectElement(Record, frozen=True):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -79,7 +80,21 @@ class TestCheckCommand:
     def test_golden(self, capsys):
         code, out = run(capsys, "check", "--suite", "golden", "--m", "3")
         assert code == 0
+        assert out.count("ok") == 6
+        assert out.splitlines()[-2:] == [
+            "explicit B3 pair X, Y (12x12), block shapes and X Y X = Y X Y: ok",
+            "PASS"]
+
+    def test_golden_fails_on_the_explicit_b3_pair(self, capsys, monkeypatch):
+        # Unconjugated, t and x0 t lose the block shapes the paper displays.
+        monkeypatch.setattr(reps, "conjugate", lambda m, u: m)
+        code, out = run(capsys, "check", "--suite", "golden", "--m", "3")
+        assert code == 1
         assert out.count("ok") == 5
+        assert out.splitlines()[-2:] == [
+            "explicit B3 pair X, Y (12x12), block shapes and X Y X = Y X Y: "
+            "FAIL X image does not match its block shape at block row 1",
+            "FAIL"]
 
     def test_golden_wrong_m(self, capsys):
         code, _ = run(capsys, "check", "--suite", "golden", "--m", "4")
@@ -320,6 +335,67 @@ def test_main_restores_the_str_digit_limit(capsys, argv, code):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _cli_process(*argv, address_space=None):
+    """Run the CLI in a child process, its address space capped at
+    address_space bytes when given (the limit is set in the child only);
+    the completed process and its run time in seconds."""
+    src = str(Path(hnnrep.__file__).resolve().parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hnnrep", *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap if address_space else None,
+    )
+    return proc, time.perf_counter() - started
+
+
+def _assert_one_error_line(proc, cause):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert cause in proc.stderr
+
+
+def test_long_integer_entry_exits_2_promptly(tmp_path):
+    # A JSON int is read as an int: 300,000 digits cost one decimal parse,
+    # not a detour through text and back.
+    gens = tmp_path / "g.json"
+    gens.write_text('{"degree": 1, "generators": [{"matrix": [[%s]], '
+                    '"inverse": [[1]]}]}' % ("7" * 300_000))
+    proc, seconds = _cli_process("splittable", "--g", str(gens), "--tau", "trivial",
+                                 "--max-len", "1", "--out", str(tmp_path / "rep.json"))
+    _assert_one_error_line(proc, "generator pair does not multiply to identity")
+    assert seconds < 2.0
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_deeply_nested_g_document_exits_2(tmp_path):
+    gens = tmp_path / "g.json"
+    gens.write_text("[" * 100_000 + "]" * 100_000)
+    proc, _ = _cli_process("splittable", "--g", str(gens), "--tau", "trivial",
+                           "--out", str(tmp_path / "rep.json"))
+    _assert_one_error_line(proc, "maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "--op", "normal-form", "--m", "100000001", "--word", "x0"],
+    ["build", "--m", "100000001", "--out", "rep.json"],
+    ["splittable", "--g", "g.json", "--tau", "trivial", "--out", "rep.json"],
+], ids=["word", "build", "splittable"])
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, argv):
+    # Well-formed input too large for a 400 MB address space: no limit on
+    # --m or the degree stops it early, and running out is an error line.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text('{"degree": 100000, "generators": []}')
+    proc, _ = _cli_process(*argv, address_space=400_000_000)
+    _assert_one_error_line(proc, "error: out of memory")
+    assert not (tmp_path / "rep.json").exists()
 
 
 class TestSplittableCommand:

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from hnnrep import packed, splittable
 from hnnrep.errors import OracleError, VerificationError
 from hnnrep.matrix import RingMatrix
-from hnnrep.ring import QQ, _balanced_digits, _digit_width, _pack_digits
-from hnnrep.semidirect import MAX_DECIMAL_EXPONENT
+from hnnrep.ring import MAX_DECIMAL_EXPONENT, QQ, _balanced_digits, _digit_width, _pack_digits
 from hnnrep.splittable import (
     InnerTau,
     MatrixGroupGens,
@@ -521,11 +520,63 @@ def one_by_one_gens(matrix, inverse):
             % (matrix, inverse))
 
 
+def read_pair(document, matrix, inverse):
+    """The entries a 1 x 1 pair's JSON texts read to, through a --g
+    document ("gens") or through two rational matrix documents ("matrix").
+    A JSON number is read as its text (json.loads with parse_float=str),
+    as the CLI reads it."""
+    if document == "gens":
+        doc = json.loads(one_by_one_gens(matrix, inverse), parse_float=str)
+        return tuple(m.rows[0][0] for m in MatrixGroupGens.from_json(doc).pairs[0])
+    return tuple(RingMatrix.from_json(json.loads(
+        '{"degree": 1, "ring": {"kind": "rational"}, "rows": [[%s]]}' % entry,
+        parse_float=str)).rows[0][0] for entry in (matrix, inverse))
+
+
+class TestExactEntries:
+    """--g entries and rational matrix documents share one reader,
+    QQ.scalar_from_json: JSON ints, and integer, fraction and decimal text."""
+
+    @pytest.mark.parametrize("document", ["gens", "matrix"])
+    @pytest.mark.parametrize("entry, inverse, value", [
+        ("3", '"1/3"', Fraction(3)),
+        ('"-3"', '"-1/3"', Fraction(-3)),
+        ('"1/2"', "2", Fraction(1, 2)),
+        ('"0.25"', "4", Fraction(1, 4)),
+        ('"2.5e0"', '"0.4"', Fraction(5, 2)),
+        ('"1E+10_000"', '"1e-10000"', Fraction(10**10000)),
+        ('"1e-10000"', '"1E+10_000"', Fraction(1, 10**10000)),
+    ], ids=["int", "int-text", "fraction", "decimal", "exponent", "exponent-bound",
+            "negative-exponent-bound"])
+    def test_valid_entries_read_to_their_exact_values(self, document, entry, inverse,
+                                                      value):
+        mat, inv = read_pair(document, entry, inverse)
+        assert type(mat) is Fraction and type(inv) is Fraction
+        assert (mat.numerator, mat.denominator) == (value.numerator, value.denominator)
+        assert mat * inv == 1
+
+    @pytest.mark.parametrize("entry", [0.5, Fraction(1, 2), True, None, [1]],
+                             ids=["float", "Fraction", "bool", "null", "list"])
+    def test_only_json_ints_and_strings_are_entries(self, entry):
+        # The readers take JSON values: a Python float or Fraction is refused
+        # like any other type (the CLI reads a JSON decimal as its text).
+        with pytest.raises(ValueError, match="rational entry must be an integer"):
+            MatrixGroupGens.from_json(
+                {"degree": 1, "generators": [{"matrix": [[entry]], "inverse": [[2]]}]})
+        with pytest.raises(ValueError, match="rational entry must be an integer"):
+            RingMatrix.from_json(
+                {"degree": 1, "ring": {"kind": "rational"}, "rows": [[entry]]})
+
+
 class TestDecimalExponents:
     """Entries are read as exact rationals, so a decimal exponent past
     MAX_DECIMAL_EXPONENT is refused before its value is built.  The CLI
     reads a JSON number as its text (json.load with parse_float=str), so
-    both forms reach from_json as text."""
+    both forms reach the reader as text.  The entries are read through a
+    --g document here, and through rational matrix documents in the
+    subclass below."""
+
+    document = "gens"
 
     @pytest.mark.parametrize("entry", ["1e2000000", '"1e2000000"', '"1E+2_000_000"',
                                        '"-1e-2000000"', "1e10001", '"1e00010001"'],
@@ -533,20 +584,22 @@ class TestDecimalExponents:
                                   "number-past-bound", "string-past-bound"])
     def test_exponent_past_the_bound_rejected(self, entry):
         started = time.perf_counter()
-        doc = json.loads(one_by_one_gens(entry, 1), parse_float=str)
         with pytest.raises(ValueError, match="has a decimal exponent past 10000$"):
-            MatrixGroupGens.from_json(doc)
+            read_pair(self.document, entry, 1)
         assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("matrix, inverse", [
         ("1e10000", "1e-10000"), ('"1E+10_000"', '"1e-0010000"'), ("2.5e0", '"0.4"'),
     ])
     def test_exponent_at_the_bound_read_exactly(self, matrix, inverse):
-        doc = json.loads(one_by_one_gens(matrix, inverse), parse_float=str)
-        ((mat, inv),) = MatrixGroupGens.from_json(doc).pairs
-        assert mat.rows[0][0] * inv.rows[0][0] == 1
-        assert mat.rows[0][0] in (10**10000, Fraction(5, 2))
+        mat, inv = read_pair(self.document, matrix, inverse)
+        assert mat * inv == 1
+        assert mat in (10**10000, Fraction(5, 2))
         assert MAX_DECIMAL_EXPONENT == 10_000
+
+
+class TestDecimalExponentsInMatrixDocuments(TestDecimalExponents):
+    document = "matrix"
 
 
 class TestRationalGenerators:
