@@ -175,7 +175,7 @@ def cmd_check(args) -> int:
             status = "FAIL" if key in mismatches else "ok"
             lines.append(f"golden block {key}: {status}")
         try:
-            b3_explicit()
+            b3_explicit(mismatches=mismatches)
             status = "ok"
         except VerificationError as exc:
             status = f"FAIL {exc}"
@@ -290,16 +290,24 @@ def cmd_splittable(args) -> int:
     return 0 if report.ok else 1
 
 
+# The subcommands, in the order the help lists them.
+_COMMANDS = ("build", "check", "word", "splittable")
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then shared:
-    a process that runs main() many times builds it once."""
+    a process that runs main() many times builds it once.  With a command
+    name it has that subcommand only, all main needs when argv[0] names
+    one, and the full subcommand list as its metavar, so its help, usage
+    and error texts read as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="hnnrep",
         description="Exact linear representations of HNN extensions and "
                     "two-generator Artin groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, **(
+        {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}))
 
     def add_mode_flags(p):
         p.add_argument("--symbolic", action="store_true",
@@ -311,38 +319,42 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--integer", action="store_true",
                        help="integer variant with a unipotent corner block")
 
-    p_build = sub.add_parser("build", help="emit a representation as JSON")
-    p_build.add_argument("--group", default="artin")
-    p_build.add_argument("--m", type=int, required=True, help="Artin index")
-    add_mode_flags(p_build)
-    p_build.add_argument("--out", required=True, help="output path or -")
-    p_build.set_defaults(func=cmd_build)
+    if command in (None, "build"):
+        p_build = sub.add_parser("build", help="emit a representation as JSON")
+        p_build.add_argument("--group", default="artin")
+        p_build.add_argument("--m", type=int, required=True, help="Artin index")
+        add_mode_flags(p_build)
+        p_build.add_argument("--out", required=True, help="output path or -")
+        p_build.set_defaults(func=cmd_build)
 
-    p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("--suite", required=True,
-                         choices=["relations", "golden", "center", "faithfulness"])
-    p_check.add_argument("--m", type=int, required=True)
-    add_mode_flags(p_check)
-    p_check.add_argument("--max-len", type=int, default=5)
-    p_check.add_argument("--json-report", default=None)
-    p_check.set_defaults(func=cmd_check)
+    if command in (None, "check"):
+        p_check = sub.add_parser("check", help="run a verification suite")
+        p_check.add_argument("--suite", required=True,
+                             choices=["relations", "golden", "center", "faithfulness"])
+        p_check.add_argument("--m", type=int, required=True)
+        add_mode_flags(p_check)
+        p_check.add_argument("--max-len", type=int, default=5)
+        p_check.add_argument("--json-report", default=None)
+        p_check.set_defaults(func=cmd_check)
 
-    p_word = sub.add_parser("word", help="normal form / equality of words")
-    p_word.add_argument("--op", required=True, choices=["normal-form", "equal"])
-    p_word.add_argument("--m", type=int, required=True)
-    p_word.add_argument("--word", required=True)
-    p_word.add_argument("--word2", default=None)
-    p_word.set_defaults(func=cmd_word)
+    if command in (None, "word"):
+        p_word = sub.add_parser("word", help="normal form / equality of words")
+        p_word.add_argument("--op", required=True, choices=["normal-form", "equal"])
+        p_word.add_argument("--m", type=int, required=True)
+        p_word.add_argument("--word", required=True)
+        p_word.add_argument("--word2", default=None)
+        p_word.set_defaults(func=cmd_word)
 
-    p_split = sub.add_parser("splittable", help="run the splittable engine")
-    p_split.add_argument("--g", required=True, help="G generators JSON")
-    p_split.add_argument("--phi", default=None, help="Phi generators JSON")
-    p_split.add_argument("--tau", default="trivial", choices=["trivial", "inner"])
-    p_split.add_argument("--sample-len", type=int, default=4,
-                         help="fresh-sample gate at word lengths N + 1 and N + 2")
-    p_split.add_argument("--max-len", type=int, default=3)
-    p_split.add_argument("--out", required=True)
-    p_split.set_defaults(func=cmd_splittable)
+    if command in (None, "splittable"):
+        p_split = sub.add_parser("splittable", help="run the splittable engine")
+        p_split.add_argument("--g", required=True, help="G generators JSON")
+        p_split.add_argument("--phi", default=None, help="Phi generators JSON")
+        p_split.add_argument("--tau", default="trivial", choices=["trivial", "inner"])
+        p_split.add_argument("--sample-len", type=int, default=4,
+                             help="fresh-sample gate at word lengths N + 1 and N + 2")
+        p_split.add_argument("--max-len", type=int, default=3)
+        p_split.add_argument("--out", required=True)
+        p_split.set_defaults(func=cmd_splittable)
 
     return parser
 
@@ -355,7 +367,12 @@ def main(argv=None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        # Only the named subcommand's parser is built; help, no command
+        # and an unknown command take the full parser.
+        argv = sys.argv[1:] if argv is None else list(argv)
+        named = argv[0] if argv and argv[0] in _COMMANDS else None
+        parser = build_parser(named) if named else build_parser()
+        args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Dense square matrices over an exact scalar ring, block-monomial matrices,
-block assembly, fraction-free determinants, and the JSON writer.
+block assembly, fraction-free determinants, the word walks that multiply
+generator images (_trie_walk, and _integer_eval for one 2 x 2 block), and
+the JSON writer.
 
 There is deliberately no general matrix inversion.  A built representation
 image is block-monomial with 2 x 2 blocks of unit determinant, and its
 inverse is the block adjugate (BlockMonomial.inverse); every other inverse
-is given with its matrix and checked.
+is given with its matrix and checked.  A built block's adjugate takes no
+products: its determinant is known by construction (BlockMonomial.dets).
 
 _json_text writes every JSON document the CLI prints or saves.  A
 BlockMonomial inside a document is written as its dense matrix document,
@@ -15,8 +18,9 @@ document, and the zeros around them are runs built by string repetition.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
-from .ring import INT, ring_from_descriptor
+from .ring import INT, LaurentPoly, _digit_width, ring_from_descriptor
 
 
 class RingMatrix:
@@ -224,16 +228,24 @@ class BlockMonomial:
     to_matrix; write_json writes the dense document's text from the blocks.
     A degree-m matrix is the one-block case k = 1.  Both factors
     of a product must have the same k and m.
+
+    dets is None or the blocks' determinants, known by construction: the
+    identity's are 1, and products, inverses, scalar_mul, from_blocks,
+    diag and companion derive theirs from their factors', as det is
+    multiplicative (det(A B) = det A det B, det(c A) = c^m det A).  Other
+    blocks carry one only where their maker has established it, as
+    sigma_free does; from_matrix gives None.  __eq__ ignores dets.
     """
 
-    __slots__ = ("ring", "perm", "blocks")
+    __slots__ = ("ring", "perm", "blocks", "dets")
 
-    def __init__(self, ring, perm, blocks):
+    def __init__(self, ring, perm, blocks, dets=None):
         # Not checked: instances come from the checked constructors, and
         # products of those keep the shape.
         self.ring = ring
         self.perm = perm
         self.blocks = blocks
+        self.dets = dets
 
     @classmethod
     def from_matrix(cls, mat: RingMatrix, k: int) -> "BlockMonomial":
@@ -284,9 +296,12 @@ class BlockMonomial:
         # Block column j is as wide as the matrix placed in it, and starts
         # at flattened block column start[j].
         width = dict(zip(perm, (len(b.perm) for b in blocks)))
-        start = [sum(width[c] for c in range(j)) for j in range(len(blocks))]
+        start = list(accumulate(map(width.__getitem__, range(len(blocks) - 1)), initial=0))
         perm = tuple(start[j] + c for j, b in zip(perm, blocks) for c in b.perm)
-        return cls(ring, perm, tuple(blk for b in blocks for blk in b.blocks))
+        dets = None
+        if all(b.dets is not None for b in blocks):
+            dets = tuple(d for b in blocks for d in b.dets)
+        return cls(ring, perm, tuple(blk for b in blocks for blk in b.blocks), dets)
 
     @classmethod
     def diag(cls, blocks) -> "BlockMonomial":
@@ -304,7 +319,7 @@ class BlockMonomial:
     def identity(cls, ring, m: int, k: int) -> "BlockMonomial":
         one, zero = ring.one, ring.zero
         blk = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
-        return cls(ring, tuple(range(k)), (blk,) * k)
+        return cls(ring, tuple(range(k)), (blk,) * k, (one,) * k)
 
     @property
     def block_degree(self) -> int:
@@ -372,14 +387,20 @@ class BlockMonomial:
         ))
 
     def scalar_mul(self, c) -> "BlockMonomial":
-        return self.map_entries(self.ring, lambda x: c * x)
+        out = self.map_entries(self.ring, lambda x: c * x)
+        if self.dets is not None:
+            power = self.ring.one  # c^m for blocks of degree m
+            for _ in self.blocks[0]:
+                power = power * c
+            out.dets = tuple(power * d for d in self.dets)
+        return out
 
     def __mul__(self, other: "BlockMonomial") -> "BlockMonomial":
         # Block row i of self meets block row perm[i] of other.
         zero = self.ring.zero
         bp = other.perm
         bb = other.blocks
-        return BlockMonomial(
+        out = BlockMonomial(
             self.ring,
             tuple([bp[j] for j in self.perm]),
             tuple([
@@ -387,6 +408,10 @@ class BlockMonomial:
                 for blk, j in zip(self.blocks, self.perm)
             ]),
         )
+        if self.dets is not None and other.dets is not None:
+            od = other.dets
+            out.dets = tuple([d * od[j] for d, j in zip(self.dets, self.perm)])
+        return out
 
     def __pow__(self, k: int) -> "BlockMonomial":
         if k < 0:
@@ -426,23 +451,32 @@ class BlockMonomial:
         (see is_inverse_of).  Raise ValueError for blocks of another degree
         or a block whose determinant is not a unit.
 
+        u is the known determinant when dets holds it, and then no
+        a d - b c is taken: the inverse is +-adj A for u = +-1 and
+        u^-1 adj A for another unit.  That is exact because det is
+        multiplicative: a determinant derived from the factors' is the
+        a d - b c of the block.  Blocks with no known determinant compute
+        it.  The inverse knows its determinants (u^-1) when self does.
+
         Blocks that are one object, such as the images of equal orbit
         words, share one inverse block.  adjugates, a dict from id(block)
-        to its inverse block, extends that sharing to several matrices
-        whose blocks stay alive while it is in use."""
+        to its inverse block and determinant, extends that sharing to
+        several matrices whose blocks stay alive while it is in use."""
         if self.block_degree != 2:
             raise ValueError("the block inverse needs 2 x 2 blocks")
         # Block row j of the inverse is block row i of self with perm[i] = j.
         rows = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
         if adjugates is None:
             adjugates = {}
-        for blk in self.blocks:
+        for blk, det in zip(self.blocks, self.dets or (None,) * len(self.blocks)):
             if id(blk) not in adjugates:
-                adjugates[id(blk)] = _adjugate_inverse(self.ring, blk)
-        blocks = tuple(adjugates[id(self.blocks[i])] for i in rows)
-        if None in blocks:
+                adjugates[id(blk)] = _adjugate_inverse(self.ring, blk, det)
+        pairs = [adjugates[id(self.blocks[i])] for i in rows]
+        if None in pairs:
             raise ValueError("a block determinant is not a unit")
-        return BlockMonomial(self.ring, rows, blocks)
+        blocks, dets = zip(*pairs)
+        return BlockMonomial(self.ring, rows, blocks,
+                             None if self.dets is None else dets)
 
     def is_inverse_of(self, other: "BlockMonomial") -> bool:
         """Exact test for self * other = I; both must have the same shape.
@@ -450,50 +484,130 @@ class BlockMonomial:
         The permutations must compose to the identity, and each block A of
         self must meet its partner block B of other with A B = I.  A 2 x 2
         block is decided by an adjugate certificate instead of the product:
-        u = det A = a d - b c must be a unit of the ring and B must equal
+        u = det A must be a unit of the ring and B must equal
         u^-1 adj A = u^-1 [[d, -b], [-c, a]].  Over any commutative ring
         that is equivalent to A B = I.  If A B = I, then det A det B = 1,
         so det A is a unit and B = A^-1 = u^-1 adj A.  Conversely, if
-        B = u^-1 adj A, then A B = u^-1 (A adj A) = u^-1 det A I = I.  The
-        certificate costs 2 products of block entries instead of 8; the
-        products with u^-1 are cheap, as units are monomials (+-s^c, +-p^e,
-        +-1), and for u = +-1 there are none (_adjugate_inverse).  Blocks
-        of any other degree, such as the one block of a dense matrix read
-        from JSON, are multiplied out.
+        B = u^-1 adj A, then A B = u^-1 (A adj A) = u^-1 det A I = I.  u is
+        A's known determinant if self has one (see inverse), else
+        a d - b c.  The certificate then costs no products of block entries
+        for u = +-1 and 4 cheap ones with another unit (a monomial +-s^c or
+        +-p^e), plus 2 for a d - b c, instead of 8 (_adjugate_inverse).
+        Blocks of any other degree, such as the one block of a dense matrix
+        read from JSON, are multiplied out.
         """
         m = self.block_degree
         if len(other.perm) != len(self.perm) or other.block_degree != m:
             raise ValueError("shape mismatch")
         ring = self.ring
         ident = BlockMonomial.identity(ring, m, 1).blocks[0]
-        for i, (j, blk) in enumerate(zip(self.perm, self.blocks)):
+        dets = self.dets or (None,) * len(self.blocks)
+        for i, (j, blk, det) in enumerate(zip(self.perm, self.blocks, dets)):
             if other.perm[j] != i:
                 return False
             inv = other.blocks[j]
             if m == 2:
-                if inv != _adjugate_inverse(ring, blk):
+                adj = _adjugate_inverse(ring, blk, det)
+                if adj is None or inv != adj[0]:
                     return False
             elif _block_mul(blk, inv, ring.zero) != ident:
                 return False
         return True
 
 
-def _adjugate_inverse(ring, blk):
-    """u^-1 adj A of the 2 x 2 block A, u = det A, or None if u is not a
-    unit of the ring."""
+def _adjugate_inverse(ring, blk, det=None):
+    """(u^-1 adj A, u^-1) for the 2 x 2 block A, u = det A, or None if u is
+    not a unit of the ring.  det is A's known determinant, or None to
+    compute a d - b c."""
     (a, b), (c, d) = blk
-    det = a * d - b * c
-    if not ring.is_unit(det):
-        return None
-    # Every sigma block and every integer block has det 1 or -1, where
-    # u^-1 adj A is adj A or -adj A with no products.
+    if det is None:
+        det = a * d - b * c
+    # Every sigma block and every integer block has det 1 or -1, units
+    # where u^-1 adj A is adj A or -adj A with no products.
     one = ring.one
     if det == one:
-        return ((d, -b), (-c, a))
+        return ((d, -b), (-c, a)), det
     if det == -one:
-        return ((-d, b), (c, -a))
+        return ((-d, b), (c, -a)), det
+    if not ring.is_unit(det):
+        return None
     u = ring.unit_inverse(det)
-    return ((u * d, -(u * b)), (-(u * c), u * a))
+    return ((u * d, -(u * b)), (-(u * c), u * a)), u
+
+
+def _trie_walk(words, order, ident, images, mul):
+    """The products of the words' images (images[name][0] for sign 1, [1]
+    otherwise) under mul, visiting the words in the given sorted order so
+    that shared prefixes are multiplied once."""
+    stack = [ident]
+    out = [None] * len(words)
+    path = ()
+    for idx in order:
+        word = words[idx]
+        common = 0
+        while common < min(len(word), len(path)) and word[common] == path[common]:
+            common += 1
+        del stack[common + 1:]
+        for name, sign in word[common:]:
+            stack.append(mul(stack[-1], images[name][sign != 1]))
+        out[idx] = stack[-1]
+        path = word
+    return out
+
+
+def _integer_eval(ring, images, words, order):
+    """block_eval_many of one 2 x 2 block over the integers, or None when
+    the entries do not allow it.
+
+    Q_p: when every entry has k = 0, the numerators are walked and read
+    back with ring.from_int.
+
+    Laurent: every image must be graded, entry (r, c) a sum of monomials
+    lam^a mu^(a + c - r) s^0, as sigma's are: sigma(lam e^-1, mu e) is
+    sigma conjugated by diag(1, e), and products keep the grading.  A
+    graded entry is fixed by its lam-exponents, so it is evaluated at
+    lam = 2^W, mu = 1 and read back from the balanced base-2^W digits
+    (LaurentPoly.from_graded_int).  That is exact when every coefficient
+    is below 2^(W - 2) in absolute value.  The sum of the absolute values
+    of an entry's coefficients is sub-multiplicative, so the same words
+    walked on those sums (the images at lam = mu = 1 of the entrywise
+    1-norms) bound every coefficient by their largest entry N, and W is
+    8 times the width ring._digit_width(N) in bytes: 2 N < 2^(W - 1).
+
+    A word's determinant is the product of its letters', so the results
+    know theirs, 1, when every letter's is known to be 1 (sigma_free's).
+    """
+    blocks = {name: (img.blocks[0], inv.blocks[0]) for name, (img, inv) in images.items()}
+    one = ring.one
+    dets = (one,) if all(m.dets == (one,) for pair in images.values() for m in pair) else None
+
+    def walk(scalar):
+        ints = {name: tuple(tuple(tuple(map(scalar, row)) for row in blk) for blk in pair)
+                for name, pair in blocks.items()}
+        return _trie_walk(words, order, ((1, 0), (0, 1)), ints,
+                          lambda a, b: _block_mul(a, b, 0))
+
+    def wrap(blk, decode):
+        return BlockMonomial(ring, (0,), (tuple(
+            tuple(decode(v, c - r) for c, v in enumerate(row)) for r, row in enumerate(blk)),), dets)
+
+    entries = [(x, c - r) for pair in blocks.values() for blk in pair
+               for r, row in enumerate(blk) for c, x in enumerate(row)]
+    if ring.kind == "qp":
+        if any(x.k for x, _ in entries):
+            return None
+        return [wrap(blk, lambda v, d: ring.from_int(v))
+                for blk in walk(lambda x: x.num)]
+    if ring.kind != "laurent" or any(
+            s or b != a + d for x, d in entries for a, b, s in x.terms):
+        return None
+    norms = walk(lambda x: sum(map(abs, x.terms.values())))
+    bound = max((v for blk in norms for row in blk for v in row), default=0)
+    width = _digit_width(bound)
+    shift = 8 * width
+    values = walk(lambda x: sum(k << shift * a for (a, _, _), k in x.terms.items()))
+    return [wrap(blk, lambda v, d: LaurentPoly.from_graded_int(v, width, d))
+            for blk in values]
 
 
 def block_grid(ring, bdeg: int, k: int, blocks) -> "RingMatrix":

@@ -10,16 +10,20 @@ replaced by a unipotent central block.
 
 Every image is block-monomial (see BlockMonomial) with 2x2 blocks of unit
 determinant, so its inverse is the block adjugate (BlockMonomial.inverse),
-exact by construction.  The builders work on blocks throughout, JSON output
-included; dense matrices appear only at the display boundary (image(),
-eval()).
+exact by construction.  Each built block is z^e sigma(w), or a product of
+such blocks, so its determinant is known by construction (sigma's letters
+have determinant 1, z's is derived, and det is multiplicative); the blocks
+carry it (BlockMonomial.dets), and no inverse computes a d - b c.  The
+builders work on blocks throughout, JSON output included; dense matrices
+appear only at the display boundary (image(), eval()).
 
 Words are evaluated in batches (Representation.block_eval_many) that walk
-their prefix trie.  sigma's one 2 x 2 block is walked over the integers in
-every mode and read back exactly (_integer_eval): over Q_p the numerators
-of entries with k = 0, and symbolically the graded entries evaluated at
-lam = 2^W, mu = 1, with W from a 1-norm bound on the coefficients of the
-call's words.  Other images are walked over their ring.
+their prefix trie (matrix._trie_walk).  sigma's one 2 x 2 block is walked
+over the integers in every mode and read back exactly
+(matrix._integer_eval): over Q_p the numerators of entries with k = 0, and
+symbolically the graded entries evaluated at lam = 2^W, mu = 1, with W
+from a 1-norm bound on the coefficients of the call's words.  Other images
+are walked over their ring.
 
 The written document is dense, but its text is rendered from the blocks
 (Representation.to_json_text): each distinct block is encoded once, and the
@@ -32,9 +36,9 @@ extension (HnnSpec.skeleton): every induced image is a monomial element of
 (F x <z>) wr S_k evaluated through sigma and the corner z.  Three facts make
 a relation that holds on the skeletons hold on the matrices, in every ring
 at once: sigma is a homomorphism of the free group (its inverse images are
-checked), z is central and invertible (z commutes with each sigma(x_i),
-checked exactly on the matrices, and the corner block has a unit
-determinant), and the images are the evaluated skeleton (the builder
+checked), z is central and invertible (z is a scalar s I, or commutes with
+each sigma(x_i), checked exactly on the matrices, and the corner block has
+a unit determinant), and the images are the evaluated skeleton (the builder
 evaluates the skeleton's own words).  The canonical pair is the image of
 the artin_canonical words, conjugated by a matrix with its exact block
 adjugate inverse, which keeps every relation.  When the certificate does
@@ -55,12 +59,13 @@ from .errors import VerificationError
 from .matrix import (
     BlockMonomial,
     RingMatrix,
-    _block_mul,
+    _integer_eval,
     _json_text,
+    _trie_walk,
     conjugate,
     det_bareiss,
 )
-from .ring import INT, LAURENT, LaurentPoly, QpRing, _digit_width, ring_from_descriptor
+from .ring import INT, LAURENT, LaurentPoly, QpRing, ring_from_descriptor
 from .words import (
     HnnSpec,
     MixedWord,
@@ -101,7 +106,9 @@ class Representation:
     gen_words maps each generator to the mixed word of the spec whose
     skeleton (HnnSpec.skeleton_of) the image evaluates, when the builder
     made that exact; it is None otherwise, and relations are then
-    evaluated on the matrices.
+    evaluated on the matrices.  skeleton_image, set with gen_words by the
+    induced builders, gives a mixed word's image evaluated from its
+    skeleton, with no products of images.
 
     relation_reports holds the RelationReports that the builder verified,
     in order: the defining relations, then the canonical relation for an
@@ -139,7 +146,7 @@ class Representation:
         self.spec = spec
         self.group = group
         self.params = params or {}
-        self.gen_words = None
+        self.gen_words = self.skeleton_image = None
         self.relation_reports = ()
         self.relation_checks = ()
 
@@ -171,7 +178,7 @@ class Representation:
         prefixes, so a prefix that several words share is multiplied once,
         and nothing but the results outlives the call.  One 2 x 2 block
         over Laurent polynomials or Q_p is walked over the integers when
-        its entries allow it (_integer_eval); otherwise over the ring.
+        its entries allow it (matrix._integer_eval); otherwise over the ring.
         """
         words = [tuple(self.letters(item)) for item in items]
         for name in {name for w in words for name, _ in w}:
@@ -252,76 +259,6 @@ class Representation:
         )
 
 
-def _trie_walk(words, order, ident, images, mul):
-    """The products of the words' images (images[name][0] for sign 1, [1]
-    otherwise) under mul, visiting the words in the given sorted order so
-    that shared prefixes are multiplied once."""
-    stack = [ident]
-    out = [None] * len(words)
-    path = ()
-    for idx in order:
-        word = words[idx]
-        common = 0
-        while common < min(len(word), len(path)) and word[common] == path[common]:
-            common += 1
-        del stack[common + 1:]
-        for name, sign in word[common:]:
-            stack.append(mul(stack[-1], images[name][sign != 1]))
-        out[idx] = stack[-1]
-        path = word
-    return out
-
-
-def _integer_eval(ring, images, words, order):
-    """block_eval_many of one 2 x 2 block over the integers, or None when
-    the entries do not allow it.
-
-    Q_p: when every entry has k = 0, the numerators are walked and read
-    back with ring.from_int.
-
-    Laurent: every image must be graded, entry (r, c) a sum of monomials
-    lam^a mu^(a + c - r) s^0, as sigma's are: sigma(lam e^-1, mu e) is
-    sigma conjugated by diag(1, e), and products keep the grading.  A
-    graded entry is fixed by its lam-exponents, so it is evaluated at
-    lam = 2^W, mu = 1 and read back from the balanced base-2^W digits
-    (LaurentPoly.from_graded_int).  That is exact when every coefficient
-    is below 2^(W - 2) in absolute value.  The sum of the absolute values
-    of an entry's coefficients is sub-multiplicative, so the same words
-    walked on those sums (the images at lam = mu = 1 of the entrywise
-    1-norms) bound every coefficient by their largest entry N, and W is
-    8 times the width ring._digit_width(N) in bytes: 2 N < 2^(W - 1).
-    """
-    blocks = {name: (img.blocks[0], inv.blocks[0]) for name, (img, inv) in images.items()}
-
-    def walk(scalar):
-        ints = {name: tuple(tuple(tuple(map(scalar, row)) for row in blk) for blk in pair)
-                for name, pair in blocks.items()}
-        return _trie_walk(words, order, ((1, 0), (0, 1)), ints,
-                          lambda a, b: _block_mul(a, b, 0))
-
-    def wrap(blk, decode):
-        return BlockMonomial(ring, (0,), (tuple(
-            tuple(decode(v, c - r) for c, v in enumerate(row)) for r, row in enumerate(blk)),))
-
-    entries = [(x, c - r) for pair in blocks.values() for blk in pair
-               for r, row in enumerate(blk) for c, x in enumerate(row)]
-    if ring.kind == "qp":
-        if any(x.k for x, _ in entries):
-            return None
-        return [wrap(blk, lambda v, d: ring.from_int(v))
-                for blk in walk(lambda x: x.num)]
-    if ring.kind != "laurent" or any(
-            s or b != a + d for x, d in entries for a, b, s in x.terms):
-        return None
-    norms = walk(lambda x: sum(map(abs, x.terms.values())))
-    bound = max((v for blk in norms for row in blk for v in row), default=0)
-    width = _digit_width(bound)
-    shift = 8 * width
-    values = walk(lambda x: sum(k << shift * a for (a, _, _), k in x.terms.items()))
-    return [wrap(blk, lambda v, d: LaurentPoly.from_graded_int(v, width, d))
-            for blk in values]
-
-
 def _common_blocks(mats, k):
     """The matrices as BlockMonomials of one shape.  BlockMonomials that
     already share a shape are kept; otherwise every matrix is read densely
@@ -339,39 +276,49 @@ def _common_blocks(mats, k):
         return [BlockMonomial.from_matrix(m, 1) for m in dense]
 
 
-def _mat2(ring, a, b, c, d):
-    return BlockMonomial(ring, (0,), (((a, b), (c, d)),))
+def _mat2(ring, a, b, c, d, det=None):
+    """The one-block matrix [[a, b], [c, d]], with its determinant det when
+    the caller knows it by construction."""
+    return BlockMonomial(ring, (0,), (((a, b), (c, d)),), None if det is None else (det,))
 
 
 def sigma_free(rank, ring, lam, mu, basis="conjugated") -> Representation:
     """Two-parameter degree-2 images of the free group of the given rank.
 
     x0 maps to the lower unitriangular [[1,0],[lam,1]].  In the conjugated
-    basis x_i is that matrix conjugated by [[1,mu],[0,1]]^i; the rank2-mixed
+    basis x_i is that matrix conjugated by [[1,mu],[0,1]]^i, in closed form
+    [[1 - i lam mu, -i^2 lam mu^2], [lam, 1 + i lam mu]] with inverse
+    [[1 + i lam mu, i^2 lam mu^2], [-lam, 1 - i lam mu]]; the rank2-mixed
     basis instead sends x1 straight to [[1,mu],[0,1]] (rank 2 only).
+
+    Each letter's determinant a d - b c is computed once here and must be
+    1.  The letters carry it (BlockMonomial.dets), so every block built
+    from them knows its own.  The inverses are certified by Representation
+    (is_inverse_of), so theirs is 1 too.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
     one, zero = ring.one, ring.zero
-    x0 = _mat2(ring, one, zero, lam, one)
-    x0_inv = _mat2(ring, one, zero, -lam, one)
-    v = _mat2(ring, one, mu, zero, one)
-    v_inv = _mat2(ring, one, -mu, zero, one)
-    gens = [("x0", x0, x0_inv)]
+    gens = [("x0", (one, zero, lam, one), (one, zero, -lam, one))]
     if basis == "conjugated":
-        # x_i = v^-1 x_(i-1) v: each generator conjugates the one before.
-        img, inv = x0, x0_inv
+        lm = lam * mu
+        lmm = lm * mu
         for i in range(1, rank):
-            img, inv = v_inv * img * v, v_inv * inv * v
-            gens.append((f"x{i}", img, inv))
+            c, q = ring.from_int(i) * lm, ring.from_int(i * i) * lmm
+            gens.append((f"x{i}", (one - c, -q, lam, one + c), (one + c, q, -lam, one - c)))
     elif basis == "rank2-mixed":
         if rank != 2:
             raise ValueError("rank2-mixed basis is specific to rank 2")
-        gens.append(("x1", v, v_inv))
+        gens.append(("x1", (one, mu, zero, one), (one, -mu, zero, one)))
     else:
         raise ValueError(f"unknown basis {basis!r}")
+    letters = []
+    for name, (a, b, c, d), inv in gens:
+        if a * d - b * c != one:
+            raise VerificationError(f"sigma image of {name} must have determinant 1")
+        letters.append((name, _mat2(ring, a, b, c, d, one), _mat2(ring, *inv, one)))
     return Representation(
-        ring, gens, group=f"F{rank}",
+        ring, letters, group=f"F{rank}",
         params={"lam": lam, "mu": mu, "basis": basis},
     )
 
@@ -417,29 +364,44 @@ def _induced_representation(spec, sigma, corner_z, group):
     t maps to the block companion over the cosets 1, t, .., t^{n-1} with
     corner z * sigma(w0^-1); x_i maps to the block diagonal of the
     sigma-images of phi^-j(x_i).  The skeleton's words are evaluated in one
-    batch, sharing prefixes.  Every block is 2 x 2 with a unit determinant
-    (sigma images have determinant 1 and z is central with a unit
-    determinant), so each inverse is the block adjugate,
-    BlockMonomial.inverse.  The defining relations are verified.
+    batch, sharing prefixes.  Every block is z^e sigma(w), 2 x 2 with a
+    determinant known by construction: sigma's letters carry theirs (1),
+    z^e sigma(w) multiplies in z's, a unit, and det is multiplicative.  So
+    each inverse is the block adjugate from that determinant
+    (BlockMonomial.inverse), with no a d - b c.  The defining relations are
+    verified.  z is central when it is a scalar s I, or commutes with each
+    sigma(x_i); then gen_words certifies the skeleton, and skeleton_image
+    evaluates a mixed word's skeleton, walking only the words not yet
+    evaluated.
     """
     letters = {f"x{i}": (i, 1) for i in range(spec.rank)} | {"t": (T_GEN, 1)}
-    skeletons = {name: spec.skeleton[sym] for name, sym in letters.items()}
-    words = list(dict.fromkeys(w for sk in skeletons.values() for _, w in sk.cells))
-    sigma_of = dict(zip(words, sigma.block_eval_many(words)))
-    gens = []
-    for name, sk in skeletons.items():
-        blocks = []
-        for e, w in sk.cells:
-            blk = sigma_of[w]
-            for _ in range(e):
-                blk = corner_z * blk
-            blocks.append(blk)
-        gens.append((name, BlockMonomial.from_blocks(sk.perm, blocks), None))
-    rep = Representation(sigma.ring, gens, spec=spec, group=group,
-                         params=dict(sigma.params))
-    if all(corner_z * x == x * corner_z
-           for x, _ in (sigma.images[f"x{i}"] for i in range(spec.rank))):
+    sigma_of = {}
+
+    def evaluate(skeletons):
+        words = list(dict.fromkeys(
+            w for sk in skeletons for _, w in sk.cells if w not in sigma_of))
+        sigma_of.update(zip(words, sigma.block_eval_many(words)))
+        out = []
+        for sk in skeletons:
+            blocks = []
+            for e, w in sk.cells:
+                blk = sigma_of[w]
+                for _ in range(e):
+                    blk = corner_z * blk
+                for _ in range(-e):
+                    blk = corner_z.inverse() * blk
+                blocks.append(blk)
+            out.append(BlockMonomial.from_blocks(sk.perm, blocks))
+        return out
+
+    images = evaluate([spec.skeleton[sym] for sym in letters.values()])
+    rep = Representation(sigma.ring, [(name, image, None) for name, image in zip(letters, images)],
+                         spec=spec, group=group, params=dict(sigma.params))
+    if corner_z.is_scalar(corner_z.blocks[0][0][0]) or all(
+            corner_z * x == x * corner_z
+            for x, _ in (sigma.images[f"x{i}"] for i in range(spec.rank))):
         rep.gen_words = {name: MixedWord((sym,)) for name, sym in letters.items()}
+        rep.skeleton_image = lambda word: evaluate([spec.skeleton_of(word.syms)])[0]
     _require_relations(rep, defining_relations(spec),
                        f"defining relations fail for {group}")
     return rep
@@ -467,7 +429,9 @@ def integer_hnn(spec: HnnSpec, sigma_z: Representation, s: int) -> Representatio
     sigma_z's images must have determinant 1 and 2 x 2 blocks.  A base
     letter x maps through diag(I_2, sigma_z(x)) and the corner is
     diag(U, I_d), all as matrices of 2 x 2 blocks, so every built image
-    has 2 x 2 blocks of unit determinant."""
+    has 2 x 2 blocks of unit determinant.  An image stored block-diagonal
+    with known determinants 1 (sigma_free's) is taken as it is; any other
+    is read in 2 x 2 blocks, and its determinant computed."""
     if sigma_z.ring != INT:
         raise ValueError("integer variant needs an integer sigma")
     if s == 0:
@@ -477,16 +441,17 @@ def integer_hnn(spec: HnnSpec, sigma_z: Representation, s: int) -> Representatio
     half = sigma_z.degree // 2
     ident2 = BlockMonomial.identity(INT, 2, 1)
     gens = []
-    for name in sigma_z.gen_names:
-        image, inverse = sigma_z.image(name), sigma_z.inverse_image(name)
-        if det_bareiss(image) != 1:
-            raise ValueError(f"sigma image of {name} must have determinant 1")
-        gens.append((name, *(
-            BlockMonomial.diag([ident2, BlockMonomial.from_matrix(mat, half)])
-            for mat in (image, inverse))))
+    for name, pair in sigma_z.images.items():
+        if pair[0].dets != (1,) * half or pair[0].perm != tuple(range(half)):
+            dense = [m.to_matrix() for m in pair]
+            if det_bareiss(dense[0]) != 1:
+                raise ValueError(f"sigma image of {name} must have determinant 1")
+            pair = [BlockMonomial.from_matrix(m, half) for m in dense]
+        gens.append((name, *(BlockMonomial.diag([ident2, m]) for m in pair)))
     sigma_ext = Representation(INT, gens, group=sigma_z.group,
                                params=dict(sigma_z.params))
-    corner = BlockMonomial.diag([_mat2(INT, 1, s, 0, 1)] + [ident2] * half)
+    # U is unitriangular: determinant 1 by construction.
+    corner = BlockMonomial.diag([_mat2(INT, 1, s, 0, 1, 1)] + [ident2] * half)
     rep = _induced_representation(
         spec, sigma_ext, corner, group=f"F_phi(X), rank {spec.rank}, integer",
     )
@@ -639,7 +604,7 @@ def artin_even(n: int, sigma: Representation = None, s=None) -> Representation:
     ring = sigma.ring
     lam, mu = sigma.params["lam"], sigma.params["mu"]
     one, zero = ring.one, ring.zero
-    w = _mat2(ring, one, -mu, zero, one)  # A block, also v^-1
+    w = _mat2(ring, one, -mu, zero, one, one)  # A block, also v^-1; det 1
     v = _mat2(ring, one, mu, zero, one)
     u = BlockMonomial.diag([w**i for i in range(n)])
     x_img = conjugate(tau.images["x0"][0], u)
@@ -668,7 +633,7 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
         s = LAURENT.s_power(1)
     tau = hnn_induced_rep(spec, sigma, s)
     x_img = tau.images["t"][0]
-    y_img = tau.images["x0"][0] * x_img
+    y_img = _odd_y(tau)
 
     orbit = [w for _, w in spec.skeleton[0, 1].cells]
     corner_word = spec.w0.inverse() * spec.phi.apply(Word.gen(0))
@@ -676,6 +641,15 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     _check_shape("y", y_img, BlockMonomial.companion(superdiag, corner.scalar_mul(s)))
 
     return _canonical_rep(2 * n + 1, tau, x_img, y_img)
+
+
+def _odd_y(tau):
+    """The image of the odd canonical y = x0 t under the induced tau: from
+    its skeleton (sigma walk values times corner powers) when
+    tau.skeleton_image is set, else the product of the images."""
+    if tau.skeleton_image is None:
+        return tau.images["x0"][0] * tau.images["t"][0]
+    return tau.skeleton_image(MixedWord.gen(0) * MixedWord.t())
 
 
 def _canonical_rep(m, tau, x, y) -> Representation:
@@ -755,14 +729,16 @@ def golden_check():
     return table, mismatches
 
 
-def b3_explicit(sigma: Representation = None, s=None):
+def b3_explicit(sigma: Representation = None, s=None, mismatches=None):
     """The braid-group pair X, Y: the induced generators t and x0 t of the
     index-3 case conjugated by diag(E2, E2, Sigma^-1, .., Sigma^-1).
 
     Returns 12x12 matrices verified against their block shapes (identity and
     Sigma^-1 blocks for X; x0, x1*Sigma^-1 and psi-power blocks for Y), the
     inverse certificate of every Representation, and the braid relation
-    X Y X = Y X Y, the canonical relation of A(3).
+    X Y X = Y X Y, the canonical relation of A(3).  The symbolic pair is
+    also checked against the golden closed forms: mismatches is a caller's
+    golden_check() result, computed here when None.
     """
     spec = artin_odd_spec(1)
     symbolic = sigma is None
@@ -781,14 +757,15 @@ def b3_explicit(sigma: Representation = None, s=None):
     ident2 = BlockMonomial.identity(sigma.ring, 2, 1)
     u = BlockMonomial.diag([ident2, ident2] + [sig_inv] * 4)
     x_img = conjugate(t_img, u)
-    y_img = conjugate(tau.images["x0"][0] * t_img, u)
+    y_img = conjugate(_odd_y(tau), u)
 
     _check_shape("X", x_img, BlockMonomial.companion(
         [ident2, sig_inv, ident2, ident2, ident2], ident2.scalar_mul(s)))
     _check_shape("Y", y_img, BlockMonomial.companion(
         [x0, x1 * sig_inv, psi4, psi3, psi2], psi1.scalar_mul(s)))
     if symbolic:
-        _, mismatches = golden_check()
+        if mismatches is None:
+            _, mismatches = golden_check()
         if mismatches:
             raise VerificationError(f"golden mismatch: {mismatches}")
     rep = _canonical_rep(3, tau, x_img, y_img)

@@ -96,6 +96,30 @@ class TestCheckCommand:
             "FAIL X image does not match its block shape at block row 1",
             "FAIL"]
 
+    def test_golden_table_computed_once(self, capsys, monkeypatch):
+        # One golden_check serves the five block lines and the explicit
+        # pair; a patched closed form fails both.
+        golden = dict(reps.GOLDEN_PSI_X0)
+        golden[2] = reps.GOLDEN_PSI_X0[3]
+        monkeypatch.setattr(reps, "GOLDEN_PSI_X0", golden)
+        calls = []
+        real = reps.golden_check
+
+        def golden_check():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "golden_check", golden_check)
+        monkeypatch.setattr(reps, "golden_check", golden_check)
+        code, out = run(capsys, "check", "--suite", "golden", "--m", "3")
+        assert code == 1
+        assert len(calls) == 1
+        assert "golden block psi2_x0: FAIL" in out.splitlines()
+        assert out.splitlines()[-2:] == [
+            "explicit B3 pair X, Y (12x12), block shapes and X Y X = Y X Y: "
+            "FAIL golden mismatch: ['psi2_x0']",
+            "FAIL"]
+
     def test_golden_wrong_m(self, capsys):
         code, _ = run(capsys, "check", "--suite", "golden", "--m", "4")
         assert code == 2
@@ -218,6 +242,48 @@ def test_build_matches_benchmark_reference(capsys, monkeypatch, tmp_path, key):
     on_matrices = reps.matrix_relation_reports(rep)
     assert on_matrices == rep.relation_reports
     assert all(report.ok for report in on_matrices)
+
+
+def _parse_text(parser, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("tail", [
+    ["--help"], [], ["--m", "x"], ["--bogus"], ["--out", "-", "extra"]])
+def test_one_command_parser_reads_as_the_full_parser(command, tail):
+    # main builds only the subparser argv[0] names; its help and its usage
+    # errors (the subcommand's and the top-level parser's) must print the
+    # text the full parser prints.
+    argv = [command, *tail]
+    want = _parse_text(cli.build_parser(), argv)
+    assert want[0] is not None and (want[1] or want[2])
+    assert _parse_text(cli.build_parser(command), argv) == want
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    made = []
+    real = cli.build_parser
+
+    def build_parser(*command):
+        made.append(command)
+        return real(*command)
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    assert main(["word", "--op", "normal-form", "--m", "4", "--word", "x0"]) == 0
+    for argv in (["--help"], [], ["nope"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert made == [("word",), (), (), ()]
+    capsys.readouterr()
 
 
 def test_parser_built_on_first_use_then_shared():

@@ -478,7 +478,8 @@ class TestBlockInverse:
 
 class TestAdjugateInverse:
     """_adjugate_inverse gives adj A or -adj A when det A = +-1 and
-    u^-1 adj A for another unit u = det A, and None for a non-unit."""
+    u^-1 adj A for another unit u = det A, each with u^-1, and None for a
+    non-unit."""
 
     @pytest.mark.parametrize("ring,dets", [
         (INT, [1, -1]),
@@ -499,9 +500,12 @@ class TestAdjugateInverse:
                 (a, b), (c, d) = blk
                 assert a * d - b * c == det
                 u = ring.unit_inverse(det)
-                inv = _adjugate_inverse(ring, blk)
+                inv, inv_det = _adjugate_inverse(ring, blk)
                 assert inv == ((u * d, -(u * b)), (-(u * c), u * a))
+                assert inv_det == u
                 assert _block_product(blk, inv, ring) == ident
+                # A known determinant gives the same pair with no a d - b c.
+                assert _adjugate_inverse(ring, blk, det) == (inv, u)
 
     def test_non_unit_determinant_gives_none(self):
         q5 = QpRing(5)
@@ -515,7 +519,9 @@ class TestAdjugateInverse:
             (LAURENT, ((S, ONE), (ONE, ONE))),
             (LAURENT, ((LAURENT.from_int(2), ZERO), (ZERO, ONE))),
         ]:
+            (a, b), (c, d) = blk
             assert _adjugate_inverse(ring, blk) is None
+            assert _adjugate_inverse(ring, blk, a * d - b * c) is None
 
 
 class TestFlattenedBlocks:
