@@ -13,7 +13,9 @@ class VerificationError(RuntimeError):
 
 
 class OracleError(VerificationError):
-    """A conjugator oracle violated its contract on sampled inputs."""
+    """A conjugator record violated its contract: it is not a record of
+    G's degree with one pair per Phi generator, or a pair does not
+    multiply to the identity."""
 
 
 class DimensionBoundError(VerificationError):

@@ -22,7 +22,7 @@ _packed_product relies on it: it packs an operand only after checking that
 it has one class and is dense along a, and any other operand takes the
 schoolbook loop, so every product stays exact.
 
-Packed products (LaurentPoly products, _integer_eval in reps, the
+Packed products (LaurentPoly products, _integer_eval in matrix, the
 splittable engine's fresh-point checks) share one format.  Signed ints
 k_0, .., k_(n-1) pack into the one int v = sum k_i 2^(8 w i), digit i
 holding k_i (Kronecker substitution, _pack_digits), w a width in bytes.

@@ -1,14 +1,20 @@
-"""Semidirect products Phi x| G of matrix groups: generator pairs, the tau
-oracles that realize the action of Phi on G by conjugation, and the
-Fraction reference products.
+"""Semidirect products Phi x| G of matrix groups: generator pairs, the
+conjugator records of the action of Phi on G, and the Fraction reference
+products.
+
+A conjugator record tau is any object with `degree`, the degree n of G, and
+`pairs`, one pair (tau(l), tau(l)^-1) of n x n matrices over QQ per Phi
+generator l, such that Phi letter l acts on G as conjugation by tau(l).  A
+MatrixGroupGens is one; so are InnerTau and TrivialTau.  The splittable
+engine (splittable.py) reads the pairs and builds tau(w) of a Phi-word w as
+the product of its letters' pairs.
 
 `semidirect_identity`, `generator_element`, `semidirect_mul`, `eval_word`,
 `coordinate_value` and `h_eval` are the public Fraction reference API: they
 compute semidirect products, coordinates and the splitting kernel on
 RingMatrix over QQ straight from the definitions, for checking the
-splittable engine's exact kernel against.  The engine (splittable.py) asks
-a tau oracle for the empty word and for each Phi letter only, and converts
-those pairs to its kernel format itself.
+splittable engine's exact kernel against.  They take tau's word-level view,
+`tau_pair(phi_word)`, which InnerTau and TrivialTau give.
 """
 
 from __future__ import annotations
@@ -123,28 +129,13 @@ class SemidirectElement(Record, frozen=True):
         return word_str(self.word)
 
 
-class TauOracle:
-    """Maps Phi-words to (g_phi, g_phi^-1) realizing the action on G.
-
-    The engine builds with tau(w) as the product of its letters' pairs, and
-    requires tau of the empty word to be (I, I).  A letterwise oracle is
-    such a product by construction, so validate_tau checks its letters
-    only; any other is a black box, whose words validate_tau samples
-    against the letter products."""
-
-    letterwise = False
-
-    def tau_pair(self, phi_word):
-        raise NotImplementedError
-
-
-class TrivialTau(TauOracle):
-    """Oracle for a trivial Phi: letterwise with no letters, so only the
-    empty word occurs."""
-
-    letterwise = True
+class TrivialTau:
+    """The conjugator record of a trivial Phi on G of degree n_degree: no
+    pairs, so tau_pair knows the empty word only."""
 
     def __init__(self, n_degree: int):
+        self.degree = n_degree
+        self.pairs = ()
         ident = RingMatrix.identity(QQ, n_degree)
         self._pair = (ident, ident)
 
@@ -154,19 +145,19 @@ class TrivialTau(TauOracle):
         return self._pair
 
 
-class InnerTau(TauOracle):
-    """Phi generator i acts on G as conjugation by G generator i; a Phi-word
-    maps to the same word evaluated over the G generators, letter by letter,
-    so tau is letterwise.
+class InnerTau:
+    """Phi generator i acts on G as conjugation by G generator i: the
+    conjugator record is G's own pairs.  tau_pair maps a Phi-word to the same
+    word evaluated over the G generators, letter by letter.
 
     The memo holds each Phi-word's pair, built from its prefix's pair and
     its last letter's generators.  A miss recurses through tau_pair, so a
     wrapper of tau_pair sees every memo miss as a nested call."""
 
-    letterwise = True
-
     def __init__(self, g_gens: MatrixGroupGens):
         self.g_gens = g_gens
+        self.degree = g_gens.degree
+        self.pairs = g_gens.pairs
         ident = RingMatrix.identity(QQ, g_gens.degree)
         self._memo = {(): (ident, ident)}
 
@@ -202,7 +193,7 @@ def generator_element(letter, phi_gens, g_gens) -> SemidirectElement:
 
 
 def semidirect_mul(e1: SemidirectElement, e2: SemidirectElement,
-                   tau: TauOracle) -> SemidirectElement:
+                   tau) -> SemidirectElement:
     """(phi1, g1)(phi2, g2) = (phi1 phi2, tau(phi2)^-1 g1 tau(phi2) g2)."""
     t_val, t_inv = tau.tau_pair(e2.phi_word)
     return SemidirectElement(
@@ -225,7 +216,7 @@ def coordinate_value(coord, element: SemidirectElement) -> Fraction:
     return mat.rows[i][j]
 
 
-def h_eval(p, k1, k2, q, element: SemidirectElement, tau: TauOracle) -> Fraction:
+def h_eval(p, k1, k2, q, element: SemidirectElement, tau) -> Fraction:
     """The splitting kernel H_{p k1 k2 q} at (phi2, g2): the sum over k3 of
     entries (g_phi2^-1)[p][k1] * (g_phi2)[k2][k3] * (g2)[k3][q]."""
     t_val, t_inv = tau.tau_pair(element.phi_word)

@@ -1,18 +1,18 @@
 """Splittable-coordinates engine for semidirect products of matrix groups.
 
 Given generator matrices for Phi <= GL_m and G <= GL_n and a conjugator
-oracle tau sending Phi-words to matrices g_phi realizing the action of Phi
-on G by conjugation, the engine closes the coordinate functions (entries of
-the Phi part and of the G part) under the shift action f^x(y) = f(x y) and
-reads off a matrix representation of Phi x| G of dimension at most
-m^2 + n^4.
+record tau, one pair (tau(l), tau(l)^-1) per Phi generator l with Phi
+letter l acting on G as conjugation by tau(l) (see semidirect.py), the
+engine closes the coordinate functions (entries of the Phi part and of the
+G part) under the shift action f^x(y) = f(x y) and reads off a matrix
+representation of Phi x| G of dimension at most m^2 + n^4.
 
 Each element y has a kernel row k(y): its m^2 entries y.phi[k][j] and its
 n^4 splitting-kernel values H_{p k1 k2 q}(y).  A shifted coordinate is
 y -> c . k(y) for a coefficient vector c read off the shift, so the linear
 relations among shifted coordinates are K^perp, K the span of the kernel
-rows of the whole group.  tau(empty) must be (I, I), and every element
-carries the tau pair of its Phi-word as the product of its letters' pairs,
+rows of the whole group.  Every element carries the tau pair of its
+Phi-word as the product of its letters' pairs, (I, I) for the empty word,
 so a Krylov walk finds K's Gauss-Jordan rows R exactly (_krylov_walk), and
 the build decides each candidate c by its values R c (build_rep), with no
 evaluation sample.  Every extracted expansion is still re-verified on a
@@ -20,17 +20,17 @@ fresh sample of random words, and the dimension bound is checked.
 
 The engine computes on an exact kernel, a format only this module knows:
 matrices are tuples of row tuples of ints and Fractions, converted once
-from the generator pairs and the tau pairs of the Phi letters, and every
-product of an element by a generator is one _Kernel.step.  Action matrices
+from the generator pairs and tau's pairs, and every product of an element
+by a generator is one _Kernel.step.  Action matrices
 are sparse rows {column: coefficient}.  The fresh-sample check and
 verify_rep read them as (den, integer rows), compile each fixed integer map
 (packed._integer_map) and compute on packs in ring.py's balanced digits,
 every width from a proven bound (_PackedPoints, verify_rep); a Fraction
-appears only in a witness, and RingMatrix over QQ only at the API: tau
+appears only in a witness, and RingMatrix over QQ only at the API: tau's
 pairs, `basis`, `actions` and `recover`.
 
-The generator pairs, the tau oracles and the Fraction reference API live
-in semidirect.py; this module re-exports them.
+The generator pairs, the conjugator records InnerTau and TrivialTau and the
+Fraction reference API live in semidirect.py; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ from .errors import DimensionBoundError, OracleError, VerificationError
 from .matrix import RingMatrix, _block_mul, _matrix_json
 from .packed import _integer_map, _integer_vector, _Span
 from .ring import QQ, _balanced_digits, _digit_offset, _digit_width, _pack_digits
-from .semidirect import (  # the reference API and tau oracles, re-exported
+from .semidirect import (  # the reference API and tau records, re-exported
     InnerTau,
     MatrixGroupGens,
     SemidirectElement,
-    TauOracle,
     TrivialTau,
     coord_name,
     coordinate_value,
@@ -125,28 +124,16 @@ class _Element:
         self.g = g
 
 
-def _checked_pair(tau, word, ident):
-    """tau's pair for a word of Phi letters in kernel form, checked
-    one-sided: tau(w) tau(w)^-1 = I, which over Q gives the other side too
-    (see MatrixGroupGens)."""
-    t_val, t_inv = map(_kernel_matrix, tau.tau_pair(tuple((i, s) for _, i, s in word)))
-    if _block_mul(t_val, t_inv, 0) != ident:
-        raise OracleError(f"tau inverse wrong on {word_str(word)}")
-    return t_val, t_inv
-
-
 class _Kernel:
     """(Phi, G, tau) in kernel form: the generator matrices by letter and
-    the tau pair of each Phi letter, converted once.  tau is asked for the
-    empty word and for each Phi letter only, and raises OracleError unless
-    tau of the empty word is (I, I) and each letter's pair multiplies to I;
-    an element's tau pair is then the product of its letters' pairs."""
+    the tau pair of each Phi letter, converted once from tau.pairs.  Each
+    pair (t, t^-1) is checked one-sided, t t^-1 = I, which over Q gives the
+    other side too (see MatrixGroupGens), and raises OracleError naming its
+    Phi generator otherwise.  An element's tau pair is the product of its
+    letters' pairs."""
 
     def __init__(self, phi_gens, g_gens, tau):
         ident = _kernel_identity(g_gens.degree)
-        if tuple(map(_kernel_matrix, tau.tau_pair(()))) != (ident, ident):
-            raise OracleError(
-                f"tau of the empty word {word_str(())} is not the identity pair")
         self.identity = _Element((), (ident, ident),
                                  _kernel_identity(phi_gens.degree), ident)
         self.mats = {
@@ -155,8 +142,13 @@ class _Kernel:
             for idx, pair in enumerate(gens.pairs)
             for sign, mat in zip((1, -1), pair)
         }
-        self.tau_letters = {l: _checked_pair(tau, (l,), ident)
-                            for l in self.mats if l[0] == "phi"}
+        self.tau_letters = {}
+        for idx, pair in enumerate(tau.pairs):
+            t_val, t_inv = map(_kernel_matrix, pair)
+            if _block_mul(t_val, t_inv, 0) != ident:
+                raise OracleError(f"tau inverse wrong on phi{idx}")
+            self.tau_letters["phi", idx, 1] = t_val, t_inv
+            self.tau_letters["phi", idx, -1] = t_inv, t_val
         self._steps = {}
 
     def step(self, el: _Element, letter) -> _Element:
@@ -195,28 +187,18 @@ class _Kernel:
         return SemidirectElement(el.word, _qq_matrix(el.phi), _qq_matrix(el.g))
 
 
-def validate_tau(phi_gens, g_gens, tau, word_len: int = 3):
-    """The kernel form of (Phi, G, tau), checked.  _Kernel checks tau of the
-    empty word and of each letter.  A letterwise tau (TauOracle) is the
-    product of its letters' pairs, as the engine uses it, so nothing more
-    is asked of it.  A black box is walked over the Phi-words of length 2
-    to word_len, each checked against the letter product p(w) the kernel
-    carries: its inverse (_checked_pair), and that tau(w) conjugates G as
-    p(w) does, that is tau(w) p(w)^-1 commutes with each G generator.  A
-    failure raises OracleError naming the word."""
-    kernel = _Kernel(phi_gens, g_gens, tau)
-    if getattr(tau, "letterwise", False):
-        return kernel
-    ident = kernel.identity.g
-    g_mats = tuple(kernel.mats[("g", idx, 1)] for idx in range(len(g_gens.pairs)))
-    pairs = [(("phi", idx, 1), ("phi", idx, -1)) for idx in range(len(phi_gens.pairs))]
-    for w, el in reduced_walk(pairs, word_len, kernel.identity, kernel.step):
-        if len(w) > 1:
-            z = _block_mul(_checked_pair(tau, w, ident)[0], el.tau[1], 0)
-            if any(_block_mul(z, g, 0) != _block_mul(g, z, 0) for g in g_mats):
-                raise OracleError(
-                    f"tau({word_str(w)}) does not realize the letterwise action")
-    return kernel
+def validate_tau(phi_gens, g_gens, tau):
+    """The kernel form of (Phi, G, tau), checked: tau must be a conjugator
+    record, with `degree` G's degree and `pairs` one pair per Phi generator,
+    each multiplying to I (_Kernel).  Anything else, a black-box oracle of
+    Phi-words included, raises OracleError."""
+    pairs = getattr(tau, "pairs", None)
+    if (getattr(tau, "degree", None) != g_gens.degree or pairs is None
+            or len(pairs) != len(phi_gens.pairs)):
+        raise OracleError(
+            f"tau must be a conjugator record of degree {g_gens.degree} with "
+            f"{len(phi_gens.pairs)} pairs, one per Phi generator")
+    return _Kernel(phi_gens, g_gens, tau)
 
 
 class ShiftedCoordinate(Record, frozen=True):
@@ -427,19 +409,22 @@ def _random_reduced_word(rng, letters, length):
 
 
 def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
-              tau: TauOracle, sample_len: int = 4) -> SplittableRep:
+              tau, sample_len: int = 4) -> SplittableRep:
     """Close the coordinate functions under shifts by the generators and
     extract the action matrices.
+
+    tau is the conjugator record of Phi's action on G (validate_tau): a
+    MatrixGroupGens of degree n with one pair per Phi generator, InnerTau
+    or TrivialTau.  A tau that fails validate_tau raises OracleError.
 
     The relations among shifted coordinates are exactly K^perp, K the span
     of the Krylov walk's rows R (_krylov_walk, exact for the kernel that
     validate_tau checked), so f_c = sum_j a_j f_(b_j) exactly when R c =
     sum_j a_j R b_j: each candidate c is decided by its values R c.
     sample_len sets the word lengths of the fresh-sample gate, sample_len +
-    1 and + 2, which raises VerificationError if an expansion fails there,
-    and the depth to which validate_tau walks a black-box tau, sample_len +
-    2.  A tau that fails validate_tau raises OracleError.  A negative
-    sample_len, whose fresh sample is the identity alone, raises ValueError.
+    1 and + 2, which raises VerificationError if an expansion fails there.
+    A negative sample_len, whose fresh sample is the identity alone, raises
+    ValueError.
 
     The dimension stays within m^2 + n^4 by construction: the values R b_j
     of the basis functions are independent, so basis <= rank K <= m^2 +
@@ -451,7 +436,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     bound = m * m + n**4  # also the width of a kernel row
     pairs = _letter_pairs(phi_gens, g_gens)
     letters = tuple(letter for pair in pairs for letter in pair)
-    kernel = validate_tau(phi_gens, g_gens, tau, word_len=sample_len + 2)
+    kernel = validate_tau(phi_gens, g_gens, tau)
     k_rows, walk_rows = _krylov_walk(kernel, letters, bound)
     rank, span = len(k_rows), _Span()
     # R by columns {row: entry}: R c sums the columns where c is nonzero.
@@ -740,8 +725,8 @@ def conjugation_matrix(a: RingMatrix, b: RingMatrix) -> RingMatrix:
 
 def int_g_rep(g_gens: MatrixGroupGens, sample_len: int = 4) -> SplittableRep:
     """Representation of Int(G) x| G: Phi is the conjugation action of G on
-    the n^2-dimensional matrix space (so m = n^2) and tau transfers Phi-words
-    to the same words over the G generators.  Dimension at most 2 n^4."""
+    the n^2-dimensional matrix space (so m = n^2) and tau is G's own pairs
+    (InnerTau).  Dimension at most 2 n^4."""
     phi_pairs = tuple(
         (conjugation_matrix(mat, inv), conjugation_matrix(inv, mat))
         for mat, inv in g_gens.pairs

@@ -32,7 +32,6 @@ from hnnrep.ring import LAURENT, QpRing, QpScalar
 from hnnrep.splittable import (
     InnerTau,
     MatrixGroupGens,
-    TauOracle,
     TrivialTau,
     build_rep,
     conjugation_matrix,
@@ -49,7 +48,7 @@ from hnnrep.words import (
     normal_form,
 )
 
-from helpers import DEGREE3_JSON_SHA256, specialize
+from helpers import DEGREE3_JSON_SHA256, letter_record, specialize
 
 S = LAURENT.s_power(1)
 
@@ -190,7 +189,10 @@ G_RANK2 = MatrixGroupGens.from_int_rows(2, [
 ])
 
 
-class _ReversedTau(TauOracle):
+class _ReversedTau:
+    """A black-box oracle that evaluates Phi-words in reversed letter
+    order: right on single letters, wrong on longer words."""
+
     def __init__(self, g_gens):
         self.inner = InnerTau(g_gens)
 
@@ -217,8 +219,11 @@ def test_criterion_7_splittable_engine():
         (conjugation_matrix(m, i), conjugation_matrix(i, m))
         for m, i in G_RANK2.pairs
     ))
-    with pytest.raises(VerificationError):
-        build_rep(phi_gens, G_RANK2, _ReversedTau(G_RANK2), sample_len=2)
+    reversed_words = r"^tau\(phi0 phi0 phi0 phi1\) does not realize the letterwise action$"
+    with pytest.raises(VerificationError, match=reversed_words):
+        build_rep(phi_gens, G_RANK2,
+                  letter_record(phi_gens, G_RANK2, _ReversedTau(G_RANK2), word_len=2 + 2),
+                  sample_len=2)
     report(7, f"splittable: trivial dim 4, Int(G)G dim {inner.dimension} <= 32, "
               "corrupted oracle rejected", t0, "5 min")
 

@@ -581,6 +581,21 @@ class TestSplittableCommand:
         assert text.endswith("\nwell-definedness: checked on the walked words only\n"
                              "PASS\n")
 
+    def test_g_acting_on_itself_document_is_pinned(self, capsys, tmp_path):
+        # The explicit --phi build of the SL2(Z) pair a = b = 2: its
+        # document byte for byte, and its walk count.
+        gens = tmp_path / "gens.json"
+        gens.write_text(json.dumps(GENS_RANK2))
+        out = tmp_path / "gg-rep.json"
+        code, text = run(capsys, "splittable", "--g", str(gens),
+                         "--phi", str(gens), "--tau", "inner",
+                         "--sample-len", "3", "--max-len", "2",
+                         "--out", str(out))
+        assert code == 0
+        assert "\nwords checked: 65, identity actions: 1\n" in text
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0c2f2e9b605a414dbb0ecf77b03e51126a44b5ac00614bee5ca471329a3a0a7b")
+
     def test_negative_sample_len_is_a_usage_error(self, capsys, tmp_path):
         # A negative length leaves a fresh sample of the identity alone;
         # the command refuses it instead of writing an unchecked rep.

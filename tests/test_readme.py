@@ -24,6 +24,8 @@ CLAIMS = [
     ],
     [
         ("verify_rep(rep, max_len=3).ok", lambda v: v is True),
+        ("closure.dimension", lambda v: v == 4),
+        ("gg.dimension", lambda v: v == 20),
     ],
 ]
 

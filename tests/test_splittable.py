@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from hnnrep.splittable import (
     InnerTau,
     MatrixGroupGens,
     SplittableReport,
-    TauOracle,
     TrivialTau,
     _fresh_sample_check,
     _random_reduced_word,
@@ -45,7 +45,7 @@ from hnnrep.splittable import (
 )
 from hnnrep.words import reduced_walk
 
-from helpers import DEGREE3_JSON_SHA256
+from helpers import DEGREE3_JSON_SHA256, letter_record
 
 G_RANK2 = MatrixGroupGens.from_int_rows(2, [
     (((1, 0), (2, 1)), ((1, 0), (-2, 1))),
@@ -77,8 +77,8 @@ def trivial_setup():
     return TRIVIAL_PHI, G_RANK2, TrivialTau(2)
 
 
-class ReversedTau(TauOracle):
-    """Corrupted oracle: evaluates Phi-words in reversed letter order, so it
+class ReversedTau:
+    """Corrupted black-box oracle: evaluates Phi-words in reversed letter order, so it
     is right on single letters but incoherent on longer words."""
 
     def __init__(self, g_gens):
@@ -187,15 +187,16 @@ class TestValidateTau:
             (conjugation_matrix(m, i), conjugation_matrix(i, m))
             for m, i in G_RANK2.pairs
         ))
-        with pytest.raises(OracleError):
-            validate_tau(phi_gens, G_RANK2, ReversedTau(G_RANK2))
+        with pytest.raises(OracleError, match=REVERSED.format("")):
+            validate_tau(phi_gens, G_RANK2,
+                         letter_record(phi_gens, G_RANK2, ReversedTau(G_RANK2), word_len=3))
 
     def test_wrong_inverse_on_one_word_fails(self):
         # tau(w)^-1 is wrong on one length-2 Phi-word only; the one-sided
         # inverse check names that word with its letter names.
         bad = ((0, 1), (1, 1))
 
-        class WrongInverse(TauOracle):
+        class WrongInverse:
             def __init__(self, g_gens):
                 self.inner = InnerTau(g_gens)
 
@@ -204,7 +205,8 @@ class TestValidateTau:
                 return (val, val) if tuple(phi_word) == bad else (val, inv)
 
         with pytest.raises(OracleError, match="^tau inverse wrong on phi0 phi1$"):
-            validate_tau(INNER_PHI, G_RANK2, WrongInverse(G_RANK2), word_len=2)
+            validate_tau(INNER_PHI, G_RANK2,
+                         letter_record(INNER_PHI, G_RANK2, WrongInverse(G_RANK2), word_len=2))
 
     @pytest.mark.parametrize("gens", ["rank2", "rational"])
     def test_carried_pairs_are_the_word_pairs(self, gens):
@@ -227,23 +229,27 @@ class TestValidateTau:
 
     @pytest.mark.parametrize("gens", ["rank2", "rational"])
     def test_sheared_empty_word_is_rejected(self, gens):
-        # tau of the empty word is a shear: the engine builds tau(w) from
-        # its letters and so needs tau(empty) = (I, I), and says so.
+        # tau of the empty word is a shear: a record builds tau(w) from its
+        # letters and so needs tau(empty) = (I, I), and the adapter says
+        # so, at the depth validate_tau and build_rep walked.
         g_gens = {"rank2": G_RANK2, "rational": G_RATIONAL}[gens]
         phi_gens = MatrixGroupGens(4, tuple(
             (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in g_gens.pairs
         ))
         empty = "^tau of the empty word ε is not the identity pair$"
         with pytest.raises(OracleError, match=empty):
-            validate_tau(phi_gens, g_gens, ShearedTau(g_gens))
+            validate_tau(phi_gens, g_gens,
+                         letter_record(phi_gens, g_gens, ShearedTau(g_gens), word_len=3))
         with pytest.raises(OracleError, match=empty):
-            build_rep(phi_gens, g_gens, ShearedTau(g_gens), sample_len=1)
+            build_rep(phi_gens, g_gens,
+                      letter_record(phi_gens, g_gens, ShearedTau(g_gens), word_len=1 + 2),
+                      sample_len=1)
 
     @pytest.mark.parametrize("tau", ["inner", "trivial"])
     def test_letterwise_tau_is_checked_per_letter(self, tau):
-        # A letterwise tau is a product over letters by construction: the
-        # check asks for the empty word and each letter once, at any depth,
-        # and a black-box oracle is still walked to word_len.
+        # A record is its letters' pairs: the check reads them and asks
+        # tau_pair for no word at all.  A black-box oracle is walked by the
+        # adapter, once per word to its depth.
         class Counting(InnerTau if tau == "inner" else TrivialTau):
             calls = Counter()
 
@@ -253,31 +259,35 @@ class TestValidateTau:
 
         oracle = Counting(G_RANK2 if tau == "inner" else 2)
         phi_gens = INNER_PHI if tau == "inner" else TRIVIAL_PHI
-        validate_tau(phi_gens, G_RANK2, oracle, word_len=6)
-        letters = [((i, s),) for i in range(len(phi_gens.pairs)) for s in (1, -1)]
-        # InnerTau's memo recursion asks for each letter's prefix, ().
-        assert set(oracle.calls) == {(), *letters}
-        assert all(oracle.calls[w] == 1 for w in letters)
+        kernel = validate_tau(phi_gens, G_RANK2, oracle)
+        assert not oracle.calls
+        assert len(kernel.tau_letters) == 2 * len(phi_gens.pairs)
         black_box = CountingTau(InnerTau(G_RANK2))
-        validate_tau(INNER_PHI, G_RANK2, black_box, word_len=3)
+        record = letter_record(INNER_PHI, G_RANK2, black_box, word_len=3)
         assert len(black_box.calls) == 1 + 4 + 12 + 36
+        assert max(black_box.calls.values()) == 1
+        assert record.pairs == G_RANK2.pairs
 
     def test_trivial_tau_rejects_a_phi_letter(self):
-        with pytest.raises(OracleError, match="trivial Phi has no nonempty words"):
+        # TrivialTau has no pairs, and INNER_PHI has two generators.
+        with pytest.raises(OracleError, match=f"^{RECORD_SHAPE}$"):
             validate_tau(INNER_PHI, G_RANK2, TrivialTau(2))
 
     def test_build_asks_tau_once_per_phi_word(self):
-        # build_rep works on the kernel validate_tau checked, so no tau pair
-        # is fetched and converted twice.
+        # The adapter asks a black box once per word to the depth
+        # sample_len + 2; build_rep and verify_rep, on the record it
+        # returns, ask for no word.
         tau = CountingTau(InnerTau(G_RANK2))
-        rep = build_rep(INNER_PHI, G_RANK2, tau, sample_len=3)
+        record = letter_record(INNER_PHI, G_RANK2, tau, word_len=3 + 2)
+        asked = Counter(tau.calls)
+        rep = build_rep(INNER_PHI, G_RANK2, record, sample_len=3)
         assert verify_rep(rep, max_len=2, pairs=20).ok
-        assert tau.calls and max(tau.calls.values()) == 1
+        assert tau.calls == asked and max(asked.values()) == 1
 
     def test_letterwise_builds_ask_words_of_length_at_most_one(self, monkeypatch):
-        # The engine asks a letterwise tau for the empty word and its
-        # letters, and multiplies the letters' pairs for every longer word:
-        # in int_g_rep, in verify_rep and in the trivial-tau build.
+        # The engine reads InnerTau's and TrivialTau's pairs and multiplies
+        # them for every word, so it asks tau_pair for no word: in
+        # int_g_rep, in verify_rep and in the trivial-tau build.
         asked = set()
         for cls in (InnerTau, TrivialTau):
             def counting(self, phi_word, _tau_pair=cls.tau_pair):
@@ -286,25 +296,33 @@ class TestValidateTau:
             monkeypatch.setattr(cls, "tau_pair", counting)
         rep = int_g_rep(G_RANK2, sample_len=3)
         assert verify_rep(rep, max_len=3).ok
-        assert asked == {(), ((0, 1),), ((0, -1),), ((1, 1),), ((1, -1),)}
-        asked.clear()
+        assert asked == set()
         rep = build_rep(*trivial_setup(), sample_len=3)
         assert verify_rep(rep, max_len=3).ok
-        assert asked == {()}
+        assert asked == set()
 
 
 INNER_PHI = MatrixGroupGens(4, tuple(
     (conjugation_matrix(m, i), conjugation_matrix(i, m)) for m, i in G_RANK2.pairs
 ))
+# The adapter's message for ReversedTau: tau(phi0^k phi1) = g1 g0^k
+# conjugates G unlike g0^k g1, and the depth-first walk meets the longest
+# such word first.
+REVERSED = r"^tau\(phi0 phi0{} phi1\) does not realize the letterwise action$"
+DEEP = r"^tau\(phi0 phi0 phi0 phi0 phi1\) does not realize the letterwise action$"
+# validate_tau's message for anything but a record of G_RANK2 with two pairs.
+RECORD_SHAPE = ("tau must be a conjugator record of degree 2 with 2 pairs, "
+                "one per Phi generator")
 
 
 _SHEAR = RingMatrix.from_ints(QQ, ((1, 1), (0, 1)))
 _SHEAR_INV = RingMatrix.from_ints(QQ, ((1, -1), (0, 1)))
 
 
-class ShearedTau(TauOracle):
-    """InnerTau times a shear on the right: tau of the empty word is the
-    shear, which is not the identity, so the engine rejects it."""
+class ShearedTau:
+    """Black-box oracle: InnerTau times a shear on the right.  tau of the
+    empty word is the shear, which is not the identity, so the adapter
+    rejects it."""
 
     def __init__(self, g_gens):
         self.inner = InnerTau(g_gens)
@@ -334,7 +352,7 @@ class TestKernelStep:
             assert kernel.public(el) == eval_word(word, phi_gens, g_gens, tau)
 
 
-class CountingTau(TauOracle):
+class CountingTau:
     """Passes tau_pair through and counts the calls per Phi-word."""
 
     def __init__(self, tau):
@@ -344,6 +362,59 @@ class CountingTau(TauOracle):
     def tau_pair(self, phi_word):
         self.calls[tuple(phi_word)] += 1
         return self.tau.tau_pair(phi_word)
+
+
+class TestTauRecord:
+    """A conjugator record: `degree` G's degree and `pairs` one (tau(l),
+    tau(l)^-1) per Phi generator."""
+
+    @pytest.mark.parametrize("record", [
+        MatrixGroupGens(3, ()),
+        MatrixGroupGens(2, G_RANK2.pairs[:1]),
+        InnerTau(MatrixGroupGens(2, G_RANK2.pairs[:1] * 3)),
+        TrivialTau(3),
+        SimpleNamespace(degree=2),
+        SimpleNamespace(pairs=G_RANK2.pairs),
+        CountingTau(InnerTau(G_RANK2)),
+    ], ids=["degree 3", "one pair", "three pairs", "trivial of degree 3",
+            "no pairs", "no degree", "black box"])
+    def test_anything_but_a_record_of_the_right_shape_is_refused(self, record):
+        # INNER_PHI has two generators and G_RANK2 degree 2.
+        with pytest.raises(OracleError, match=f"^{RECORD_SHAPE}$"):
+            validate_tau(INNER_PHI, G_RANK2, record)
+        with pytest.raises(OracleError, match=f"^{RECORD_SHAPE}$"):
+            build_rep(INNER_PHI, G_RANK2, record, sample_len=1)
+        assert not getattr(record, "calls", None)
+
+    def test_pair_that_is_not_inverse_names_its_generator(self):
+        (a, a_inv), (b, b_inv) = G_RANK2.pairs
+        for bad, name in (((a, a), (b, b_inv)), "phi0"), (((a, a_inv), (b, a_inv)), "phi1"):
+            record = SimpleNamespace(degree=2, pairs=bad)
+            with pytest.raises(OracleError, match=f"^tau inverse wrong on {name}$"):
+                validate_tau(INNER_PHI, G_RANK2, record)
+
+    def test_generators_are_their_own_record(self):
+        # Int(G).G's tau is G's pairs: G itself as the record builds the
+        # document InnerTau builds.
+        by_gens = build_rep(INNER_PHI, G_RANK2, G_RANK2, 3)
+        by_inner = int_g_rep(G_RANK2, 3)
+        assert (json.dumps(by_gens.to_json(), sort_keys=True)
+                == json.dumps(by_inner.to_json(), sort_keys=True))
+        assert verify_rep(by_gens, max_len=2, pairs=20).ok
+
+    def test_builds_never_ask_the_word_level_view(self, monkeypatch):
+        # tau_pair serves the Fraction reference API only: with it raising,
+        # the trivial, Int(G).G and explicit-Phi builds still build and
+        # verify.
+        def refuse(self, phi_word):
+            raise AssertionError(f"tau_pair asked for {phi_word}")
+
+        for cls in (InnerTau, TrivialTau):
+            monkeypatch.setattr(cls, "tau_pair", refuse)
+        for rep in (build_rep(*trivial_setup(), sample_len=3),
+                    int_g_rep(G_RANK2, sample_len=3),
+                    build_rep(G_RANK2, G_RANK2, InnerTau(G_RANK2), sample_len=3)):
+            assert verify_rep(rep, max_len=2, pairs=20).ok
 
 
 class TestBuildRepTrivialPhi:
@@ -428,13 +499,15 @@ class TestIntGRep:
             (conjugation_matrix(m, i), conjugation_matrix(i, m))
             for m, i in G_RANK2.pairs
         ))
-        with pytest.raises(VerificationError):
-            build_rep(phi_gens, G_RANK2, ReversedTau(G_RANK2), sample_len=2)
+        with pytest.raises(VerificationError, match=REVERSED.format(" phi0")):
+            build_rep(phi_gens, G_RANK2,
+                      letter_record(phi_gens, G_RANK2, ReversedTau(G_RANK2), word_len=2 + 2),
+                      sample_len=2)
 
     def test_deeply_corrupted_tau_detected(self):
-        # Coherent on short words, reversed beyond: the contract is sampled
-        # to the depth the engine actually consults.
-        class DeepCorrupt(TauOracle):
+        # Coherent on short words, reversed beyond: the adapter samples the
+        # black box to sample_len + 2, the length of the longest fresh word.
+        class DeepCorrupt:
             def __init__(self, g_gens):
                 self.inner = InnerTau(g_gens)
 
@@ -448,8 +521,10 @@ class TestIntGRep:
             (conjugation_matrix(m, i), conjugation_matrix(i, m))
             for m, i in G_RANK2.pairs
         ))
-        with pytest.raises(OracleError):
-            build_rep(phi_gens, G_RANK2, DeepCorrupt(G_RANK2), sample_len=3)
+        with pytest.raises(OracleError, match=DEEP):
+            build_rep(phi_gens, G_RANK2,
+                      letter_record(phi_gens, G_RANK2, DeepCorrupt(G_RANK2), word_len=3 + 2),
+                      sample_len=3)
 
 
 class TestExplicitPhiPairing:
