@@ -4,10 +4,12 @@ suites, decide word equality, and run the splittable engine.
 Exit codes: 0 success, 1 verification failure (report on stdout), 2 bad
 arguments or input validation.
 
-Every JSON document is written by matrix._json_text, as the text of
-json.dumps(doc, indent=2, sort_keys=True) plus a newline.  build writes the
-representation's text rendered from its blocks
-(Representation.to_json_text), with no dense document in between.
+Every JSON document is written by one writer (_dump_json) as the text of
+json.dumps(doc, indent=2, sort_keys=True) plus a newline, streamed to the
+file or stdout in the fragments matrix._write_json makes, so the whole text
+is never held.  build writes the representation's block document
+(Representation.block_document), rendered from its blocks with no dense
+document in between.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from functools import cache
 
 from .errors import VerificationError
-from .matrix import _json_text
+from .matrix import _write_json
 from .reps import (
     artin_even,
     artin_odd,
@@ -106,25 +108,26 @@ def _report_stream(path):
     return sys.stderr if path == "-" else sys.stdout
 
 
-def _dump_text(text, path):
-    """Write text and a newline to path, or to stdout when path is "-"."""
+def _dump_json(doc, path):
+    """Write the text of matrix._json_text(doc) and a newline to path, or to
+    stdout when path is "-", as the writer's fragments: the whole text is
+    never held.  Every fragment is made before the file is opened, so a
+    document the writer refuses (TypeError) leaves path as it was."""
+    fragments = []
+    _write_json(doc, "", fragments, {})
+    fragments.append("\n")
     if path == "-":
-        print(text)
+        sys.stdout.writelines(fragments)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-
-
-def _dump_json(doc, path):
-    _dump_text(_json_text(doc), path)
+            fh.writelines(fragments)
 
 
 def cmd_build(args) -> int:
     if args.group != "artin":
         raise CliError(f"unknown group {args.group!r}")
     rep = _build_artin(args.m, args)
-    _dump_text(rep.to_json_text(), args.out)
+    _dump_json(rep.block_document(), args.out)
     print(f"wrote {rep.group or 'representation'} of degree {rep.degree} to {args.out}",
           file=_report_stream(args.out))
     return 0

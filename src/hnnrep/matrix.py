@@ -9,10 +9,12 @@ inverse is the block adjugate (BlockMonomial.inverse); every other inverse
 is given with its matrix and checked.  A built block's adjugate takes no
 products: its determinant is known by construction (BlockMonomial.dets).
 
-_json_text writes every JSON document the CLI prints or saves.  A
-BlockMonomial inside a document is written as its dense matrix document,
-rendered from the blocks: each distinct block's rows are encoded once per
-document, and the zeros around them are runs built by string repetition.
+_write_json makes the text of every JSON document the CLI prints or saves,
+as fragments that the CLI streams to their destination (cli._dump_json);
+_json_text joins them into one string.  A BlockMonomial inside a document
+is written as its dense matrix document, rendered from the blocks: each
+distinct block's rows are encoded once per document, and the zeros around
+them are runs built by string repetition.
 """
 
 from __future__ import annotations

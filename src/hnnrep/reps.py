@@ -26,8 +26,8 @@ from a 1-norm bound on the coefficients of the call's words.  Other images
 are walked over their ring.
 
 The written document is dense, but its text is rendered from the blocks
-(Representation.to_json_text): each distinct block is encoded once, and the
-zeros around it are string runs.
+(Representation.block_document): each distinct block is encoded once, and
+the zeros around it are string runs.
 
 Everything is verified at construction: the defining relations
 t^-1 x t = phi(x), the canonical relation w_m, and the displayed block
@@ -60,7 +60,6 @@ from .matrix import (
     BlockMonomial,
     RingMatrix,
     _integer_eval,
-    _json_text,
     _trie_walk,
     conjugate,
     det_bareiss,
@@ -197,28 +196,28 @@ class Representation:
         """Image of a word: the product of generator images."""
         return self.block_eval_many([item])[0].to_matrix()
 
-    def _document(self, matrix):
-        """The document's layout, with matrix(image) for each image and
-        inverse."""
+    def block_document(self):
+        """The document from_json reads, with each image and inverse as its
+        BlockMonomial, which the JSON writer renders from the blocks as the
+        dense matrix document (matrix._write_json)."""
         return {
             "group": self.group,
             "degree": self.degree,
             "ring": self.ring.descriptor(),
             "generators": [
-                {"name": name, "image": matrix(image), "imageInverse": matrix(inverse)}
+                {"name": name, "image": image, "imageInverse": inverse}
                 for name, (image, inverse) in self.images.items()
             ],
         }
 
     def to_json(self):
-        """The document from_json reads: each image and inverse is the dense
+        """block_document with each image and inverse as its dense
         RingMatrix document."""
-        return self._document(BlockMonomial.to_json)
-
-    def to_json_text(self):
-        """The text of json.dumps(self.to_json(), indent=2, sort_keys=True),
-        written from the blocks with no dense document (_json_text)."""
-        return _json_text(self._document(lambda image: image))
+        doc = self.block_document()
+        for gen in doc["generators"]:
+            gen["image"] = gen["image"].to_json()
+            gen["imageInverse"] = gen["imageInverse"].to_json()
+        return doc
 
     @classmethod
     def from_json(cls, doc) -> "Representation":

@@ -255,9 +255,21 @@ def _digit_width(bound):
     return ((2 * bound).bit_length() + 8) // 8
 
 
+# Packs of at most this many digits take the digit loop.
+_PACK_LOOP_MAX = 32
+
+
 def _pack_digits(digits, width):
-    """sum k_i 2^(8 width i) for the digits k_0, k_1, .., lowest first."""
+    """sum k_i 2^(8 width i) for the digits k_0, k_1, .., lowest first (a
+    list or tuple), carries included for any int digit.  A long pack packs
+    each half and shifts the high half once, so it costs O(n log n) digit
+    copies, not the loop's O(n^2)."""
     shift = 8 * width
+    n = len(digits)
+    if n > _PACK_LOOP_MAX:
+        half = n // 2
+        return (_pack_digits(digits[:half], width)
+                + (_pack_digits(digits[half:], width) << (shift * half)))
     v = 0
     for k in reversed(digits):
         v = (v << shift) + k

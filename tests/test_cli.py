@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -343,19 +344,65 @@ def test_dash_output_puts_the_document_alone_on_stdout(capsys, monkeypatch,
     assert to_file.err == ""
 
 
-@pytest.mark.parametrize("flags", [
-    [], ["--lambda", "2", "--mu", "3", "--s", "5"], ["--integer"],
-], ids=["symbolic", "numeric", "integer"])
-def test_build_prints_the_bytes_it_writes(tmp_path, flags):
+@pytest.mark.parametrize("argv, flag", [
+    (["build", "--m", "7"], "--out"),
+    (["build", "--m", "7", "--lambda", "2", "--mu", "3", "--s", "5"], "--out"),
+    (["build", "--m", "7", "--integer"], "--out"),
+    (["splittable", "--g", "g.json", "--tau", "inner", "--sample-len", "3",
+      "--max-len", "2"], "--out"),
+    (["check", "--suite", "relations", "--m", "5", "--integer"], "--json-report"),
+], ids=["symbolic", "numeric", "integer", "splittable", "check"])
+def test_build_prints_the_bytes_it_writes(tmp_path, argv, flag):
+    # Every command that writes a document gives stdout the bytes of the
+    # file, build in each mode included.
     src = str(Path(hnnrep.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "hnnrep", "build", "--m", "7", *flags, "--out"]
+    argv = [sys.executable, "-m", "hnnrep", *argv, flag]
     env = {**os.environ, "PYTHONPATH": src}
+    (tmp_path / "g.json").write_text(json.dumps(GENS_RANK2))
     printed = subprocess.run([*argv, "-"], capture_output=True, timeout=120,
-                             check=True, env=env).stdout
-    subprocess.run([*argv, str(tmp_path / "doc.json")], capture_output=True,
-                   timeout=120, check=True, env=env)
+                             check=True, env=env, cwd=tmp_path).stdout
+    subprocess.run([*argv, "doc.json"], capture_output=True, timeout=120,
+                   check=True, env=env, cwd=tmp_path)
     assert printed == (tmp_path / "doc.json").read_bytes()
     assert printed.endswith(b"\n}\n")
+
+
+def test_writing_a_document_never_holds_its_text(tmp_path):
+    # The writer streams the fragments, so its peak allocation is a small
+    # share of the document; joining the text once takes about twice the
+    # document, its str and the bytes of the file write.
+    args = cli.build_parser("build").parse_args(
+        ["build", "--m", "9", "--integer", "--lambda", "2", "--mu", "3",
+         "--s", "5", "--out", "-"])
+    doc = cli._build_artin(9, args).block_document()
+    path = tmp_path / "a9.json"
+    tracemalloc.start()
+    try:
+        cli._dump_json(doc, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 2, (peak, size)
+
+
+def test_a_refused_document_leaves_the_output_file_as_it_was(
+        capsys, monkeypatch, tmp_path):
+    # Every fragment is made before the file is opened, so the writer's
+    # TypeError on a float comes before the file is truncated.
+    path = tmp_path / "doc.json"
+    path.write_text("kept\n")
+    real = Representation.block_document
+    monkeypatch.setattr(Representation, "block_document",
+                        lambda rep: {**real(rep), "zz": [1, 0.5]})
+    with pytest.raises(TypeError):
+        main(["build", "--m", "4", "--out", str(path)])
+    assert path.read_text() == "kept\n"
+    with pytest.raises(TypeError):
+        cli._dump_json({"a": [1, 2.0]}, str(path))
+    assert path.read_text() == "kept\n"
+    assert capsys.readouterr().out == ""
 
 
 def _str_digit_limit():

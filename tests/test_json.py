@@ -438,8 +438,8 @@ def test_block_representation_text_reads_back(name, k, count, data):
     rep = Representation(RINGS[name], [(f"g{i}", image, None)
                                        for i, image in enumerate(images)],
                          group="random")
-    text = rep.to_json_text()
+    text = _json_text(rep.block_document())
     assert text == dump(_dense_document(rep))
     again = Representation.from_json(json.loads(text))
     assert all(len(image.perm) == 1 for image, _ in again.images.values())
-    assert again.to_json_text() == text
+    assert _json_text(again.block_document()) == text

@@ -271,6 +271,33 @@ class TestBalancedDigits:
             ring_module._balanced_digits(packed, width, len(vec) - 1)
         assert ring_module._balanced_digits(0, width, 0) == []
 
+    @staticmethod
+    def _loop_pack(digits, width):
+        """The pack one digit at a time, the contract _pack_digits keeps."""
+        v = 0
+        for k in reversed(digits):
+            v = (v << (8 * width)) + k
+        return v
+
+    @pytest.mark.parametrize("n, width", [
+        (20, 2), (80, 4), (1297, 16), (1297, 0), (7, 0),
+        *((ring_module._PACK_LOOP_MAX + d, w) for d in (-1, 0, 1, 2)
+          for w in (0, 1, 3)),
+        (2 * ring_module._PACK_LOOP_MAX + 1, 1), (0, 2), (1, 2),
+    ])
+    def test_halving_pack_is_the_digit_loop(self, n, width):
+        # Balanced digits, digits past the range (so carries cross the
+        # halves), and width 0, where the pack is the digits' sum.
+        rng = random.Random(n * 64 + width)
+        half = 1 << max(8 * width - 1, 0)
+        for digits in (
+            [rng.randrange(-half, half) for _ in range(n)],
+            [rng.choice([-1, 1]) * rng.randrange(half, 2**200) for _ in range(n)],
+            [rng.randrange(-(half << 40), half << 40) for _ in range(n)],
+        ):
+            for seq in (digits, tuple(digits)):
+                assert ring_module._pack_digits(seq, width) == self._loop_pack(digits, width)
+
 
 class TestSpecialize:
     def test_value(self):
