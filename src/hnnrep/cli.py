@@ -7,9 +7,12 @@ arguments or input validation.
 Every JSON document is written by one writer (_dump_json) as the text of
 json.dumps(doc, indent=2, sort_keys=True) plus a newline, streamed to the
 file or stdout in the fragments matrix._write_json makes, so the whole text
-is never held.  build writes the representation's block document
-(Representation.block_document), rendered from its blocks with no dense
-document in between.
+is never joined or encoded as one string.  build writes the
+representation's block document (Representation.block_document), rendered
+from its blocks with no dense document in between; its fragment list stays
+small because each block row and zero run is one string shared by every
+row that shows it.  Other documents share no fragments, so their list
+holds all of their text in pieces.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def _report_stream(path):
 
 def _dump_json(doc, path):
     """Write the text of matrix._json_text(doc) and a newline to path, or to
-    stdout when path is "-", as the writer's fragments: the whole text is
-    never held.  Every fragment is made before the file is opened, so a
+    stdout when path is "-", as the writer's fragments, never joined or
+    encoded as one string.  Every fragment is made before the file is opened, so a
     document the writer refuses (TypeError) leaves path as it was."""
     fragments = []
     _write_json(doc, "", fragments, {})

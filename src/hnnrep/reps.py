@@ -196,28 +196,29 @@ class Representation:
         """Image of a word: the product of generator images."""
         return self.block_eval_many([item])[0].to_matrix()
 
-    def block_document(self):
-        """The document from_json reads, with each image and inverse as its
-        BlockMonomial, which the JSON writer renders from the blocks as the
-        dense matrix document (matrix._write_json)."""
+    def _document(self, matrix):
+        """The document's layout, with matrix(image) for each image and
+        inverse."""
         return {
             "group": self.group,
             "degree": self.degree,
             "ring": self.ring.descriptor(),
             "generators": [
-                {"name": name, "image": image, "imageInverse": inverse}
+                {"name": name, "image": matrix(image), "imageInverse": matrix(inverse)}
                 for name, (image, inverse) in self.images.items()
             ],
         }
 
+    def block_document(self):
+        """The document with each image and inverse as its BlockMonomial,
+        which the JSON writer renders from the blocks as the dense matrix
+        document (matrix._write_json)."""
+        return self._document(lambda image: image)
+
     def to_json(self):
-        """block_document with each image and inverse as its dense
+        """The document from_json reads: each image and inverse is the dense
         RingMatrix document."""
-        doc = self.block_document()
-        for gen in doc["generators"]:
-            gen["image"] = gen["image"].to_json()
-            gen["imageInverse"] = gen["imageInverse"].to_json()
-        return doc
+        return self._document(BlockMonomial.to_json)
 
     @classmethod
     def from_json(cls, doc) -> "Representation":

@@ -367,10 +367,11 @@ def test_build_prints_the_bytes_it_writes(tmp_path, argv, flag):
     assert printed.endswith(b"\n}\n")
 
 
-def test_writing_a_document_never_holds_its_text(tmp_path):
-    # The writer streams the fragments, so its peak allocation is a small
-    # share of the document; joining the text once takes about twice the
-    # document, its str and the bytes of the file write.
+def test_writing_a_document_never_joins_its_text(tmp_path):
+    # The writer streams the fragments, and build's fragments share its
+    # block rows and zero runs, so its peak allocation is a small share of
+    # the document; joining the text once takes about twice the document,
+    # its str and the bytes of the file write.
     args = cli.build_parser("build").parse_args(
         ["build", "--m", "9", "--integer", "--lambda", "2", "--mu", "3",
          "--s", "5", "--out", "-"])

@@ -1,5 +1,6 @@
 """Laurent polynomial and prime-power-denominator arithmetic."""
 
+import math
 import operator
 import random
 import time
@@ -281,9 +282,11 @@ class TestBalancedDigits:
 
     @pytest.mark.parametrize("n, width", [
         (20, 2), (80, 4), (1297, 16), (1297, 0), (7, 0),
-        *((ring_module._PACK_LOOP_MAX + d, w) for d in (-1, 0, 1, 2)
-          for w in (0, 1, 3)),
-        (2 * ring_module._PACK_LOOP_MAX + 1, 1), (0, 2), (1, 2),
+        # digit counts around the cut-off in n * n * width, which is the
+        # 16-digit cut-off at width 64
+        *((math.isqrt(ring_module._PACK_LOOP_WORK // w) + d, w)
+          for d in (-1, 0, 1, 2) for w in (1, 3, 8, 64)),
+        (4097, 1), (0, 2), (1, 2),
     ])
     def test_halving_pack_is_the_digit_loop(self, n, width):
         # Balanced digits, digits past the range (so carries cross the
@@ -292,7 +295,7 @@ class TestBalancedDigits:
         half = 1 << max(8 * width - 1, 0)
         for digits in (
             [rng.randrange(-half, half) for _ in range(n)],
-            [rng.choice([-1, 1]) * rng.randrange(half, 2**200) for _ in range(n)],
+            [rng.choice([-1, 1]) * rng.randrange(half, half << 200) for _ in range(n)],
             [rng.randrange(-(half << 40), half << 40) for _ in range(n)],
         ):
             for seq in (digits, tuple(digits)):
