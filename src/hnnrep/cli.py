@@ -112,9 +112,9 @@ def _report_stream(path):
 
 
 def _dump_json(doc, path):
-    """Write the text of matrix._json_text(doc) and a newline to path, or to
-    stdout when path is "-", as the writer's fragments, never joined or
-    encoded as one string.  Every fragment is made before the file is opened, so a
+    """Write the text of json.dumps(doc, indent=2, sort_keys=True) and a
+    newline to path, or to stdout when path is "-", as the fragments of
+    matrix._write_json, never joined or encoded as one string.  Every fragment is made before the file is opened, so a
     document the writer refuses (TypeError) leaves path as it was."""
     fragments = []
     _write_json(doc, "", fragments, {})

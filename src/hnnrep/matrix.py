@@ -10,8 +10,8 @@ is given with its matrix and checked.  A built block's adjugate takes no
 products: its determinant is known by construction (BlockMonomial.dets).
 
 _write_json makes the text of every JSON document the CLI prints or saves,
-as fragments that the CLI streams to their destination (cli._dump_json);
-_json_text joins them into one string.  A BlockMonomial inside a document
+json.dumps(obj, indent=2, sort_keys=True), as fragments that the CLI
+streams to their destination (cli._dump_json).  A BlockMonomial inside a document
 is written as its dense matrix document, rendered from the blocks: each
 distinct block's rows are encoded once per document, and the zeros around
 them are runs built by string repetition.
@@ -125,20 +125,13 @@ def _matrix_json(ring, rows):
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
-def _json_text(obj, indent=""):
-    """The text of json.dumps(obj, indent=2, sort_keys=True) at nesting
-    prefix indent, for dicts with str keys, lists, str, int, bool and None,
-    where a BlockMonomial stands for its dense document
-    (to_matrix().to_json()); TypeError for anything else (a float, a tuple,
-    a non-str key).  The fragments go into one list, joined once."""
-    out = []
-    _write_json(obj, indent, out, {})
-    return "".join(out)
-
-
 def _write_json(obj, indent, out, memo):
-    """Append the fragments of _json_text(obj, indent) to out; memo is the
-    document's cache for BlockMonomial.write_json."""
+    """Append to out the fragments of the text of json.dumps(obj, indent=2,
+    sort_keys=True) at nesting prefix indent, for dicts with str keys,
+    lists, str, int, bool and None, where a BlockMonomial stands for its
+    dense document (to_matrix().to_json()); TypeError for anything else (a
+    float, a tuple, a non-str key).  memo is the document's cache for
+    BlockMonomial.write_json."""
     if isinstance(obj, str):
         out.append(_ESCAPE(obj))
     elif obj is None:

@@ -460,9 +460,9 @@ class LaurentRing:
         return x.to_json()
 
     def scalar_json_text(self, x, indent):
-        """The text of scalar_to_json(x) at nesting prefix indent, as
-        matrix._json_text writes it, made directly: one f-string per term,
-        in sorted order."""
+        """The text of json.dumps(scalar_to_json(x), indent=2,
+        sort_keys=True) at nesting prefix indent, made directly: one
+        f-string per term, in sorted order."""
         if not x.terms:
             return "[]"
         a = indent + "  "

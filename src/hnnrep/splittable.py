@@ -23,11 +23,13 @@ matrices are tuples of row tuples of ints and Fractions, converted once
 from the generator pairs and tau's pairs, and every product of an element
 by a generator is one _Kernel.step.  Action matrices
 are sparse rows {column: coefficient}.  The fresh-sample check and
-verify_rep read them as (den, integer rows), compile each fixed integer map
-(packed._integer_map) and compute on packs in ring.py's balanced digits,
-every width from a proven bound (_PackedPoints, verify_rep); a Fraction
-appears only in a witness, and RingMatrix over QQ only at the API: tau's
-pairs, `basis`, `actions` and `recover`.
+verify_rep read them as each letter's (den, integer rows) (_LetterRows),
+compile each fixed integer map (packed._integer_map) and compute on packs
+in ring.py's balanced digits, every width from a proven bound.  Both check
+a shifted basis function by one method, _PackedPoints.check_product,
+fitted to one width per call: the gate once per letter, verify_rep once
+per pair.  A Fraction appears only in a witness, and RingMatrix over QQ
+only at the API: tau's pairs, `basis`, `actions` and `recover`.
 
 The generator pairs, the conjugator records InnerTau and TrivialTau and the
 Fraction reference API live in semidirect.py; this module re-exports them.
@@ -316,10 +318,10 @@ class SplittableRep:
     def n_degree(self) -> int:
         return self.g_gens.degree
 
-    def _integer_actions(self):
-        """Each letter's action as (den, integer rows), read from
-        action_rows at the time of the call."""
-        return {l: _integer_rows(self.action_rows[letter_name(l)])
+    def _letter_rows(self):
+        """Each letter's _LetterRows, read from action_rows at the time of
+        the call."""
+        return {l: _LetterRows(*_integer_rows(self.action_rows[letter_name(l)]))
                 for l in self.letters}
 
     def recover(self, action: RingMatrix):
@@ -510,15 +512,16 @@ class _PackedPoints:
     integers by one common factor D, the lcm of their shifts' e: basis
     function j's digit at y is D * s_y * b_j(y).
 
-    check(coord, shift, combo, den) compares den * coord(shift * y) with
-    sum_j combo[j] * b_j(y) at every point as one equation of packs,
-    den * D * direct == e * total, both sides with digit y equal to
-    e * D * s_y times the two sides at y.  check_product checks every
-    basis function shifted by one element (see there).  Each comparison
-    bounds the digits of both sides from the largest entry of the columns
-    and of the basis packs and the 1-norms of its coefficients, and
-    repacks wider when that bound needs a wider digit than the packs have
-    (ring._digit_width), so no digit ever overflows."""
+    check(coord, shift, combo, den), run on the coordinate expansions,
+    compares den * coord(shift * y) with sum_j combo[j] * b_j(y) at every
+    point as one equation of packs, den * D * direct == e * total, both
+    sides with digit y equal to e * D * s_y times the two sides at y.
+    check_product checks every basis function shifted by one element: a
+    letter in the fresh-sample gate, a pair's product in verify_rep.  Each
+    call bounds the digits of both sides once, from the largest entry of
+    the columns and of the basis packs and the 1-norms of its
+    coefficients, and repacks wider when that bound needs a wider digit
+    than the packs have (ring._digit_width), so no digit ever overflows."""
 
     def __init__(self, words, rows, m, shifts):
         self.words = words
@@ -579,19 +582,19 @@ class _PackedPoints:
         rhs = e * sum(c * basis[j] for j, c in combo.items())
         return None if lhs == rhs else self._witness(lhs, rhs, e * lhs_scale)
 
-    def check_product(self, phi, t_inv, r, actions):
+    def check_product(self, element, actions):
         """Check that each basis function b_i shifted by an element E is
         sum_j A[i][j] b_j at every point, A the action of a word of E: None
         when all agree, else (i, witness) for the first i that differs.
 
-        phi is E.phi, (t_val, t_inv) = E.tau, E's carried pair, r = t_val
-        E.g, and actions holds the word's letters in order as _LetterRows:
-        the integer matrix L = den * A(letter), its rows and their compiled
-        map, and its largest row 1-norm.
+        element is E in kernel form, and actions holds the word's letters
+        in order as _LetterRows: the integer matrix L = den * A(letter), its
+        rows and their compiled map, and its largest row 1-norm.
 
         The direct side reassociates: b_i(E y) = coord_i(shift_i (E y)),
-        and the kernel row of E y is y's transformed by E.  Column block j
-        of y.phi becomes phi times it, and the G block (p, q), the n x n
+        and the kernel row of E y is y's transformed by E.  With (t_val,
+        t_inv) = E.tau, E's carried pair, and r = t_val E.g, column block j
+        of y.phi becomes E.phi times it, and the G block (p, q), the n x n
         matrix H(y) of the H_{p k1 k2 q}(y), becomes t_inv^T H(y) r^T.  With
         the transform scaled to integers by f, basis pack i taken against
         the transformed column packs has digit D f s_y b_i(E y).  The other
@@ -600,13 +603,15 @@ class _PackedPoints:
         D s_y (den A)[i] . b(y), den the product of the letters' dens.  The
         check is den B'_i == f V_i.
 
-        Digit bounds: a transformed column is at most a row 1-norm of the
-        transform (phi's, or t_inv^T's times r's) times the largest column
-        entry, and V_i at most the product of the letters' norms times the
-        largest basis digit.  When those do not fit the packs, V_i is
-        bounded by (|L_1| .. |L_k| u)_i, u the bounds of the basis digits,
-        and the width is fitted per basis function, in basis order; a
-        repack recomputes both sides at the new width."""
+        One digit bound serves the call.  A transformed column is at most a
+        row 1-norm of the transform (E.phi's, or t_inv^T's times r's) times
+        the largest column entry, and V_i at most the product of the
+        letters' norms times the largest basis digit.  Only when that does
+        not fit the packs is V_i bounded by (|L_1| .. |L_k| u)_i, u the
+        bounds of the basis digits, and the packs repacked, at most once,
+        to the larger of the two bounds."""
+        t_val, t_inv = element.tau
+        phi, r = element.phi, _block_mul(t_val, element.g, 0)
         # f scales t_inv and r to integers, so f^2 scales the transform.
         f = lcm(*(x.denominator for mat in (phi, t_inv, r) for row in mat for x in row))
         phi = [[(x * f * f).numerator for x in row] for row in phi]
@@ -615,28 +620,23 @@ class _PackedPoints:
         f *= f
         phi_norm, t_norm, r_norm = (max([sum(map(abs, row)) for row in mat] or [0])
                                     for mat in (phi, t_cols, r))
-        grow = max(phi_norm, t_norm * r_norm)
         den = prod(a.den for a in actions)
-        lhs = [den * b * grow for b in self._basis_bounds]
-        rhs = [f * prod(a.norm for a in actions) * self._basis_max] * len(lhs)
-        if _digit_width(max(lhs + rhs + [0])) > self.width:
-            # A bound, run a few times per call: not worth compiling |L|.
-            rhs = self._basis_bounds
+        lhs = den * max(phi_norm, t_norm * r_norm) * self._basis_max
+        rhs = f * prod(a.norm for a in actions) * self._basis_max
+        if _digit_width(max(lhs, rhs)) > self.width:
+            # A bound, run at most once per call: not worth compiling |L|.
+            bounds = self._basis_bounds
             for a in reversed(actions):
-                rhs = [sum(abs(x) * rhs[j] for j, x in row.items()) for row in a.rows]
-            rhs = [f * v for v in rhs]
-        packs = None
-        for i, bound in enumerate(map(max, lhs, rhs)):
-            width = _digit_width(bound)
+                bounds = [sum(abs(x) * bounds[j] for j, x in row.items())
+                          for row in a.rows]
+            width = _digit_width(max(lhs, f * max(bounds, default=0)))
             if width > self.width:
                 self._repack(width + width // 2)
-                packs = None
-            if packs is None:
-                combined = self._packed_basis
-                for a in reversed(actions):
-                    combined = a.apply(combined)
-                packs = self._transform(phi, t_cols, r), combined
-            left, right = den * packs[0][i], f * packs[1][i]
+        combined = self._packed_basis
+        for a in reversed(actions):
+            combined = a.apply(combined)
+        for i, (left, right) in enumerate(zip(self._transform(phi, t_cols, r), combined)):
+            left, right = den * left, f * right
             if left != right:
                 return i, self._witness(left, right, den * f * self.basis_den)
         return None
@@ -652,8 +652,6 @@ class _PackedPoints:
             out += chain(*_block_mul(_block_mul(t_cols, h, 0), tuple(zip(*r)), 0))
         return self._basis_packs(out)
 
-    __call__ = check
-
 
 class _LetterRows:
     """A letter's integer action matrix L = den * A(letter): its sparse rows,
@@ -668,20 +666,23 @@ class _LetterRows:
 
 
 def _fresh_points(rep: SplittableRep, words):
-    """A checker on the fresh evaluation points kernel.eval_word(w), w in
-    words: their _PackedPoints, called as check.
+    """The fresh evaluation points kernel.eval_word(w), w in words, as
+    _PackedPoints.
 
     check(coord, shift, combo, den) compares the shifted coordinate
     y -> coord(shift * y) with the combination sum_j combo[j] / den *
     (basis function j), for integer coefficients combo[j], at each point,
     in the order of words.  It returns None when they agree everywhere,
     and otherwise names the first differing point: "at fresh word w: direct
-    value v, combination c".
+    value v, combination c".  check_product(element, actions) makes that
+    comparison for every basis function shifted by element against its
+    row of the word's action, with one digit width for the call, and
+    returns (basis index, witness) for the first that differs.
 
     Every point is packed with its kernel row (_PackedPoints), so a check
-    is one equation of packs, whatever the number of points; digits are
-    read back only when it fails, from the lowest nonzero digit of the
-    packed difference."""
+    is one equation of packs per compared function, whatever the number of
+    points; digits are read back only when it fails, from the lowest
+    nonzero digit of the packed difference."""
     kernel = rep._kernel
     rows = [_kernel_row(kernel, kernel.eval_word(w)) for w in words]
     return _PackedPoints(words, rows, len(kernel.identity.phi), rep._shifts)
@@ -689,9 +690,11 @@ def _fresh_points(rep: SplittableRep, words):
 
 def _fresh_sample_check(rep: SplittableRep):
     """Re-verify every extracted expansion identity on fresh elements: the
-    distinct words among 40 random ones of lengths sample_len + 1 and + 2.
-    The relations are exact for the kernel's tau by construction, so this
-    gate guards the engine itself."""
+    distinct words among 40 random ones of lengths sample_len + 1 and + 2,
+    each coordinate expansion by _PackedPoints.check and each letter's
+    action rows by one check_product of the letter's element.  The
+    relations are exact for the kernel's tau by construction, so this gate
+    guards the engine itself."""
     rng = random.Random(271828)
     words = sorted({
         _random_reduced_word(rng, rep.letters, length)
@@ -699,20 +702,18 @@ def _fresh_sample_check(rep: SplittableRep):
         for _ in range(40 if rep.letters else 0)
     })
     kernel = rep._kernel
-    mismatch = _fresh_points(rep, words)
-
-    def check(what, coord, shift, combo, den):
-        bad = mismatch(coord, shift, combo, den)
-        if bad is not None:
-            raise VerificationError(f"fresh-sample check failed for {what} {bad}")
-
+    points = _fresh_points(rep, words)
     for coord, combo in rep.expansions.items():
         den, (combo,) = _integer_rows((combo,))
-        check(f"coordinate {coord_name(coord)}", coord, kernel.identity, combo, den)
-    for letter, (den, rows) in rep._integer_actions().items():
-        for i, (coord, shift) in enumerate(rep._shifts):
-            check(f"basis {i} under {letter_name(letter)}", coord,
-                  kernel.step(shift, letter), rows[i], den)
+        bad = points.check(coord, kernel.identity, combo, den)
+        if bad is not None:
+            raise VerificationError(
+                f"fresh-sample check failed for coordinate {coord_name(coord)} {bad}")
+    for letter, rows in rep._letter_rows().items():
+        bad = points.check_product(kernel.step(kernel.identity, letter), [rows])
+        if bad is not None:
+            raise VerificationError(f"fresh-sample check failed for basis {bad[0]} "
+                                    f"under {letter_name(letter)} {bad[1]}")
 
 
 def conjugation_matrix(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -799,15 +800,14 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     identity = kernel.identity
     # Each letter's integer matrix den * A, read now: its rows for the
     # pairs, and the map of its columns for the walk.
-    rows, columns, norm = {}, {}, 1
-    for letter, (den, int_rows) in rep._integer_actions().items():
+    rows, columns, norm = rep._letter_rows(), {}, 1
+    for letter, a in rows.items():
         int_cols = [{} for _ in range(d)]
-        for k, row in enumerate(int_rows):
+        for k, row in enumerate(a.rows):
             for j, x in row.items():
                 int_cols[j][k] = x
-        rows[letter] = _LetterRows(den, int_rows)
-        columns[letter] = den, _integer_map(int_cols)
-        norm = max(norm, den, *map(_norm, int_cols))
+        columns[letter] = a.den, _integer_map(int_cols)
+        norm = max(norm, a.den, *map(_norm, int_cols))
     width = _digit_width(norm**max_len * max(1, sum(map(abs, idv))))
     offset = _digit_offset(width, d)
     units = [1 << (8 * width * j) for j in range(d)]
@@ -858,10 +858,8 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     for _ in range(pairs if letters else 0):
         u = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
-        element = kernel.eval_word(u + v)
-        t_val, t_inv = element.tau
         report.pairs_checked += 1
-        bad = points.check_product(element.phi, t_inv, _block_mul(t_val, element.g, 0),
+        bad = points.check_product(kernel.eval_word(u + v),
                                    [rows[letter] for letter in u + v])
         if bad is not None:
             report.homomorphism_failures += 1

@@ -1,7 +1,7 @@
 """Helpers that several test modules share."""
 
 from hnnrep.errors import OracleError
-from hnnrep.matrix import RingMatrix
+from hnnrep.matrix import RingMatrix, _write_json
 from hnnrep.ring import QQ, QpScalar
 from hnnrep.splittable import MatrixGroupGens, word_str
 from hnnrep.words import reduced_walk
@@ -12,6 +12,17 @@ from hnnrep.words import reduced_walk
 DEGREE3_JSON_SHA256 = (
     "4d39dc9bf594471e95da5bbbfaa18df25c3d190d857580b8303566450c96ede3"
 )
+
+
+def _json_text(obj, indent=""):
+    """The text of json.dumps(obj, indent=2, sort_keys=True) at nesting
+    prefix indent, for dicts with str keys, lists, str, int, bool and None,
+    where a BlockMonomial stands for its dense document
+    (to_matrix().to_json()); TypeError for anything else (a float, a tuple,
+    a non-str key).  The fragments go into one list, joined once."""
+    out = []
+    _write_json(obj, indent, out, {})
+    return "".join(out)
 
 
 def specialize(poly, lam0: int, mu0: int, prime: int) -> QpScalar:

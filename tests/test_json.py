@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from hnnrep import cli
 from hnnrep.cli import main
 from hnnrep.errors import VerificationError
-from hnnrep.matrix import BlockMonomial, RingMatrix, _json_text
+from hnnrep.matrix import BlockMonomial, RingMatrix
 from hnnrep.reps import Representation
 from hnnrep.ring import INT, LAURENT, QP_MAX_JSON_EXPONENT, QQ, LaurentPoly, QpRing, QpScalar
+
+from helpers import _json_text
 
 MODE_FLAGS = {
     "symbolic": [],

@@ -12,7 +12,6 @@ from hnnrep.errors import VerificationError
 from hnnrep.matrix import (
     BlockMonomial,
     RingMatrix,
-    _json_text,
     block_diag,
     conjugate,
     det_bareiss,
@@ -56,7 +55,7 @@ from hnnrep.words import (
     reduced_walk,
 )
 
-from helpers import specialize
+from helpers import _json_text, specialize
 
 LAM = LAURENT.lam()
 MU = LAURENT.mu()

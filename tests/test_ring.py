@@ -11,7 +11,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hnnrep import ring as ring_module
-from hnnrep.matrix import _json_text
 from hnnrep.ring import (
     INT,
     LAURENT,
@@ -23,7 +22,7 @@ from hnnrep.ring import (
     ring_from_descriptor,
 )
 
-from helpers import specialize
+from helpers import _json_text, specialize
 
 LAM = LAURENT.lam()
 MU = LAURENT.mu()

@@ -1448,7 +1448,9 @@ class TestIntegerVerify:
     @pytest.mark.parametrize("bumped", [False, True])
     def test_large_entries(self, monkeypatch, bumped):
         # Entries of about 2^80 grow past the slot width of the first
-        # check, so a later call's bound repacks wider.
+        # check, so a later call's bound repacks wider.  Each call repacks
+        # at most once, to its widest bound: at max_len 1 the first call's
+        # width serves every pair, so the pairs run to max_len 2.
         widths = []
         repack = splittable._PackedPoints._repack
 
@@ -1461,12 +1463,12 @@ class TestIntegerVerify:
         if bumped:
             _bump(rep, "g1", rep.dimension - 1, 0, 1)
         widths.clear()
-        report = verify_rep(rep, max_len=1, pairs=20)
+        report = verify_rep(rep, max_len=2, pairs=20)
         assert len(widths) > 1 and widths == sorted(widths)
         assert report.ok is not bumped
         if bumped:
             assert report.witness.startswith("homomorphism failure")
-        assert report == reference_verify(rep, max_len=1, pairs=20)
+        assert report == reference_verify(rep, max_len=2, pairs=20)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -1606,12 +1608,13 @@ def fresh_checks(rep):
         den, (combo,) = splittable._integer_rows((combo,))
         yield (f"coordinate {coord_name(coord)}", coord, kernel.identity, identity,
                combo, den)
-    for letter, (den, rows) in rep._integer_actions().items():
+    for letter, rows in rep._letter_rows().items():
         gen = generator_element(letter, rep.phi_gens, rep.g_gens)
         for i, (coord, shift) in enumerate(rep._shifts):
             yield (f"basis {i} under {letter_name(letter)}", coord,
                    kernel.step(shift, letter),
-                   semidirect_mul(rep.basis[i].shift, gen, rep.tau), rows[i], den)
+                   semidirect_mul(rep.basis[i].shift, gen, rep.tau), rows.rows[i],
+                   rows.den)
 
 
 def build_fresh_inputs(monkeypatch, build):
@@ -1643,7 +1646,7 @@ class TestFreshPoints:
         packed = splittable._fresh_points(rep, words)
         reference = reference_fresh_points(rep, words)
         for _, coord, shift, public, combo, den in fresh_checks(rep):
-            assert packed(coord, shift, combo, den) is None
+            assert packed.check(coord, shift, combo, den) is None
             assert reference(coord, public, combo, den) is None
 
     @pytest.mark.parametrize("name", ["inner-23", "trivial-32", "inner-rational",
@@ -1665,9 +1668,39 @@ class TestFreshPoints:
             for j in {0, rep.dimension - 1, *late[:2]}:
                 bumped = {**combo, j: combo.get(j, 0) + 1}
                 want = reference(coord, public, bumped, den)
-                assert packed(coord, shift, bumped, den) == want
+                assert packed.check(coord, shift, bumped, den) == want
                 later += want is not None and not want.startswith(at_first)
         assert bool(late) == bool(later) == name.startswith("inner")
+
+    @pytest.mark.parametrize("name", ["inner-23", "trivial-32", "inner-rational",
+                                      "trivial-rational"])
+    def test_gate_letters_match_the_reference(self, monkeypatch, name):
+        # The gate checks each letter's rows by one check_product.  Entry
+        # (i, i) of a letter's action moves by +1, for rows 0, d // 2 and
+        # d - 1.  Every other identity is the sound build's, which holds
+        # (test_matches_the_per_point_reference), so the reference's first
+        # failure in fresh_checks order is the bumped identity's, and the
+        # gate must raise its message.
+        rep, words, _ = build_fresh_inputs(monkeypatch, BUILDS[name])
+        reference = reference_fresh_points(rep, words)
+        d = rep.dimension
+        for letter in rep.letters:
+            key = letter_name(letter)
+            rows = rep.action_rows[key]
+            for i in sorted({0, d // 2, d - 1}):
+                bumped = {**rows[i], i: rows[i].get(i, 0) + 1}
+                rep.action_rows[key] = (*rows[:i], bumped, *rows[i + 1:])
+                what = f"basis {i} under {key}"
+                ((coord, public, combo, den),) = [
+                    (coord, public, combo, den)
+                    for w, coord, _, public, combo, den in fresh_checks(rep)
+                    if w == what]
+                want = reference(coord, public, combo, den)
+                assert want is not None
+                with pytest.raises(VerificationError) as info:
+                    _fresh_sample_check(rep)
+                assert str(info.value) == f"fresh-sample check failed for {what} {want}"
+            rep.action_rows[key] = rows
 
     def test_degree3_failure(self, monkeypatch):
         # The gate forced to fail: relations read off the words to length 2
@@ -1681,7 +1714,7 @@ class TestFreshPoints:
         reference = reference_fresh_points(rep, words)
         for what, coord, shift, public, combo, den in fresh_checks(rep):
             want = reference(coord, public, combo, den)
-            assert packed(coord, shift, combo, den) == want
+            assert packed.check(coord, shift, combo, den) == want
             if want is not None:
                 break
         assert str(error) == f"fresh-sample check failed for {what} {want}"
