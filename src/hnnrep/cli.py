@@ -114,8 +114,9 @@ def _report_stream(path):
 def _dump_json(doc, path):
     """Write the text of json.dumps(doc, indent=2, sort_keys=True) and a
     newline to path, or to stdout when path is "-", as the fragments of
-    matrix._write_json, never joined or encoded as one string.  Every fragment is made before the file is opened, so a
-    document the writer refuses (TypeError) leaves path as it was."""
+    matrix._write_json, never joined or encoded as one string.  Every
+    fragment is made before the file is opened, so a document the writer
+    refuses (TypeError) leaves path as it was."""
     fragments = []
     _write_json(doc, "", fragments, {})
     fragments.append("\n")
@@ -380,10 +381,7 @@ def main(argv=None) -> int:
         parser = build_parser(named) if named else build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, RecursionError) as exc:
+    except (CliError, ValueError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

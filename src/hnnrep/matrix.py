@@ -584,7 +584,8 @@ def _integer_eval(ring, images, words, order):
 
     def wrap(blk, decode):
         return BlockMonomial(ring, (0,), (tuple(
-            tuple(decode(v, c - r) for c, v in enumerate(row)) for r, row in enumerate(blk)),), dets)
+            tuple(decode(v, c - r) for c, v in enumerate(row))
+            for r, row in enumerate(blk)),), dets)
 
     entries = [(x, c - r) for pair in blocks.values() for blk in pair
                for r, row in enumerate(blk) for c, x in enumerate(row)]

@@ -485,19 +485,11 @@ class RelationResult(Record, frozen=True):
     left entry, right entry) of the first differing entry, or None."""
 
     _fields = ("lhs", "rhs", "ok", "mismatch")
-
-    def __init__(self, lhs: str, rhs: str, ok: bool, mismatch: tuple = None):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "mismatch", mismatch)
+    mismatch = None
 
 
 class RelationReport(Record, frozen=True):
     _fields = ("results",)
-
-    def __init__(self, results: tuple):
-        object.__setattr__(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -784,6 +776,7 @@ class ProbeReport(Record):
     _fields = ("max_len", "words_checked", "identity_count", "counterexamples",
                "counterexample_count")
 
+    # Its own constructor: each report needs its own new list.
     def __init__(self, max_len: int, words_checked: int = 0,
                  identity_count: int = 0, counterexamples: list = None,
                  counterexample_count: int = 0):

@@ -61,8 +61,7 @@ class MatrixGroupGens(Record, frozen=True):
                 raise ValueError("generator degree mismatch")
             if mat * inv != ident:
                 raise ValueError("generator pair does not multiply to identity")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "pairs", pairs)
+        Record.__init__(self, degree, pairs)
 
     @classmethod
     def trivial(cls) -> "MatrixGroupGens":
@@ -115,11 +114,6 @@ class SemidirectElement(Record, frozen=True):
     """
 
     _fields = ("word", "phi_mat", "g_mat")
-
-    def __init__(self, word: tuple, phi_mat: RingMatrix, g_mat: RingMatrix):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "phi_mat", phi_mat)
-        object.__setattr__(self, "g_mat", g_mat)
 
     @property
     def phi_word(self):

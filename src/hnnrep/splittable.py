@@ -208,10 +208,6 @@ class ShiftedCoordinate(Record, frozen=True):
 
     _fields = ("coord", "shift")
 
-    def __init__(self, coord: tuple, shift: SemidirectElement):
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "shift", shift)
-
 
 def _kernel_row(kernel: _Kernel, y: _Element):
     """The kernel row of the point y: its m^2 entries y.phi[k][j], column j
@@ -742,23 +738,12 @@ class SplittableReport(Record):
         "max_len", "words_checked", "identity_actions", "pairs_checked",
         "injectivity_failures", "recovery_failures", "homomorphism_failures",
         "well_definedness_failures", "witness")
-
-    def __init__(self, max_len: int, words_checked: int = 0,
-                 identity_actions: int = 0, pairs_checked: int = 0,
-                 injectivity_failures: int = 0, recovery_failures: int = 0,
-                 homomorphism_failures: int = 0, well_definedness_failures: int = 0,
-                 witness: str | None = None):
-        self.max_len = max_len
-        self.words_checked = words_checked
-        self.identity_actions = identity_actions
-        self.pairs_checked = pairs_checked
-        self.injectivity_failures = injectivity_failures
-        self.recovery_failures = recovery_failures
-        self.homomorphism_failures = homomorphism_failures
-        # Walked words whose pair is the identity but whose action is not.
-        self.well_definedness_failures = well_definedness_failures
-        # The first failure found, naming its word and the differing values.
-        self.witness = witness
+    words_checked = identity_actions = pairs_checked = 0
+    injectivity_failures = recovery_failures = homomorphism_failures = 0
+    # Walked words whose pair is the identity but whose action is not.
+    well_definedness_failures = 0
+    # The first failure found, naming its word and the differing values.
+    witness = None
 
     @property
     def ok(self) -> bool:

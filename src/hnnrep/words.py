@@ -68,6 +68,7 @@ class Word(Record, frozen=True):
         _check_syms(syms, allow_t=False)
         if syms != _reduce(syms):
             raise ValueError("word is not freely reduced; use Word.make")
+        # Assigned here, not by Record.__init__: a build makes thousands.
         object.__setattr__(self, "syms", syms)
 
     @staticmethod
@@ -135,6 +136,7 @@ class MixedWord(Record, frozen=True):
 
     def __init__(self, syms: tuple = ()):
         _check_syms(syms, allow_t=True)
+        # Assigned here, not by Record.__init__: a build makes thousands.
         object.__setattr__(self, "syms", syms)
 
     @staticmethod
@@ -303,9 +305,7 @@ class Endomorphism(Record, frozen=True):
     _fields = ("rank", "images", "inverse_images")
 
     def __init__(self, rank: int, images: tuple, inverse_images: tuple = None):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "inverse_images", inverse_images)
+        Record.__init__(self, rank, images, inverse_images)
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if len(self.images) != self.rank:
@@ -332,9 +332,7 @@ class Endomorphism(Record, frozen=True):
         inverse or a power of a checked map): skips the checks of
         Endomorphism(...)."""
         e = object.__new__(Endomorphism)
-        object.__setattr__(e, "rank", rank)
-        object.__setattr__(e, "images", images)
-        object.__setattr__(e, "inverse_images", inverse_images)
+        Record.__init__(e, rank, images, inverse_images)
         object.__setattr__(e, "table", _image_table(images))
         return e
 
@@ -425,10 +423,6 @@ class Skeleton(Record, frozen=True):
 
     _fields = ("perm", "cells")
 
-    def __init__(self, perm: tuple, cells: tuple):
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "cells", cells)
-
     def inverse(self) -> "Skeleton":
         # Block row j of the inverse is block row i of self with perm[i] = j.
         rows = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
@@ -446,10 +440,7 @@ class HnnSpec(Record, frozen=True):
     _fields = ("rank", "phi", "n", "w0")
 
     def __init__(self, rank: int, phi: Endomorphism, n: int, w0: Word):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "w0", w0)
+        Record.__init__(self, rank, phi, n, w0)
         if self.n < 1:
             raise ValueError("inner power must be positive")
         if self.phi.rank != self.rank:
@@ -541,10 +532,6 @@ class NormalForm(Record, frozen=True):
     """The normal form t^l * f of a mixed word (see normal_form)."""
 
     _fields = ("l", "f")
-
-    def __init__(self, l: int, f: Word):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "f", f)
 
     @property
     def trivial(self) -> bool:
@@ -679,10 +666,7 @@ class HolomorphCheck(Record, frozen=True):
     which convention."""
 
     _fields = ("ok", "convention")
-
-    def __init__(self, ok: bool, convention: str = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "convention", convention)
+    convention = None
 
     def __bool__(self):
         return self.ok

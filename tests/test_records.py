@@ -81,6 +81,38 @@ def test_equality_is_class_exact_over_the_fields(record, names):
     assert record.__eq__(fields_of(record, names)) is NotImplemented
 
 
+@pytest.mark.parametrize("record, names", FROZEN + MUTABLE, ids=IDS)
+def test_rebuilt_from_its_fields(record, names):
+    values = fields_of(record, names)
+    assert type(record)(*values) == record
+    assert type(record)(**dict(zip(names, values))) == record
+
+
+def test_fields_take_their_class_defaults():
+    assert SplittableReport(max_len=2) == SplittableReport(2, 0, 0, 0, 0, 0, 0, 0, None)
+    assert RelationResult("x", "y", True) == RelationResult("x", "y", True, None)
+    assert RelationResult("x", "y", True).mismatch is None
+    assert HolomorphCheck(False).convention is None
+
+
+@pytest.mark.parametrize("args, named", [
+    (("x", "y"), {}),                                # ok has no default
+    (("x", "y", True), {"other": 1}),                # unknown field
+    (("x", "y", True), {"lhs": "z"}),                # lhs given twice
+    (("x", "y", True, None, 0), {}),                 # one value too many
+], ids=["missing", "unknown", "repeated", "surplus"])
+def test_bad_arguments_raise_type_error(args, named):
+    with pytest.raises(TypeError, match=r"^RelationResult\(\)"):
+        RelationResult(*args, **named)
+
+
+@pytest.mark.parametrize("cls", [ProbeReport, SplittableReport])
+def test_bumped_counter_leaves_a_fresh_report_at_zero(cls):
+    a = cls(3)
+    a.words_checked += 1
+    assert a.words_checked == 1 and cls(3).words_checked == 0
+
+
 def test_word_and_mixed_word_differ():
     assert Word(SYMS) == Word(SYMS) and MixedWord(SYMS) == MixedWord(SYMS)
     assert Word(SYMS) != MixedWord(SYMS) and MixedWord(SYMS) != Word(SYMS)
