@@ -21,15 +21,16 @@ fresh sample of random words, and the dimension bound is checked.
 The engine computes on an exact kernel, a format only this module knows:
 matrices are tuples of row tuples of ints and Fractions, converted once
 from the generator pairs and tau's pairs, and every product of an element
-by a generator is one _Kernel.step.  Action matrices
-are sparse rows {column: coefficient}.  The fresh-sample check and
-verify_rep read them as each letter's (den, integer rows) (_LetterRows),
-compile each fixed integer map (packed._integer_map) and compute on packs
-in ring.py's balanced digits, every width from a proven bound.  Both check
-a shifted basis function by one method, _PackedPoints.check_product,
-fitted to one width per call: the gate once per letter, verify_rep once
-per pair.  A Fraction appears only in a witness, and RingMatrix over QQ
-only at the API: tau's pairs, `basis`, `actions` and `recover`.
+by a generator is one _Kernel.step.  A letter's action matrix A is
+stored once, as its integer record (_LetterRows): den, the sparse rows
+{column: coefficient} of den * A and their compiled map, and the map of
+its columns, compiled on first use.  The fresh-sample check, verify_rep,
+`actions` and to_json read these records; the checks compute on packs
+in ring.py's balanced digits, every width from a proven bound, and check
+a shifted basis function by one method, _PackedPoints.check_product, of
+one width per call: the gate once per letter, verify_rep once per pair.
+A Fraction appears only in a witness, and RingMatrix over QQ only at the
+API: tau's pairs, `basis`, `actions` and `recover`.
 
 The generator pairs, the conjugator records InnerTau and TrivialTau and the
 Fraction reference API live in semidirect.py; this module re-exports them.
@@ -262,16 +263,38 @@ def _shift_coefficients(coord, shift, m: int):
     return m * m + (i * n + j) * n * n, [x for row in shift.g for x in row]
 
 
+class _LetterRows:
+    """A letter's integer action matrix L = den * A(letter): its sparse rows,
+    apply(v) = L v compiled (packed._integer_map), and norm, the largest row
+    1-norm of L."""
+
+    def __init__(self, den, rows):
+        self.den = den
+        self.rows = rows
+        self.norm = max(map(_norm, rows), default=0)
+        self.apply = _integer_map(rows)
+
+    @cached_property
+    def transpose(self):
+        """The record of L^T with the same den, compiled on first use: its
+        map is v -> L^T v and its norm the largest column 1-norm of L."""
+        columns = [{} for _ in self.rows]
+        for k, row in enumerate(self.rows):
+            for j, x in row.items():
+                columns[j][k] = x
+        return _LetterRows(self.den, columns)
+
+
 class SplittableRep:
     """Result of the orbit closure: a basis of shifted coordinates, one
     action matrix per generator letter, and the expansion of every original
     coordinate function in the basis (used to recover elements).
 
-    The engine's own data are sparse: `action_rows` maps a letter name to
-    the rows {column: coefficient} of its action matrix, and `expansions`
-    maps a coordinate id to {basis index: coefficient}; the checks and
-    to_json read these.  `basis` and `actions`, the Fraction views of the
-    basis and of the action rows, are built on first access."""
+    The engine's own data are sparse: each letter's action is one integer
+    record (_LetterRows), made from the rows {column: coefficient} that
+    action_rows gives, and `expansions` maps a coordinate id to {basis
+    index: coefficient}; the checks and to_json read these.  `basis` and
+    `actions`, their Fraction views, are built on first access."""
 
     def __init__(self, phi_gens, g_gens, tau, kernel, basis, action_rows,
                  expansions, sample_len, letters, walk):
@@ -284,7 +307,8 @@ class SplittableRep:
         self.letters = tuple(letters)
         self._kernel = kernel
         self._shifts = tuple(basis)  # (coord id, kernel shift element)
-        self.action_rows = action_rows
+        self._records = {l: _LetterRows(*_integer_rows(action_rows[l]))
+                         for l in self.letters}
         self.expansions = expansions
 
     @cached_property
@@ -298,8 +322,8 @@ class SplittableRep:
     def actions(self):
         d = self.dimension
         return {
-            name: _qq_matrix(_dense_rows(rows, d))
-            for name, rows in self.action_rows.items()
+            letter_name(l): _qq_matrix(_dense_rows(a.rows, d), a.den)
+            for l, a in self._records.items()
         }
 
     @property
@@ -314,15 +338,12 @@ class SplittableRep:
     def n_degree(self) -> int:
         return self.g_gens.degree
 
-    def _letter_rows(self):
-        """Each letter's _LetterRows, read from action_rows at the time of
-        the call."""
-        return {l: _LetterRows(*_integer_rows(self.action_rows[letter_name(l)]))
-                for l in self.letters}
-
     def recover(self, action: RingMatrix):
         """Matrices (phi, g) read off an action matrix through the coordinate
-        expansions evaluated at the identity."""
+        expansions evaluated at the identity; ValueError unless the action's
+        degree is the dimension."""
+        if action.degree != self.dimension:
+            raise ValueError(f"action of degree {action.degree}, not {self.dimension}")
         recovery = _Recovery(self)
         idv = recovery.identity_values
         values = recovery.read([sum(map(mul, row, idv)) for row in action.rows])
@@ -335,8 +356,8 @@ class SplittableRep:
         )
 
     def to_json(self):
-        """The document, with the action matrices written straight from
-        action_rows: str of an int or a Fraction is QQ's scalar text."""
+        """The document, with the action matrices written straight from the
+        records: str of an int or a Fraction is QQ's scalar text."""
         d = self.dimension
         return {
             "mDegree": self.m_degree,
@@ -347,9 +368,11 @@ class SplittableRep:
                 for coord, shift in self._shifts
             ],
             "actions": {
-                name: _matrix_json(QQ, [[str(x) for x in row]
-                                        for row in _dense_rows(rows, d)])
-                for name, rows in sorted(self.action_rows.items())
+                name: _matrix_json(QQ, [
+                    [str(x if a.den == 1 else Fraction(x, a.den)) for x in row]
+                    for row in _dense_rows(a.rows, d)])
+                for name, a in sorted((letter_name(l), a)
+                                      for l, a in self._records.items())
             },
         }
 
@@ -445,7 +468,7 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
 
     basis = []  # (coord id, kernel shift element)
     expansions = {}
-    action_rows = {letter: {} for letter in letters}
+    action_rows = {letter: [] for letter in letters}  # pending runs in basis order
     pending = deque()
 
     def expand(coord, shift):
@@ -476,15 +499,10 @@ def build_rep(phi_gens: MatrixGroupGens, g_gens: MatrixGroupGens,
     while pending:
         i, letter = pending.popleft()
         coord, shift = basis[i]
-        action_rows[letter][i] = expand(coord, kernel.step(shift, letter))
+        action_rows[letter].append(expand(coord, kernel.step(shift, letter)))
 
-    d = len(basis)
-    rows = {
-        letter_name(letter): tuple(action_rows[letter][i] for i in range(d))
-        for letter in letters
-    }
     rep = SplittableRep(
-        phi_gens, g_gens, tau, kernel, basis, rows, expansions,
+        phi_gens, g_gens, tau, kernel, basis, action_rows, expansions,
         sample_len, letters, (rank, walk_rows),
     )
     _fresh_sample_check(rep)
@@ -649,18 +667,6 @@ class _PackedPoints:
         return self._basis_packs(out)
 
 
-class _LetterRows:
-    """A letter's integer action matrix L = den * A(letter): its sparse rows,
-    apply(v) = L v compiled (packed._integer_map), and norm, the largest row
-    1-norm of L."""
-
-    def __init__(self, den, rows):
-        self.den = den
-        self.rows = rows
-        self.norm = max(map(_norm, rows), default=0)
-        self.apply = _integer_map(rows)
-
-
 def _fresh_points(rep: SplittableRep, words):
     """The fresh evaluation points kernel.eval_word(w), w in words, as
     _PackedPoints.
@@ -705,8 +711,8 @@ def _fresh_sample_check(rep: SplittableRep):
         if bad is not None:
             raise VerificationError(
                 f"fresh-sample check failed for coordinate {coord_name(coord)} {bad}")
-    for letter, rows in rep._letter_rows().items():
-        bad = points.check_product(kernel.step(kernel.identity, letter), [rows])
+    for letter, record in rep._records.items():
+        bad = points.check_product(kernel.step(kernel.identity, letter), [record])
         if bad is not None:
             raise VerificationError(f"fresh-sample check failed for basis {bad[0]} "
                                     f"under {letter_name(letter)} {bad[1]}")
@@ -783,16 +789,10 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
     recovery = _Recovery(rep)
     idv = recovery.identity_values
     identity = kernel.identity
-    # Each letter's integer matrix den * A, read now: its rows for the
-    # pairs, and the map of its columns for the walk.
-    rows, columns, norm = rep._letter_rows(), {}, 1
-    for letter, a in rows.items():
-        int_cols = [{} for _ in range(d)]
-        for k, row in enumerate(a.rows):
-            for j, x in row.items():
-                int_cols[j][k] = x
-        columns[letter] = a.den, _integer_map(int_cols)
-        norm = max(norm, a.den, *map(_norm, int_cols))
+    # Each letter's record: its rows for the pairs, and its transpose, the
+    # map of its columns, for the walk.
+    records = rep._records
+    norm = max([1, *(max(a.den, a.transpose.norm) for a in records.values())])
     width = _digit_width(norm**max_len * max(1, sum(map(abs, idv))))
     offset = _digit_offset(width, d)
     units = [1 << (8 * width * j) for j in range(d)]
@@ -825,8 +825,8 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
 
     def step(state, letter):
         element, den, cols = state
-        l_den, l_cols = columns[letter]
-        return kernel.step(element, letter), den * l_den, l_cols(cols)
+        a = records[letter].transpose
+        return kernel.step(element, letter), den * a.den, a.apply(cols)
 
     root = (identity, 1, units)
     check(*root)
@@ -845,7 +845,7 @@ def verify_rep(rep: SplittableRep, max_len: int, pairs: int = 100,
         v = _random_reduced_word(rng, letters, rng.randrange(1, max_len + 1))
         report.pairs_checked += 1
         bad = points.check_product(kernel.eval_word(u + v),
-                                   [rows[letter] for letter in u + v])
+                                   [records[letter] for letter in u + v])
         if bad is not None:
             report.homomorphism_failures += 1
             note(f"homomorphism failure for u = {word_str(u)}, "

@@ -1,9 +1,11 @@
 """Helpers that several test modules share."""
 
+from fractions import Fraction
+
 from hnnrep.errors import OracleError
 from hnnrep.matrix import RingMatrix, _write_json
 from hnnrep.ring import QQ, QpScalar
-from hnnrep.splittable import MatrixGroupGens, word_str
+from hnnrep.splittable import MatrixGroupGens, SplittableRep, letter_name, word_str
 from hnnrep.words import reduced_walk
 
 # SHA-256 of json.dumps(rep.to_json(), sort_keys=True) for Int(G).G of the
@@ -77,3 +79,32 @@ def letter_record(phi_gens, g_gens, oracle, word_len: int) -> MatrixGroupGens:
             raise OracleError(
                 f"tau({word_str(w)}) does not realize the letterwise action")
     return record
+
+
+def action_rows(rep):
+    """Each letter name's action rows {column: coefficient}, in basis order
+    and with ints where integral, read from the representation's integer
+    records (den * A, den): the Fraction view of what the checks and the
+    document read."""
+    return {
+        letter_name(l): tuple(
+            {j: x // a.den if x % a.den == 0 else Fraction(x, a.den)
+             for j, x in row.items()}
+            for row in a.rows)
+        for l, a in rep._records.items()
+    }
+
+
+def with_action_rows(rep, name, rows):
+    """A corrupted representation for fault injection: rep rebuilt by
+    SplittableRep's constructor, so that every letter's record is made as
+    the build makes it, with the letter called name acting by the sparse
+    rows {column: coefficient} given and every other letter as in rep."""
+    views = action_rows(rep)
+    assert name in views, name
+    return SplittableRep(
+        rep.phi_gens, rep.g_gens, rep.tau, rep._kernel, rep._shifts,
+        {l: rows if letter_name(l) == name else views[letter_name(l)]
+         for l in rep.letters},
+        rep.expansions, rep.sample_len, rep.letters,
+        (rep.walk_rank, rep.walk_rows))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 import time
@@ -45,7 +46,7 @@ from hnnrep.splittable import (
 )
 from hnnrep.words import reduced_walk
 
-from helpers import DEGREE3_JSON_SHA256, letter_record
+from helpers import DEGREE3_JSON_SHA256, action_rows, letter_record, with_action_rows
 
 G_RANK2 = MatrixGroupGens.from_int_rows(2, [
     (((1, 0), (2, 1)), ((1, 0), (-2, 1))),
@@ -66,10 +67,10 @@ G_RATIONAL = MatrixGroupGens(2, tuple(
 
 def action_of_word(rep, letters) -> RingMatrix:
     """The product of the letters' action matrices over QQ, read from
-    action_rows at the time of the call."""
-    d = rep.dimension
+    the representation's records (helpers.action_rows)."""
+    d, rows = rep.dimension, action_rows(rep)
     return reduce(mul, (splittable._qq_matrix(splittable._dense_rows(
-        rep.action_rows[letter_name(l)], d)) for l in letters),
+        rows[letter_name(l)], d)) for l in letters),
         RingMatrix.identity(QQ, d))
 
 
@@ -479,6 +480,19 @@ class TestIntGRep:
         assert phi == element.phi_mat
         assert g == element.g_mat
 
+    @pytest.mark.parametrize("degree", [29, 25])
+    def test_recover_refuses_another_degree(self, degree):
+        # g0's action padded with zeros or cut to its leading block: the
+        # rows that recovery reads are g0's, but the matrix is no action of
+        # this 26-dimensional representation.
+        rep = int_g_rep(G_RANK2, sample_len=3)
+        assert rep.dimension == 26
+        zero = (Fraction(0),) * degree
+        rows = [(row + zero)[:degree] for row in rep.actions["g0"].rows]
+        action = RingMatrix(QQ, tuple((rows + [zero] * degree)[:degree]))
+        with pytest.raises(ValueError, match=f"action of degree {degree}, not 26$"):
+            rep.recover(action)
+
     def test_cyclic_group(self):
         rep = int_g_rep(G_CYCLIC, sample_len=4)
         assert rep.dimension <= 32
@@ -569,6 +583,54 @@ class TestExport:
             {"coordId": coord_name(b.coord), "shiftWord": b.shift.word_str()}
             for b in rep.basis
         ]
+
+
+class TestLetterRecords:
+    """Each letter's action is one integer record, which the document, the
+    fresh-sample gate and verify_rep all read."""
+
+    def test_each_letter_map_compiled_once(self, monkeypatch):
+        # The build compiles each letter's row map L, the first verify_rep
+        # its column map L^T; the gate and a second verify_rep reuse both.
+        compiled = Counter()
+        real = splittable._integer_map
+
+        def key(rows):
+            return tuple(tuple(sorted(row.items())) for row in rows)
+
+        def counting(rows):
+            compiled[key(rows)] += 1
+            return real(rows)
+
+        monkeypatch.setattr(splittable, "_integer_map", counting)
+        rep = int_g_rep(G_RANK2, sample_len=3)
+        for _ in range(2):
+            assert verify_rep(rep, max_len=2).ok
+        d, maps = rep.dimension, []
+        for action in rep.actions.values():
+            den = math.lcm(*(x.denominator for row in action.rows for x in row))
+            rows = [{j: (x * den).numerator for j, x in enumerate(row) if x}
+                    for row in action.rows]
+            maps += [key(rows), key([{k: row[j] for k, row in enumerate(rows) if j in row}
+                                     for j in range(d)])]
+        assert len(maps) == 16 and len(set(maps)) == 16
+        assert [compiled[k] for k in maps] == [1] * 16
+
+    def test_document_is_what_the_checks_read(self):
+        # A half bumped into g0's entry (0, 0): g0's document is written
+        # from the record with den 2 that the gate and verify_rep read.
+        rep = build_rep(*trivial_setup())
+        entry = action_rows(rep)["g0"][0].get(0, 0) + Fraction(1, 2)
+        bumped = _bump(rep, "g0", 0, 0, Fraction(1, 2))
+        doc, sound = bumped.to_json()["actions"], rep.to_json()["actions"]
+        assert doc["g0"]["rows"][0][0] == str(entry)
+        assert doc.pop("g0") != sound.pop("g0") and doc == sound
+        with pytest.raises(VerificationError, match=r"^fresh-sample check failed "
+                           r"for basis 0 under g0 at fresh word "):
+            _fresh_sample_check(bumped)
+        report = verify_rep(bumped, max_len=2)
+        assert not report.ok
+        assert report.witness.startswith("recovery failure at word g0: ")
 
 
 class TestMatrixGroupGens:
@@ -904,7 +966,7 @@ class TestSeededSpan:
     def test_build_reads_basis_indices_only(self, name):
         rep = BUILDS[name]()
         d = rep.dimension
-        rows = [*rep.expansions.values(), *chain(*rep.action_rows.values())]
+        rows = [*rep.expansions.values(), *chain(*action_rows(rep).values())]
         assert rows and all(set(row) <= set(range(d)) for row in rows)
 
 
@@ -944,10 +1006,8 @@ class TestIntegerMap:
 
 class TestWitness:
     def test_corrupted_action_names_the_fresh_word(self):
-        rep = build_rep(*trivial_setup())
+        rep = _bump(build_rep(*trivial_setup()), "g0", 0, 0, 1)
         by_name = {letter_name(l): l for l in rep.letters}
-        row = rep.action_rows["g0"][0]
-        row[0] = row.get(0, 0) + 1
         with pytest.raises(VerificationError) as info:
             _fresh_sample_check(rep)
         message = str(info.value)
@@ -980,9 +1040,7 @@ class TestWitness:
         by_name = {letter_name(l): l for l in rep.letters}
         # The last basis function is a shift that no coordinate expansion
         # reads, so words of length 1 still recover correctly.
-        last = rep.dimension - 1
-        row = rep.action_rows["phi0"][last]
-        row[0] = row.get(0, 0) + 1
+        rep = _bump(rep, "phi0", rep.dimension - 1, 0, 1)
         report = verify_rep(rep, max_len=1, pairs=20)
         assert report.recovery_failures == 0 and report.homomorphism_failures
         match = re.match(
@@ -1087,7 +1145,7 @@ BUILDS = {
 
 def rep_data(rep):
     return ([(b.coord, b.shift.word) for b in rep.basis], rep.expansions,
-            rep.action_rows)
+            action_rows(rep))
 
 
 def fraction_rank(rows):
@@ -1300,11 +1358,12 @@ def coordinate_at(coord, s, point):
 
 
 def reference_verify(rep, max_len, pairs=100, seed=0):
-    """verify_rep on Fraction action matrices read from action_rows, with
-    elements, coordinates and shifts from the Fraction reference API."""
-    d, tau = rep.dimension, rep.tau
+    """verify_rep on Fraction action matrices read from the records
+    (helpers.action_rows), with elements, coordinates and shifts from the
+    Fraction reference API."""
+    d, tau, rows = rep.dimension, rep.tau, action_rows(rep)
     letters = rep.letters
-    actions = {l: _dense(rep.action_rows[letter_name(l)], d) for l in letters}
+    actions = {l: _dense(rows[letter_name(l)], d) for l in letters}
     ident = RingMatrix.identity(QQ, d)
 
     def action(word):
@@ -1381,8 +1440,11 @@ def reference_verify(rep, max_len, pairs=100, seed=0):
 
 
 def _bump(rep, name, row, col, by):
-    target = rep.action_rows[name][row]
-    target[col] = target.get(col, 0) + by
+    """rep with entry (row, col) of the letter called name moved by `by`,
+    through helpers.with_action_rows."""
+    rows = list(action_rows(rep)[name])
+    rows[row] = {**rows[row], col: rows[row].get(col, 0) + by}
+    return with_action_rows(rep, name, rows)
 
 
 class TestIntegerVerify:
@@ -1390,13 +1452,12 @@ class TestIntegerVerify:
     report must be the one that Fraction action matrices give."""
 
     def test_corrupted_trivial_action(self):
-        rep = build_rep(*trivial_setup())
-        _bump(rep, "g0", 0, 0, 1)
+        rep = _bump(build_rep(*trivial_setup()), "g0", 0, 0, 1)
         assert verify_rep(rep, max_len=2) == reference_verify(rep, max_len=2)
 
     def test_corrupted_unread_basis_function(self):
         rep = int_g_rep(G_RANK2, sample_len=3)
-        _bump(rep, "phi0", rep.dimension - 1, 0, 1)
+        rep = _bump(rep, "phi0", rep.dimension - 1, 0, 1)
         report = verify_rep(rep, max_len=1, pairs=20)
         assert not report.ok
         assert report == reference_verify(rep, max_len=1, pairs=20)
@@ -1404,9 +1465,9 @@ class TestIntegerVerify:
     def test_corrupted_denominator_two_coefficient(self):
         # g1 has integral coefficients, so its denominator is the bump's 2.
         rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
-        assert all(isinstance(x, int) for row in rep.action_rows["g1"]
+        assert all(isinstance(x, int) for row in action_rows(rep)["g1"]
                    for x in row.values())
-        _bump(rep, "g1", 1, 0, Fraction(1, 2))
+        rep = _bump(rep, "g1", 1, 0, Fraction(1, 2))
         report = verify_rep(rep, max_len=2, pairs=30)
         assert not report.ok
         assert report == reference_verify(rep, max_len=2, pairs=30)
@@ -1415,7 +1476,7 @@ class TestIntegerVerify:
         # g1 acting as g0^-1 makes g0 g1 act as the identity, as den * I
         # with den the product of the two letters' denominators.
         rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
-        rep.action_rows["g1"] = rep.action_rows["g0^-1"]
+        rep = with_action_rows(rep, "g1", action_rows(rep)["g0^-1"])
         report = verify_rep(rep, max_len=2, pairs=30)
         assert report.identity_actions == 3  # ε, g0 g1 and g1^-1 g0^-1
         assert report.injectivity_failures == 2
@@ -1437,7 +1498,7 @@ class TestIntegerVerify:
         # 2, and the combination there is not an integer.
         rep = int_g_rep(G_RATIONAL, sample_len=3)
         if bumped:
-            _bump(rep, "phi0", rep.dimension - 1, 0, 1)
+            rep = _bump(rep, "phi0", rep.dimension - 1, 0, 1)
         report = verify_rep(rep, max_len=1, pairs=20, seed=3)
         assert report.ok is not bumped
         if bumped:
@@ -1461,7 +1522,7 @@ class TestIntegerVerify:
         monkeypatch.setattr(splittable._PackedPoints, "_repack", recording_repack)
         rep = int_g_rep(sl2_pair(2**80, 3), sample_len=3)
         if bumped:
-            _bump(rep, "g1", rep.dimension - 1, 0, 1)
+            rep = _bump(rep, "g1", rep.dimension - 1, 0, 1)
         widths.clear()
         report = verify_rep(rep, max_len=2, pairs=20)
         assert len(widths) > 1 and widths == sorted(widths)
@@ -1497,7 +1558,7 @@ class TestIntegerVerify:
         rep = build_rep(TRIVIAL_PHI, G_RATIONAL, TrivialTau(2), sample_len=4)
         word = [("g", 0, 1), ("g", 1, -1), ("g", 0, 1)]
         action = action_of_word(rep, word)
-        dense = {name: _dense(rows, 4) for name, rows in rep.action_rows.items()}
+        dense = {name: _dense(rows, 4) for name, rows in action_rows(rep).items()}
         assert action == dense["g0"] * dense["g1^-1"] * dense["g0"]
         element = eval_word(word, rep.phi_gens, rep.g_gens, rep.tau)
         assert rep.recover(action) == (element.phi_mat, element.g_mat)
@@ -1525,7 +1586,7 @@ class TestPackedVerify:
         rep = int_g_rep({"rank2": G_RANK2, "rational": G_RATIONAL}[gens],
                         sample_len=3)
         i = max(i for i, b in enumerate(rep.basis) if b.coord[0] == kind)
-        _bump(rep, "g1", i, 0, 1)
+        rep = _bump(rep, "g1", i, 0, 1)
         report = verify_rep(rep, max_len=1, pairs=20)
         assert report.homomorphism_failures
         assert report == reference_verify(rep, max_len=1, pairs=20)
@@ -1560,7 +1621,7 @@ class TestPackedVerify:
         # cannot hold them.
         rep = build_rep(*trivial_setup())
         assert splittable._Recovery(rep).identity_values == [1, 0, 0, 1]
-        rep.action_rows["g0"] = tuple({i: 2**80} for i in range(rep.dimension))
+        rep = with_action_rows(rep, "g0", tuple({i: 2**80} for i in range(rep.dimension)))
         report = verify_rep(rep, max_len=3, pairs=20)
         assert report.recovery_failures
         assert report == reference_verify(rep, max_len=3, pairs=20)
@@ -1608,7 +1669,7 @@ def fresh_checks(rep):
         den, (combo,) = splittable._integer_rows((combo,))
         yield (f"coordinate {coord_name(coord)}", coord, kernel.identity, identity,
                combo, den)
-    for letter, rows in rep._letter_rows().items():
+    for letter, rows in rep._records.items():
         gen = generator_element(letter, rep.phi_gens, rep.g_gens)
         for i, (coord, shift) in enumerate(rep._shifts):
             yield (f"basis {i} under {letter_name(letter)}", coord,
@@ -1686,21 +1747,18 @@ class TestFreshPoints:
         d = rep.dimension
         for letter in rep.letters:
             key = letter_name(letter)
-            rows = rep.action_rows[key]
             for i in sorted({0, d // 2, d - 1}):
-                bumped = {**rows[i], i: rows[i].get(i, 0) + 1}
-                rep.action_rows[key] = (*rows[:i], bumped, *rows[i + 1:])
+                bumped = _bump(rep, key, i, i, 1)
                 what = f"basis {i} under {key}"
                 ((coord, public, combo, den),) = [
                     (coord, public, combo, den)
-                    for w, coord, _, public, combo, den in fresh_checks(rep)
+                    for w, coord, _, public, combo, den in fresh_checks(bumped)
                     if w == what]
                 want = reference(coord, public, combo, den)
                 assert want is not None
                 with pytest.raises(VerificationError) as info:
-                    _fresh_sample_check(rep)
+                    _fresh_sample_check(bumped)
                 assert str(info.value) == f"fresh-sample check failed for {what} {want}"
-            rep.action_rows[key] = rows
 
     def test_degree3_failure(self, monkeypatch):
         # The gate forced to fail: relations read off the words to length 2
