@@ -248,12 +248,30 @@ def cmd_word(args) -> int:
     raise CliError(f"unknown word op {args.op!r}")
 
 
+# An integer literal longer than this many digits is read in halves.
+_INT_SPLIT_DIGITS = 2000
+
+
+def _parse_int(text: str) -> int:
+    """int(text) for a JSON integer literal.  CPython before 3.12 converts
+    a decimal string to int in time quadratic in its digits, so a long
+    literal is split in halves, each read the same way, and joined as
+    high * 10^len(low) + low with subquadratic products."""
+    if len(text) <= _INT_SPLIT_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_parse_int(text[1:])
+    half = len(text) // 2
+    return _parse_int(text[:-half]) * 10 ** half + _parse_int(text[-half:])
+
+
 def _load_gens(path) -> MatrixGroupGens:
     """Read a --g / --phi document; a number with a fraction or an exponent
     keeps its text, which MatrixGroupGens.from_json reads as its exact
-    decimal value, not rounded to a float."""
+    decimal value, not rounded to a float, and an integer is read by
+    _parse_int."""
     with open(path) as fh:
-        doc = json.load(fh, parse_float=str)
+        doc = json.load(fh, parse_float=str, parse_int=_parse_int)
     return MatrixGroupGens.from_json(doc)
 
 

@@ -18,7 +18,9 @@ builders work on blocks throughout, JSON output included; dense matrices
 appear only at the display boundary (image(), eval()).
 
 Words are evaluated in batches (Representation.block_eval_many) that walk
-their prefix trie (matrix._trie_walk).  sigma's one 2 x 2 block is walked
+their prefix trie (matrix._trie_walk).  The induced images are evaluated
+when first read, and sigma's value of each skeleton word is walked once
+and kept (_InducedImages).  sigma's one 2 x 2 block is walked
 over the integers in every mode and read back exactly
 (matrix._integer_eval): over Q_p the numerators of entries with k = 0, and
 symbolically the graded entries evaluated at lam = 2^W, mu = 1, with W
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from itertools import chain, count, permutations
 
 from ._record import Record
@@ -84,12 +87,16 @@ from .words import (
 class Representation:
     """Matrices assigned to named generators, inverses included.
 
+    images maps each name, in gen_names order, to its (image, inverse).
     Images are stored as BlockMonomial, all of one shape: the builders pass
     blocks, and dense RingMatrix input is read with k = spec.n blocks when
     every image has that shape and as one block (k = 1) otherwise.  A JSON
-    document comes without a spec, so it is read as one block.  image(),
-    inverse_image() and eval() return dense matrices; block_eval_many()
-    stays in blocks.
+    document comes without a spec, so it is read as one block.  The
+    induced builders' images exist once read: each pair is evaluated from
+    its skeleton the first time a caller reads it (_InducedImages), and a
+    build that writes only the canonical pair never makes the others.
+    image(), inverse_image() and eval() return dense matrices;
+    block_eval_many() stays in blocks.
 
     A given inverse is checked for image * inverse = I with
     BlockMonomial.is_inverse_of (an adjugate certificate on 2 x 2 blocks,
@@ -121,8 +128,8 @@ class Representation:
         # gens: ordered list of (name, image, inverse image or None)
         if not gens:
             raise ValueError("a representation needs at least one generator")
-        self.gen_names = tuple(name for name, _, _ in gens)
-        if len(set(self.gen_names)) != len(self.gen_names):
+        names = [name for name, _, _ in gens]
+        if len(set(names)) != len(names):
             raise ValueError("repeated generator name")
         derived = {name for name, _, inv in gens if inv is None}
         adjugates = {}  # shared by the derived inverses
@@ -135,12 +142,19 @@ class Representation:
             if mat.ring != ring:
                 raise ValueError("generator image over a different ring")
         blocks = _common_blocks(mats, spec.n if spec else 1)
-        self.ring = ring
-        self.images = {}
-        for name, image, inv in zip(self.gen_names, blocks[::2], blocks[1::2]):
+        images = {}
+        for name, image, inv in zip(names, blocks[::2], blocks[1::2]):
             if name not in derived and not image.is_inverse_of(inv):
                 raise VerificationError(f"inverse image of {name} is wrong")
-            self.images[name] = (image, inv)
+            images[name] = (image, inv)
+        self._attach(ring, degree, images, spec, group, params)
+
+    def _attach(self, ring, degree, images, spec, group, params):
+        """Set the attributes of a representation with the given images, a
+        mapping from each generator name to (image, inverse)."""
+        self.gen_names = tuple(images)
+        self.ring = ring
+        self.images = images
         self.degree = degree
         self.spec = spec
         self.group = group
@@ -356,6 +370,76 @@ def _infinite_order_unit(ring, s):
     return s
 
 
+class _InducedImages(Mapping):
+    """The images of an induced representation's letters x0..x{rank-1}, t:
+    name -> (image, inverse), the image the evaluated skeleton of the
+    letter (HnnSpec.skeleton) and the inverse its block adjugate, both made
+    the first time the name is read; items() and values() make every pair
+    not made yet in one batch.  sigma's value of each skeleton word is
+    kept once walked (sigma_values), for every image and skeleton
+    evaluated here, so no word is walked twice."""
+
+    def __init__(self, spec, sigma, corner_z):
+        self.spec, self.sigma, self.corner_z = spec, sigma, corner_z
+        # Raises ValueError unless z has 2 x 2 blocks of unit determinant.
+        self.corner_inv = corner_z.inverse()
+        self.letters = {f"x{i}": (i, 1) for i in range(spec.rank)} | {"t": (T_GEN, 1)}
+        self.sigma_of = {}
+        self.pairs = {}
+        self.adjugates = {}  # shared by the inverses
+
+    def sigma_values(self, words) -> list:
+        """sigma's block values of the reduced words, walking in one batch
+        only those not walked before."""
+        new = [w for w in dict.fromkeys(words) if w not in self.sigma_of]
+        if new:
+            self.sigma_of.update(zip(new, self.sigma.block_eval_many(new)))
+        return [self.sigma_of[w] for w in words]
+
+    def evaluate(self, skeletons) -> list:
+        """The skeletons' images: block row i is z^e sigma(w) for the cell
+        (e, w), in block column perm[i]."""
+        self.sigma_values([w for sk in skeletons for _, w in sk.cells])
+        out = []
+        for sk in skeletons:
+            blocks = []
+            for e, w in sk.cells:
+                blk = self.sigma_of[w]
+                for _ in range(e):
+                    blk = self.corner_z * blk
+                for _ in range(-e):
+                    blk = self.corner_inv * blk
+                blocks.append(blk)
+            out.append(BlockMonomial.from_blocks(sk.perm, blocks))
+        return out
+
+    def _make(self, names):
+        """Make the pairs of the names not made yet, in one batch."""
+        names = [name for name in names if name not in self.pairs]
+        images = self.evaluate([self.spec.skeleton[self.letters[name]] for name in names])
+        for name, image in zip(names, images):
+            self.pairs[name] = (image, image.inverse(self.adjugates))
+
+    def __getitem__(self, name):
+        if name not in self.pairs:
+            self._make([name])
+        return self.pairs[name]
+
+    def items(self):
+        self._make(self.letters)
+        return super().items()
+
+    def values(self):
+        self._make(self.letters)
+        return super().values()
+
+    def __iter__(self):
+        return iter(self.letters)
+
+    def __len__(self):
+        return len(self.letters)
+
+
 def _induced_representation(spec, sigma, corner_z, group):
     """Coset-induced representation of the extension from sigma and a
     central block z standing in for the image of t^n w0: the evaluated
@@ -363,45 +447,27 @@ def _induced_representation(spec, sigma, corner_z, group):
 
     t maps to the block companion over the cosets 1, t, .., t^{n-1} with
     corner z * sigma(w0^-1); x_i maps to the block diagonal of the
-    sigma-images of phi^-j(x_i).  The skeleton's words are evaluated in one
-    batch, sharing prefixes.  Every block is z^e sigma(w), 2 x 2 with a
+    sigma-images of phi^-j(x_i).  The images are _InducedImages: each is
+    evaluated the first time it is read, walking through sigma only the
+    skeleton words not walked before, so a caller that reads t alone walks
+    t's words alone.  Every block is z^e sigma(w), 2 x 2 with a
     determinant known by construction: sigma's letters carry theirs (1),
     z^e sigma(w) multiplies in z's, a unit, and det is multiplicative.  So
     each inverse is the block adjugate from that determinant
     (BlockMonomial.inverse), with no a d - b c.  The defining relations are
     verified.  z is central when it is a scalar s I, or commutes with each
-    sigma(x_i); then gen_words certifies the skeleton, and skeleton_image
-    evaluates a mixed word's skeleton, walking only the words not yet
-    evaluated.
+    sigma(x_i); then gen_words certifies the skeleton, the relations are
+    verified with no image read, and skeleton_image evaluates a mixed
+    word's skeleton through the same word values.
     """
-    letters = {f"x{i}": (i, 1) for i in range(spec.rank)} | {"t": (T_GEN, 1)}
-    sigma_of = {}
-
-    def evaluate(skeletons):
-        words = list(dict.fromkeys(
-            w for sk in skeletons for _, w in sk.cells if w not in sigma_of))
-        sigma_of.update(zip(words, sigma.block_eval_many(words)))
-        out = []
-        for sk in skeletons:
-            blocks = []
-            for e, w in sk.cells:
-                blk = sigma_of[w]
-                for _ in range(e):
-                    blk = corner_z * blk
-                for _ in range(-e):
-                    blk = corner_z.inverse() * blk
-                blocks.append(blk)
-            out.append(BlockMonomial.from_blocks(sk.perm, blocks))
-        return out
-
-    images = evaluate([spec.skeleton[sym] for sym in letters.values()])
-    rep = Representation(sigma.ring, [(name, image, None) for name, image in zip(letters, images)],
-                         spec=spec, group=group, params=dict(sigma.params))
+    images = _InducedImages(spec, sigma, corner_z)
+    rep = Representation.__new__(Representation)
+    rep._attach(sigma.ring, sigma.degree * spec.n, images, spec, group, dict(sigma.params))
     if corner_z.is_scalar(corner_z.blocks[0][0][0]) or all(
             corner_z * x == x * corner_z
             for x, _ in (sigma.images[f"x{i}"] for i in range(spec.rank))):
-        rep.gen_words = {name: MixedWord((sym,)) for name, sym in letters.items()}
-        rep.skeleton_image = lambda word: evaluate([spec.skeleton_of(word.syms)])[0]
+        rep.gen_words = {name: MixedWord((sym,)) for name, sym in images.letters.items()}
+        rep.skeleton_image = lambda word: images.evaluate([spec.skeleton_of(word.syms)])[0]
     _require_relations(rep, defining_relations(spec),
                        f"defining relations fail for {group}")
     return rep
@@ -413,7 +479,8 @@ def hnn_induced_rep(spec: HnnSpec, sigma: Representation, s) -> Representation:
     images must have 2 x 2 blocks, as sigma_free's have; other blocks raise
     ValueError (BlockMonomial.inverse)."""
     s = _infinite_order_unit(sigma.ring, s)
-    (ident,) = sigma.block_eval_many([()])  # the identity in sigma's shape
+    first = sigma.images[sigma.gen_names[0]][0]
+    ident = BlockMonomial.identity(sigma.ring, first.block_degree, len(first.perm))
     rep = _induced_representation(
         spec, sigma, ident.scalar_mul(s), group=f"F_phi(X), rank {spec.rank}",
     )
@@ -616,7 +683,8 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
     2n+1 as matrices of degree 4(2n+1) (one 2x2 block per coset).
 
     The y image is checked against the displayed shape: superdiagonal blocks
-    sigma(psi^-j(x0)) and corner s * sigma(Sigma^-1 psi(x0)).
+    sigma(psi^-j(x0)) and corner s * sigma(Sigma^-1 psi(x0)), sigma's values
+    read from those the build kept (_InducedImages.sigma_values).
     """
     spec = artin_odd_spec(n)
     if sigma is None:
@@ -629,7 +697,7 @@ def artin_odd(n: int, sigma: Representation = None, s=None) -> Representation:
 
     orbit = [w for _, w in spec.skeleton[0, 1].cells]
     corner_word = spec.w0.inverse() * spec.phi.apply(Word.gen(0))
-    *superdiag, corner = sigma.block_eval_many(orbit[:-1] + [corner_word])
+    *superdiag, corner = tau.images.sigma_values(orbit[:-1] + [corner_word])
     _check_shape("y", y_img, BlockMonomial.companion(superdiag, corner.scalar_mul(s)))
 
     return _canonical_rep(2 * n + 1, tau, x_img, y_img)
@@ -742,7 +810,7 @@ def b3_explicit(sigma: Representation = None, s=None, mismatches=None):
     t_img = tau.images["t"][0]
     psi = spec.phi
     x0w, x1w = Word.gen(0), Word.gen(1)
-    sig_inv, x0, x1, psi1, psi2, psi3, psi4 = sigma.block_eval_many(
+    sig_inv, x0, x1, psi1, psi2, psi3, psi4 = tau.images.sigma_values(
         [spec.w0.inverse(), x0w, x1w]
         + [psi.power(j).apply(x0w) for j in range(1, 5)]
     )

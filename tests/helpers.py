@@ -15,6 +15,17 @@ DEGREE3_JSON_SHA256 = (
     "4d39dc9bf594471e95da5bbbfaa18df25c3d190d857580b8303566450c96ede3"
 )
 
+# SHA-256 of the file `hnnrep build <flags> --out FILE` writes, for builds
+# past the benchmark's m <= 10, recorded from the builds that evaluated
+# every image of the induced representation.
+LARGE_BUILD_SHA256 = {
+    "--m 15": "83291d45cc808868f7381600c22e5962c1e5e66ddb776a305a2f92c091dee1ab",
+    "--m 21": "433bf0b310d63954654beab42b41d1a9b9ad67422853f7399099bd91946e5808",
+    "--m 31 --lambda 2 --mu 3 --s 5":
+        "6c1cc3d7d5e1bd34e582b64b8d3ebb8cbb78d43f4615ef886081bc17a48db96d",
+    "--m 21 --integer": "ad9c3693f2fbb1c1500b1e7958770e219e718aca95673397460f55790321d2f7",
+}
+
 
 def _json_text(obj, indent=""):
     """The text of json.dumps(obj, indent=2, sort_keys=True) at nesting

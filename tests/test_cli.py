@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +25,8 @@ from hnnrep.cli import main
 from hnnrep.matrix import RingMatrix
 from hnnrep.reps import Representation
 from hnnrep.words import MixedWord, Skeleton, Word, artin_spec, center_generator
+
+from helpers import LARGE_BUILD_SHA256
 
 
 def run(capsys, *argv):
@@ -487,6 +490,31 @@ def test_long_integer_entry_exits_2_promptly(tmp_path):
     _assert_one_error_line(proc, "generator pair does not multiply to identity")
     assert seconds < 2.0
     assert not (tmp_path / "rep.json").exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign=st.sampled_from(["", "-"]),
+       digits=st.from_regex(r"0|[1-9][0-9]{0,120}", fullmatch=True),
+       split=st.integers(1, 130))
+def test_parse_int_equals_int(sign, digits, split):
+    # A literal longer than the split length is read by halves; a small
+    # split length halves at every size, and a low half may start with 0.
+    text = sign + digits
+    with mock.patch.object(cli, "_INT_SPLIT_DIGITS", split):
+        assert cli._parse_int(text) == int(text)
+
+
+def test_parse_int_reads_past_the_split_length():
+    nines = "9" * (2 * cli._INT_SPLIT_DIGITS + 1)
+    assert cli._parse_int(nines) == 10 ** len(nines) - 1
+    assert cli._parse_int("-1" + "0" * len(nines)) == -(10 ** len(nines))
+
+
+@pytest.mark.parametrize("flags", sorted(LARGE_BUILD_SHA256))
+def test_large_builds_are_pinned(tmp_path, flags):
+    out = tmp_path / "rep.json"
+    assert main(["build", *flags.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_BUILD_SHA256[flags]
 
 
 def test_deeply_nested_g_document_exits_2(tmp_path):

@@ -1042,38 +1042,52 @@ class TestDerivedInverses:
         for w, image, inverse in zip(words, images, images[len(words):]):
             assert image.inverse() == inverse, w
 
-    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
-    @pytest.mark.parametrize("m", [3, 4, 5, 8])
-    def test_induced_build_evaluates_each_word_once(self, monkeypatch, m, mode):
-        # The empty word, f and the rank * n orbit words, each once and in
-        # one batch; no inverse words, and no relation sides, as the
-        # skeleton certifies the defining relations.
+    @staticmethod
+    def _sigma_batches(monkeypatch):
+        """The batches sigma's block_eval_many walks, as they are walked."""
         batches = []
-        inside = []
         real_eval = Representation.block_eval_many
-        real_induced = reps._induced_representation
 
         def block_eval_many(self, items):
             items = list(items)
-            if inside:
+            if self.spec is None:  # sigma, not the induced representation
                 batches.append(items)
             return real_eval(self, items)
 
-        def induced(spec, sigma, corner_z, group):
-            inside.append(True)
-            try:
-                return real_induced(spec, sigma, corner_z, group)
-            finally:
-                inside.pop()
-
         monkeypatch.setattr(Representation, "block_eval_many", block_eval_many)
-        monkeypatch.setattr(reps, "_induced_representation", induced)
-        spec = _mode_inputs(m, mode)[0]
-        assert _induced(m, mode).relation_reports[0].ok
-        want = {Word(), spec.f} | {spec.phi_inv.power(j).apply(Word.gen(i))
+        return batches
+
+    @staticmethod
+    def _image_words(spec):
+        return {Word(), spec.f} | {spec.phi_inv.power(j).apply(Word.gen(i))
                                    for i in range(spec.rank) for j in range(spec.n)}
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 8])
+    def test_induced_build_evaluates_each_word_once(self, monkeypatch, m, mode):
+        # The build walks no word, as the skeleton certifies the defining
+        # relations; reading every image through items() then walks the
+        # empty word, f and the rank * n orbit words, each once and in one
+        # batch; no inverse words, and no relation sides.
+        batches = self._sigma_batches(monkeypatch)
+        spec = _mode_inputs(m, mode)[0]
+        tau = _induced(m, mode)
+        assert tau.relation_reports[0].ok and batches == []
+        assert len(list(tau.images.items())) == len(tau.gen_names)
         (batch,) = batches
-        assert len(batch) == len(set(batch)) and set(batch) == want
+        assert len(batch) == len(set(batch)) and set(batch) == self._image_words(spec)
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    @pytest.mark.parametrize("m", [3, 4, 5, 8])
+    def test_reading_images_by_name_walks_each_word_once(self, monkeypatch, m, mode):
+        batches = self._sigma_batches(monkeypatch)
+        spec = _mode_inputs(m, mode)[0]
+        tau = _induced(m, mode)
+        assert batches == []
+        for name in tau.gen_names:
+            assert tau.images[name] is tau.images[name]
+        walked = [w for batch in batches for w in batch]
+        assert len(walked) == len(set(walked)) and set(walked) == self._image_words(spec)
 
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -1263,6 +1277,87 @@ def test_builds_without_certificate_are_identical(monkeypatch, m, mode):
     assert _json_text(off.block_document()) == _json_text(on.block_document())
     assert off.relation_reports == on.relation_reports
     assert reps.matrix_relation_reports(on) == on.relation_reports
+
+
+def _eager_images(spec, sigma, z):
+    """Every letter's (image, inverse), evaluated from spec.skeleton at once:
+    block row i is z^e sigma(w) for the cell (e, w), and the inverse is the
+    block adjugate."""
+    out = {}
+    for name, sym in [(f"x{i}", (i, 1)) for i in range(spec.rank)] + [("t", (T_GEN, 1))]:
+        sk = spec.skeleton[sym]
+        blocks = []
+        for (e, _), value in zip(sk.cells, sigma.block_eval_many([w for _, w in sk.cells])):
+            assert e in (0, 1)
+            blocks.append(z * value if e else value)
+        image = BlockMonomial.from_blocks(sk.perm, blocks)
+        out[name] = (image, image.inverse())
+    return out
+
+
+class TestLazyImages:
+    """An A(m) build walks through sigma the words of the induced images it
+    reads, each once: t and x0 for even m, t and the skeleton of y = x0 t
+    for odd m.  The other images are made when a caller reads them, equal
+    to the eager evaluation of the skeleton."""
+
+    @pytest.mark.parametrize("read", ["images", "relations"])
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_build_walks_the_words_it_reads_once(self, monkeypatch, m, mode, read):
+        walked = []
+        real_eval = Representation.block_eval_many
+
+        def block_eval_many(self, items):
+            items = list(items)
+            if self.spec is None:  # sigma, not an induced or canonical image
+                walked.extend(tuple(self.letters(w)) for w in items)
+            return real_eval(self, items)
+
+        monkeypatch.setattr(Representation, "block_eval_many", block_eval_many)
+        rep = _built.__wrapped__(m, mode)
+        spec, sigma, s = _mode_inputs(m, mode)
+        read_skeletons = [spec.skeleton[T_GEN, 1], spec.skeleton_of([(0, 1), (T_GEN, 1)])
+                          if m % 2 else spec.skeleton[0, 1]]
+        want = {tuple(sigma.letters(w)) for sk in read_skeletons for _, w in sk.cells}
+        unread = {tuple(sigma.letters(w))
+                  for i in range(1, spec.rank) for _, w in spec.skeleton[i, 1].cells}
+        assert unread - want
+        assert len(walked) == len(set(walked)) and set(walked) == want
+
+        tau = rep.relation_checks[0][0]
+        if read == "relations":
+            assert reps.matrix_relation_reports(rep) == rep.relation_reports
+        images = {name: tau.images[name] for name in tau.gen_names}
+        assert len(walked) == len(set(walked))
+        monkeypatch.undo()
+        z = BlockMonomial.identity(sigma.ring, 2, 1).scalar_mul(s)
+        assert images == _eager_images(spec, sigma, z)
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_wrong_x0_orbit_cell_fails_the_shape(self, monkeypatch, m, mode):
+        # y = x0 t with x0's orbit word at coset 1 times x0: no relation
+        # reads y's skeleton, and the shape check, which reads sigma's
+        # values from the build's memo, rejects it.
+        real = reps._induced_representation
+
+        def induced(spec, sigma, corner_z, group):
+            tau = real(spec, sigma, corner_z, group)
+
+            def skeleton_image(word):
+                sk = spec.skeleton_of(word.syms)
+                cells = list(sk.cells)
+                cells[1] = (cells[1][0], cells[1][1] * Word.gen(0))
+                return tau.images.evaluate([Skeleton(sk.perm, tuple(cells))])[0]
+
+            tau.skeleton_image = skeleton_image
+            return tau
+
+        monkeypatch.setattr(reps, "_induced_representation", induced)
+        with pytest.raises(VerificationError,
+                           match="y image does not match its block shape at block row 1"):
+            _built.__wrapped__(m, mode)
 
 
 def _left_to_right(rep, letters):
